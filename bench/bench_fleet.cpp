@@ -1,17 +1,16 @@
-// Fleet scale-out throughput — events/sec and multi-core speedup vs shard
-// count for the sharded SoA testbed.
+// Fleet settlement throughput — settled UE-cycles per second and ns per
+// UE-cycle vs shard count for the cell-range walk (exp::run_fleet).
 //
 // Runs one fixed-seed fleet scenario (default 1M devices) once per
 // requested shard count, verifies every run's fingerprint is
-// byte-identical to the 1-shard reference (the determinism guarantee the
-// sharded runner is built on), and reports devices simulated, events/sec,
-// and the speedup of each shard count over 1 shard — to stdout and to
-// BENCH_fleet.json in the working directory. Exits non-zero on any
-// fingerprint mismatch.
+// byte-identical to the first (the determinism guarantee the range walk
+// is built on), and reports UE-cycles/s, ns per UE-cycle, and the speedup
+// of each shard count over the first — to stdout and to BENCH_fleet.json
+// in the working directory. Exits non-zero on any fingerprint mismatch.
 //
 // Knobs: --devices N, --cycles N, --devices-per-cell N, --seed N,
-// --shards A,B,C (default 1,2,4,8) and the TLC_SHARDS environment
-// variable (used only for entries of 0 in the --shards list).
+// --shards A,B,C (default 1,2,4,8; an entry of 0 resolves through
+// exp::resolve_shards).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -78,7 +77,6 @@ Options parse_options(int argc, char** argv) {
 struct Timing {
   std::uint32_t shards = 0;
   double seconds = 0.0;
-  std::uint64_t events = 0;
   std::string fingerprint;
 };
 
@@ -87,6 +85,8 @@ struct Timing {
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   const unsigned cpus = std::thread::hardware_concurrency();
+  const auto ue_cycles =
+      static_cast<double>(opt.devices) * static_cast<double>(opt.cycles);
 
   FleetConfig cfg;
   cfg.devices = opt.devices;
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   cfg.cycles = opt.cycles;
   cfg.seed = opt.seed;
 
-  std::printf("## Fleet scale-out: %zu devices, %u cycles, %u cpus\n\n",
+  std::printf("## Fleet settlement: %zu devices, %u cycles, %u cpus\n\n",
               opt.devices, opt.cycles, cpus);
 
   std::vector<Timing> rows;
@@ -107,19 +107,17 @@ int main(int argc, char** argv) {
     Timing t;
     t.shards = result.shards;
     t.seconds = std::chrono::duration<double>(stop - start).count();
-    t.events = result.events;
     t.fingerprint = fleet_fingerprint(result);
-    if (!rows.empty() && t.fingerprint != rows.front().fingerprint) {
-      identical = false;
-    }
-    std::printf("shards %2u: %7.2f s  %11.0f events/s  gap %.2f%%  %s\n",
-                t.shards, t.seconds,
-                static_cast<double>(t.events) / t.seconds,
+    const bool same =
+        rows.empty() || t.fingerprint == rows.front().fingerprint;
+    identical = identical && same;
+    std::printf("shards %2u: %7.3f s  %11.0f UE-cycles/s  %7.1f ns/UE-cycle"
+                "  gap %.2f%%  %s\n",
+                t.shards, t.seconds, ue_cycles / t.seconds,
+                t.seconds * 1e9 / ue_cycles,
                 100.0 * static_cast<double>(result.gap_dl) /
                     static_cast<double>(result.charged_dl),
-                rows.empty() || t.fingerprint == rows.front().fingerprint
-                    ? "identical"
-                    : "MISMATCH");
+                same ? "identical" : "MISMATCH");
     rows.push_back(std::move(t));
   }
 
@@ -139,16 +137,16 @@ int main(int argc, char** argv) {
                  "  \"devices\": %zu,\n"
                  "  \"cycles\": %u,\n"
                  "  \"cpus\": %u,\n"
-                 "  \"events_per_run\": %llu,\n",
-                 opt.devices, opt.cycles, cpus,
-                 static_cast<unsigned long long>(base.events));
+                 "  \"ue_cycles_per_run\": %.0f,\n",
+                 opt.devices, opt.cycles, cpus, ue_cycles);
     for (const Timing& t : rows) {
       std::fprintf(out,
                    "  \"shard%u_seconds\": %.6f,\n"
-                   "  \"shard%u_events_per_sec\": %.1f,\n"
+                   "  \"shard%u_ue_cycles_per_sec\": %.1f,\n"
+                   "  \"shard%u_ns_per_ue_cycle\": %.2f,\n"
                    "  \"speedup_%ushard\": %.4f,\n",
-                   t.shards, t.seconds, t.shards,
-                   static_cast<double>(t.events) / t.seconds, t.shards,
+                   t.shards, t.seconds, t.shards, ue_cycles / t.seconds,
+                   t.shards, t.seconds * 1e9 / ue_cycles, t.shards,
                    t.seconds > 0 ? base.seconds / t.seconds : 0.0);
     }
     std::fprintf(out,

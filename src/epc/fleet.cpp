@@ -166,6 +166,24 @@ TLC_HOT DeviceFleet::SettleTotals DeviceFleet::settle_range(
   return totals;
 }
 
+OfcsFold fold_ofcs(std::span<const CellReport> reports) {
+  constexpr double kFlagGapRatio = 0.25;
+  OfcsFold out;
+  for (const CellReport& r : reports) {
+    out.chain = fnv1a64(out.chain, r.cycle);
+    out.chain = fnv1a64(out.chain, r.cell);
+    out.chain = fnv1a64(out.chain, r.charged_dl);
+    out.chain = fnv1a64(out.chain, r.delivered_dl);
+    const std::uint64_t gap = r.charged_dl - r.delivered_dl;
+    if (r.charged_dl > 0 &&
+        static_cast<double>(gap) >
+            kFlagGapRatio * static_cast<double>(r.charged_dl)) {
+      ++out.flagged;
+    }
+  }
+  return out;
+}
+
 std::uint64_t DeviceFleet::digest() const {
   std::uint64_t h = kFnvBasis;
   for (std::size_t d = 0; d < seeds_.size(); ++d) {

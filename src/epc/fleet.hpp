@@ -19,12 +19,20 @@
 // k-th draw depends only on (fleet seed, device id, k), never on global
 // event order or the shard partition — the keystone of the shard-count
 // independence proven by tests/exp/test_fleet_determinism.cpp.
+//
+// walk_cells() below is the one fleet kernel: a cycle-major walk over a
+// cell range that bursts and settles every device and reports every cell.
+// exp::run_fleet and serve::run_replay both drive it and differ only in
+// the sink the records go to.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/hot.hpp"
 #include "common/units.hpp"
 
 namespace tlc::epc {
@@ -85,6 +93,12 @@ class DeviceFleet {
   [[nodiscard]] std::uint32_t cell_of(FleetDeviceId d) const {
     return static_cast<std::uint32_t>(d / devices_per_cell_);
   }
+  /// First device of `cell`; first_device(cells()) == devices(), so cell
+  /// c owns [first_device(c), first_device(c + 1)).
+  [[nodiscard]] FleetDeviceId first_device(std::uint32_t cell) const {
+    return static_cast<FleetDeviceId>(std::min<std::size_t>(
+        std::size_t{cell} * devices_per_cell_, seeds_.size()));
+  }
   [[nodiscard]] std::uint64_t device_stream(FleetDeviceId d) const {
     return seeds_[d];
   }
@@ -113,16 +127,14 @@ class DeviceFleet {
   /// First-wakeup offset of device `d` from the run start: uniform in
   /// [0.5, 1.5) × mean_burst_period, never zero, drawn at the reserved
   /// kOffsetDraw counter so it is shard-count independent like every other
-  /// draw. Both the sharded batch runner (exp/fleet.cpp) and the online
-  /// replay (serve/replay.cpp) schedule from this one rule — their burst
-  /// streams match burst for burst.
+  /// draw. walk_cells seeds every device's first wakeup from this one rule.
   [[nodiscard]] Duration initial_offset(FleetDeviceId d,
                                         const FleetTrafficParams& params) const;
 
   /// One downlink burst (plus piggybacked uplink) for device `d`: charges
   /// at the gateway column, applies the loss model, and advances the
   /// device's draw counter. Only columns of `d` (and its cell's
-  /// accumulators, owned by the same shard) are touched.
+  /// accumulators, owned by the same walker) are touched.
   BurstOutcome burst(FleetDeviceId d, const FleetTrafficParams& params);
 
   /// Cycle-end settlement over the contiguous device range [begin, end):
@@ -139,6 +151,17 @@ class DeviceFleet {
     std::uint64_t billed_legacy = 0;
     std::uint64_t billed_tlc = 0;
     std::uint64_t charged_ul = 0;
+
+    SettleTotals& operator+=(const SettleTotals& o) {
+      devices += o.devices;
+      charged_dl += o.charged_dl;
+      delivered_dl += o.delivered_dl;
+      gap_dl += o.gap_dl;
+      billed_legacy += o.billed_legacy;
+      billed_tlc += o.billed_tlc;
+      charged_ul += o.charged_ul;
+      return *this;
+    }
   };
   SettleTotals settle_range(FleetDeviceId begin, FleetDeviceId end,
                             std::uint64_t cycle, double loss_weight);
@@ -212,9 +235,121 @@ class DeviceFleet {
   std::vector<std::uint64_t> billed_tlc_;
   std::vector<std::uint64_t> poc_;  // per-device PoC hash chain
 
-  // --- per-cell per-cycle accumulators (cells never span shards) ---
+  // --- per-cell per-cycle accumulators (cells never span walkers) ---
   std::vector<std::uint64_t> cell_charged_dl_;
   std::vector<std::uint64_t> cell_delivered_dl_;
 };
+
+/// One cell's per-cycle RRC COUNTER CHECK totals: what the cell reports to
+/// the OFCS aggregator at cycle end.
+struct CellReport {
+  std::uint32_t cycle = 0;
+  std::uint32_t cell = 0;
+  std::uint64_t charged_dl = 0;
+  std::uint64_t delivered_dl = 0;
+};
+
+/// The OFCS aggregator's verdict over a run's cell reports.
+struct OfcsFold {
+  /// FNV hash chain over (cycle, cell, charged, delivered) of every report.
+  std::uint64_t chain = kFnvBasis;
+  /// Reports whose charging gap exceeds a quarter of the charged volume
+  /// (the fleet-scale analogue of the per-device dispute threshold).
+  std::uint64_t flagged = 0;
+};
+
+/// Folds `reports`, which must be in (cycle, cell) order, into the OFCS
+/// chain. exp::run_fleet and serve::run_replay both fold through this one
+/// function, so their chains and flag counts compare equal.
+[[nodiscard]] OfcsFold fold_ofcs(std::span<const CellReport> reports);
+
+/// The shape of a fleet run, as run_fleet and run_replay both walk it.
+struct FleetWalk {
+  std::uint32_t cycles = 4;
+  Duration cycle_length = std::chrono::seconds{1};
+  FleetTrafficParams traffic;
+  /// Algorithm 1 split of the disputed gap (see settle_range).
+  double loss_weight = 0.5;
+
+  [[nodiscard]] TimePoint cycle_end(std::uint32_t cycle) const {
+    return kTimeZero + cycle_length * static_cast<std::int64_t>(cycle + 1);
+  }
+  [[nodiscard]] TimePoint horizon() const {
+    return kTimeZero + cycle_length * static_cast<std::int64_t>(cycles);
+  }
+};
+
+/// One device's settled charging cycle, as the walk emits it: the
+/// CDR→CDA→PoC totals of settle_range plus the cycle's burst-phase split
+/// by drop cause.
+struct DeviceCycle {
+  FleetDeviceId device = 0;
+  std::uint32_t cell = 0;
+  std::uint32_t cycle = 0;
+  DeviceFleet::SettleTotals settled;
+  std::uint64_t dropped_disconnect = 0;
+  std::uint64_t dropped_radio = 0;
+  std::uint64_t dropped_handover = 0;
+  std::uint32_t bursts = 0;
+  std::uint32_t reconnects = 0;
+};
+
+/// Runs `cycle` for every device of `cell`: bursts each device while its
+/// next wakeup lies strictly before min(cycle_end, horizon), settles it,
+/// and hands the result to `sink.settled(const DeviceCycle&)`; then hands
+/// the cell's counter report to `sink.report(const CellReport&)` and resets
+/// the cell's accumulators. A burst stamped exactly on the cycle boundary
+/// is therefore charged to the next cycle, and one at the horizon never
+/// runs. `next_burst` is indexed by device id and advanced in place.
+template <class Sink>
+TLC_HOT void walk_cell(DeviceFleet& fleet, const FleetWalk& walk,
+                       std::uint32_t cycle, std::uint32_t cell,
+                       std::span<TimePoint> next_burst, Sink& sink) {
+  const TimePoint stop = std::min(walk.cycle_end(cycle), walk.horizon());
+  const FleetDeviceId end = fleet.first_device(cell + 1);
+  for (FleetDeviceId d = fleet.first_device(cell); d < end; ++d) {
+    DeviceCycle out;
+    out.device = d;
+    out.cell = cell;
+    out.cycle = cycle;
+    TimePoint& next = next_burst[d];
+    while (next < stop) {
+      const DeviceFleet::BurstOutcome b = fleet.burst(d, walk.traffic);
+      out.dropped_disconnect += b.dropped_disconnect;
+      out.dropped_radio += b.dropped_radio;
+      out.dropped_handover += b.dropped_handover;
+      out.bursts += 1;
+      if (b.reconnected) out.reconnects += 1;
+      next += b.next_gap;
+    }
+    out.settled = fleet.settle_range(d, d + 1, cycle, walk.loss_weight);
+    sink.settled(out);
+  }
+  sink.report(CellReport{cycle, cell, fleet.cell_charged_dl(cell),
+                         fleet.cell_delivered_dl(cell)});
+  fleet.reset_cell_cycle(cell);
+}
+
+/// The fleet kernel: seeds the first wakeup of every device in the cell
+/// range [cell_begin, cell_end), then walks it cycle-major — every cell of
+/// cycle c before any cell of cycle c + 1. A device's bill depends only on
+/// its own counter-based draws, so walks over disjoint cell ranges may run
+/// on different threads (they touch disjoint columns and disjoint
+/// `next_burst` entries) and the union of their records is the same for
+/// any partition.
+template <class Sink>
+void walk_cells(DeviceFleet& fleet, const FleetWalk& walk,
+                std::uint32_t cell_begin, std::uint32_t cell_end,
+                std::span<TimePoint> next_burst, Sink& sink) {
+  const FleetDeviceId end = fleet.first_device(cell_end);
+  for (FleetDeviceId d = fleet.first_device(cell_begin); d < end; ++d) {
+    next_burst[d] = kTimeZero + fleet.initial_offset(d, walk.traffic);
+  }
+  for (std::uint32_t cycle = 0; cycle < walk.cycles; ++cycle) {
+    for (std::uint32_t cell = cell_begin; cell < cell_end; ++cell) {
+      walk_cell(fleet, walk, cycle, cell, next_burst, sink);
+    }
+  }
+}
 
 }  // namespace tlc::epc

@@ -3,134 +3,55 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <map>
 #include <thread>
 #include <vector>
-
-#include "sim/shard.hpp"
 
 namespace tlc::exp {
 namespace {
 
+using epc::CellReport;
+using epc::DeviceCycle;
 using epc::DeviceFleet;
-using epc::FleetDeviceId;
-using epc::fnv1a64;
-using epc::kFnvBasis;
 
-/// A cell report whose charging gap exceeds this fraction of the charged
-/// volume gets flagged by the aggregator (the fleet-scale analogue of the
-/// per-device dispute threshold).
-constexpr double kFlagGapRatio = 0.25;
+/// One cell range's tallies. Each range's walk is the only writer of its
+/// sink, and of the report slots of its own cells; aligned so parallel
+/// walkers never share a cache line.
+struct alignas(64) RangeSink {
+  RangeSink(std::uint32_t cycles, std::uint32_t cell_count,
+            std::vector<CellReport>& slots)
+      : per_cycle(cycles), cells(cell_count), report_slots(&slots) {}
 
-/// Per-shard hot-path state: the metrics registry plus the counters
-/// resolved once at init, and the shard's cell/device ranges.
-struct ShardState {
-  obs::MetricsRegistry registry;
-  obs::Counter* bursts = nullptr;
-  obs::Counter* charged_dl = nullptr;
-  obs::Counter* delivered_dl = nullptr;
-  obs::Counter* dropped_disconnect = nullptr;
-  obs::Counter* dropped_radio = nullptr;
-  obs::Counter* dropped_handover = nullptr;
-  obs::Counter* charged_ul = nullptr;
-  obs::Counter* reconnects = nullptr;
-  obs::Counter* settled_devices = nullptr;
-  obs::Counter* reports = nullptr;
-  std::uint32_t cell_begin = 0;
-  std::uint32_t cell_end = 0;
-  FleetDeviceId dev_begin = 0;
-  FleetDeviceId dev_end = 0;
-};
-
-struct FleetCtx {
-  explicit FleetCtx(const FleetConfig& cfg, std::uint32_t shard_count)
-      : config(cfg),
-        fleet(cfg.devices, cfg.devices_per_cell, cfg.seed),
-        runner(sim::ShardedRunner::Config{shard_count, cfg.backhaul_latency,
-                                          cfg.parallel}),
-        horizon(kTimeZero +
-                cfg.cycle_length * static_cast<std::int64_t>(cfg.cycles)) {}
-
-  const FleetConfig& config;
-  DeviceFleet fleet;
-  sim::ShardedRunner runner;
-  TimePoint horizon;
-  std::vector<std::unique_ptr<ShardState>> shards;
-  /// cycle_acc[shard][cycle], each written only by its shard's thread.
-  std::vector<std::vector<DeviceFleet::SettleTotals>> cycle_acc;
-  // OFCS aggregator state, touched only by shard 0's events.
-  std::uint64_t ofcs_chain = kFnvBasis;
-  std::uint64_t flagged = 0;
-};
-
-void schedule_burst(FleetCtx& ctx, std::uint32_t s, FleetDeviceId d,
-                    TimePoint at) {
-  ctx.runner.shard(s).schedule_at(at, sim::InlineCallback{[&ctx, s, d, at] {
-    const DeviceFleet::BurstOutcome out =
-        ctx.fleet.burst(d, ctx.config.traffic);
-    ShardState& ss = *ctx.shards[s];
-    ss.bursts->inc();
-    ss.charged_dl->inc(out.charged_dl);
-    ss.delivered_dl->inc(out.delivered_dl);
-    ss.dropped_disconnect->inc(out.dropped_disconnect);
-    ss.dropped_radio->inc(out.dropped_radio);
-    ss.dropped_handover->inc(out.dropped_handover);
-    ss.charged_ul->inc(out.charged_ul);
-    if (out.reconnected) ss.reconnects->inc();
-    const TimePoint next = at + out.next_gap;
-    if (next < ctx.horizon) schedule_burst(ctx, s, d, next);
-  }});
-}
-
-/// Folds one per-cell cycle report into the OFCS aggregator chain. Runs on
-/// shard 0; arrival order is the deterministic (deliver_at, cell) merge.
-void aggregate_report(FleetCtx& ctx, std::uint64_t cycle, std::uint32_t cell,
-                      std::uint64_t charged, std::uint64_t delivered) {
-  std::uint64_t h = ctx.ofcs_chain;
-  h = fnv1a64(h, cycle);
-  h = fnv1a64(h, cell);
-  h = fnv1a64(h, charged);
-  h = fnv1a64(h, delivered);
-  ctx.ofcs_chain = h;
-  const std::uint64_t gap = charged - delivered;
-  if (charged > 0 &&
-      static_cast<double>(gap) > kFlagGapRatio * static_cast<double>(charged)) {
-    ++ctx.flagged;
+  void settled(const DeviceCycle& d) {
+    per_cycle[d.cycle] += d.settled;
+    bursts += d.bursts;
+    reconnects += d.reconnects;
+    dropped_disconnect += d.dropped_disconnect;
+    dropped_radio += d.dropped_radio;
+    dropped_handover += d.dropped_handover;
   }
-}
+  /// Slots are (cycle, cell)-indexed, so the slot vector is already in the
+  /// OFCS fold order once every range has walked.
+  void report(const CellReport& r) {
+    (*report_slots)[std::size_t{r.cycle} * cells + r.cell] = r;
+  }
 
-void schedule_settle(FleetCtx& ctx, std::uint32_t s, std::uint32_t cycle) {
-  const TimePoint when = kTimeZero + ctx.config.cycle_length *
-                                         static_cast<std::int64_t>(cycle + 1);
-  ctx.runner.shard(s).schedule_at(
-      when, sim::InlineCallback{[&ctx, s, cycle, when] {
-        ShardState& ss = *ctx.shards[s];
-        const DeviceFleet::SettleTotals totals = ctx.fleet.settle_range(
-            ss.dev_begin, ss.dev_end, cycle, ctx.config.loss_weight);
-        ctx.cycle_acc[s][cycle] = totals;
-        ss.settled_devices->inc(totals.devices);
-        // Each cell's RRC counter report travels to the shard-0 OFCS
-        // aggregator over the backhaul; the cell id keys the merge.
-        for (std::uint32_t cell = ss.cell_begin; cell < ss.cell_end; ++cell) {
-          const std::uint64_t charged = ctx.fleet.cell_charged_dl(cell);
-          const std::uint64_t delivered = ctx.fleet.cell_delivered_dl(cell);
-          ctx.fleet.reset_cell_cycle(cell);
-          ss.reports->inc();
-          ctx.runner.post(
-              s, 0, when + ctx.config.backhaul_latency, cell,
-              sim::InlineCallback{[&ctx, cycle, cell, charged, delivered] {
-                aggregate_report(ctx, cycle, cell, charged, delivered);
-              }});
-        }
-      }});
-}
+  std::vector<DeviceFleet::SettleTotals> per_cycle;
+  std::uint64_t bursts = 0;
+  std::uint64_t reconnects = 0;
+  std::uint64_t dropped_disconnect = 0;
+  std::uint64_t dropped_radio = 0;
+  std::uint64_t dropped_handover = 0;
+  std::uint32_t cells;
+  std::vector<CellReport>* report_slots;
+};
 
 }  // namespace
 
 std::uint32_t resolve_shards(std::uint32_t requested) {
   if (requested > 0) return requested;
-  // tlc-lint: allow(determinism): operator knob for shard-team width only —
-  // fleet results are byte-identical at any shard count
+  // tlc-lint: allow(determinism): operator knob for the cell-range count
+  // only — fleet results are byte-identical at any shard count
   // (test_fleet_determinism proves it)
   if (const char* env = std::getenv("TLC_SHARDS")) {
     char* end = nullptr;
@@ -142,113 +63,86 @@ std::uint32_t resolve_shards(std::uint32_t requested) {
 }
 
 FleetResult run_fleet(const FleetConfig& config) {
-  const std::uint32_t dpc =
-      config.devices_per_cell == 0 ? 1 : config.devices_per_cell;
-  const auto cells = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (config.devices + dpc - 1) / dpc));
+  DeviceFleet fleet(config.devices, config.devices_per_cell, config.seed);
+  const std::uint32_t cells = fleet.cells();
   // More shards than cells would leave some shards empty; clamp instead.
   const std::uint32_t shards = std::min(resolve_shards(config.shards), cells);
-  FleetCtx ctx{config, shards};
-  // Partition on cell boundaries: contiguous cell ranges mean contiguous
-  // device ranges and per-cell accumulators owned by exactly one shard.
   const std::uint32_t cells_per_shard = (cells + shards - 1) / shards;
-  const auto devices = static_cast<FleetDeviceId>(ctx.fleet.devices());
+  const epc::FleetWalk walk{config.cycles, config.cycle_length,
+                            config.traffic, config.loss_weight};
 
-  ctx.shards.reserve(ctx.runner.shards());
-  ctx.cycle_acc.assign(
-      ctx.runner.shards(),
-      std::vector<DeviceFleet::SettleTotals>(config.cycles));
-  for (std::uint32_t s = 0; s < ctx.runner.shards(); ++s) {
-    auto ss = std::make_unique<ShardState>();
-    ss->cell_begin = std::min(s * cells_per_shard, cells);
-    ss->cell_end = std::min(ss->cell_begin + cells_per_shard, cells);
-    ss->dev_begin = std::min(ss->cell_begin * dpc, devices);
-    ss->dev_end = std::min(ss->cell_end * dpc, devices);
-    ss->bursts = &ss->registry.counter("fleet.bursts");
-    ss->charged_dl = &ss->registry.counter("fleet.charged_dl_bytes");
-    ss->delivered_dl = &ss->registry.counter("fleet.delivered_dl_bytes");
-    ss->dropped_disconnect =
-        &ss->registry.counter("fleet.dropped_disconnect_bytes");
-    ss->dropped_radio = &ss->registry.counter("fleet.dropped_radio_bytes");
-    ss->dropped_handover =
-        &ss->registry.counter("fleet.dropped_handover_bytes");
-    ss->charged_ul = &ss->registry.counter("fleet.charged_ul_bytes");
-    ss->reconnects = &ss->registry.counter("fleet.reconnects");
-    ss->settled_devices = &ss->registry.counter("fleet.settled_devices");
-    ss->reports = &ss->registry.counter("fleet.cell_reports");
-    ctx.shards.push_back(std::move(ss));
-  }
-
-  // Pre-size every pool so the window loop is allocation-free in steady
-  // state: each shard holds one pending burst per device, its settle
-  // events, and (shard 0) every cell's in-flight reports.
-  const std::size_t devices_per_shard =
-      static_cast<std::size_t>(cells_per_shard) * dpc;
-  ctx.runner.reserve(devices_per_shard + config.cycles + cells + 16,
-                     static_cast<std::size_t>(cells_per_shard) + 1);
-
-  // Settles are scheduled before any burst, so at a shared timestamp the
-  // (when, seq) order always runs cycle settlement first — on every shard
-  // count alike.
-  for (std::uint32_t s = 0; s < ctx.runner.shards(); ++s) {
-    for (std::uint32_t c = 0; c < config.cycles; ++c) {
-      schedule_settle(ctx, s, c);
+  std::vector<TimePoint> next_burst(fleet.devices());
+  std::vector<CellReport> reports(std::size_t{config.cycles} * cells);
+  std::vector<RangeSink> sinks(shards,
+                               RangeSink{config.cycles, cells, reports});
+  const auto walk_shard = [&](std::uint32_t s) {
+    const std::uint32_t begin = std::min(s * cells_per_shard, cells);
+    epc::walk_cells(fleet, walk, begin,
+                    std::min(begin + cells_per_shard, cells), next_burst,
+                    sinks[s]);
+  };
+  if (config.parallel && shards > 1) {
+    std::vector<std::jthread> threads;  // joined when the block exits
+    threads.reserve(shards);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      threads.emplace_back(walk_shard, s);
     }
+  } else {
+    for (std::uint32_t s = 0; s < shards; ++s) walk_shard(s);
   }
-  for (std::uint32_t s = 0; s < ctx.runner.shards(); ++s) {
-    const ShardState& ss = *ctx.shards[s];
-    for (FleetDeviceId d = ss.dev_begin; d < ss.dev_end; ++d) {
-      // First wakeup offset comes from the device's own stream at a
-      // reserved counter, so it is shard-count independent like every
-      // other draw (and shared with the serve-mode replay).
-      const TimePoint at =
-          kTimeZero + ctx.fleet.initial_offset(d, config.traffic);
-      if (at < ctx.horizon) schedule_burst(ctx, s, d, at);
-    }
-  }
-
-  // Run past the horizon far enough for the last cycle's reports to land.
-  ctx.runner.run_until(ctx.horizon + config.backhaul_latency +
-                       config.backhaul_latency);
 
   FleetResult result;
-  result.devices = ctx.fleet.devices();
+  result.devices = fleet.devices();
   result.cells = cells;
-  result.shards = ctx.runner.shards();
-  result.events = ctx.runner.events_dispatched();
-  result.messages = ctx.runner.messages_posted();
-  result.windows = ctx.runner.windows_run();
+  result.shards = shards;
   result.cycle_totals.resize(config.cycles);
+  DeviceFleet::SettleTotals all;
   for (std::uint32_t c = 0; c < config.cycles; ++c) {
+    DeviceFleet::SettleTotals t;
+    for (const RangeSink& sink : sinks) t += sink.per_cycle[c];
     FleetCycleTotals& row = result.cycle_totals[c];
-    for (std::uint32_t s = 0; s < ctx.runner.shards(); ++s) {
-      const DeviceFleet::SettleTotals& t = ctx.cycle_acc[s][c];
-      row.charged_dl += t.charged_dl;
-      row.delivered_dl += t.delivered_dl;
-      row.gap_dl += t.gap_dl;
-      row.billed_legacy += t.billed_legacy;
-      row.billed_tlc += t.billed_tlc;
-      result.charged_ul += t.charged_ul;
-    }
-    result.charged_dl += row.charged_dl;
-    result.delivered_dl += row.delivered_dl;
-    result.gap_dl += row.gap_dl;
-    result.billed_legacy += row.billed_legacy;
-    result.billed_tlc += row.billed_tlc;
+    row.charged_dl = t.charged_dl;
+    row.delivered_dl = t.delivered_dl;
+    row.gap_dl = t.gap_dl;
+    row.billed_legacy = t.billed_legacy;
+    row.billed_tlc = t.billed_tlc;
+    all += t;
   }
-  result.digest = ctx.fleet.digest();
-  result.ofcs_chain = ctx.ofcs_chain;
-  result.flagged_reports = ctx.flagged;
-  for (const auto& ss : ctx.shards) {
-    result.metrics.merge_counters_from(ss->registry.snapshot());
+  result.charged_dl = all.charged_dl;
+  result.delivered_dl = all.delivered_dl;
+  result.gap_dl = all.gap_dl;
+  result.billed_legacy = all.billed_legacy;
+  result.billed_tlc = all.billed_tlc;
+  result.charged_ul = all.charged_ul;
+  result.digest = fleet.digest();
+  const epc::OfcsFold ofcs = epc::fold_ofcs(reports);
+  result.ofcs_chain = ofcs.chain;
+  result.flagged_reports = ofcs.flagged;
+
+  std::map<std::string, std::uint64_t>& counters = result.metrics.counters;
+  for (const RangeSink& sink : sinks) {
+    counters["fleet.bursts"] += sink.bursts;
+    counters["fleet.reconnects"] += sink.reconnects;
+    counters["fleet.dropped_disconnect_bytes"] += sink.dropped_disconnect;
+    counters["fleet.dropped_radio_bytes"] += sink.dropped_radio;
+    counters["fleet.dropped_handover_bytes"] += sink.dropped_handover;
   }
+  // Every burst lands strictly before the horizon, so every byte a burst
+  // charged or delivered is in exactly one settled cycle.
+  counters["fleet.charged_dl_bytes"] = all.charged_dl;
+  counters["fleet.delivered_dl_bytes"] = all.delivered_dl;
+  counters["fleet.charged_ul_bytes"] = all.charged_ul;
+  counters["fleet.settled_devices"] = all.devices;
+  counters["fleet.cell_reports"] = reports.size();
+  result.messages = reports.size();
+  result.events = counters["fleet.bursts"] + result.messages;
   return result;
 }
 
 std::string fleet_fingerprint(const FleetResult& result) {
   // Everything determinism-relevant, nothing topology-dependent: shard
-  // count, event counts, and window counts are deliberately excluded so
-  // fingerprints compare equal across shard counts.
+  // count and the event/message/window tallies are deliberately excluded,
+  // so fingerprints compare equal across shard counts.
   char buf[256];
   std::string out;
   std::snprintf(buf, sizeof buf,

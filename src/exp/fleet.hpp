@@ -1,23 +1,21 @@
-// Operator-scale fleet scenario: millions of UEs on a sharded simulation.
+// Operator-scale fleet scenario: millions of UEs settled cycle by cycle.
 //
-// run_fleet() wires the three scale-out pieces together:
-//
-//   epc::DeviceFleet      — SoA device/session/counter columns
-//   sim::ShardedRunner    — N schedulers, conservative-lookahead windows,
-//                           deterministic cross-shard merge
-//   obs::MetricsRegistry  — one per shard, counter-merged at the end
-//
-// The device population is partitioned across shards on CELL boundaries
-// (contiguous cell ranges, hence contiguous device ranges), so per-cell
-// accumulators are only ever touched by one shard's thread. Every burst
-// and settle event for a device runs on that device's home shard; the only
-// cross-shard traffic is the per-cell cycle report each cell posts to the
-// OFCS aggregator on shard 0, with the backhaul latency as the lookahead
-// bound and the cell id as the deterministic merge key.
+// run_fleet() partitions the epc::DeviceFleet on CELL boundaries into
+// `shards` contiguous cell ranges and runs the fleet kernel
+// (epc::walk_cells) over each range — one std::thread per range when
+// `parallel`, one after another on the caller's thread otherwise. No event
+// queue is involved: a device's bill depends only on its own counter-based
+// draws, so each range walks cycle-major and settles every device the
+// moment its cycle's bursts are done. Each range tallies into its own sink
+// and writes its cells' reports into (cycle, cell)-indexed slots; after
+// the join the tallies are summed and the slots folded into the OFCS chain
+// (epc::fold_ofcs).
 //
 // The result — every column, every counter, the OFCS hash chain, the
 // fleet digest — is byte-identical for any shard count and for serial vs.
-// parallel execution (tests/exp/test_fleet_determinism.cpp pins 1/2/4/8).
+// parallel execution (tests/exp/test_fleet_determinism.cpp pins 1/2/4/8),
+// and to serve::run_replay, which drives the same kernel into the live
+// pipeline.
 #pragma once
 
 #include <cstddef>
@@ -34,24 +32,24 @@ namespace tlc::exp {
 struct FleetConfig {
   std::size_t devices = 100'000;
   std::uint32_t devices_per_cell = 200;
-  /// 0 → resolve_shards(): TLC_SHARDS env, else hardware concurrency.
+  /// Number of cell ranges the fleet is split into (clamped to the cell
+  /// count). 0 → resolve_shards(): TLC_SHARDS env, else hardware
+  /// concurrency.
   std::uint32_t shards = 0;
   /// Charging cycles to simulate; the horizon is cycles × cycle_length.
   std::uint32_t cycles = 4;
   Duration cycle_length = std::chrono::seconds{1};
-  /// Cell → OFCS aggregator report latency; doubles as the shard
-  /// lookahead, so it bounds the parallel window length.
-  Duration backhaul_latency = std::chrono::milliseconds{5};
   epc::FleetTrafficParams traffic;
   /// Algorithm 1 split of the disputed gap (0 = device pays nothing for
   /// undelivered bytes, 1 = legacy charging).
   double loss_weight = 0.5;
   std::uint64_t seed = 42;
-  /// Serial mode runs every shard on the caller's thread — same results.
+  /// Parallel mode walks each cell range on its own thread; serial mode
+  /// walks them in turn on the caller's thread — same results.
   bool parallel = true;
 };
 
-/// Fleet-wide totals for one charging cycle (sum over all shards' exact
+/// Fleet-wide totals for one charging cycle (sum over all ranges' exact
 /// u64 settle totals).
 struct FleetCycleTotals {
   std::uint64_t charged_dl = 0;
@@ -64,10 +62,15 @@ struct FleetCycleTotals {
 struct FleetResult {
   std::uint64_t devices = 0;
   std::uint32_t cells = 0;
+  /// Cell ranges walked (FleetConfig::shards after clamping).
   std::uint32_t shards = 0;
-  std::uint64_t events = 0;    // scheduler events dispatched, all shards
-  std::uint64_t messages = 0;  // cross-shard reports posted
-  std::uint64_t windows = 0;   // lookahead windows run
+  /// Work items of the run: device bursts plus cell reports. A function of
+  /// the configuration alone — the same at every shard count.
+  std::uint64_t events = 0;
+  /// Cell reports folded into the OFCS chain: cells × cycles.
+  std::uint64_t messages = 0;
+  /// Always 0: the range walk has no synchronisation windows.
+  std::uint64_t windows = 0;
 
   std::uint64_t charged_dl = 0;
   std::uint64_t delivered_dl = 0;
@@ -80,13 +83,13 @@ struct FleetResult {
   /// Order-independent fold of every device's settled columns.
   std::uint64_t digest = 0;
   /// OFCS aggregator hash chain over per-cell cycle reports, folded in
-  /// merged (cycle, cell) arrival order — sensitive to the cross-shard
-  /// merge order, which is exactly why the determinism suite checks it.
+  /// (cycle, cell) order — sensitive to that order, which is exactly why
+  /// the determinism suite checks it.
   std::uint64_t ofcs_chain = 0;
   /// Reports the aggregator flagged (cell gap ratio above threshold).
   std::uint64_t flagged_reports = 0;
 
-  /// Counter-merged snapshot of every shard's registry.
+  /// `fleet.*` counters summed over every range.
   obs::MetricsSnapshot metrics;
 };
 

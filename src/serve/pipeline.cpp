@@ -4,16 +4,8 @@
 #include <cassert>
 
 #include "common/hot.hpp"
-#include "epc/fleet.hpp"  // fnv1a64 / kFnvBasis for the OFCS fold
 
 namespace tlc::serve {
-namespace {
-
-/// Aggregator flag threshold — must match exp/fleet.cpp's kFlagGapRatio,
-/// or the serve-vs-batch cross-check in tools/tlc_serve.cpp diverges.
-constexpr double kFlagGapRatio = 0.25;
-
-}  // namespace
 
 ServePipeline::ServePipeline(PipelineConfig config)
     : config_(config),
@@ -168,9 +160,8 @@ void ServePipeline::drain() {
   }
 
   // OFCS fold: collect every consumer's reports, order by (cycle, cell) —
-  // exactly the deterministic merge order of the sharded batch runner
-  // (all of a cycle's reports share one deliver time; the cell id breaks
-  // ties) — and fold the same four words exp/fleet.cpp folds.
+  // the order the batch run's report slots already have — and fold them
+  // through the same epc::fold_ofcs.
   std::vector<CellReport> reports;
   for (const auto& state : consumer_states_) {
     reports.insert(reports.end(), state->reports.begin(),
@@ -182,22 +173,9 @@ void ServePipeline::drain() {
               if (a.cycle != b.cycle) return a.cycle < b.cycle;
               return a.cell < b.cell;
             });
-  std::uint64_t chain = epc::kFnvBasis;
-  std::uint64_t flagged = 0;
-  for (const CellReport& r : reports) {
-    chain = epc::fnv1a64(chain, r.cycle);
-    chain = epc::fnv1a64(chain, r.cell);
-    chain = epc::fnv1a64(chain, r.charged_dl);
-    chain = epc::fnv1a64(chain, r.delivered_dl);
-    const std::uint64_t gap = r.charged_dl - r.delivered_dl;
-    if (r.charged_dl > 0 &&
-        static_cast<double>(gap) >
-            kFlagGapRatio * static_cast<double>(r.charged_dl)) {
-      ++flagged;
-    }
-  }
-  stats_.ofcs_chain = chain;
-  stats_.flagged_reports = flagged;
+  const epc::OfcsFold ofcs = epc::fold_ofcs(reports);
+  stats_.ofcs_chain = ofcs.chain;
+  stats_.flagged_reports = ofcs.flagged;
 }
 
 void ServePipeline::publish(obs::MetricsRegistry* registry) const {

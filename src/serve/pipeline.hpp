@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "epc/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "serve/record.hpp"
 #include "serve/store.hpp"
@@ -69,12 +70,7 @@ struct PipelineCycleRow {
 };
 
 /// One cell's per-cycle RRC COUNTER CHECK totals, queued for the OFCS fold.
-struct CellReport {
-  std::uint32_t cycle = 0;
-  std::uint32_t cell = 0;
-  std::uint64_t charged_dl = 0;
-  std::uint64_t delivered_dl = 0;
-};
+using epc::CellReport;
 
 /// Drained snapshot of everything the pipeline accumulated.
 struct PipelineStats {
@@ -97,8 +93,8 @@ struct PipelineStats {
   std::vector<PipelineCycleRow> cycle_rows;
 
   /// OFCS aggregator chain over cell reports folded in (cycle, cell)
-  /// order — the same order the sharded batch runner's deterministic
-  /// merge produces, so the two chains compare equal.
+  /// order by epc::fold_ofcs — the fold and order exp::run_fleet uses,
+  /// so the two chains compare equal.
   std::uint64_t ofcs_chain = 0;
   std::uint64_t flagged_reports = 0;
 

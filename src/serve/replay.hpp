@@ -1,22 +1,21 @@
 // Fleet replay through the live pipeline — the batch-equivalence driver.
 //
-// run_replay() runs the SAME fleet scenario exp::run_fleet() runs, but
-// through the online serving path: producer threads walk cell-aligned
-// device ranges cycle-major, generate every burst and settlement from the
-// DeviceFleet's counter-based streams, and submit one ExchangeRecord per
-// (device, cycle) — plus one kCellReport per (cell, cycle) — into a
-// ServePipeline whose consumers re-derive and accept each bill.
+// run_replay() runs the SAME fleet scenario exp::run_fleet() runs, through
+// the SAME kernel (epc::walk_cells), but into the online serving path:
+// each producer thread walks one cell-aligned range cycle-major and
+// submits one ExchangeRecord per (device, cycle) — plus one kCellReport
+// per (cell, cycle) — into a ServePipeline whose consumers re-derive and
+// accept each bill. The two differ only in where records go.
 //
 // Because every draw a device makes is a pure function of (seed, device,
-// counter) — never of event order — and every accumulator the pipeline
+// counter) — never of thread timing — and every accumulator the pipeline
 // keeps is a commutative sum (or a (cycle, cell)-sorted fold, for the OFCS
 // chain), the drained totals are byte-identical to the batch run's
 // FleetResult for ANY producer/consumer count, including 1/1 (the
-// serial ≡ concurrent determinism test) and to the sharded batch runner
-// (the tlc_serve cross-check). Tie-breaking matches the batch scheduler:
-// at a cycle boundary the settlement runs before any burst stamped at the
-// same instant, so a burst landing exactly on the boundary belongs to the
-// next cycle.
+// serial ≡ concurrent determinism test) and the tlc_serve cross-check.
+// The kernel's boundary rule holds on both paths: a cycle owns exactly the
+// bursts stamped strictly before its end, so a burst landing on the
+// boundary belongs to the next cycle.
 #pragma once
 
 #include <cstddef>

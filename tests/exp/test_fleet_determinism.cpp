@@ -1,9 +1,11 @@
-// Fleet determinism suite: the sharded scale-out must be invisible in the
-// results. One fixed-seed scenario is run at 1, 2, 4, and 8 shards, serial
-// and parallel, and every fingerprint — totals, per-cycle rows, per-device
-// digest, OFCS merge chain, merged metrics — must be byte-identical.
-// Golden values pin the per-shard/per-device stream derivation (splitmix64
-// mixing, never `seed + index`).
+// Fleet determinism suite: the cell-range partition must be invisible in
+// the results. One fixed-seed scenario is run at 1, 2, 4, and 8 shards,
+// serial and parallel, and every fingerprint — totals, per-cycle rows,
+// per-device digest, OFCS chain, merged metrics — must be byte-identical,
+// to each other, to pinned goldens, and to the serve-path replay of the
+// same fleet. Golden values also pin the per-device stream derivation
+// (splitmix64 mixing, never `seed + index`), and kernel tests pin the
+// cycle-boundary rule of the range walk.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +14,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "epc/fleet.hpp"
 #include "exp/fleet.hpp"
+#include "serve/replay.hpp"
 
 namespace tlc::exp {
 namespace {
@@ -23,7 +27,6 @@ FleetConfig small_config() {
   cfg.devices_per_cell = 40;  // 30 cells
   cfg.cycles = 2;
   cfg.cycle_length = std::chrono::milliseconds{100};
-  cfg.backhaul_latency = std::chrono::milliseconds{5};
   cfg.traffic.mean_burst_period = std::chrono::milliseconds{20};
   cfg.seed = 2024;
   return cfg;
@@ -64,6 +67,19 @@ TEST(FleetStreams, NeverSeedPlusIndexAliasing) {
 
 // --------------------------------------------------- shard determinism ---
 
+TEST(FleetDeterminism, MatchesPinnedGoldens) {
+  // Any change to the walk's boundary rule, order or arithmetic that
+  // moves a settled byte or the OFCS chain fails here.
+  FleetConfig cfg = small_config();
+  cfg.shards = 2;
+  const FleetResult result = run_fleet(cfg);
+  EXPECT_EQ(result.digest, 0x93f2c084eb4dc84eULL);
+  EXPECT_EQ(result.ofcs_chain, 0x95988ae75bf67b45ULL);
+  EXPECT_EQ(result.flagged_reports, 0u);
+  EXPECT_EQ(result.charged_dl, 138182699u);
+  EXPECT_EQ(result.billed_tlc, 133100658u);
+}
+
 TEST(FleetDeterminism, ByteIdenticalAcrossShardCounts) {
   const FleetConfig base = small_config();
   std::string reference;
@@ -82,20 +98,70 @@ TEST(FleetDeterminism, ByteIdenticalAcrossShardCounts) {
     } else {
       EXPECT_EQ(fp, reference) << "shards=" << shards;
     }
-    // Burst events are identical; only per-shard settle events vary, by
-    // at most (shards-1) per cycle.
-    EXPECT_GE(result.events, reference_events);
+    // Events are bursts plus cell reports: no per-shard work exists.
+    EXPECT_EQ(result.events, reference_events) << "shards=" << shards;
   }
 }
 
 TEST(FleetDeterminism, SerialMatchesParallel) {
-  FleetConfig cfg = small_config();
-  cfg.shards = 4;
-  cfg.parallel = false;
-  const std::string serial = fleet_fingerprint(run_fleet(cfg));
-  cfg.parallel = true;
-  const std::string parallel = fleet_fingerprint(run_fleet(cfg));
-  EXPECT_EQ(serial, parallel);
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    FleetConfig cfg = small_config();
+    cfg.shards = shards;
+    cfg.parallel = false;
+    const std::string serial = fleet_fingerprint(run_fleet(cfg));
+    cfg.parallel = true;
+    const std::string parallel = fleet_fingerprint(run_fleet(cfg));
+    EXPECT_EQ(serial, parallel) << "shards=" << shards;
+  }
+}
+
+TEST(FleetDeterminism, BatchMatchesReplay) {
+  // run_fleet and serve::run_replay drive the same kernel into different
+  // sinks; every settlement artifact must agree at any topology.
+  const FleetConfig base = small_config();
+  struct Topology {
+    std::uint32_t shards;
+    std::size_t producers;
+  };
+  for (const Topology topo : {Topology{1, 1}, Topology{3, 2}, Topology{8, 4}}) {
+    FleetConfig cfg = base;
+    cfg.shards = topo.shards;
+    const FleetResult batch = run_fleet(cfg);
+
+    serve::ReplayConfig rcfg;
+    rcfg.devices = base.devices;
+    rcfg.devices_per_cell = base.devices_per_cell;
+    rcfg.cycles = base.cycles;
+    rcfg.cycle_length = base.cycle_length;
+    rcfg.traffic = base.traffic;
+    rcfg.loss_weight = base.loss_weight;
+    rcfg.seed = base.seed;
+    rcfg.producers = topo.producers;
+    rcfg.consumers = 2;
+    rcfg.store_capacity = 256;
+    const serve::ReplayResult live = serve::run_replay(rcfg);
+    const serve::PipelineStats& s = live.stats;
+
+    SCOPED_TRACE(testing::Message() << "shards=" << topo.shards
+                                    << " producers=" << topo.producers);
+    EXPECT_EQ(s.rejected, 0u);
+    EXPECT_EQ(live.fleet_digest, batch.digest);
+    EXPECT_EQ(s.ofcs_chain, batch.ofcs_chain);
+    EXPECT_EQ(s.flagged_reports, batch.flagged_reports);
+    EXPECT_EQ(s.charged_dl, batch.charged_dl);
+    EXPECT_EQ(s.delivered_dl, batch.delivered_dl);
+    EXPECT_EQ(s.billed_tlc, batch.billed_tlc);
+    EXPECT_EQ(s.charged_ul, batch.charged_ul);
+    EXPECT_EQ(s.cell_reports, batch.messages);
+    EXPECT_EQ(s.bursts, batch.metrics.counter_or_zero("fleet.bursts"));
+    EXPECT_EQ(s.gap_handover,
+              batch.metrics.counter_or_zero("fleet.dropped_handover_bytes"));
+    ASSERT_EQ(s.cycle_rows.size(), batch.cycle_totals.size());
+    for (std::size_t c = 0; c < s.cycle_rows.size(); ++c) {
+      EXPECT_EQ(s.cycle_rows[c].charged_dl, batch.cycle_totals[c].charged_dl);
+      EXPECT_EQ(s.cycle_rows[c].billed_tlc, batch.cycle_totals[c].billed_tlc);
+    }
+  }
 }
 
 TEST(FleetDeterminism, RepeatRunsAreIdentical) {
@@ -139,12 +205,82 @@ TEST(FleetAccounting, GapIdentityAndMetricsAgree) {
             static_cast<std::uint64_t>(result.cells) * cfg.cycles);
   EXPECT_EQ(result.messages,
             static_cast<std::uint64_t>(result.cells) * cfg.cycles);
+  EXPECT_EQ(result.events, result.metrics.counter_or_zero("fleet.bursts") +
+                               result.messages);
+  EXPECT_EQ(result.windows, 0u);
   // Per-cycle rows sum to the grand totals.
   std::uint64_t charged = 0;
   for (const FleetCycleTotals& row : result.cycle_totals) {
     charged += row.charged_dl;
   }
   EXPECT_EQ(charged, result.charged_dl);
+}
+
+// ------------------------------------------------- kernel boundary rule ---
+
+/// Records everything the range walk emits.
+struct RecordingSink {
+  std::vector<epc::DeviceCycle> settled_rows;
+  std::vector<epc::CellReport> reports;
+  void settled(const epc::DeviceCycle& d) { settled_rows.push_back(d); }
+  void report(const epc::CellReport& r) { reports.push_back(r); }
+};
+
+/// One device, two 100 ms cycles, and a burst period so long that a
+/// device bursts at most once in the whole run.
+struct OneDeviceWalk {
+  OneDeviceWalk() : fleet(1, 1, 5), next_burst(1) {
+    walk.cycles = 2;
+    walk.cycle_length = std::chrono::milliseconds{100};
+    walk.traffic.mean_burst_period = std::chrono::hours{1};
+  }
+  void run_cycles() {
+    for (std::uint32_t cycle = 0; cycle < walk.cycles; ++cycle) {
+      epc::walk_cell(fleet, walk, cycle, 0, next_burst, sink);
+    }
+  }
+  epc::DeviceFleet fleet;
+  epc::FleetWalk walk;
+  std::vector<TimePoint> next_burst;
+  RecordingSink sink;
+};
+
+TEST(FleetWalk, BurstOnCycleBoundaryIsChargedToNextCycle) {
+  OneDeviceWalk w;
+  w.next_burst[0] = w.walk.cycle_end(0);  // exactly on the boundary
+  w.run_cycles();
+  ASSERT_EQ(w.sink.settled_rows.size(), 2u);
+  EXPECT_EQ(w.sink.settled_rows[0].bursts, 0u);
+  EXPECT_EQ(w.sink.settled_rows[0].settled.charged_dl, 0u);
+  EXPECT_EQ(w.sink.settled_rows[1].bursts, 1u);
+  EXPECT_GT(w.sink.settled_rows[1].settled.charged_dl, 0u);
+  // The cell report follows its cycle's settlements, then resets.
+  ASSERT_EQ(w.sink.reports.size(), 2u);
+  EXPECT_EQ(w.sink.reports[0].charged_dl, 0u);
+  EXPECT_EQ(w.sink.reports[1].charged_dl,
+            w.sink.settled_rows[1].settled.charged_dl);
+}
+
+TEST(FleetWalk, BurstJustBeforeBoundaryStaysInItsCycle) {
+  OneDeviceWalk w;
+  w.next_burst[0] = w.walk.cycle_end(0) - Duration{1};
+  w.run_cycles();
+  ASSERT_EQ(w.sink.settled_rows.size(), 2u);
+  EXPECT_EQ(w.sink.settled_rows[0].bursts, 1u);
+  EXPECT_EQ(w.sink.settled_rows[1].bursts, 0u);
+}
+
+TEST(FleetWalk, BurstAtHorizonNeverRuns) {
+  OneDeviceWalk w;
+  w.next_burst[0] = w.walk.horizon();
+  w.run_cycles();
+  ASSERT_EQ(w.sink.settled_rows.size(), 2u);
+  for (const epc::DeviceCycle& row : w.sink.settled_rows) {
+    EXPECT_EQ(row.bursts, 0u);
+    EXPECT_EQ(row.settled.charged_dl, 0u);
+  }
+  EXPECT_EQ(w.next_burst[0], w.walk.horizon());
+  EXPECT_EQ(w.fleet.modem_rx(0), 0u);
 }
 
 // ------------------------------------------------------- shard knobs ---

@@ -5,7 +5,8 @@
 // size, a schedule→dispatch cycle with packet-path-sized captures (and a
 // schedule→cancel→drain cycle) must perform exactly zero allocations —
 // the property the InlineCallback + slot-recycling design exists to hold.
-// tools/check_alloc_free.sh runs this binary in the default build.
+// The fleet kernel's per-cell loop (epc::walk_cell) is held to the same
+// bar. tools/check_alloc_free.sh runs this binary in the default build.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,8 +17,8 @@
 #include <new>
 #include <vector>
 
+#include "epc/fleet.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/shard.hpp"
 
 namespace {
 
@@ -131,43 +132,55 @@ TEST(SchedulerAlloc, ScheduleCancelDrainIsAllocationFree) {
   EXPECT_EQ(s.pending_events(), 0u);
 }
 
-TEST(SchedulerAlloc, ShardedWindowLoopIsAllocationFree) {
-  // The sharded fleet's steady state: per-window schedule→dispatch on
-  // every shard plus cross-shard posts merged at each barrier. After
-  // reserve() sizes the pools, outboxes, and merge buffer, the loop must
-  // not allocate. Serial mode keeps the operator-new hook single-threaded;
-  // parallel mode runs the identical code on worker threads.
-  ShardedRunner runner{{2, std::chrono::milliseconds{5}, false}};
-  runner.reserve(8 * kBurst, 8 * kBurst);
-  std::uint64_t sink = 0;
-  TimePoint t = kTimeZero;
-  const auto run_round = [&] {
-    for (int i = 0; i < kBurst; ++i) {
-      const auto s = static_cast<std::uint32_t>(i % 2);
-      const TimePoint at = t + Duration{1000} * (i + 1);
-      runner.shard(s).schedule_at(
-          at, InlineCallback{[&runner, &sink, s, at, i] {
-            ++sink;
-            // Bounce a message to the other shard at the lookahead bound —
-            // the hottest path through post() and the barrier merge.
-            runner.post(s, 1 - s, at + runner.lookahead(),
-                        static_cast<std::uint64_t>(i),
-                        InlineCallback{[&sink] { ++sink; }});
-          }});
+TEST(SchedulerAlloc, FleetCellWalkIsAllocationFree) {
+  // The fleet kernel's per-cell loop — burst every device up to the cycle
+  // boundary, settle it, report the cell — runs once per (cycle, cell) at
+  // operator scale, so it must not allocate. The fleet columns and the
+  // wakeup vector are sized once up front; the first cycle is the warm-up.
+  struct CountingSink {
+    std::uint64_t settled_devices = 0;
+    std::uint64_t bursts = 0;
+    std::uint64_t reports = 0;
+    void settled(const epc::DeviceCycle& d) {
+      ++settled_devices;
+      bursts += d.bursts;
     }
-    t += std::chrono::milliseconds{20};
-    runner.run_until(t);
+    void report(const epc::CellReport&) { ++reports; }
   };
-  for (int r = 0; r < 4; ++r) run_round();  // warm-up: capacity allocations
+  constexpr std::uint32_t kCells = 8;
+  constexpr std::uint32_t kPerCell = 16;
+  epc::DeviceFleet fleet(kCells * kPerCell, kPerCell, 11);
+  epc::FleetWalk walk;
+  walk.cycles = 1 + kRounds / 8;
+  walk.cycle_length = std::chrono::milliseconds{100};
+  walk.traffic.mean_burst_period = std::chrono::milliseconds{10};
+  std::vector<TimePoint> next_burst(fleet.devices());
+  for (epc::FleetDeviceId d = 0; d < fleet.devices(); ++d) {
+    next_burst[d] = kTimeZero + fleet.initial_offset(d, walk.traffic);
+  }
+  CountingSink sink;
+  const auto walk_cycle = [&](std::uint32_t cycle) {
+    for (std::uint32_t cell = 0; cell < kCells; ++cell) {
+      epc::walk_cell(fleet, walk, cycle, cell, next_burst, sink);
+    }
+  };
+  walk_cycle(0);  // warm-up
 
   std::uint64_t observed = 0;
+  const std::uint64_t warmup_bursts = sink.bursts;
   {
     AllocationWindow window;
-    for (int r = 0; r < kRounds; ++r) run_round();
+    for (std::uint32_t cycle = 1; cycle < walk.cycles; ++cycle) {
+      walk_cycle(cycle);
+    }
     observed = window.count();
   }
-  EXPECT_EQ(observed, 0u) << "sharded window loop allocated in steady state";
-  EXPECT_EQ(sink, static_cast<std::uint64_t>((4 + kRounds) * 2 * kBurst));
+  EXPECT_EQ(observed, 0u) << "fleet cell walk allocated in steady state";
+  EXPECT_EQ(sink.reports, std::uint64_t{kCells} * walk.cycles);
+  EXPECT_EQ(sink.settled_devices, fleet.devices() * walk.cycles);
+  // ~10 bursts per device per cycle: the loop did real work.
+  EXPECT_GT(sink.bursts - warmup_bursts,
+            fleet.devices() * (walk.cycles - 1));
 }
 
 TEST(SchedulerAlloc, HookCountsWhenArmed) {

@@ -56,7 +56,8 @@ if [ -n "$new_poc_batch" ] && [ -f "$new_poc_batch" ]; then
 fi
 
 if [ -n "$new_fleet" ] && [ -f "$new_fleet" ]; then
-  compare "$new_fleet" "$repo_root/BENCH_fleet.json" "shard1_events_per_sec"
+  compare "$new_fleet" "$repo_root/BENCH_fleet.json" \
+    "shard1_ue_cycles_per_sec"
   compare "$new_fleet" "$repo_root/BENCH_fleet.json" "best_speedup"
 fi
 

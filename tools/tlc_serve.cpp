@@ -3,8 +3,8 @@
 // Replays a fleet scenario through the live concurrent pipeline
 // (serve::run_replay: producer threads generate every burst/settlement
 // from the counter-based device streams, consumer threads re-derive and
-// accept each bill), then runs the SAME scenario through the sharded
-// batch path (exp::run_fleet) and cross-checks every settlement artifact:
+// accept each bill), then runs the SAME scenario through the batch path
+// (exp::run_fleet) and cross-checks every settlement artifact:
 // fleet-wide totals, per-cycle rows, the per-cause gap split, the fleet
 // digest, and the OFCS aggregator chain. Any divergence — one byte, one
 // flag — exits non-zero. This is the CI gate on the serving mode's

@@ -3,10 +3,9 @@
 //
 // Two sections, each swept over a list of thread counts:
 //
-//   1. store: raw enqueue+dequeue pair throughput of BOTH receipt-store
-//      backends (lock-free MPMC w/ hazard reclamation, flat-combining
-//      ring), measured as warmup + N sampled intervals (ops/sec per
-//      interval, mean/min/max reported);
+//   1. store: raw enqueue+dequeue pair throughput of the receipt store
+//      (the bounded ring), measured as warmup + N sampled intervals
+//      (ops/sec per interval, mean/min/max reported);
 //   2. pipeline: end-to-end submit→settle throughput of ServePipeline
 //      with T producers and 2 consumers; every 97th record is tampered
 //      (bill off by one) to exercise the reject path.
@@ -26,13 +25,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "serve/harness.hpp"
 #include "serve/pipeline.hpp"
 #include "serve/store.hpp"
+#include "serve_harness.hpp"
 
 using namespace tlc;
+using namespace tlc::bench;
 using namespace tlc::serve;
 
 namespace {
@@ -123,37 +124,34 @@ void print_result(const char* section, const HarnessResult& r) {
 
 /// Store section: each worker runs enqueue/dequeue pairs; one "op" is a
 /// completed pair. Afterwards the main thread drains the store and gates
-/// on emptiness. Works identically for both backends (same API).
-template <typename Queue>
+/// on emptiness.
 HarnessResult bench_store(const Options& opt, std::size_t threads,
                           bool* gate_ok) {
-  Queue queue(opt.capacity, threads + 1);
+  ReceiptStore store(opt.capacity);
   IntervalHarness harness{HarnessConfig{
       threads, opt.warmup, opt.interval, opt.intervals, opt.pin}};
   const HarnessResult result = harness.run(
-      [&queue](std::size_t thread, const std::atomic<bool>& stop,
+      [&store](std::size_t thread, const std::atomic<bool>& stop,
                std::atomic<std::uint64_t>& ops) {
-        typename Queue::Handle handle = queue.register_thread();
-        ExchangeRecord rec = make_record(thread, 0, 4);
+        const ExchangeRecord rec = make_record(thread, 0, 4);
         ExchangeRecord out;
         while (!stop.load(std::memory_order_relaxed)) {
-          while (!queue.try_enqueue(handle, rec)) {
+          while (!store.try_enqueue(rec)) {
             if (stop.load(std::memory_order_relaxed)) return;
           }
-          while (!queue.try_dequeue(handle, &out)) {
+          while (!store.try_dequeue(&out)) {
             if (stop.load(std::memory_order_relaxed)) return;
           }
           ops.fetch_add(1, std::memory_order_relaxed);
         }
       });
   // Workers may exit between their enqueue and dequeue; sweep leftovers,
-  // then the store must be empty — a record stuck in a half-linked node
-  // would be a correctness bug, not noise.
-  typename Queue::Handle handle = queue.register_thread();
+  // then the store must be empty — a record stuck in a claimed but never
+  // published cell would be a correctness bug, not noise.
   ExchangeRecord out;
-  while (queue.try_dequeue(handle, &out)) {
+  while (store.try_dequeue(&out)) {
   }
-  if (!queue.empty_quiescent()) {
+  if (store.approx_size() != 0) {
     std::printf("GATE FAILURE: store not empty after drain (%zu threads)\n",
                 threads);
     *gate_ok = false;
@@ -167,7 +165,6 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
                              bool* gate_ok) {
   PipelineConfig cfg;
   cfg.consumers = opt.consumers;
-  cfg.max_producers = threads;
   cfg.store_capacity = opt.capacity;
   cfg.cycles = 4;
   cfg.loss_weight = 0.5;
@@ -180,7 +177,6 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
       [&pipeline, &tampered](std::size_t thread,
                              const std::atomic<bool>& stop,
                              std::atomic<std::uint64_t>& ops) {
-        ReceiptStore::Handle handle = pipeline.register_producer();
         std::uint64_t seq = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           ExchangeRecord rec = make_record(thread, seq, 4);
@@ -188,7 +184,7 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
             rec.billed_tlc += 1;  // fails the recomputation check
             tampered.fetch_add(1, std::memory_order_relaxed);
           }
-          pipeline.submit(handle, rec);
+          pipeline.submit(rec);
           ops.fetch_add(1, std::memory_order_relaxed);
           ++seq;
         }
@@ -228,21 +224,14 @@ int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   bool gate_ok = true;
 
-  std::printf("## serve interval throughput (default backend: %s)\n\n",
-              kReceiptStoreBackend);
+  const unsigned cpus = std::thread::hardware_concurrency();
+  std::printf("## serve interval throughput (%u cpus)\n\n", cpus);
 
-  std::vector<HarnessResult> mpmc_rows;
-  std::vector<HarnessResult> fc_rows;
+  std::vector<HarnessResult> store_rows;
   std::vector<HarnessResult> pipe_rows;
   for (const std::size_t threads : opt.threads) {
-    mpmc_rows.push_back(
-        bench_store<MpmcQueue<ExchangeRecord>>(opt, threads, &gate_ok));
-    print_result("store/mpmc_hazard", mpmc_rows.back());
-  }
-  for (const std::size_t threads : opt.threads) {
-    fc_rows.push_back(
-        bench_store<FcQueue<ExchangeRecord>>(opt, threads, &gate_ok));
-    print_result("store/flat_combining", fc_rows.back());
+    store_rows.push_back(bench_store(opt, threads, &gate_ok));
+    print_result("store/ring", store_rows.back());
   }
   for (const std::size_t threads : opt.threads) {
     pipe_rows.push_back(bench_pipeline(opt, threads, &gate_ok));
@@ -253,20 +242,16 @@ int main(int argc, char** argv) {
   if (out != nullptr) {
     std::fprintf(out,
                  "{\n"
-                 "  \"backend\": \"%s\",\n"
+                 "  \"cpus\": %u,\n"
                  "  \"consumers\": %zu,\n"
                  "  \"intervals\": %zu,\n",
-                 kReceiptStoreBackend, opt.consumers, opt.intervals);
-    for (const HarnessResult& r : mpmc_rows) {
+                 cpus, opt.consumers, opt.intervals);
+    for (const HarnessResult& r : store_rows) {
       std::fprintf(out,
-                   "  \"store_mpmc_threads%zu_ops_per_sec\": %.1f,\n"
-                   "  \"store_mpmc_threads%zu_min_ops_per_sec\": %.1f,\n",
+                   "  \"store_threads%zu_ops_per_sec\": %.1f,\n"
+                   "  \"store_threads%zu_min_ops_per_sec\": %.1f,\n",
                    r.threads, r.mean_ops_per_sec, r.threads,
                    r.min_ops_per_sec);
-    }
-    for (const HarnessResult& r : fc_rows) {
-      std::fprintf(out, "  \"store_fc_threads%zu_ops_per_sec\": %.1f,\n",
-                   r.threads, r.mean_ops_per_sec);
     }
     for (const HarnessResult& r : pipe_rows) {
       std::fprintf(out,

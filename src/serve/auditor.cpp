@@ -6,18 +6,16 @@ namespace tlc::serve {
 
 LiveAuditor::LiveAuditor(crypto::PublicKey edge_key,
                          crypto::PublicKey operator_key,
-                         charging::DataPlan plan, std::size_t max_producers,
-                         std::size_t queue_capacity)
-    : queue_(queue_capacity, max_producers + 1),
+                         charging::DataPlan plan, std::size_t queue_capacity)
+    : queue_(queue_capacity),
       verifier_(std::move(edge_key), std::move(operator_key),
                 std::move(plan)),
       auditor_([this] { audit_loop(); }) {}
 
 LiveAuditor::~LiveAuditor() { drain(); }
 
-void LiveAuditor::submit(const BatchQueue::Handle& handle,
-                         const core::ReceiptBatch* batch) {
-  while (!queue_.try_enqueue(handle, batch)) {
+void LiveAuditor::submit(const core::ReceiptBatch* batch) {
+  while (!queue_.try_enqueue(batch)) {
     std::this_thread::yield();
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -31,10 +29,9 @@ void LiveAuditor::drain() {
 }
 
 void LiveAuditor::audit_loop() {
-  BatchQueue::Handle handle = queue_.register_thread();
   const core::ReceiptBatch* batch = nullptr;
   for (;;) {
-    if (queue_.try_dequeue(handle, &batch)) {
+    if (queue_.try_dequeue(&batch)) {
       const core::BatchAudit audit = verifier_.verify_batch(*batch);
       verified_.fetch_add(1, std::memory_order_relaxed);
       if (audit.head == core::BatchVerifyResult::kOk) {

@@ -4,8 +4,8 @@
 // batch, but it is stateful (it tracks the expected chain link), so heads
 // MUST be verified in chain order. The auditor preserves that contract
 // under concurrency by construction: any number of ingest threads hand
-// finished batches through the lock-free store, and exactly ONE audit
-// thread dequeues and verifies — order in, order out (the MPMC queue is
+// finished batches through a bounded ring (ring.hpp), and exactly ONE
+// audit thread dequeues and verifies — order in, order out (the ring is
 // FIFO over linearized enqueues, so callers submit each chain's heads in
 // order and the verifier sees them in order).
 //
@@ -18,30 +18,22 @@
 #include <thread>
 
 #include "charging/data_plan.hpp"
-#include "serve/mpmc_queue.hpp"
+#include "serve/ring.hpp"
 #include "tlc/verifier.hpp"
 
 namespace tlc::serve {
 
 class LiveAuditor {
  public:
-  using BatchQueue = MpmcQueue<const core::ReceiptBatch*>;
-
   LiveAuditor(crypto::PublicKey edge_key, crypto::PublicKey operator_key,
-              charging::DataPlan plan, std::size_t max_producers,
-              std::size_t queue_capacity = 256);
+              charging::DataPlan plan, std::size_t queue_capacity = 256);
   LiveAuditor(const LiveAuditor&) = delete;
   LiveAuditor& operator=(const LiveAuditor&) = delete;
   ~LiveAuditor();
 
-  [[nodiscard]] BatchQueue::Handle register_producer() {
-    return queue_.register_thread();
-  }
-
   /// Hands one finished batch to the audit thread; spins under
   /// backpressure. Heads of one chain must be submitted in chain order.
-  void submit(const BatchQueue::Handle& handle,
-              const core::ReceiptBatch* batch);
+  void submit(const core::ReceiptBatch* batch);
 
   /// Waits for every submitted batch to be verified, then stops the audit
   /// thread. Idempotent; all submits happen-before.
@@ -72,7 +64,7 @@ class LiveAuditor {
  private:
   void audit_loop();
 
-  BatchQueue queue_;
+  Ring<const core::ReceiptBatch*> queue_;
   core::BatchedVerifier verifier_;
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> verified_{0};

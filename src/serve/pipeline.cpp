@@ -8,11 +8,7 @@
 namespace tlc::serve {
 
 ServePipeline::ServePipeline(PipelineConfig config)
-    : config_(config),
-      store_(config.store_capacity,
-             config.max_producers + (config.consumers == 0
-                                         ? 1
-                                         : config.consumers)) {
+    : config_(config), store_(config.store_capacity) {
   if (config_.consumers == 0) config_.consumers = 1;
   cycle_rows_.reserve(config_.cycles);
   for (std::uint32_t c = 0; c < config_.cycles; ++c) {
@@ -30,25 +26,23 @@ ServePipeline::ServePipeline(PipelineConfig config)
 
 ServePipeline::~ServePipeline() { drain(); }
 
-TLC_HOT void ServePipeline::submit(const ReceiptStore::Handle& handle,
-                                   ExchangeRecord record) {
+TLC_HOT void ServePipeline::submit(ExchangeRecord record) {
   if (config_.clock != nullptr) {
     record.enqueued_ns = (config_.clock->now() - kTimeZero).count();
   }
   // Bounded store: spin under backpressure rather than drop — every
   // ingested record must be accounted for exactly once.
-  while (!store_.try_enqueue(handle, record)) {
+  while (!store_.try_enqueue(record)) {
     std::this_thread::yield();
   }
   ingested_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServePipeline::consume(std::size_t consumer_index) {
-  ReceiptStore::Handle handle = store_.register_thread();
   ConsumerState* state = consumer_states_[consumer_index].get();
   ExchangeRecord rec;
   for (;;) {
-    if (store_.try_dequeue(handle, &rec)) {
+    if (store_.try_dequeue(&rec)) {
       settle(rec, state);
       continue;
     }
@@ -127,7 +121,7 @@ void ServePipeline::drain() {
   stopping_.store(true, std::memory_order_release);
   for (std::thread& t : consumers_) t.join();
   consumers_.clear();
-  assert(store_.empty_quiescent());
+  assert(store_empty());
 
   stats_.ingested = ingested_.load(std::memory_order_relaxed);
   stats_.settled = settled_.load(std::memory_order_relaxed);

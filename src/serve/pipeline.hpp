@@ -16,16 +16,16 @@
 // drains empty.
 //
 // Concurrency contract:
-//   * submit() may run from many producer threads (each with its own
-//     registered handle); it applies backpressure (spins) when the store
-//     is full, and never drops;
+//   * submit() may run from any number of producer threads, with no
+//     registration; it applies backpressure (spins) when the store is
+//     full, and never drops;
 //   * all submits happen-before drain(): the caller stops its producers,
 //     then drains. After drain() returns, the stats accessors are stable
 //     and single-threaded reads;
 //   * totals use relaxed atomics — they are commutative sums, so thread
 //     interleaving cannot change the drained values. Latency histograms
 //     are per-consumer and merged at drain (LogHistogram::merge_from),
-//     keeping the hot path lock-free.
+//     keeping mutexes off the hot path.
 #pragma once
 
 #include <atomic>
@@ -44,8 +44,10 @@ namespace tlc::serve {
 
 struct PipelineConfig {
   std::size_t consumers = 2;
+  /// Ignored: producers need no registration, so any number may submit.
   std::size_t max_producers = 4;
-  /// Bounded in-flight records; submit() spins when full.
+  /// Bounded in-flight records, rounded up to a power of two; submit()
+  /// spins when full.
   std::size_t store_capacity = 4096;
   /// Pre-sizes the per-cycle accumulator rows; records with cycle ≥ this
   /// are rejected as malformed.
@@ -109,15 +111,16 @@ class ServePipeline {
   ServePipeline& operator=(const ServePipeline&) = delete;
   ~ServePipeline();
 
-  /// Registers the calling producer thread; keep the handle alive for all
-  /// of its submits. (Consumers register themselves internally.)
-  [[nodiscard]] ReceiptStore::Handle register_producer() {
-    return store_.register_thread();
-  }
-
   /// Enqueues one record, spinning under backpressure. Stamps
   /// `enqueued_ns` from the configured clock.
-  void submit(const ReceiptStore::Handle& handle, ExchangeRecord record);
+  void submit(ExchangeRecord record);
+
+  /// The handle-taking spellings do no work: the store needs no
+  /// registration. They remain for callers written against one.
+  [[nodiscard]] ReceiptStore::Handle register_producer() { return {}; }
+  void submit(const ReceiptStore::Handle& /*handle*/, ExchangeRecord record) {
+    submit(record);
+  }
 
   /// Call after every producer has finished submitting: waits for the
   /// store to empty, stops the consumers, folds the OFCS chain, merges
@@ -140,7 +143,7 @@ class ServePipeline {
   [[nodiscard]] std::size_t store_depth() const {
     return store_.approx_size();
   }
-  [[nodiscard]] bool store_empty() const { return store_.empty_quiescent(); }
+  [[nodiscard]] bool store_empty() const { return store_.approx_size() == 0; }
 
   /// Publishes the drained stats into a registry as serve.* counters,
   /// gauges, and the settle-latency percentile histogram.

@@ -73,7 +73,7 @@ struct ExchangeRecord {
 };
 
 static_assert(std::is_trivially_copyable_v<ExchangeRecord>,
-              "records are copied through lock-free queue nodes");
+              "records are copied through the receipt store's ring cells");
 
 /// Live per-cause gap counters: one cache line per cause so concurrent
 /// consumers never contend across causes. These are the serving-mode

@@ -11,7 +11,6 @@ namespace {
 /// (device, cycle) and one kCellReport per (cell, cycle).
 struct SubmitSink {
   ServePipeline& pipeline;
-  ReceiptStore::Handle handle;
 
   void settled(const epc::DeviceCycle& d) {
     ExchangeRecord rec;
@@ -32,7 +31,7 @@ struct SubmitSink {
         d.dropped_handover;
     rec.bursts = d.bursts;
     rec.reconnects = d.reconnects;
-    pipeline.submit(handle, rec);
+    pipeline.submit(rec);
   }
 
   void report(const epc::CellReport& r) {
@@ -42,7 +41,7 @@ struct SubmitSink {
     rec.cycle = r.cycle;
     rec.charged_dl = r.charged_dl;
     rec.delivered_dl = r.delivered_dl;
-    pipeline.submit(handle, rec);
+    pipeline.submit(rec);
   }
 };
 
@@ -57,7 +56,6 @@ ReplayResult run_replay(const ReplayConfig& config) {
 
   PipelineConfig pipe_cfg;
   pipe_cfg.consumers = config.consumers;
-  pipe_cfg.max_producers = producers;
   pipe_cfg.store_capacity = config.store_capacity;
   pipe_cfg.cycles = config.cycles;
   pipe_cfg.loss_weight = config.loss_weight;
@@ -79,7 +77,7 @@ ReplayResult run_replay(const ReplayConfig& config) {
       const std::uint32_t cell_end =
           std::min(cell_begin + cells_per_producer, cells);
       threads.emplace_back([&, cell_begin, cell_end] {
-        SubmitSink sink{pipeline, pipeline.register_producer()};
+        SubmitSink sink{pipeline};
         epc::walk_cells(fleet, walk, cell_begin, cell_end, next_burst,
                         sink);
       });

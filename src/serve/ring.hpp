@@ -1,0 +1,123 @@
+// Bounded MPMC ring: the one concurrent queue of the serving path.
+//
+// An array of cells, each carrying a sequence number next to its value
+// (D. Vyukov's bounded MPMC queue). Producers claim the cell at `tail_`
+// with one CAS, copy the value in, and publish it by advancing the cell's
+// sequence; consumers claim at `head_` the same way and hand the cell back
+// to the producer one lap later. A cell's sequence says whose turn it is:
+//
+//   seq == pos       free for the producer claiming position `pos`;
+//   seq == pos + 1   holds the value for the consumer claiming `pos`;
+//   seq == pos + N   freed for the producer of the next lap (N = capacity).
+//
+// Properties the serving pipeline relies on:
+//   * bounded: try_enqueue fails (backpressure) instead of growing once
+//     `capacity()` values are in flight; the capacity rounds up to a power
+//     of two so a position maps to its cell with a mask;
+//   * allocation-free after construction: no node pool, free list or
+//     reclamation, so no ABA and no use-after-free to guard against;
+//   * FIFO over linearized enqueues, hence per-producer order.
+//
+// Progress: a producer preempted between claiming a cell and publishing
+// it holds up consumers at that cell until it resumes (and a consumer
+// preempted mid-copy holds up the producer one lap later). The ring is
+// therefore not strictly lock-free; operations on other cells proceed.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstddef>
+#include <type_traits>
+#include <vector>
+
+#include "common/hot.hpp"
+
+namespace tlc::serve {
+
+template <typename T>
+class Ring {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "values are copied in and out of reused cells");
+
+ public:
+  /// Holds up to `capacity` values, rounded up to a power of two (at
+  /// least 1); capacity() reports the bound actually enforced.
+  explicit Ring(std::size_t capacity)
+      : mask_(std::bit_ceil(std::max<std::size_t>(capacity, 1)) - 1),
+        cells_(mask_ + 1) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      cells_[i].seq.store(i, std::memory_order_relaxed);
+    }
+  }
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+
+  /// Copies `v` in. Returns false when capacity() values are already in
+  /// flight (the caller applies backpressure and retries).
+  TLC_HOT bool try_enqueue(const T& v) {
+    std::size_t pos = tail_.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& cell = cells_[pos & mask_];
+      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
+      const auto lag = static_cast<std::ptrdiff_t>(seq - pos);
+      if (lag == 0) {
+        if (tail_.compare_exchange_weak(pos, pos + 1,
+                                        std::memory_order_relaxed)) {
+          cell.value = v;
+          cell.seq.store(pos + 1, std::memory_order_release);
+          return true;
+        }
+      } else if (lag < 0) {
+        return false;  // the cell still holds last lap's value: full
+      } else {
+        pos = tail_.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// Pops the oldest value into `*out`; false when the ring is empty.
+  TLC_HOT bool try_dequeue(T* out) {
+    std::size_t pos = head_.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& cell = cells_[pos & mask_];
+      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
+      const auto lag = static_cast<std::ptrdiff_t>(seq - (pos + 1));
+      if (lag == 0) {
+        if (head_.compare_exchange_weak(pos, pos + 1,
+                                        std::memory_order_relaxed)) {
+          *out = cell.value;
+          cell.seq.store(pos + mask_ + 1, std::memory_order_release);
+          return true;
+        }
+      } else if (lag < 0) {
+        return false;  // nothing published at this position yet: empty
+      } else {
+        pos = head_.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// Claimed-but-not-yet-consumed positions, `tail − head` (exact when
+  /// quiescent).
+  [[nodiscard]] std::size_t approx_size() const {
+    const std::size_t head = head_.load(std::memory_order_acquire);
+    const std::size_t tail = tail_.load(std::memory_order_acquire);
+    return tail > head ? tail - head : 0;
+  }
+
+  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<std::size_t> seq{0};
+    T value{};
+  };
+
+  const std::size_t mask_;
+  std::vector<Cell> cells_;
+  alignas(64) std::atomic<std::size_t> tail_{0};
+  alignas(64) std::atomic<std::size_t> head_{0};
+};
+
+}  // namespace tlc::serve

@@ -1,31 +1,18 @@
-// serve::ReceiptStore — the concurrent store backing the live pipeline.
-//
-// Two interchangeable backends implement the same bounded MPMC contract:
-//
-//   * MpmcQueue  — lock-free Michael-Scott queue, hazard-pointer
-//                  reclamation (default);
-//   * FcQueue    — flat-combining ring, one combiner applies everyone's
-//                  published ops.
-//
-// The backend is a compile-time choice (CMake option
-// TLC_SERVE_FLAT_COMBINING → -DTLC_SERVE_FLAT_COMBINING=1) so the hot
-// path carries no indirection; bench_serve links both headers directly
-// and measures them side by side regardless of which one the pipeline
-// uses.
+// serve::ReceiptStore — the bounded ring (ring.hpp) of ExchangeRecords
+// backing the live pipeline.
 #pragma once
 
-#include "serve/fc_queue.hpp"
-#include "serve/mpmc_queue.hpp"
 #include "serve/record.hpp"
+#include "serve/ring.hpp"
 
 namespace tlc::serve {
 
-#if defined(TLC_SERVE_FLAT_COMBINING) && TLC_SERVE_FLAT_COMBINING
-using ReceiptStore = FcQueue<ExchangeRecord>;
-inline constexpr const char* kReceiptStoreBackend = "flat_combining";
-#else
-using ReceiptStore = MpmcQueue<ExchangeRecord>;
-inline constexpr const char* kReceiptStoreBackend = "mpmc_hazard";
-#endif
+struct ReceiptStore : Ring<ExchangeRecord> {
+  using Ring::Ring;
+
+  /// Carries nothing: the ring needs no per-thread registration. The name
+  /// survives only for callers of ServePipeline::register_producer().
+  struct Handle {};
+};
 
 }  // namespace tlc::serve

@@ -1,5 +1,5 @@
 // LiveAuditor (serve/auditor.hpp): real hash-chained receipt batches flow
-// through the lock-free queue to the single audit thread, which preserves
+// through the bounded ring to the single audit thread, which preserves
 // the BatchedVerifier's in-chain-order contract — accepted heads advance
 // the chain, tampered or replayed heads are rejected without breaking it.
 #include "serve/auditor.hpp"
@@ -41,9 +41,9 @@ class LiveAuditorTest : public core::testing::ProtocolFixture {
     return batches;
   }
 
-  static LiveAuditor make_auditor(std::size_t producers = 1) {
+  static LiveAuditor make_auditor() {
     return LiveAuditor{edge_keys().public_key(),
-                       operator_keys().public_key(), plan(), producers, 8};
+                       operator_keys().public_key(), plan(), 8};
   }
 };
 
@@ -52,8 +52,7 @@ TEST_F(LiveAuditorTest, VerifiesChainedBatchesInOrder) {
   ASSERT_EQ(batches.size(), 3u);  // 2 + 2 + 1
 
   LiveAuditor auditor = make_auditor();
-  LiveAuditor::BatchQueue::Handle h = auditor.register_producer();
-  for (const ReceiptBatch& b : batches) auditor.submit(h, &b);
+  for (const ReceiptBatch& b : batches) auditor.submit(&b);
   auditor.drain();
 
   EXPECT_EQ(auditor.batches_submitted(), 3u);
@@ -76,11 +75,10 @@ TEST_F(LiveAuditorTest, TamperedHeadRejectedWithoutBreakingChain) {
   forged.head.count += 1;
 
   LiveAuditor auditor = make_auditor();
-  LiveAuditor::BatchQueue::Handle h = auditor.register_producer();
-  auditor.submit(h, &batches[0]);
-  auditor.submit(h, &forged);
-  auditor.submit(h, &batches[1]);
-  auditor.submit(h, &batches[2]);
+  auditor.submit(&batches[0]);
+  auditor.submit(&forged);
+  auditor.submit(&batches[1]);
+  auditor.submit(&batches[2]);
   auditor.drain();
 
   EXPECT_EQ(auditor.batches_verified(), 4u);
@@ -96,10 +94,9 @@ TEST_F(LiveAuditorTest, ReplayedBatchIsStale) {
   ASSERT_EQ(batches.size(), 2u);
 
   LiveAuditor auditor = make_auditor();
-  LiveAuditor::BatchQueue::Handle h = auditor.register_producer();
-  auditor.submit(h, &batches[0]);
-  auditor.submit(h, &batches[0]);  // replay: at/behind the accepted chain
-  auditor.submit(h, &batches[1]);
+  auditor.submit(&batches[0]);
+  auditor.submit(&batches[0]);  // replay: at/behind the accepted chain
+  auditor.submit(&batches[1]);
   auditor.drain();
 
   EXPECT_EQ(auditor.heads_accepted(), 2u);

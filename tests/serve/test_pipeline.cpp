@@ -40,7 +40,6 @@ ExchangeRecord valid_settlement(std::uint32_t device, std::uint32_t cycle,
 PipelineConfig small_config() {
   PipelineConfig cfg;
   cfg.consumers = 2;
-  cfg.max_producers = 2;
   cfg.store_capacity = 64;
   cfg.cycles = 2;
   cfg.loss_weight = 0.5;
@@ -49,10 +48,9 @@ PipelineConfig small_config() {
 
 TEST(ServePipeline, AcceptsValidSettlementsAndAccumulates) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
-  pipeline.submit(h, valid_settlement(0, 0, 1000, 100));
-  pipeline.submit(h, valid_settlement(1, 0, 2000, 0));
-  pipeline.submit(h, valid_settlement(2, 1, 500, 500));
+  pipeline.submit(valid_settlement(0, 0, 1000, 100));
+  pipeline.submit(valid_settlement(1, 0, 2000, 0));
+  pipeline.submit(valid_settlement(2, 1, 500, 500));
   pipeline.drain();
 
   const PipelineStats& s = pipeline.stats();
@@ -82,29 +80,28 @@ TEST(ServePipeline, AcceptsValidSettlementsAndAccumulates) {
 
 TEST(ServePipeline, RejectsRecordsThatFailRecomputation) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
 
   ExchangeRecord tampered_bill = valid_settlement(0, 0, 1000, 100);
   tampered_bill.billed_tlc += 1;  // claims more than the views support
-  pipeline.submit(h, tampered_bill);
+  pipeline.submit(tampered_bill);
 
   ExchangeRecord tampered_legacy = valid_settlement(1, 0, 1000, 100);
   tampered_legacy.billed_legacy -= 7;
-  pipeline.submit(h, tampered_legacy);
+  pipeline.submit(tampered_legacy);
 
   ExchangeRecord bad_causes = valid_settlement(2, 0, 1000, 100);
   bad_causes.gap_by_cause[1] += 1;  // causes no longer sum to the gap
-  pipeline.submit(h, bad_causes);
+  pipeline.submit(bad_causes);
 
   ExchangeRecord bad_cycle = valid_settlement(3, 0, 1000, 0);
   bad_cycle.cycle = 2;  // out of range for cycles = 2
-  pipeline.submit(h, bad_cycle);
+  pipeline.submit(bad_cycle);
 
   ExchangeRecord inflated = valid_settlement(4, 0, 1000, 0);
   inflated.delivered_dl = 2000;  // delivered > charged is malformed
-  pipeline.submit(h, inflated);
+  pipeline.submit(inflated);
 
-  pipeline.submit(h, valid_settlement(5, 0, 1000, 100));  // control
+  pipeline.submit(valid_settlement(5, 0, 1000, 100));  // control
   pipeline.drain();
 
   const PipelineStats& s = pipeline.stats();
@@ -121,7 +118,6 @@ TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {
   PipelineConfig cfg = small_config();
   cfg.consumers = 1;  // ordering of the fold must NOT depend on this
   ServePipeline pipeline{cfg};
-  ReceiptStore::Handle h = pipeline.register_producer();
 
   // Submit out of (cycle, cell) order; the drain-time sort canonicalises.
   const std::vector<CellReport> reports{
@@ -137,7 +133,7 @@ TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {
     rec.cell = r.cell;
     rec.charged_dl = r.charged_dl;
     rec.delivered_dl = r.delivered_dl;
-    pipeline.submit(h, rec);
+    pipeline.submit(rec);
   }
   pipeline.drain();
 
@@ -163,20 +159,17 @@ TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {
 TEST(ServePipeline, ConservationHoldsUnderConcurrentProducers) {
   constexpr std::size_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 5'000;
-  PipelineConfig cfg = small_config();
-  cfg.max_producers = kProducers;
-  ServePipeline pipeline{cfg};
+  ServePipeline pipeline{small_config()};
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&pipeline, p] {
-      ReceiptStore::Handle h = pipeline.register_producer();
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         ExchangeRecord rec = valid_settlement(
             static_cast<std::uint32_t>(p * kPerProducer + i),
             static_cast<std::uint32_t>(i % 2), 1000, i % 200);
         if (i % 10 == 0) rec.billed_tlc += 1;  // tamper every 10th
-        pipeline.submit(h, rec);
+        pipeline.submit(rec);
       }
     });
   }
@@ -191,6 +184,39 @@ TEST(ServePipeline, ConservationHoldsUnderConcurrentProducers) {
   EXPECT_EQ(pipeline.store_depth(), 0u);
 }
 
+TEST(ServePipeline, ProducersBeyondMaxProducersStillConserve) {
+  // max_producers is ignored: four threads submitting through handles from
+  // register_producer() into a pipeline configured for one must still
+  // account for every record exactly once.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 5'000;
+  PipelineConfig cfg = small_config();
+  cfg.max_producers = 1;
+  ServePipeline pipeline{cfg};
+
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&pipeline, p] {
+      const ReceiptStore::Handle h = pipeline.register_producer();
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        ExchangeRecord rec = valid_settlement(
+            static_cast<std::uint32_t>(p * kPerProducer + i),
+            static_cast<std::uint32_t>(i % 2), 1000, i % 200);
+        if (i % 7 == 0) rec.billed_tlc += 1;  // tamper every 7th
+        pipeline.submit(h, rec);
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  pipeline.drain();
+
+  const PipelineStats& s = pipeline.stats();
+  EXPECT_EQ(s.ingested, kProducers * kPerProducer);
+  EXPECT_EQ(s.ingested, s.settled + s.rejected);
+  EXPECT_EQ(s.rejected, kProducers * ((kPerProducer + 6) / 7));
+  EXPECT_TRUE(pipeline.store_empty());
+}
+
 TEST(ServePipeline, StampsSettleLatencyWhenClockProvided) {
   // Start away from kTimeZero so enqueued_ns is nonzero (0 means
   // "unstamped" and is skipped).
@@ -198,9 +224,8 @@ TEST(ServePipeline, StampsSettleLatencyWhenClockProvided) {
   PipelineConfig cfg = small_config();
   cfg.clock = &clock;
   ServePipeline pipeline{cfg};
-  ReceiptStore::Handle h = pipeline.register_producer();
   for (std::uint32_t d = 0; d < 10; ++d) {
-    pipeline.submit(h, valid_settlement(d, 0, 1000, 50));
+    pipeline.submit(valid_settlement(d, 0, 1000, 50));
     clock.advance_by(std::chrono::microseconds{10});
   }
   pipeline.drain();
@@ -209,26 +234,24 @@ TEST(ServePipeline, StampsSettleLatencyWhenClockProvided) {
 
 TEST(ServePipeline, NoClockMeansNoLatencySamples) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
-  pipeline.submit(h, valid_settlement(0, 0, 1000, 50));
+  pipeline.submit(valid_settlement(0, 0, 1000, 50));
   pipeline.drain();
   EXPECT_EQ(pipeline.stats().settle_latency.count(), 0u);
 }
 
 TEST(ServePipeline, PublishExportsServeCounters) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
-  pipeline.submit(h, valid_settlement(0, 0, 1000, 100));
+  pipeline.submit(valid_settlement(0, 0, 1000, 100));
   ExchangeRecord bad = valid_settlement(1, 0, 1000, 100);
   bad.billed_tlc += 3;
-  pipeline.submit(h, bad);
+  pipeline.submit(bad);
   ExchangeRecord report;
   report.kind = RecordKind::kCellReport;
   report.cycle = 0;
   report.cell = 0;
   report.charged_dl = 1000;
   report.delivered_dl = 900;
-  pipeline.submit(h, report);
+  pipeline.submit(report);
   pipeline.drain();
 
   obs::MetricsRegistry registry;
@@ -249,8 +272,7 @@ TEST(ServePipeline, PublishExportsServeCounters) {
 
 TEST(ServePipeline, DrainIsIdempotentAndDestructorSafe) {
   ServePipeline pipeline{small_config()};
-  ReceiptStore::Handle h = pipeline.register_producer();
-  pipeline.submit(h, valid_settlement(0, 0, 1000, 0));
+  pipeline.submit(valid_settlement(0, 0, 1000, 0));
   pipeline.drain();
   const std::uint64_t first = pipeline.stats().ingested;
   pipeline.drain();  // second drain must not double-count or deadlock

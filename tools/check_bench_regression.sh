@@ -63,9 +63,9 @@ fi
 
 if [ -n "$new_serve" ] && [ -f "$new_serve" ]; then
   compare "$new_serve" "$repo_root/BENCH_serve.json" \
-    "store_mpmc_threads1_ops_per_sec"
+    "store_threads1_ops_per_sec"
   compare "$new_serve" "$repo_root/BENCH_serve.json" \
-    "store_fc_threads1_ops_per_sec"
+    "store_threads4_ops_per_sec"
   compare "$new_serve" "$repo_root/BENCH_serve.json" \
     "serve_threads1_records_per_sec"
   compare "$new_serve" "$repo_root/BENCH_serve.json" \

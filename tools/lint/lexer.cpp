@@ -23,8 +23,12 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-}  // namespace
-
+/// Parses the body of a comment for a tlc-lint marker and folds it into
+/// `out`. `comment` is the comment text without the // or /* */
+/// delimiters; `line` is the line the comment starts on; `code_before` is
+/// true when code tokens precede the comment on that line (escape covers
+/// the same line) and false when the comment stands alone (escape covers
+/// the next code line, resolved later).
 void parse_allow_comment(const std::string& comment, int line,
                          bool code_before, LexedFile* out) {
   const std::string marker = "tlc-lint:";
@@ -66,6 +70,8 @@ void parse_allow_comment(const std::string& comment, int line,
   }
 }
 
+/// Resolves stand-alone allow comments to the next line holding a code
+/// token. Called once after tokenization.
 void resolve_pending_allows(LexedFile* file) {
   if (file->pending_allows.empty()) return;
   for (const AllowEntry& entry : file->pending_allows) {
@@ -86,6 +92,8 @@ void resolve_pending_allows(LexedFile* file) {
   }
   file->pending_allows.clear();
 }
+
+}  // namespace
 
 LexedFile lex_tokens(const std::string& src) {
   LexedFile out;

@@ -1,22 +1,9 @@
-// tlc_lint token model and lexer front-ends.
+// tlc_lint token model and lexer.
 //
-// Two interchangeable lexers produce the same `LexedFile`:
-//
-//   * lex_tokens()          — the hand-rolled token scanner, always built.
-//                             Handles //- and /**/-comments, string/char
-//                             literals (including raw strings), preprocessor
-//                             lines, and `// tlc-lint: allow(<rule>): <reason>`
-//                             escape comments.
-//   * lex_tokens_libclang() — the libclang C-API front-end, compiled only
-//                             when <clang-c/Index.h> is available at build
-//                             time (TLC_LINT_HAVE_LIBCLANG). It tokenizes the
-//                             translation unit with clang_tokenize() using
-//                             the compile command recorded for the file in
-//                             compile_commands.json, then normalizes into the
-//                             same structure. When the header is absent the
-//                             token scanner is the engine of record — rules
-//                             are written against the shared token stream, so
-//                             both engines enforce identical invariants.
+// lex_tokens() is a hand-rolled token scanner. It handles //- and
+// /**/-comments, string/char literals (including raw strings),
+// preprocessor lines, and `// tlc-lint: allow(<rule>): <reason>` escape
+// comments.
 //
 // Rules never look at raw text: everything they need (identifier spellings,
 // punctuation, string-literal contents, preprocessor-line membership, and
@@ -60,35 +47,13 @@ struct LexedFile {
   /// lines holding a malformed tlc-lint marker (missing rule or reason);
   /// surfaced by the driver as non-allowlistable `allow-syntax` findings.
   std::vector<std::pair<int, std::string>> bad_allows;
-  /// stand-alone allow comments waiting for the next code line; consumed by
-  /// resolve_pending_allows().
+  /// stand-alone allow comments waiting for the next code line; resolved
+  /// once tokenization ends.
   std::vector<AllowEntry> pending_allows;
 };
 
 /// Hand-rolled scanner; never fails (unterminated constructs are clipped at
 /// end of file).
 [[nodiscard]] LexedFile lex_tokens(const std::string& source);
-
-#if defined(TLC_LINT_HAVE_LIBCLANG)
-/// libclang front-end. `args` are the compiler arguments recorded for this
-/// file in compile_commands.json (may be empty). Returns false when parsing
-/// fails, in which case the caller falls back to lex_tokens().
-[[nodiscard]] bool lex_tokens_libclang(const std::string& path,
-                                       const std::vector<std::string>& args,
-                                       LexedFile* out);
-#endif
-
-/// Parses the body of a comment for a tlc-lint marker and folds it into
-/// `out` (shared by both lexer front-ends). `comment` is the comment text
-/// without the // or /* */ delimiters; `line` is the line the comment starts
-/// on; `code_before` is true when code tokens precede the comment on that
-/// line (escape covers the same line) and false when the comment stands
-/// alone (escape covers the next code line, resolved later).
-void parse_allow_comment(const std::string& comment, int line,
-                         bool code_before, LexedFile* out);
-
-/// Resolves stand-alone allow comments to the next line holding a code
-/// token. Called once by each front-end after tokenization.
-void resolve_pending_allows(LexedFile* file);
 
 }  // namespace tlc_lint

@@ -4,14 +4,10 @@
 // path list), resolving `// tlc-lint: allow(<rule>): <reason>` escapes, and
 // exits non-zero when any non-allowlisted finding remains.
 //
-//   tlc_lint [--root DIR] [--compdb FILE] [--json] [--verbose]
-//            [--disable RULE[,RULE...]] [--engine auto|token|libclang]
-//            [--list-rules] [paths...]
+//   tlc_lint [--root DIR] [--json] [--verbose]
+//            [--disable RULE[,RULE...]] [--list-rules] [paths...]
 //
-// Engines: the libclang C-API front-end is used when the binary was built
-// against <clang-c/Index.h> and the file has a compile_commands.json entry;
-// everywhere else the built-in token scanner runs (same rules, same token
-// model — see lexer.hpp). `--engine` forces one or the other.
+// Every file is tokenized by the built-in token scanner (lexer.hpp).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -23,7 +19,6 @@
 #include <tuple>
 #include <vector>
 
-#include "compdb.hpp"
 #include "lexer.hpp"
 #include "rules.hpp"
 
@@ -33,19 +28,16 @@ namespace {
 
 struct Options {
   std::string root = ".";
-  std::string compdb;
   bool json = false;
   bool verbose = false;
   std::set<std::string> disabled;
-  std::string engine = "auto";  // auto | token | libclang
   std::vector<std::string> paths;
 };
 
 void usage(std::ostream& os) {
-  os << "usage: tlc_lint [--root DIR] [--compdb FILE] [--json] [--verbose]\n"
-        "                [--disable RULE[,RULE...]] [--engine "
-        "auto|token|libclang]\n"
-        "                [--list-rules] [paths...]\n"
+  os << "usage: tlc_lint [--root DIR] [--json] [--verbose]\n"
+        "                [--disable RULE[,RULE...]] [--list-rules] "
+        "[paths...]\n"
         "\n"
         "Scans DIR/src (default) or the given files/directories and reports\n"
         "`file:line rule message` findings. Exit status 1 when any\n"
@@ -74,23 +66,10 @@ bool parse_args(int argc, char** argv, Options* opt) {
       const char* v = value("--root");
       if (v == nullptr) return false;
       opt->root = v;
-    } else if (arg == "--compdb") {
-      const char* v = value("--compdb");
-      if (v == nullptr) return false;
-      opt->compdb = v;
     } else if (arg == "--json") {
       opt->json = true;
     } else if (arg == "--verbose") {
       opt->verbose = true;
-    } else if (arg == "--engine") {
-      const char* v = value("--engine");
-      if (v == nullptr) return false;
-      opt->engine = v;
-      if (opt->engine != "auto" && opt->engine != "token" &&
-          opt->engine != "libclang") {
-        std::cerr << "tlc_lint: unknown engine '" << opt->engine << "'\n";
-        return false;
-      }
     } else if (arg == "--disable") {
       const char* v = value("--disable");
       if (v == nullptr) return false;
@@ -195,30 +174,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<tlc_lint::CompileEntry> compdb;
-  if (!opt.compdb.empty() &&
-      !tlc_lint::load_compile_db(opt.compdb, &compdb)) {
-    std::cerr << "tlc_lint: cannot read compile database '" << opt.compdb
-              << "'\n";
-    return 2;
-  }
-
-#if defined(TLC_LINT_HAVE_LIBCLANG)
-  const bool have_libclang = true;
-#else
-  const bool have_libclang = false;
-#endif
-  if (opt.engine == "libclang" && !have_libclang) {
-    std::cerr << "tlc_lint: built without libclang (clang-c/Index.h was not "
-                 "found); use --engine token\n";
-    return 2;
-  }
-
   const fs::path root = fs::absolute(opt.root);
   const std::vector<fs::path> files = collect_files(opt);
 
   std::vector<tlc_lint::Finding> findings;
-  std::string engine_used = "token";
   for (const fs::path& file : files) {
     std::ifstream in(file);
     if (!in) {
@@ -227,22 +186,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-
-    tlc_lint::LexedFile lex;
-    bool lexed = false;
-#if defined(TLC_LINT_HAVE_LIBCLANG)
-    if (opt.engine != "token") {
-      const tlc_lint::CompileEntry* entry =
-          tlc_lint::find_entry(compdb, file.string());
-      std::vector<std::string> args =
-          entry != nullptr ? entry->args : std::vector<std::string>{};
-      if (entry != nullptr || opt.engine == "libclang") {
-        lexed = tlc_lint::lex_tokens_libclang(file.string(), args, &lex);
-        if (lexed) engine_used = "libclang";
-      }
-    }
-#endif
-    if (!lexed) lex = tlc_lint::lex_tokens(buf.str());
+    const tlc_lint::LexedFile lex = tlc_lint::lex_tokens(buf.str());
 
     const std::string rel = relative_to_root(file, root);
     std::vector<tlc_lint::Finding> file_findings =
@@ -294,8 +238,7 @@ int main(int argc, char** argv) {
   }
 
   if (opt.json) {
-    std::cout << "{\n  \"engine\": \"" << engine_used << "\",\n"
-              << "  \"files_scanned\": " << files.size() << ",\n"
+    std::cout << "{\n  \"files_scanned\": " << files.size() << ",\n"
               << "  \"blocking\": " << blocking << ",\n  \"findings\": [";
     bool first = true;
     for (const tlc_lint::Finding& f : findings) {
@@ -322,8 +265,8 @@ int main(int argc, char** argv) {
     }
     if (opt.verbose || blocking > 0) {
       std::cerr << "tlc_lint: " << files.size() << " files, " << blocking
-                << " blocking finding" << (blocking == 1 ? "" : "s") << " ("
-                << engine_used << " engine)\n";
+                << " blocking finding" << (blocking == 1 ? "" : "s")
+                << "\n";
     }
   }
 

@@ -104,9 +104,8 @@ int main(int argc, char** argv) {
   serve_cfg.clock = &wall_clock;
 
   std::printf("## tlc_serve: %zu devices, %u cycles, %zu producers, "
-              "%zu consumers (store: %s)\n\n",
-              opt.devices, opt.cycles, opt.producers, opt.consumers,
-              serve::kReceiptStoreBackend);
+              "%zu consumers\n\n",
+              opt.devices, opt.cycles, opt.producers, opt.consumers);
 
   const auto serve_start = std::chrono::steady_clock::now();
   const serve::ReplayResult live = serve::run_replay(serve_cfg);

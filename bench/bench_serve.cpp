@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "charging/usage.hpp"
 #include "serve/pipeline.hpp"
 #include "serve/store.hpp"
 #include "serve_harness.hpp"
@@ -90,7 +91,7 @@ Options parse_options(int argc, char** argv) {
 
 /// Deterministic synthetic settlement for (thread, sequence); tampering
 /// is applied by the caller. All records recompute cleanly: gap splits
-/// across the three causes, bills derive via loss_weight 0.5.
+/// across the three causes, bills derive via charged_volume at 0.5.
 ExchangeRecord make_record(std::size_t thread, std::uint64_t seq,
                            std::uint32_t cycles) {
   ExchangeRecord rec;
@@ -105,9 +106,9 @@ ExchangeRecord make_record(std::size_t thread, std::uint64_t seq,
   rec.gap_by_cause[2] = gap - gap / 2 - gap / 3;
   rec.charged_ul = rec.charged_dl / 40 + 40;
   rec.billed_legacy = rec.charged_dl;
-  rec.billed_tlc =
-      rec.delivered_dl +
-      static_cast<std::uint64_t>(0.5 * static_cast<double>(gap));
+  rec.billed_tlc = charging::charged_volume(Bytes{rec.charged_dl},
+                                            Bytes{rec.delivered_dl}, 0.5)
+                       .count();
   rec.bursts = 4;
   rec.reconnects = seq % 100 == 0 ? 1 : 0;
   return rec;

@@ -4,10 +4,26 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "common/units.hpp"
 
 namespace tlc::charging {
+
+/// The one domain check on the plan's loss weight: true iff c ∈ [0, 1].
+/// NaN compares false both ways, so it is never valid.
+[[nodiscard]] constexpr bool valid_loss_weight(double c) {
+  return c >= 0.0 && c <= 1.0;
+}
+
+/// Throws std::invalid_argument, prefixed with `who`, unless
+/// valid_loss_weight(c).
+inline void check_loss_weight(double c, const char* who) {
+  if (!valid_loss_weight(c)) {
+    throw std::invalid_argument{std::string{who} +
+                                ": loss_weight must be in [0,1]"};
+  }
+}
 
 /// Identifies one charging cycle: the half-open interval
 /// [start, start + length). Both parties derive the same boundaries from
@@ -34,9 +50,7 @@ struct DataPlan {
   double price_per_mb = 0.01;          // informational; not used by protocol
 
   void validate() const {
-    if (loss_weight < 0.0 || loss_weight > 1.0) {
-      throw std::invalid_argument{"DataPlan: loss_weight must be in [0,1]"};
-    }
+    check_loss_weight(loss_weight, "DataPlan");
     if (cycle_length <= Duration::zero()) {
       throw std::invalid_argument{"DataPlan: cycle_length must be positive"};
     }

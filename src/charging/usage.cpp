@@ -1,19 +1,29 @@
 #include "charging/usage.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <stdexcept>
 
 namespace tlc::charging {
 
 Bytes charged_volume(Bytes claim_e, Bytes claim_o, double loss_weight) {
-  if (loss_weight < 0.0 || loss_weight > 1.0) {
-    throw std::invalid_argument{"charged_volume: loss_weight outside [0,1]"};
-  }
-  const Bytes lo = std::min(claim_e, claim_o);
-  const Bytes hi = std::max(claim_e, claim_o);
-  const double charged =
-      lo.as_double() + loss_weight * (hi.as_double() - lo.as_double());
-  return Bytes{static_cast<std::uint64_t>(std::llround(charged))};
+  check_loss_weight(loss_weight, "charged_volume");
+  const std::uint64_t lo = std::min(claim_e, claim_o).count();
+  const std::uint64_t gap = std::max(claim_e, claim_o).count() - lo;
+  // c = m·2^−k exactly, with m the 53-bit significand; c ≤ 1 gives k ≥ 52.
+  // The sign bit can only be set for −0.0, whose significand is 0.
+  const auto bits = std::bit_cast<std::uint64_t>(loss_weight);
+  const std::uint64_t biased_exp = (bits >> 52) & 0x7ff;
+  const std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+  const std::uint64_t m =
+      biased_exp == 0 ? fraction : fraction | (std::uint64_t{1} << 52);
+  const std::uint64_t k = biased_exp == 0 ? 1074 : 1075 - biased_exp;
+  // gap·m < 2^117, so from k = 118 on c·gap < ½ and rounds to 0.
+  if (k >= 118) return Bytes{lo};
+  __extension__ using u128 = unsigned __int128;
+  const u128 half = u128{1} << (k - 1);
+  // ⌊c·gap + ½⌋ ≤ gap because c ≤ 1, so lo + it never passes hi.
+  return Bytes{lo + static_cast<std::uint64_t>((u128{gap} * m + half) >> k)};
 }
 
 Bytes correct_charge(const GroundTruth& truth, double loss_weight) {

@@ -57,11 +57,17 @@ struct GroundTruth {
   }
 };
 
-/// The negotiated charging function — line 8 of Algorithm 1. Symmetric in
-/// its arguments so a verifier can evaluate it without knowing which side
-/// claimed which value:
-///   x = x_o + c·(x_e − x_o)   if x_o ≤ x_e
-///   x = x_e + c·(x_o − x_e)   otherwise
+/// The negotiated charging function — line 8 of Algorithm 1, and the only
+/// place the repository computes it (protocol, verifier, negotiation,
+/// fleet and serving pipeline all call it). Symmetric in its arguments so
+/// a verifier can evaluate it without knowing which side claimed which
+/// value. With lo = min(claims), hi = max(claims):
+///   x = lo + ⌊c·(hi − lo) + ½⌋
+/// i.e. round to nearest, ties up. c is taken at the exact binary value of
+/// the double and the product is formed in 128-bit integers, so the rule
+/// is exact and total over every pair of u64 claims and lo ≤ x ≤ hi
+/// always holds (Theorem 2). Throws std::invalid_argument unless
+/// valid_loss_weight(loss_weight).
 [[nodiscard]] Bytes charged_volume(Bytes claim_e, Bytes claim_o,
                                    double loss_weight);
 

@@ -9,13 +9,12 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
-/// splitmix64: seeds the xoshiro state from a single 64-bit value.
+/// One splitmix64 generator step: seeds the xoshiro state from a single
+/// 64-bit value.
 std::uint64_t splitmix64(std::uint64_t& state) {
+  const std::uint64_t out = stream_mix64(state);
   state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return out;
 }
 
 }  // namespace
@@ -79,11 +78,6 @@ double Rng::exponential(double mean) {
 }
 
 Rng Rng::fork() { return Rng{(*this)()}; }
-
-std::uint64_t stream_mix64(std::uint64_t x) {
-  std::uint64_t state = x;
-  return splitmix64(state);
-}
 
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t index) {
   return stream_mix64(stream_mix64(seed) ^ stream_mix64(~index));

@@ -46,10 +46,16 @@ class Rng {
   std::uint64_t s_[4];
 };
 
-/// splitmix64 finalizer: bijective 64-bit mix with full avalanche. The
-/// canonical mixing primitive for seed derivation (exp::mix_seed and the
-/// fleet's per-device/per-shard streams are built on it).
-[[nodiscard]] std::uint64_t stream_mix64(std::uint64_t x);
+/// splitmix64 finalizer: bijective 64-bit mix with full avalanche — the
+/// output of a splitmix64 generator whose state was `x` before the step.
+/// The one mixing primitive for seed and id derivation (Rng seeding,
+/// exp::mix_seed, the fleet's per-device streams, fault plans, trace ids).
+[[nodiscard]] constexpr std::uint64_t stream_mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Seed of independent stream `index` derived from `seed`. Both arguments
 /// go through a full stream_mix64 round, so stream 7 of seed 1 and stream 0

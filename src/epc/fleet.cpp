@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "charging/usage.hpp"
 #include "common/hot.hpp"
 #include "common/rng.hpp"
 
@@ -138,8 +139,9 @@ TLC_HOT DeviceFleet::SettleTotals DeviceFleet::settle_range(
     // device view (losses happen downstream of the P-GW).
     const std::uint64_t gap = charged - delivered;
     const std::uint64_t tlc_bill =
-        delivered + static_cast<std::uint64_t>(
-                        loss_weight * static_cast<double>(gap));
+        charging::charged_volume(Bytes{charged}, Bytes{delivered},
+                                 loss_weight)
+            .count();
     billed_legacy_[d] += charged;
     billed_tlc_[d] += tlc_bill;
     // Per-device PoC chain: the settlement transcript, folded in cycle

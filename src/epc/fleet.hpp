@@ -140,9 +140,10 @@ class DeviceFleet {
   /// Cycle-end settlement over the contiguous device range [begin, end):
   /// the CDR→CDA→PoC walk. For each device the gateway's CDR (charged) and
   /// the edge's CDA (delivered) settle into a legacy bill (CDR verbatim)
-  /// and a TLC bill (CDA + loss_weight × disputed gap, Algorithm 1's
-  /// split), fold into the device's PoC chain, and reset the per-cycle
-  /// columns. Returns exact totals for the range.
+  /// and a TLC bill (charging::charged_volume(CDR, CDA, loss_weight), the
+  /// one Algorithm 1 rule), fold into the device's PoC chain, and reset
+  /// the per-cycle columns. Returns exact totals for the range.
+  /// `loss_weight` must satisfy charging::valid_loss_weight.
   struct SettleTotals {
     std::uint64_t devices = 0;
     std::uint64_t charged_dl = 0;

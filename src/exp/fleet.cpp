@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "charging/data_plan.hpp"
+
 namespace tlc::exp {
 namespace {
 
@@ -63,6 +65,9 @@ std::uint32_t resolve_shards(std::uint32_t requested) {
 }
 
 FleetResult run_fleet(const FleetConfig& config) {
+  // Checked on the caller's thread: no range walker may throw from the
+  // charging rule.
+  charging::check_loss_weight(config.loss_weight, "run_fleet");
   DeviceFleet fleet(config.devices, config.devices_per_cell, config.seed);
   const std::uint32_t cells = fleet.cells();
   // More shards than cells would leave some shards empty; clamp instead.

@@ -97,7 +97,9 @@ struct FleetResult {
 /// environment knob, else hardware concurrency (min 1).
 [[nodiscard]] std::uint32_t resolve_shards(std::uint32_t requested);
 
-/// Runs the fleet scenario to its horizon and settles every cycle.
+/// Runs the fleet scenario to its horizon and settles every cycle. Throws
+/// std::invalid_argument on the caller's thread unless
+/// charging::valid_loss_weight(config.loss_weight).
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
 
 /// Canonical one-line fingerprint of everything determinism-relevant in a

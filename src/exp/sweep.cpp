@@ -7,28 +7,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 
-#include "exp/ws_deque.hpp"
+#include "common/rng.hpp"
 
 namespace tlc::exp {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t mix_seed(std::uint64_t seed, double background_mbps,
                        double dip_rate_per_s) {
-  std::uint64_t h = splitmix64(seed);
-  h = splitmix64(h ^ std::bit_cast<std::uint64_t>(background_mbps));
-  h = splitmix64(h ^ std::bit_cast<std::uint64_t>(dip_rate_per_s));
+  std::uint64_t h = stream_mix64(seed);
+  h = stream_mix64(h ^ std::bit_cast<std::uint64_t>(background_mbps));
+  h = stream_mix64(h ^ std::bit_cast<std::uint64_t>(dip_rate_per_s));
   return h;
 }
 
@@ -77,81 +69,36 @@ void sweep_indexed(std::size_t count, int jobs,
     return;
   }
 
-  // Block-partition the slots into one work-stealing deque per worker and
-  // prefill them all HERE, before any worker thread exists: thread
-  // creation publishes the plain buffer writes, and nothing pushes after
-  // that, so the deques' non-atomic storage is race-free by construction.
-  const std::size_t block = (count + workers - 1) / workers;
-  std::vector<std::unique_ptr<WsDeque>> deques;
-  deques.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    deques.push_back(std::make_unique<WsDeque>(block));
-    const std::size_t lo = w * block;
-    const std::size_t hi = std::min(lo + block, count);
-    // Push in reverse so the owner's LIFO pops walk the block in
-    // ascending slot order (thieves take from the far end).
-    for (std::size_t i = hi; i-- > lo;) deques[w]->push_bottom(i);
-  }
-
+  // Every slot exists before any worker starts and none is added later, so
+  // one shared cursor hands out each slot exactly once and balances uneven
+  // slot costs as they run.
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> stop{false};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  const auto run_slot = [&](std::size_t i) {
-    try {
-      body(i);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock{error_mutex};
-        if (!first_error) first_error = std::current_exception();
-      }
-      // Stop claiming new slots once a slot failed; in-flight slots on
-      // the other workers still run to completion before the rethrow.
-      stop.store(true, std::memory_order_relaxed);
-    }
-  };
-  const auto drain = [&](std::size_t w) {
-    WsDeque& own = *deques[w];
+  const auto drain = [&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      std::size_t slot = 0;
-      if (own.pop_bottom(slot) == WsResult::kOk) {
-        run_slot(slot);
-        continue;
-      }
-      // Own block dry: sweep the victims in a fixed rotation. Only a
-      // clean full sweep of kEmpty results terminates — kContended means
-      // a race was lost, not that the work is gone.
-      bool stole = false;
-      bool contended = false;
-      for (std::size_t off = 1; off < workers && !stole; ++off) {
-        WsDeque& victim = *deques[(w + off) % workers];
-        for (;;) {
-          const WsResult r = victim.steal(slot);
-          if (r == WsResult::kOk) {
-            stole = true;
-          } else if (r == WsResult::kContended) {
-            contended = true;
-            continue;  // retry the same victim; its state is unknown
-          }
-          break;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        body(i);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock{error_mutex};
+          if (!first_error) first_error = std::current_exception();
         }
-      }
-      if (stole) {
-        run_slot(slot);
-      } else if (!contended) {
-        return;  // every deque observed empty: all slots claimed
-      } else {
-        std::this_thread::yield();
+        // Stop claiming new slots once a slot failed; in-flight slots on
+        // the other workers still run to completion before the rethrow.
+        stop.store(true, std::memory_order_relaxed);
       }
     }
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t w = 1; w < workers; ++w) {
-    pool.emplace_back([&, w] { drain(w); });
+  {
+    std::vector<std::jthread> pool;  // joined when the block exits
+    pool.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(drain);
+    drain();  // the calling thread is one of the workers
   }
-  drain(0);  // the calling thread is worker 0
-  for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }
 

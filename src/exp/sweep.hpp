@@ -18,11 +18,8 @@
 
 namespace tlc::exp {
 
-/// splitmix64 finalizer: a bijective 64-bit mix with full avalanche.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x);
-
 /// Derives a per-grid-cell RNG seed from (seed, background, dip rate).
-/// Every argument goes through a full splitmix64 round, so nearby cells
+/// Every argument goes through a full stream_mix64 round, so nearby cells
 /// (seed 1 vs 2, bg 140 vs 160, dip 0.00 vs 0.03) land in unrelated
 /// streams and no two cells of a sane grid can alias — unlike the old
 /// `seed * 1000 + bg + dip * 100` arithmetic, which truncated `dip` to an
@@ -50,12 +47,12 @@ struct SweepOptions {
 [[nodiscard]] SweepOptions sweep_options_from_cli(int& argc, char** argv);
 
 /// Runs `body(i)` for every i in [0, count) across `jobs` workers (resolved
-/// via resolve_jobs). Slots are block-partitioned into per-worker
-/// work-stealing deques (exp/ws_deque.hpp): a worker drains its own block
-/// contention-free and steals from the top of other workers' deques only
-/// when dry, so uneven slot costs rebalance without a shared cursor. The
-/// call returns when all slots finished. The first exception thrown by any
-/// slot is rethrown in the caller after the pool drains.
+/// via resolve_jobs; the calling thread is one of them). Workers claim
+/// slots one at a time from a shared atomic cursor, so each slot runs
+/// exactly once and uneven slot costs balance dynamically. The call
+/// returns when all slots finished. The first exception thrown by any
+/// slot is rethrown in the caller after the pool joins; workers stop
+/// claiming slots once one has failed.
 void sweep_indexed(std::size_t count, int jobs,
                    const std::function<void(std::size_t)>& body);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/rng.hpp"
 #include "obs/span.hpp"
 #include "wire/frame.hpp"
 
@@ -97,11 +98,11 @@ void WireSettlement::begin_cycle(std::uint64_t cycle) {
   edge_ = std::make_unique<core::ProtocolParty>(
       make_config(core::PartyRole::kEdgeVendor), *edge_strategy_, edge_keys_,
       op_keys_.public_key(),
-      Rng{obs::mix64(config_.seed ^ kEdgeRngDomain ^ cycle)});
+      Rng{stream_mix64(config_.seed ^ kEdgeRngDomain ^ cycle)});
   op_ = std::make_unique<core::ProtocolParty>(
       make_config(core::PartyRole::kCellularOperator), *op_strategy_,
       op_keys_, edge_keys_.public_key(),
-      Rng{obs::mix64(config_.seed ^ kOpRngDomain ^ cycle)});
+      Rng{stream_mix64(config_.seed ^ kOpRngDomain ^ cycle)});
 
   // The operator opens with its CDR, exactly as the in-memory exchanges do.
   send(/*from_operator=*/true, op_->start());

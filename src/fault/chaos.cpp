@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "exp/sweep.hpp"
 #include "fault/injector.hpp"
@@ -133,7 +134,7 @@ ChaosReport run_chaos(const ChaosOptions& options) {
           c.direction,
           c.edge_view,
           c.op_view};
-      Rng arng{exp::splitmix64(plan.seed ^ 0x77697265ULL)};  // "wire"
+      Rng arng{stream_mix64(plan.seed ^ 0x77697265ULL)};  // "wire"
       outcome.attacks = run_wire_attacks(ctx, arng);
       check_attack_outcomes(plan, outcome.attacks, violations_by_plan[i]);
     }

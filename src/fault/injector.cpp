@@ -1,6 +1,6 @@
 #include "fault/injector.hpp"
 
-#include "exp/sweep.hpp"
+#include "common/rng.hpp"
 
 namespace tlc::fault {
 namespace {
@@ -56,7 +56,7 @@ exp::ScenarioConfig FaultSession::scenario() {
 }
 
 void FaultSession::attach(exp::Testbed& bed) {
-  Rng rng{exp::splitmix64(plan_.seed ^ 0x6661756c74ULL)};  // "fault"
+  Rng rng{stream_mix64(plan_.seed ^ 0x6661756c74ULL)};  // "fault"
 
   if (plan_.dl_burst_drop || plan_.dl_duplication || plan_.dl_reorder) {
     dl_injector_ = std::make_unique<LinkFaultInjector>(

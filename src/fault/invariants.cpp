@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "exp/sweep.hpp"
+#include "common/rng.hpp"
 #include "exp/wire_exchange.hpp"
 #include "net/packet.hpp"
 #include "obs/span.hpp"
@@ -113,7 +113,7 @@ void check_cycle(const FaultPlan& plan, std::uint64_t run_seed,
   const core::StrategyPtr op_strategy =
       make_style(plan.exchange.op, core::PartyRole::kCellularOperator,
                  plan.exchange.op_factor);
-  Rng nrng{exp::splitmix64(plan.seed ^ (c.cycle * 0x9e3779b97f4a7c15ULL))};
+  Rng nrng{stream_mix64(plan.seed ^ (c.cycle * 0x9e3779b97f4a7c15ULL))};
   const core::NegotiationConfig ncfg{0.5, 64};
   const core::NegotiationOutcome adv = core::negotiate(
       *edge_strategy, c.edge_view, *op_strategy, c.op_view, ncfg, nrng);

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/rng.hpp"
-#include "exp/sweep.hpp"
 
 namespace tlc::fault {
 namespace {
@@ -129,7 +128,7 @@ std::string FaultPlan::describe() const {
 }
 
 FaultPlan make_random_plan(std::uint64_t id, std::uint64_t master_seed) {
-  Rng rng{exp::splitmix64(master_seed ^ exp::splitmix64(id + 1))};
+  Rng rng{stream_mix64(master_seed ^ stream_mix64(id + 1))};
 
   FaultPlan plan;
   plan.id = id;

@@ -1,5 +1,7 @@
 #include "obs/span.hpp"
 
+#include "common/rng.hpp"
+
 namespace tlc::obs {
 namespace {
 
@@ -15,18 +17,18 @@ std::uint64_t never_zero(std::uint64_t id) { return id == 0 ? 1 : id; }
 
 std::uint64_t derive_trace_id(std::uint64_t seed, std::uint64_t device,
                               std::uint64_t cycle, std::uint64_t direction) {
-  std::uint64_t h = mix64(kTraceDomain ^ seed);
-  h = mix64(h ^ device);
-  h = mix64(h ^ cycle);
-  h = mix64(h ^ direction);
+  std::uint64_t h = stream_mix64(kTraceDomain ^ seed);
+  h = stream_mix64(h ^ device);
+  h = stream_mix64(h ^ cycle);
+  h = stream_mix64(h ^ direction);
   return never_zero(h);
 }
 
 std::uint64_t derive_span_id(std::uint64_t trace_id, std::uint64_t salt_a,
                              std::uint64_t salt_b) {
-  std::uint64_t h = mix64(kSpanDomain ^ trace_id);
-  h = mix64(h ^ salt_a);
-  h = mix64(h ^ salt_b);
+  std::uint64_t h = stream_mix64(kSpanDomain ^ trace_id);
+  h = stream_mix64(h ^ salt_a);
+  h = stream_mix64(h ^ salt_b);
   return never_zero(h);
 }
 
@@ -79,7 +81,7 @@ SpanContext Tracer::root(std::string_view component, std::string_view name,
                          std::vector<TraceField> fields) {
   return begin(/*use_clock=*/true, kTimeZero, component, name, trace_id,
                /*parent_span=*/0,
-               never_zero(mix64(kAllocDomain ^ trace_id ^ ++next_)),
+               never_zero(stream_mix64(kAllocDomain ^ trace_id ^ ++next_)),
                std::move(fields));
 }
 
@@ -88,7 +90,7 @@ SpanContext Tracer::root_at(TimePoint t, std::string_view component,
                             std::vector<TraceField> fields) {
   return begin(/*use_clock=*/false, t, component, name, trace_id,
                /*parent_span=*/0,
-               never_zero(mix64(kAllocDomain ^ trace_id ^ ++next_)),
+               never_zero(stream_mix64(kAllocDomain ^ trace_id ^ ++next_)),
                std::move(fields));
 }
 
@@ -98,7 +100,8 @@ SpanContext Tracer::child(std::string_view component, std::string_view name,
   if (!parent.valid()) return {};
   return begin(/*use_clock=*/true, kTimeZero, component, name,
                parent.trace_id, parent.span_id,
-               never_zero(mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
+               never_zero(
+                   stream_mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
                std::move(fields));
 }
 
@@ -108,7 +111,8 @@ SpanContext Tracer::child_at(TimePoint t, std::string_view component,
   if (!parent.valid()) return {};
   return begin(/*use_clock=*/false, t, component, name, parent.trace_id,
                parent.span_id,
-               never_zero(mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
+               never_zero(
+                   stream_mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
                std::move(fields));
 }
 

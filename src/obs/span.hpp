@@ -29,14 +29,6 @@
 
 namespace tlc::obs {
 
-/// splitmix64 finalizer: the avalanche mix behind every derived ID.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// The (trace, span) pair a component carries while inside a span. An
 /// all-zero context means "untraced" and makes every span call a no-op.
 struct SpanContext {

@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cassert>
 
+#include "charging/usage.hpp"
 #include "common/hot.hpp"
 
 namespace tlc::serve {
 
 ServePipeline::ServePipeline(PipelineConfig config)
     : config_(config), store_(config.store_capacity) {
+  // Checked here, before any consumer exists, so settle() never throws
+  // from charged_volume on a consumer thread.
+  charging::check_loss_weight(config_.loss_weight, "ServePipeline");
   if (config_.consumers == 0) config_.consumers = 1;
   cycle_rows_.reserve(config_.cycles);
   for (std::uint32_t c = 0; c < config_.cycles; ++c) {
@@ -79,13 +83,12 @@ void ServePipeline::settle(const ExchangeRecord& rec, ConsumerState* state) {
       views_sane ? rec.charged_dl - rec.delivered_dl : 0;
   std::uint64_t cause_sum = 0;
   for (std::uint64_t bytes : rec.gap_by_cause) cause_sum += bytes;
-  const std::uint64_t expected_tlc =
-      rec.delivered_dl +
-      static_cast<std::uint64_t>(config_.loss_weight *
-                                 static_cast<double>(gap));
-  const bool ok = views_sane && cause_sum == gap &&
-                  rec.billed_legacy == rec.charged_dl &&
-                  rec.billed_tlc == expected_tlc;
+  const bool ok =
+      views_sane && cause_sum == gap && rec.billed_legacy == rec.charged_dl &&
+      rec.billed_tlc == charging::charged_volume(Bytes{rec.charged_dl},
+                                                 Bytes{rec.delivered_dl},
+                                                 config_.loss_weight)
+                            .count();
   if (!ok) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;

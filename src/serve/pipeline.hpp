@@ -52,7 +52,8 @@ struct PipelineConfig {
   /// Pre-sizes the per-cycle accumulator rows; records with cycle ≥ this
   /// are rejected as malformed.
   std::uint32_t cycles = 4;
-  /// Algorithm 1 gap split used for the settlement recomputation check.
+  /// Algorithm 1 gap split used for the settlement recomputation check;
+  /// the constructor throws std::invalid_argument outside [0, 1] or NaN.
   double loss_weight = 0.5;
   /// Optional time backend for enqueue→settle latency accounting; nullptr
   /// disables stamping (replay determinism runs stamp-free).

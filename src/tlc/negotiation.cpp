@@ -10,9 +10,7 @@ namespace tlc::core {
 NegotiationOutcome negotiate(const Strategy& edge, const LocalView& edge_view,
                              const Strategy& op, const LocalView& op_view,
                              const NegotiationConfig& config, Rng& rng) {
-  if (config.loss_weight < 0.0 || config.loss_weight > 1.0) {
-    throw std::invalid_argument{"negotiate: loss_weight outside [0,1]"};
-  }
+  charging::check_loss_weight(config.loss_weight, "negotiate");
   if (config.max_rounds <= 0) {
     throw std::invalid_argument{"negotiate: max_rounds must be positive"};
   }

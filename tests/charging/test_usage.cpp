@@ -2,19 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace tlc::charging {
 namespace {
 
+constexpr std::uint64_t kMax = ~std::uint64_t{0};
+
 TEST(ChargedVolume, CEqualsZeroChargesReceivedOnly) {
   EXPECT_EQ(charged_volume(Bytes{1000}, Bytes{800}, 0.0), Bytes{800});
+  EXPECT_EQ(charged_volume(Bytes{kMax}, Bytes{0}, 0.0), Bytes{0});
+  EXPECT_EQ(charged_volume(Bytes{kMax}, Bytes{kMax - 1}, 0.0),
+            Bytes{kMax - 1});
 }
 
 TEST(ChargedVolume, CEqualsOneChargesAllSent) {
   EXPECT_EQ(charged_volume(Bytes{1000}, Bytes{800}, 1.0), Bytes{1000});
+  EXPECT_EQ(charged_volume(Bytes{kMax}, Bytes{0}, 1.0), Bytes{kMax});
 }
 
 TEST(ChargedVolume, MidpointAtHalf) {
   EXPECT_EQ(charged_volume(Bytes{1000}, Bytes{800}, 0.5), Bytes{900});
+  // An odd gap is a tie, and ties round up.
+  EXPECT_EQ(charged_volume(Bytes{1001}, Bytes{1000}, 0.5), Bytes{1001});
+  EXPECT_EQ(charged_volume(Bytes{0}, Bytes{kMax}, 0.5),
+            Bytes{std::uint64_t{1} << 63});
+}
+
+TEST(ChargedVolume, RoundsTheExactBinaryValueOfC) {
+  // The double nearest 0.3 lies below 0.3, so 5·c is just under 1.5: not
+  // a tie, and it rounds down.
+  EXPECT_EQ(charged_volume(Bytes{5}, Bytes{0}, 0.3), Bytes{1});
+  // The smallest subnormal c is far below half a byte of any u64 gap.
+  EXPECT_EQ(charged_volume(Bytes{0}, Bytes{kMax}, 5e-324), Bytes{0});
 }
 
 TEST(ChargedVolume, SymmetricInArguments) {
@@ -24,8 +45,11 @@ TEST(ChargedVolume, SymmetricInArguments) {
 }
 
 TEST(ChargedVolume, EqualClaimsAreFixedPoint) {
-  for (double c : {0.0, 0.3, 1.0}) {
-    EXPECT_EQ(charged_volume(Bytes{500}, Bytes{500}, c), Bytes{500});
+  for (std::uint64_t v : {std::uint64_t{500}, (std::uint64_t{1} << 53) + 1,
+                          kMax}) {
+    for (double c : {0.0, 0.3, 1.0}) {
+      EXPECT_EQ(charged_volume(Bytes{v}, Bytes{v}, c), Bytes{v});
+    }
   }
 }
 
@@ -37,6 +61,9 @@ TEST(ChargedVolume, RejectsInvalidWeight) {
   EXPECT_THROW((void)charged_volume(Bytes{1}, Bytes{1}, -0.1),
                std::invalid_argument);
   EXPECT_THROW((void)charged_volume(Bytes{1}, Bytes{1}, 1.1),
+               std::invalid_argument);
+  EXPECT_THROW((void)charged_volume(Bytes{1}, Bytes{1},
+                                    std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
 }
 
@@ -61,8 +88,16 @@ TEST_P(ChargedVolumeSweep, MonotoneInBothClaims) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ChargedVolumeSweep,
     ::testing::Combine(::testing::Values(0.0, 0.25, 0.5, 0.75, 1.0),
-                       ::testing::Values(0ull, 1'000ull, 777'000'000ull),
-                       ::testing::Values(0ull, 900ull, 800'000'000ull)));
+                       // The largest claim is 2^64 − 2'000'000, because
+                       // MonotoneInBothClaims adds 1'000'000 to the first.
+                       ::testing::Values(0ull, 1'000ull, 777'000'000ull,
+                                         (1ull << 53) + 1,
+                                         (1ull << 63) + (1ull << 62),
+                                         kMax - 1'999'999),
+                       ::testing::Values(0ull, 900ull, 800'000'000ull,
+                                         (1ull << 53) + 1,
+                                         (1ull << 63) + (1ull << 62),
+                                         kMax - 1'999'999)));
 
 TEST(CorrectCharge, UsesGroundTruth) {
   GroundTruth t{Bytes{1000}, Bytes{600}};
@@ -113,6 +148,8 @@ TEST(DataPlan, ValidateRejectsBadWeight) {
   plan.loss_weight = 1.5;
   EXPECT_THROW(plan.validate(), std::invalid_argument);
   plan.loss_weight = -0.1;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  plan.loss_weight = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,11 +75,11 @@ TEST(FleetDeterminism, MatchesPinnedGoldens) {
   FleetConfig cfg = small_config();
   cfg.shards = 2;
   const FleetResult result = run_fleet(cfg);
-  EXPECT_EQ(result.digest, 0x93f2c084eb4dc84eULL);
+  EXPECT_EQ(result.digest, 0xa055279e5403e006ULL);
   EXPECT_EQ(result.ofcs_chain, 0x95988ae75bf67b45ULL);
   EXPECT_EQ(result.flagged_reports, 0u);
   EXPECT_EQ(result.charged_dl, 138182699u);
-  EXPECT_EQ(result.billed_tlc, 133100658u);
+  EXPECT_EQ(result.billed_tlc, 133101876u);
 }
 
 TEST(FleetDeterminism, ByteIdenticalAcrossShardCounts) {
@@ -179,6 +181,20 @@ TEST(FleetDeterminism, SeedChangesEverything) {
   const FleetResult b = run_fleet(cfg);
   EXPECT_NE(a.digest, b.digest);
   EXPECT_NE(a.ofcs_chain, b.ofcs_chain);
+}
+
+TEST(FleetDeterminism, InvalidLossWeightThrowsOnCallerThread) {
+  // Both drivers check c before any walker or consumer thread exists; a
+  // throw on one of those threads would terminate the process instead.
+  for (const double c : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    FleetConfig cfg = small_config();
+    cfg.loss_weight = c;
+    EXPECT_THROW((void)run_fleet(cfg), std::invalid_argument);
+    serve::ReplayConfig rcfg;
+    rcfg.devices = cfg.devices;
+    rcfg.loss_weight = c;
+    EXPECT_THROW((void)serve::run_replay(rcfg), std::invalid_argument);
+  }
 }
 
 // ------------------------------------------------------ gap accounting ---

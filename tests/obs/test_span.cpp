@@ -13,6 +13,9 @@ namespace {
 TEST(SpanIds, DeriveTraceIdIsPureAndCollisionResistant) {
   const std::uint64_t a = derive_trace_id(1, 2, 3, 0);
   EXPECT_EQ(a, derive_trace_id(1, 2, 3, 0));  // pure function
+  // Known answers: a silent change to the mixing would re-key every trace.
+  EXPECT_EQ(a, 0x9185176cd39af0a9ULL);
+  EXPECT_EQ(derive_trace_id(42, 7, 0, 1), 0xf95ffc34b94e1557ULL);
   EXPECT_NE(a, 0u);
   // Any single input change moves the ID.
   EXPECT_NE(a, derive_trace_id(2, 2, 3, 0));
@@ -25,6 +28,8 @@ TEST(SpanIds, DeriveSpanIdDependsOnAllInputs) {
   const std::uint64_t trace = derive_trace_id(7, 7, 7, 7);
   const std::uint64_t s = derive_span_id(trace, 10, 20);
   EXPECT_EQ(s, derive_span_id(trace, 10, 20));
+  EXPECT_EQ(s, 0xecda5569dceb76e2ULL);  // known answer
+  EXPECT_EQ(derive_span_id(1, 2, 3), 0xf30c35e80d402234ULL);
   EXPECT_NE(s, 0u);
   EXPECT_NE(s, derive_span_id(trace, 11, 20));
   EXPECT_NE(s, derive_span_id(trace, 10, 21));

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "charging/usage.hpp"
 #include "epc/fleet.hpp"
 #include "sim/clock_source.hpp"
 
@@ -30,8 +31,9 @@ ExchangeRecord valid_settlement(std::uint32_t device, std::uint32_t cycle,
   rec.gap_by_cause[2] = gap - gap / 2 - gap / 4;
   rec.charged_ul = 17;
   rec.billed_legacy = charged;
-  rec.billed_tlc = rec.delivered_dl +
-                   static_cast<std::uint64_t>(0.5 * static_cast<double>(gap));
+  rec.billed_tlc =
+      charging::charged_volume(Bytes{charged}, Bytes{rec.delivered_dl}, 0.5)
+          .count();
   rec.bursts = 3;
   rec.reconnects = 1;
   return rec;
@@ -112,6 +114,41 @@ TEST(ServePipeline, RejectsRecordsThatFailRecomputation) {
   // Rejected records must not leak into any accumulator.
   EXPECT_EQ(s.charged_dl, 1000u);
   EXPECT_EQ(s.cycle_rows[0].settled_devices, 1u);
+}
+
+TEST(ServePipeline, FleetOddGapBillIsTheOneChargingRule) {
+  // The fleet's settle_range and the pipeline's recomputation both call
+  // charged_volume: an odd gap at c = 0.5 bills its half byte (ties up),
+  // and the truncated bill one byte lower is rejected.
+  epc::DeviceFleet fleet{64, 8, 3};
+  const epc::FleetTrafficParams traffic;
+  epc::FleetDeviceId d = 0;
+  while (d < fleet.devices()) {
+    for (int i = 0; i < 4; ++i) fleet.burst(d, traffic);
+    if ((fleet.cycle_charged_dl(d) - fleet.cycle_delivered_dl(d)) % 2 == 1) {
+      break;
+    }
+    ++d;
+  }
+  ASSERT_LT(d, fleet.devices());
+  const std::uint64_t charged = fleet.cycle_charged_dl(d);
+  const std::uint64_t gap = charged - fleet.cycle_delivered_dl(d);
+  const std::uint64_t bill =
+      charging::charged_volume(Bytes{charged}, Bytes{charged - gap}, 0.5)
+          .count();
+  EXPECT_EQ(bill, charged - gap + gap / 2 + 1);
+  EXPECT_EQ(fleet.settle_range(d, d + 1, 0, 0.5).billed_tlc, bill);
+
+  ServePipeline pipeline{small_config()};
+  ExchangeRecord rec = valid_settlement(d, 0, charged, gap);
+  rec.billed_tlc = bill;
+  pipeline.submit(rec);
+  rec.billed_tlc = bill - 1;
+  pipeline.submit(rec);
+  pipeline.drain();
+  EXPECT_EQ(pipeline.stats().settled, 1u);
+  EXPECT_EQ(pipeline.stats().rejected, 1u);
+  EXPECT_EQ(pipeline.stats().billed_tlc, bill);
 }
 
 TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 
+#include "charging/data_plan.hpp"
 #include "common/format.hpp"
 #include "common/stats.hpp"
 #include "exp/metrics.hpp"
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
       cfg.base_rss = Dbm{parse_double(value, "--rss")};
     } else if (parse_flag(arg, "--c", &value)) {
       cfg.loss_weight = parse_double(value, "--c");
-      if (cfg.loss_weight < 0 || cfg.loss_weight > 1) usage(2);
+      if (!charging::valid_loss_weight(cfg.loss_weight)) usage(2);
     } else if (parse_flag(arg, "--cycles", &value)) {
       cfg.cycles = static_cast<int>(parse_double(value, "--cycles"));
       if (cfg.cycles < 1) usage(2);

@@ -12,6 +12,7 @@
 //
 // Knobs: --devices N, --cycles N, --devices-per-cell N, --seed N,
 // --producers N, --consumers N, --store-capacity N, --loss-weight F.
+// A loss weight outside [0, 1], or NaN, exits 2 with usage.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "charging/data_plan.hpp"
 #include "exp/fleet.hpp"
 #include "serve/replay.hpp"
 
@@ -36,6 +38,16 @@ struct Options {
   std::size_t consumers = 2;
   std::size_t store_capacity = 4096;
 };
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: tlc_serve [--devices N] [--devices-per-cell N] "
+               "[--cycles N] [--seed N]\n"
+               "                 [--producers N] [--consumers N] "
+               "[--store-capacity N] [--loss-weight C]\n"
+               "  C is the plan's loss weight, in [0, 1] (default 0.5)\n");
+  std::exit(2);
+}
 
 Options parse_options(int argc, char** argv) {
   Options opt;
@@ -66,7 +78,12 @@ Options parse_options(int argc, char** argv) {
       opt.store_capacity =
           static_cast<std::size_t>(std::strtoull(v7, nullptr, 10));
     } else if (const char* v8 = want("--loss-weight")) {
-      opt.loss_weight = std::strtod(v8, nullptr);
+      char* end = nullptr;
+      opt.loss_weight = std::strtod(v8, &end);
+      if (end == v8 || *end != '\0' ||
+          !charging::valid_loss_weight(opt.loss_weight)) {
+        usage();
+      }
     }
   }
   return opt;

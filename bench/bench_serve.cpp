@@ -13,7 +13,9 @@
 // Hard invariant gates (exit non-zero, this is NOT advisory):
 //   * every store drains empty after its measurement;
 //   * pipeline conservation: ingested == settled + rejected;
-//   * rejected == exactly the number of tampered records submitted.
+//   * rejected == exactly the number of tampered records submitted;
+//   * the per-cause reject counters sum to rejected, and the TLC-bill
+//     cause counts exactly the tampered records.
 //
 // Soft throughput keys land in BENCH_serve.json for
 // tools/check_bench_regression.sh.
@@ -210,6 +212,25 @@ HarnessResult bench_pipeline(const Options& opt, std::size_t threads,
                 static_cast<unsigned long long>(expected_rejects), threads);
     *gate_ok = false;
   }
+  std::uint64_t by_cause = 0;
+  for (const std::uint64_t n : s.rejected_by_cause) by_cause += n;
+  if (by_cause != s.rejected) {
+    std::printf("GATE FAILURE: reject causes sum to %llu != rejected %llu "
+                "(%zu threads)\n",
+                static_cast<unsigned long long>(by_cause),
+                static_cast<unsigned long long>(s.rejected), threads);
+    *gate_ok = false;
+  }
+  const std::uint64_t tlc_bill = s.rejected_by_cause[static_cast<std::size_t>(
+      RejectCause::kTlcBillMismatch)];
+  if (tlc_bill != expected_rejects) {
+    std::printf("GATE FAILURE: %s rejects %llu != tampered %llu "
+                "(%zu threads)\n",
+                to_string(RejectCause::kTlcBillMismatch),
+                static_cast<unsigned long long>(tlc_bill),
+                static_cast<unsigned long long>(expected_rejects), threads);
+    *gate_ok = false;
+  }
   if (!pipeline.store_empty()) {
     std::printf("GATE FAILURE: pipeline store not empty after drain "
                 "(%zu threads)\n",
@@ -271,7 +292,7 @@ int main(int argc, char** argv) {
     std::printf("SERVE INVARIANT GATE FAILED\n");
     return 1;
   }
-  std::printf("invariants: ingested == settled + rejected, stores drained "
-              "empty — ok\n");
+  std::printf("invariants: ingested == settled + rejected, reject causes "
+              "sum to rejected, stores drained empty — ok\n");
   return 0;
 }

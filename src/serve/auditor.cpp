@@ -31,6 +31,10 @@ void LiveAuditor::drain() {
 void LiveAuditor::audit_loop() {
   const core::ReceiptBatch* batch = nullptr;
   for (;;) {
+    // Read the flag before the dequeue whose failure ends the loop (see
+    // ServePipeline::consume): read after it, a batch published in between
+    // would never be verified.
+    const bool stopping = stopping_.load(std::memory_order_acquire);
     if (queue_.try_dequeue(&batch)) {
       const core::BatchAudit audit = verifier_.verify_batch(*batch);
       verified_.fetch_add(1, std::memory_order_relaxed);
@@ -47,7 +51,7 @@ void LiveAuditor::audit_loop() {
                                  std::memory_order_relaxed);
       continue;
     }
-    if (stopping_.load(std::memory_order_acquire)) break;
+    if (stopping) break;
     std::this_thread::yield();
   }
 }

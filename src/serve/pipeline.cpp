@@ -2,11 +2,46 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <string>
 
 #include "charging/usage.hpp"
 #include "common/hot.hpp"
 
 namespace tlc::serve {
+namespace {
+
+/// Adds one to a count that only the calling thread stores: a relaxed
+/// load and store, never a read-modify-write on a contended line.
+void owner_increment(std::atomic<std::uint64_t>& count) {
+  count.store(count.load(std::memory_order_relaxed) + 1,
+              std::memory_order_relaxed);
+}
+
+/// The first settlement check `rec` fails, in RejectCause order, or
+/// nullopt when its claimed bills recompute from its own views.
+std::optional<RejectCause> first_failed_check(const ExchangeRecord& rec,
+                                              std::uint32_t cycles,
+                                              double loss_weight) {
+  if (rec.cycle >= cycles) return RejectCause::kCycleOutOfRange;
+  if (rec.delivered_dl > rec.charged_dl) {
+    return RejectCause::kDeliveredExceedsCharged;
+  }
+  std::uint64_t cause_sum = 0;
+  for (std::uint64_t bytes : rec.gap_by_cause) cause_sum += bytes;
+  if (cause_sum != rec.charged_dl - rec.delivered_dl) {
+    return RejectCause::kCauseSumMismatch;
+  }
+  if (rec.billed_legacy != rec.charged_dl) {
+    return RejectCause::kLegacyBillMismatch;
+  }
+  const Bytes bill = charging::charged_volume(
+      Bytes{rec.charged_dl}, Bytes{rec.delivered_dl}, loss_weight);
+  if (rec.billed_tlc != bill.count()) return RejectCause::kTlcBillMismatch;
+  return std::nullopt;
+}
+
+}  // namespace
 
 ServePipeline::ServePipeline(PipelineConfig config)
     : config_(config), store_(config.store_capacity) {
@@ -14,13 +49,10 @@ ServePipeline::ServePipeline(PipelineConfig config)
   // from charged_volume on a consumer thread.
   charging::check_loss_weight(config_.loss_weight, "ServePipeline");
   if (config_.consumers == 0) config_.consumers = 1;
-  cycle_rows_.reserve(config_.cycles);
-  for (std::uint32_t c = 0; c < config_.cycles; ++c) {
-    cycle_rows_.push_back(std::make_unique<CycleAtomics>());
-  }
   consumer_states_.reserve(config_.consumers);
   for (std::size_t i = 0; i < config_.consumers; ++i) {
-    consumer_states_.push_back(std::make_unique<ConsumerState>());
+    consumer_states_.push_back(
+        std::make_unique<ConsumerState>(config_.cycles));
   }
   consumers_.reserve(config_.consumers);
   for (std::size_t i = 0; i < config_.consumers; ++i) {
@@ -31,33 +63,62 @@ ServePipeline::ServePipeline(PipelineConfig config)
 ServePipeline::~ServePipeline() { drain(); }
 
 TLC_HOT void ServePipeline::submit(ExchangeRecord record) {
+  submit(std::span<ExchangeRecord>(&record, 1));
+}
+
+TLC_HOT void ServePipeline::submit(std::span<ExchangeRecord> run) {
   if (config_.clock != nullptr) {
-    record.enqueued_ns = (config_.clock->now() - kTimeZero).count();
+    const std::int64_t now_ns = (config_.clock->now() - kTimeZero).count();
+    for (ExchangeRecord& rec : run) rec.enqueued_ns = now_ns;
   }
-  // Bounded store: spin under backpressure rather than drop — every
+  // Bounded store: yield under backpressure rather than drop — every
   // ingested record must be accounted for exactly once.
-  while (!store_.try_enqueue(record)) {
-    std::this_thread::yield();
+  while (!run.empty()) {
+    const std::size_t n = store_.try_enqueue_bulk(run);
+    if (n == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    run = run.subspan(n);
   }
-  ingested_.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t ServePipeline::settled() const {
+  std::uint64_t sum = 0;
+  for (const auto& state : consumer_states_) {
+    sum += state->settled.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+std::uint64_t ServePipeline::rejected() const {
+  std::uint64_t sum = 0;
+  for (const auto& state : consumer_states_) {
+    sum += state->rejected.load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 void ServePipeline::consume(std::size_t consumer_index) {
   ConsumerState* state = consumer_states_[consumer_index].get();
   ExchangeRecord rec;
   for (;;) {
+    // Read the flag BEFORE the dequeue whose failure ends the loop: every
+    // submit happens-before drain() sets it, so once it reads true a
+    // failed dequeue means the store is empty for good. Read after the
+    // failure, it could miss a record published in between.
+    const bool stopping = stopping_.load(std::memory_order_acquire);
     if (store_.try_dequeue(&rec)) {
       settle(rec, state);
       continue;
     }
-    // Empty right now. All submits happen-before drain() sets stopping_,
-    // so an empty store after the flag is visible means we are done.
-    if (stopping_.load(std::memory_order_acquire)) break;
+    if (stopping) break;
     std::this_thread::yield();
   }
 }
 
-void ServePipeline::settle(const ExchangeRecord& rec, ConsumerState* state) {
+void ServePipeline::settle(const ExchangeRecord& rec,
+                           ConsumerState* state) const {
   if (config_.clock != nullptr && rec.enqueued_ns != 0) {
     const std::int64_t now_ns =
         (config_.clock->now() - kTimeZero).count();
@@ -68,8 +129,8 @@ void ServePipeline::settle(const ExchangeRecord& rec, ConsumerState* state) {
   if (rec.kind == RecordKind::kCellReport) {
     state->reports.push_back(CellReport{rec.cycle, rec.cell, rec.charged_dl,
                                         rec.delivered_dl});
-    cell_reports_.fetch_add(1, std::memory_order_relaxed);
-    settled_.fetch_add(1, std::memory_order_relaxed);
+    state->cell_reports += 1;
+    owner_increment(state->settled);
     return;
   }
 
@@ -77,44 +138,29 @@ void ServePipeline::settle(const ExchangeRecord& rec, ConsumerState* state) {
   // verifier's Algorithm 2 re-derivation): the record carries both raw
   // views and the bills someone claims they settle to — accept only if the
   // bills recompute from the views under this pipeline's loss_weight.
-  const bool views_sane = rec.cycle < config_.cycles &&
-                          rec.delivered_dl <= rec.charged_dl;
-  const std::uint64_t gap =
-      views_sane ? rec.charged_dl - rec.delivered_dl : 0;
-  std::uint64_t cause_sum = 0;
-  for (std::uint64_t bytes : rec.gap_by_cause) cause_sum += bytes;
-  const bool ok =
-      views_sane && cause_sum == gap && rec.billed_legacy == rec.charged_dl &&
-      rec.billed_tlc == charging::charged_volume(Bytes{rec.charged_dl},
-                                                 Bytes{rec.delivered_dl},
-                                                 config_.loss_weight)
-                            .count();
-  if (!ok) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+  const std::optional<RejectCause> failed =
+      first_failed_check(rec, config_.cycles, config_.loss_weight);
+  if (failed) {
+    state->rejected_by_cause[static_cast<std::size_t>(*failed)] += 1;
+    owner_increment(state->rejected);
     return;
   }
 
-  CycleAtomics& row = *cycle_rows_[rec.cycle];
-  row.charged_dl.fetch_add(rec.charged_dl, std::memory_order_relaxed);
-  row.delivered_dl.fetch_add(rec.delivered_dl, std::memory_order_relaxed);
-  row.gap_dl.fetch_add(gap, std::memory_order_relaxed);
-  row.billed_legacy.fetch_add(rec.billed_legacy, std::memory_order_relaxed);
-  row.billed_tlc.fetch_add(rec.billed_tlc, std::memory_order_relaxed);
-  row.charged_ul.fetch_add(rec.charged_ul, std::memory_order_relaxed);
-  row.settled_devices.fetch_add(1, std::memory_order_relaxed);
-
-  gap_counters_.add(GapCause::kDisconnect,
-                    rec.gap_by_cause[static_cast<std::size_t>(
-                        GapCause::kDisconnect)]);
-  gap_counters_.add(
-      GapCause::kRadio,
-      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kRadio)]);
-  gap_counters_.add(
-      GapCause::kHandover,
-      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kHandover)]);
-  bursts_.fetch_add(rec.bursts, std::memory_order_relaxed);
-  reconnects_.fetch_add(rec.reconnects, std::memory_order_relaxed);
-  settled_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t gap = rec.charged_dl - rec.delivered_dl;
+  epc::DeviceFleet::SettleTotals& row = state->per_cycle[rec.cycle];
+  row.devices += 1;
+  row.charged_dl += rec.charged_dl;
+  row.delivered_dl += rec.delivered_dl;
+  row.gap_dl += gap;
+  row.billed_legacy += rec.billed_legacy;
+  row.billed_tlc += rec.billed_tlc;
+  row.charged_ul += rec.charged_ul;
+  for (std::size_t c = 0; c < kGapCauseCount; ++c) {
+    state->gap_by_cause[c] += rec.gap_by_cause[c];
+  }
+  state->bursts += rec.bursts;
+  state->reconnects += rec.reconnects;
+  owner_increment(state->settled);
 }
 
 void ServePipeline::drain() {
@@ -126,45 +172,51 @@ void ServePipeline::drain() {
   consumers_.clear();
   assert(store_empty());
 
-  stats_.ingested = ingested_.load(std::memory_order_relaxed);
-  stats_.settled = settled_.load(std::memory_order_relaxed);
-  stats_.rejected = rejected_.load(std::memory_order_relaxed);
-  stats_.cell_reports = cell_reports_.load(std::memory_order_relaxed);
-  stats_.bursts = bursts_.load(std::memory_order_relaxed);
-  stats_.reconnects = reconnects_.load(std::memory_order_relaxed);
-  stats_.gap_disconnect = gap_counters_.total(GapCause::kDisconnect);
-  stats_.gap_radio = gap_counters_.total(GapCause::kRadio);
-  stats_.gap_handover = gap_counters_.total(GapCause::kHandover);
-
-  stats_.cycle_rows.resize(cycle_rows_.size());
-  for (std::size_t c = 0; c < cycle_rows_.size(); ++c) {
-    const CycleAtomics& row = *cycle_rows_[c];
-    PipelineCycleRow& out = stats_.cycle_rows[c];
-    out.charged_dl = row.charged_dl.load(std::memory_order_relaxed);
-    out.delivered_dl = row.delivered_dl.load(std::memory_order_relaxed);
-    out.gap_dl = row.gap_dl.load(std::memory_order_relaxed);
-    out.billed_legacy = row.billed_legacy.load(std::memory_order_relaxed);
-    out.billed_tlc = row.billed_tlc.load(std::memory_order_relaxed);
-    out.charged_ul = row.charged_ul.load(std::memory_order_relaxed);
-    out.settled_devices =
-        row.settled_devices.load(std::memory_order_relaxed);
-    stats_.charged_dl += out.charged_dl;
-    stats_.delivered_dl += out.delivered_dl;
-    stats_.gap_dl += out.gap_dl;
-    stats_.billed_legacy += out.billed_legacy;
-    stats_.billed_tlc += out.billed_tlc;
-    stats_.charged_ul += out.charged_ul;
-  }
-
-  // OFCS fold: collect every consumer's reports, order by (cycle, cell) —
-  // the order the batch run's report slots already have — and fold them
-  // through the same epc::fold_ofcs.
+  stats_.ingested = store_.claimed();
+  stats_.cycle_rows.resize(config_.cycles);
   std::vector<CellReport> reports;
   for (const auto& state : consumer_states_) {
+    stats_.settled += state->settled.load(std::memory_order_relaxed);
+    stats_.rejected += state->rejected.load(std::memory_order_relaxed);
+    for (std::size_t c = 0; c < kRejectCauseCount; ++c) {
+      stats_.rejected_by_cause[c] += state->rejected_by_cause[c];
+    }
+    stats_.cell_reports += state->cell_reports;
+    stats_.bursts += state->bursts;
+    stats_.reconnects += state->reconnects;
+    stats_.gap_disconnect +=
+        state->gap_by_cause[static_cast<std::size_t>(GapCause::kDisconnect)];
+    stats_.gap_radio +=
+        state->gap_by_cause[static_cast<std::size_t>(GapCause::kRadio)];
+    stats_.gap_handover +=
+        state->gap_by_cause[static_cast<std::size_t>(GapCause::kHandover)];
+    for (std::size_t c = 0; c < stats_.cycle_rows.size(); ++c) {
+      const epc::DeviceFleet::SettleTotals& row = state->per_cycle[c];
+      PipelineCycleRow& out = stats_.cycle_rows[c];
+      out.charged_dl += row.charged_dl;
+      out.delivered_dl += row.delivered_dl;
+      out.gap_dl += row.gap_dl;
+      out.billed_legacy += row.billed_legacy;
+      out.billed_tlc += row.billed_tlc;
+      out.charged_ul += row.charged_ul;
+      out.settled_devices += row.devices;
+    }
     reports.insert(reports.end(), state->reports.begin(),
                    state->reports.end());
     stats_.settle_latency.merge_from(state->latency);
   }
+  for (const PipelineCycleRow& row : stats_.cycle_rows) {
+    stats_.charged_dl += row.charged_dl;
+    stats_.delivered_dl += row.delivered_dl;
+    stats_.gap_dl += row.gap_dl;
+    stats_.billed_legacy += row.billed_legacy;
+    stats_.billed_tlc += row.billed_tlc;
+    stats_.charged_ul += row.charged_ul;
+  }
+
+  // OFCS fold: order every consumer's reports by (cycle, cell) — the order
+  // the batch run's report slots already have — and fold them through the
+  // same epc::fold_ofcs.
   std::sort(reports.begin(), reports.end(),
             [](const CellReport& a, const CellReport& b) {
               if (a.cycle != b.cycle) return a.cycle < b.cycle;
@@ -180,6 +232,11 @@ void ServePipeline::publish(obs::MetricsRegistry* registry) const {
   registry->counter("serve.ingested").inc(stats_.ingested);
   registry->counter("serve.settled").inc(stats_.settled);
   registry->counter("serve.rejected").inc(stats_.rejected);
+  for (std::size_t c = 0; c < kRejectCauseCount; ++c) {
+    const std::string name = std::string("serve.rejected.") +
+                             to_string(static_cast<RejectCause>(c));
+    registry->counter(name).inc(stats_.rejected_by_cause[c]);
+  }
   registry->counter("serve.cell_reports").inc(stats_.cell_reports);
   registry->counter("serve.bursts").inc(stats_.bursts);
   registry->counter("serve.reconnects").inc(stats_.reconnects);

@@ -13,24 +13,33 @@
 //
 // Invariant (CI-gated by bench_serve): every submitted record is accounted
 // exactly once — ingested() == settled() + rejected() — and the store
-// drains empty.
+// drains empty. Every rejected record is counted under the first check it
+// failed, so the per-cause reject counters sum to rejected().
 //
 // Concurrency contract:
 //   * submit() may run from any number of producer threads, with no
-//     registration; it applies backpressure (spins) when the store is
-//     full, and never drops;
+//     registration; it applies backpressure (yields) when the store is
+//     full, and never drops. A run submitted as one span is claimed in
+//     the store in as few CASes as the free cells allow;
 //   * all submits happen-before drain(): the caller stops its producers,
 //     then drains. After drain() returns, the stats accessors are stable
 //     and single-threaded reads;
-//   * totals use relaxed atomics — they are commutative sums, so thread
-//     interleaving cannot change the drained values. Latency histograms
-//     are per-consumer and merged at drain (LogHistogram::merge_from),
-//     keeping mutexes off the hot path.
+//   * each consumer is the only writer of its own tallies (per-cycle rows,
+//     gap causes, reject causes, reports, latency histogram), plain
+//     integers in a cache-aligned state of its own; only its settled and
+//     rejected counts are atomics, owner-stored, so the live accessors can
+//     sum them. drain() merges the consumers once, in consumer order:
+//     every tally is a u64 sum, so thread interleaving cannot change a
+//     drained value;
+//   * ingested() is the store's count of claimed positions, so it needs
+//     no counter of its own; it is exact once the producers have returned.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -75,11 +84,45 @@ struct PipelineCycleRow {
 /// One cell's per-cycle RRC COUNTER CHECK totals, queued for the OFCS fold.
 using epc::CellReport;
 
+/// The settlement check a rejected record failed first, in the order
+/// settle() applies them.
+enum class RejectCause : std::uint32_t {
+  kCycleOutOfRange = 0,          // cycle >= PipelineConfig::cycles
+  kDeliveredExceedsCharged = 1,  // delivered_dl > charged_dl
+  kCauseSumMismatch = 2,         // gap_by_cause does not sum to the gap
+  kLegacyBillMismatch = 3,       // billed_legacy != charged_dl
+  kTlcBillMismatch = 4,          // billed_tlc != charged_volume(views, c)
+  kCauseCount = 5,
+};
+
+inline constexpr std::size_t kRejectCauseCount =
+    static_cast<std::size_t>(RejectCause::kCauseCount);
+
+[[nodiscard]] constexpr const char* to_string(RejectCause c) {
+  switch (c) {
+    case RejectCause::kCycleOutOfRange:
+      return "cycle_out_of_range";
+    case RejectCause::kDeliveredExceedsCharged:
+      return "delivered_exceeds_charged";
+    case RejectCause::kCauseSumMismatch:
+      return "cause_sum_mismatch";
+    case RejectCause::kLegacyBillMismatch:
+      return "legacy_bill_mismatch";
+    case RejectCause::kTlcBillMismatch:
+      return "tlc_bill_mismatch";
+    default:
+      return "?";
+  }
+}
+
 /// Drained snapshot of everything the pipeline accumulated.
 struct PipelineStats {
   std::uint64_t ingested = 0;
   std::uint64_t settled = 0;   // accepted settlement records
   std::uint64_t rejected = 0;  // failed the recomputation check
+  /// Rejects by the first check they failed, indexed by RejectCause; sums
+  /// to `rejected`.
+  std::array<std::uint64_t, kRejectCauseCount> rejected_by_cause{};
   std::uint64_t cell_reports = 0;
 
   std::uint64_t charged_dl = 0;
@@ -112,9 +155,14 @@ class ServePipeline {
   ServePipeline& operator=(const ServePipeline&) = delete;
   ~ServePipeline();
 
-  /// Enqueues one record, spinning under backpressure. Stamps
+  /// Enqueues one record, yielding under backpressure. Stamps
   /// `enqueued_ns` from the configured clock.
   void submit(ExchangeRecord record);
+
+  /// Enqueues a run of records in order, claiming store cells a run at a
+  /// time and yielding whenever the store is full. With a clock configured,
+  /// every record of the run is stamped with one reading taken on entry.
+  void submit(std::span<ExchangeRecord> run);
 
   /// The handle-taking spellings do no work: the store needs no
   /// registration. They remain for callers written against one.
@@ -132,15 +180,9 @@ class ServePipeline {
   [[nodiscard]] const PipelineStats& stats() const { return stats_; }
 
   /// Live (racy, monotone) counters, readable at any time.
-  [[nodiscard]] std::uint64_t ingested() const {
-    return ingested_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t settled() const {
-    return settled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t ingested() const { return store_.claimed(); }
+  [[nodiscard]] std::uint64_t settled() const;
+  [[nodiscard]] std::uint64_t rejected() const;
   [[nodiscard]] std::size_t store_depth() const {
     return store_.approx_size();
   }
@@ -151,36 +193,31 @@ class ServePipeline {
   void publish(obs::MetricsRegistry* registry) const;
 
  private:
-  struct CycleAtomics {
-    std::atomic<std::uint64_t> charged_dl{0};
-    std::atomic<std::uint64_t> delivered_dl{0};
-    std::atomic<std::uint64_t> gap_dl{0};
-    std::atomic<std::uint64_t> billed_legacy{0};
-    std::atomic<std::uint64_t> billed_tlc{0};
-    std::atomic<std::uint64_t> charged_ul{0};
-    std::atomic<std::uint64_t> settled_devices{0};
-  };
+  /// One consumer's tallies: the consumer is their only writer, and
+  /// drain() reads them after the join. Aligned so that no two consumers
+  /// (and no producer) share a cache line.
+  struct alignas(64) ConsumerState {
+    explicit ConsumerState(std::uint32_t cycles) : per_cycle(cycles) {}
 
-  /// Consumer-thread-private accumulation, merged once at drain.
-  struct ConsumerState {
+    std::vector<epc::DeviceFleet::SettleTotals> per_cycle;
+    std::uint64_t gap_by_cause[kGapCauseCount] = {0, 0, 0};
+    std::uint64_t bursts = 0;
+    std::uint64_t reconnects = 0;
+    std::uint64_t cell_reports = 0;
+    std::array<std::uint64_t, kRejectCauseCount> rejected_by_cause{};
     std::vector<CellReport> reports;
     obs::LogHistogram latency;
+    /// Owner-stored (never read-modify-written) so settled()/rejected()
+    /// may sum them while the consumer runs.
+    std::atomic<std::uint64_t> settled{0};
+    std::atomic<std::uint64_t> rejected{0};
   };
 
   void consume(std::size_t consumer_index);
-  void settle(const ExchangeRecord& rec, ConsumerState* state);
+  void settle(const ExchangeRecord& rec, ConsumerState* state) const;
 
   PipelineConfig config_;
   ReceiptStore store_;
-
-  std::atomic<std::uint64_t> ingested_{0};
-  std::atomic<std::uint64_t> settled_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> cell_reports_{0};
-  std::atomic<std::uint64_t> bursts_{0};
-  std::atomic<std::uint64_t> reconnects_{0};
-  GapCounters gap_counters_;
-  std::vector<std::unique_ptr<CycleAtomics>> cycle_rows_;
 
   std::vector<std::unique_ptr<ConsumerState>> consumer_states_;
   std::vector<std::thread> consumers_;

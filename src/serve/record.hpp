@@ -13,7 +13,7 @@
 // reports.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -74,34 +74,5 @@ struct ExchangeRecord {
 
 static_assert(std::is_trivially_copyable_v<ExchangeRecord>,
               "records are copied through the receipt store's ring cells");
-
-/// Live per-cause gap counters: one cache line per cause so concurrent
-/// consumers never contend across causes. These are the serving-mode
-/// analogue of the batch path's fleet.dropped_*_bytes counters — tlc_serve
-/// cross-checks the two byte for byte.
-class GapCounters {
- public:
-  void add(GapCause cause, std::uint64_t bytes) {
-    lanes_[static_cast<std::size_t>(cause)].bytes.fetch_add(
-        bytes, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total(GapCause cause) const {
-    return lanes_[static_cast<std::size_t>(cause)].bytes.load(
-        std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const {
-    std::uint64_t s = 0;
-    for (const Lane& lane : lanes_) {
-      s += lane.bytes.load(std::memory_order_relaxed);
-    }
-    return s;
-  }
-
- private:
-  struct alignas(64) Lane {
-    std::atomic<std::uint64_t> bytes{0};
-  };
-  Lane lanes_[kGapCauseCount];
-};
 
 }  // namespace tlc::serve

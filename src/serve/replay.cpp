@@ -1,19 +1,24 @@
 #include "serve/replay.hpp"
 
 #include <algorithm>
+#include <span>
 #include <thread>
 #include <vector>
 
 namespace tlc::serve {
 namespace {
 
-/// Sends the fleet kernel's records into the pipeline: one kSettlement per
-/// (device, cycle) and one kCellReport per (cell, cycle).
+/// Sends the fleet kernel's records into the pipeline, one cell at a time:
+/// each cell's kSettlement per (device, cycle) is buffered, and the cell's
+/// kCellReport closes the run, which goes to the store as one submit.
 struct SubmitSink {
-  ServePipeline& pipeline;
+  SubmitSink(ServePipeline& p, std::uint32_t devices_per_cell)
+      : pipeline(p) {
+    run.reserve(std::size_t{devices_per_cell} + 1);
+  }
 
   void settled(const epc::DeviceCycle& d) {
-    ExchangeRecord rec;
+    ExchangeRecord& rec = run.emplace_back();
     rec.kind = RecordKind::kSettlement;
     rec.device = d.device;
     rec.cell = d.cell;
@@ -31,18 +36,21 @@ struct SubmitSink {
         d.dropped_handover;
     rec.bursts = d.bursts;
     rec.reconnects = d.reconnects;
-    pipeline.submit(rec);
   }
 
   void report(const epc::CellReport& r) {
-    ExchangeRecord rec;
+    ExchangeRecord& rec = run.emplace_back();
     rec.kind = RecordKind::kCellReport;
     rec.cell = r.cell;
     rec.cycle = r.cycle;
     rec.charged_dl = r.charged_dl;
     rec.delivered_dl = r.delivered_dl;
-    pipeline.submit(rec);
+    pipeline.submit(std::span<ExchangeRecord>(run));
+    run.clear();
   }
+
+  ServePipeline& pipeline;
+  std::vector<ExchangeRecord> run;  // one cell: never outgrows the reserve
 };
 
 }  // namespace
@@ -77,7 +85,7 @@ ReplayResult run_replay(const ReplayConfig& config) {
       const std::uint32_t cell_end =
           std::min(cell_begin + cells_per_producer, cells);
       threads.emplace_back([&, cell_begin, cell_end] {
-        SubmitSink sink{pipeline};
+        SubmitSink sink{pipeline, config.devices_per_cell};
         epc::walk_cells(fleet, walk, cell_begin, cell_end, next_burst,
                         sink);
       });

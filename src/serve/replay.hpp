@@ -3,9 +3,10 @@
 // run_replay() runs the SAME fleet scenario exp::run_fleet() runs, through
 // the SAME kernel (epc::walk_cells), but into the online serving path:
 // each producer thread walks one cell-aligned range cycle-major and
-// submits one ExchangeRecord per (device, cycle) — plus one kCellReport
-// per (cell, cycle) — into a ServePipeline whose consumers re-derive and
-// accept each bill. The two differ only in where records go.
+// builds one ExchangeRecord per (device, cycle) — plus one kCellReport
+// per (cell, cycle) — submitting each cell's records, report last, as one
+// run into a ServePipeline whose consumers re-derive and accept each
+// bill. The two differ only in where records go.
 //
 // Because every draw a device makes is a pure function of (seed, device,
 // counter) — never of thread timing — and every accumulator the pipeline

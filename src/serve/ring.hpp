@@ -1,33 +1,40 @@
 // Bounded MPMC ring: the one concurrent queue of the serving path.
 //
 // An array of cells, each carrying a sequence number next to its value
-// (D. Vyukov's bounded MPMC queue). Producers claim the cell at `tail_`
-// with one CAS, copy the value in, and publish it by advancing the cell's
-// sequence; consumers claim at `head_` the same way and hand the cell back
-// to the producer one lap later. A cell's sequence says whose turn it is:
+// (D. Vyukov's bounded MPMC queue). Producers claim a run of cells at
+// `tail_` with one CAS, copy the values in, and publish each cell by
+// advancing its sequence; consumers claim one cell at `head_` the same way
+// and hand it back to the producer one lap later. A cell's sequence says
+// whose turn it is:
 //
 //   seq == pos       free for the producer claiming position `pos`;
 //   seq == pos + 1   holds the value for the consumer claiming `pos`;
 //   seq == pos + N   freed for the producer of the next lap (N = capacity).
 //
 // Properties the serving pipeline relies on:
-//   * bounded: try_enqueue fails (backpressure) instead of growing once
-//     `capacity()` values are in flight; the capacity rounds up to a power
-//     of two so a position maps to its cell with a mask;
+//   * bounded: a claim takes at most the free cells, and fails
+//     (backpressure) instead of growing once `capacity()` values are in
+//     flight; the capacity rounds up to a power of two so a position maps
+//     to its cell with a mask;
 //   * allocation-free after construction: no node pool, free list or
 //     reclamation, so no ABA and no use-after-free to guard against;
-//   * FIFO over linearized enqueues, hence per-producer order.
+//   * FIFO over linearized claims, hence per-producer order, within a run
+//     and across runs;
+//   * `claimed()` is `tail_`: every position a producer ever claimed, so
+//     once the producers are quiescent it counts every value enqueued.
 //
-// Progress: a producer preempted between claiming a cell and publishing
-// it holds up consumers at that cell until it resumes (and a consumer
-// preempted mid-copy holds up the producer one lap later). The ring is
-// therefore not strictly lock-free; operations on other cells proceed.
+// Progress: a producer preempted between claiming a run and publishing its
+// last cell holds up consumers at the first unpublished cell until it
+// resumes, for up to a whole run (and a consumer preempted mid-copy holds
+// up the producer one lap later). The ring is therefore not strictly
+// lock-free; operations on other cells proceed.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -53,27 +60,50 @@ class Ring {
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
 
-  /// Copies `v` in. Returns false when capacity() values are already in
-  /// flight (the caller applies backpressure and retries).
-  TLC_HOT bool try_enqueue(const T& v) {
+  /// Copies the longest prefix of `run` that fits in the free cells in,
+  /// claiming its positions with one CAS, and returns its length: 0 when
+  /// the ring is full (the caller applies backpressure and retries with
+  /// the rest).
+  TLC_HOT std::size_t try_enqueue_bulk(std::span<const T> run) {
+    if (run.empty()) return 0;
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
-      Cell& cell = cells_[pos & mask_];
-      const std::size_t seq = cell.seq.load(std::memory_order_acquire);
+      Cell& first = cells_[pos & mask_];
+      const std::size_t seq = first.seq.load(std::memory_order_acquire);
       const auto lag = static_cast<std::ptrdiff_t>(seq - pos);
-      if (lag == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          cell.value = v;
-          cell.seq.store(pos + 1, std::memory_order_release);
-          return true;
+      if (lag < 0) return 0;  // the cell still holds last lap's value: full
+      if (lag > 0) {
+        pos = tail_.load(std::memory_order_relaxed);  // claimed under us
+        continue;
+      }
+      // A cell whose sequence says "free for this lap" stays free until
+      // the producer of its position claims it, and tail_ only grows, so
+      // the prefix counted here is still free if the CAS below wins.
+      std::size_t n = 1;
+      for (; n < run.size(); ++n) {
+        const Cell& next = cells_[(pos + n) & mask_];
+        if (next.seq.load(std::memory_order_acquire) != pos + n) break;
+      }
+      if (tail_.compare_exchange_weak(pos, pos + n,
+                                      std::memory_order_relaxed)) {
+        // The first cell's address is known before the CAS, so its copy
+        // need not wait for the CAS result (the one-value case).
+        first.value = run[0];
+        first.seq.store(pos + 1, std::memory_order_release);
+        for (std::size_t i = 1; i < n; ++i) {
+          Cell& cell = cells_[(pos + i) & mask_];
+          cell.value = run[i];
+          cell.seq.store(pos + i + 1, std::memory_order_release);
         }
-      } else if (lag < 0) {
-        return false;  // the cell still holds last lap's value: full
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
+        return n;
       }
     }
+  }
+
+  /// Copies `v` in: the one-value run. Returns false when capacity()
+  /// values are already in flight.
+  TLC_HOT bool try_enqueue(const T& v) {
+    return try_enqueue_bulk(std::span<const T>(&v, 1)) == 1;
   }
 
   /// Pops the oldest value into `*out`; false when the ring is empty.
@@ -104,6 +134,12 @@ class Ring {
     const std::size_t head = head_.load(std::memory_order_acquire);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
     return tail > head ? tail - head : 0;
+  }
+
+  /// Positions claimed by producers since construction (`tail_`); exact
+  /// once every producer has returned.
+  [[nodiscard]] std::size_t claimed() const {
+    return tail_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }

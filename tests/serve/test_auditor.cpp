@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "tlc/batch.hpp"
@@ -102,6 +103,27 @@ TEST_F(LiveAuditorTest, ReplayedBatchIsStale) {
   EXPECT_EQ(auditor.heads_accepted(), 2u);
   EXPECT_EQ(auditor.heads_rejected(), 1u);
   EXPECT_EQ(auditor.receipts_accepted(), 3u);
+}
+
+TEST_F(LiveAuditorTest, DrainRightAfterProducerJoinVerifiesAll) {
+  // The drain race: a batch published between the audit thread's failed
+  // dequeue and its read of the stop flag must still be verified. Each
+  // round joins its producer immediately before drain().
+  const std::vector<ReceiptBatch> batches = make_chain(3, 800);
+  ASSERT_EQ(batches.size(), 2u);
+  for (int round = 0; round < 100; ++round) {
+    LiveAuditor auditor = make_auditor();
+    const std::size_t count = 1 + static_cast<std::size_t>(round % 2);
+    std::thread producer{[&auditor, &batches, count] {
+      for (std::size_t i = 0; i < count; ++i) auditor.submit(&batches[i]);
+    }};
+    producer.join();
+    auditor.drain();
+    ASSERT_EQ(auditor.batches_submitted(), count) << "round " << round;
+    ASSERT_EQ(auditor.batches_verified(), auditor.batches_submitted())
+        << "round " << round;
+    ASSERT_EQ(auditor.heads_accepted(), count) << "round " << round;
+  }
 }
 
 TEST_F(LiveAuditorTest, DrainIsIdempotent) {

@@ -1,12 +1,17 @@
 // ServePipeline (serve/pipeline.hpp): the live settlement recomputation
-// check, exactly-once accounting (ingested == settled + rejected), per-cycle
-// and per-cause accumulation, the (cycle, cell)-ordered OFCS fold, latency
-// stamping, and metrics publication.
+// check and its per-cause reject counters, exactly-once accounting
+// (ingested == settled + rejected, also across drain right after a
+// producer joins), per-cycle and per-cause accumulation, the (cycle,
+// cell)-ordered OFCS fold, run submits, latency stamping, and metrics
+// publication.
 #include "serve/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -114,6 +119,51 @@ TEST(ServePipeline, RejectsRecordsThatFailRecomputation) {
   // Rejected records must not leak into any accumulator.
   EXPECT_EQ(s.charged_dl, 1000u);
   EXPECT_EQ(s.cycle_rows[0].settled_devices, 1u);
+  // Each check failed once, and the causes account for every reject.
+  for (std::size_t c = 0; c < kRejectCauseCount; ++c) {
+    EXPECT_EQ(s.rejected_by_cause[c], 1u)
+        << to_string(static_cast<RejectCause>(c));
+  }
+  EXPECT_EQ(std::accumulate(s.rejected_by_cause.begin(),
+                            s.rejected_by_cause.end(), std::uint64_t{0}),
+            s.rejected);
+}
+
+TEST(ServePipeline, RejectCauseIsTheFirstFailedCheck) {
+  ServePipeline pipeline{small_config()};
+  ExchangeRecord everything_wrong = valid_settlement(0, 0, 1000, 100);
+  everything_wrong.cycle = 7;
+  everything_wrong.delivered_dl = 5000;
+  everything_wrong.billed_legacy += 1;
+  pipeline.submit(everything_wrong);
+
+  ExchangeRecord inflated_and_split = valid_settlement(1, 0, 1000, 100);
+  inflated_and_split.delivered_dl = 1001;
+  inflated_and_split.gap_by_cause[0] += 9;
+  pipeline.submit(inflated_and_split);
+
+  ExchangeRecord split_and_billed = valid_settlement(2, 1, 1000, 100);
+  split_and_billed.gap_by_cause[2] += 1;
+  split_and_billed.billed_legacy += 1;
+  split_and_billed.billed_tlc += 1;
+  pipeline.submit(split_and_billed);
+
+  ExchangeRecord both_bills = valid_settlement(3, 1, 1000, 100);
+  both_bills.billed_legacy -= 1;
+  both_bills.billed_tlc -= 1;
+  pipeline.submit(both_bills);
+  pipeline.drain();
+
+  const PipelineStats& s = pipeline.stats();
+  EXPECT_EQ(s.rejected, 4u);
+  const auto count = [&s](RejectCause c) {
+    return s.rejected_by_cause[static_cast<std::size_t>(c)];
+  };
+  EXPECT_EQ(count(RejectCause::kCycleOutOfRange), 1u);
+  EXPECT_EQ(count(RejectCause::kDeliveredExceedsCharged), 1u);
+  EXPECT_EQ(count(RejectCause::kCauseSumMismatch), 1u);
+  EXPECT_EQ(count(RejectCause::kLegacyBillMismatch), 1u);
+  EXPECT_EQ(count(RejectCause::kTlcBillMismatch), 0u);
 }
 
 TEST(ServePipeline, FleetOddGapBillIsTheOneChargingRule) {
@@ -269,6 +319,122 @@ TEST(ServePipeline, StampsSettleLatencyWhenClockProvided) {
   EXPECT_EQ(pipeline.stats().settle_latency.count(), 10u);
 }
 
+TEST(ServePipeline, RunSubmitStampsEveryRecordOfTheRun) {
+  // One run longer than the 64-record store: it goes in over several
+  // claims, and every record carries the one stamp taken on entry.
+  sim::ManualClockSource clock{kTimeZero + std::chrono::seconds{1}};
+  PipelineConfig cfg = small_config();
+  cfg.clock = &clock;
+  ServePipeline pipeline{cfg};
+  std::vector<ExchangeRecord> run;
+  for (std::uint32_t d = 0; d < 150; ++d) {
+    run.push_back(valid_settlement(d, d % 2, 1000, d % 50));
+  }
+  pipeline.submit(std::span<ExchangeRecord>(run));
+  pipeline.drain();
+  EXPECT_EQ(pipeline.stats().settled, 150u);
+  EXPECT_EQ(pipeline.stats().settle_latency.count(), 150u);
+  for (const ExchangeRecord& rec : run) {
+    EXPECT_EQ(rec.enqueued_ns, std::int64_t{1'000'000'000});
+  }
+}
+
+/// Every PipelineStats field of `a` equals that of `b`.
+void expect_same_stats(const PipelineStats& a, const PipelineStats& b) {
+  EXPECT_EQ(a.ingested, b.ingested);
+  EXPECT_EQ(a.settled, b.settled);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.rejected_by_cause, b.rejected_by_cause);
+  EXPECT_EQ(a.cell_reports, b.cell_reports);
+  EXPECT_EQ(a.charged_dl, b.charged_dl);
+  EXPECT_EQ(a.delivered_dl, b.delivered_dl);
+  EXPECT_EQ(a.gap_dl, b.gap_dl);
+  EXPECT_EQ(a.billed_legacy, b.billed_legacy);
+  EXPECT_EQ(a.billed_tlc, b.billed_tlc);
+  EXPECT_EQ(a.charged_ul, b.charged_ul);
+  EXPECT_EQ(a.bursts, b.bursts);
+  EXPECT_EQ(a.reconnects, b.reconnects);
+  EXPECT_EQ(a.gap_disconnect, b.gap_disconnect);
+  EXPECT_EQ(a.gap_radio, b.gap_radio);
+  EXPECT_EQ(a.gap_handover, b.gap_handover);
+  ASSERT_EQ(a.cycle_rows.size(), b.cycle_rows.size());
+  for (std::size_t c = 0; c < a.cycle_rows.size(); ++c) {
+    const PipelineCycleRow& x = a.cycle_rows[c];
+    const PipelineCycleRow& y = b.cycle_rows[c];
+    EXPECT_EQ(x.charged_dl, y.charged_dl);
+    EXPECT_EQ(x.delivered_dl, y.delivered_dl);
+    EXPECT_EQ(x.gap_dl, y.gap_dl);
+    EXPECT_EQ(x.billed_legacy, y.billed_legacy);
+    EXPECT_EQ(x.billed_tlc, y.billed_tlc);
+    EXPECT_EQ(x.charged_ul, y.charged_ul);
+    EXPECT_EQ(x.settled_devices, y.settled_devices);
+  }
+  EXPECT_EQ(a.ofcs_chain, b.ofcs_chain);
+  EXPECT_EQ(a.flagged_reports, b.flagged_reports);
+  EXPECT_EQ(a.settle_latency.count(), b.settle_latency.count());
+}
+
+TEST(ServePipeline, RunSubmitMatchesPerRecordSubmit) {
+  // Settlements (every 9th tampered) closed by a cell report per 40
+  // records, 1'000 records in all — far more than the 64-record store.
+  std::vector<ExchangeRecord> records;
+  for (std::uint32_t i = 0; i < 1'000; ++i) {
+    if (i % 40 == 39) {
+      ExchangeRecord report;
+      report.kind = RecordKind::kCellReport;
+      report.cycle = (i / 40) % 2;
+      report.cell = i / 80;
+      report.charged_dl = 1000 + i;
+      report.delivered_dl = 700 + i;
+      records.push_back(report);
+      continue;
+    }
+    ExchangeRecord rec = valid_settlement(i, i % 2, 1000 + i, i % 300);
+    if (i % 9 == 0) rec.billed_tlc += 1;
+    records.push_back(rec);
+  }
+
+  ServePipeline per_record{small_config()};
+  for (const ExchangeRecord& rec : records) per_record.submit(rec);
+  per_record.drain();
+
+  ServePipeline runs{small_config()};
+  std::vector<ExchangeRecord> copy = records;
+  std::span<ExchangeRecord> rest(copy);
+  for (std::size_t len = 1; !rest.empty(); len = len % 97 + 1) {
+    const std::size_t n = std::min(len * 3, rest.size());
+    runs.submit(rest.first(n));
+    rest = rest.subspan(n);
+  }
+  runs.drain();
+
+  expect_same_stats(per_record.stats(), runs.stats());
+  EXPECT_EQ(runs.stats().ingested, records.size());
+  EXPECT_EQ(runs.stats().cell_reports, 25u);
+}
+
+TEST(ServePipeline, OneConsumerDrainRightAfterProducerJoinSettlesAll) {
+  // The drain race: a record published between a consumer's failed
+  // dequeue and its read of the stop flag must still be settled. Each
+  // round joins its producer immediately before drain().
+  for (std::uint32_t round = 0; round < 300; ++round) {
+    PipelineConfig cfg = small_config();
+    cfg.consumers = 1;
+    ServePipeline pipeline{cfg};
+    std::vector<ExchangeRecord> run{valid_settlement(round, 0, 1000, 10)};
+    if (round % 2 == 1) run.push_back(valid_settlement(round, 1, 900, 0));
+    std::thread producer{[&pipeline, &run] {
+      pipeline.submit(std::span<ExchangeRecord>(run));
+    }};
+    producer.join();
+    pipeline.drain();
+    const PipelineStats& s = pipeline.stats();
+    ASSERT_EQ(s.ingested, run.size()) << "round " << round;
+    ASSERT_EQ(s.settled + s.rejected, s.ingested) << "round " << round;
+    ASSERT_EQ(s.settled, run.size()) << "round " << round;
+  }
+}
+
 TEST(ServePipeline, NoClockMeansNoLatencySamples) {
   ServePipeline pipeline{small_config()};
   pipeline.submit(valid_settlement(0, 0, 1000, 50));
@@ -297,6 +463,15 @@ TEST(ServePipeline, PublishExportsServeCounters) {
   EXPECT_EQ(snap.counter_or_zero("serve.ingested"), 3u);
   EXPECT_EQ(snap.counter_or_zero("serve.settled"), 2u);
   EXPECT_EQ(snap.counter_or_zero("serve.rejected"), 1u);
+  EXPECT_EQ(snap.counter_or_zero("serve.rejected.tlc_bill_mismatch"), 1u);
+  for (const char* cause :
+       {"cycle_out_of_range", "delivered_exceeds_charged",
+        "cause_sum_mismatch", "legacy_bill_mismatch"}) {
+    EXPECT_TRUE(snap.counters.contains(std::string("serve.rejected.") + cause))
+        << cause;
+    EXPECT_EQ(snap.counter_or_zero(std::string("serve.rejected.") + cause),
+              0u);
+  }
   EXPECT_EQ(snap.counter_or_zero("serve.cell_reports"), 1u);
   EXPECT_EQ(snap.counter_or_zero("serve.charged_dl_bytes"), 1000u);
   EXPECT_EQ(snap.counter_or_zero("serve.delivered_dl_bytes"), 900u);

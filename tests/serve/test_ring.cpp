@@ -1,7 +1,8 @@
 // The receipt store's bounded ring (serve/ring.hpp): FIFO order, capacity
 // backpressure at the rounded power-of-two bound, cell reuse over many
-// laps of the sequence numbers, and multi-producer/multi-consumer
-// exactly-once delivery with per-producer order.
+// laps of the sequence numbers, run claims (partial at the bound, FIFO
+// within and across runs), and multi-producer/multi-consumer exactly-once
+// delivery with per-producer order.
 #include "serve/ring.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -252,6 +255,133 @@ TEST(Ring, CellsReusedOverManyLaps) {
     ASSERT_EQ(all[i], i);
   }
   EXPECT_EQ(ring.approx_size(), 0u);
+}
+
+TEST(Ring, RunClaimTakesTheFreePrefixAtTheBound) {
+  Ring<std::uint64_t> ring{8};
+  for (std::uint64_t i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_enqueue(i));
+  const std::vector<std::uint64_t> run{5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(ring.try_enqueue_bulk(run), 3u) << "only 3 of 8 cells are free";
+  EXPECT_EQ(ring.approx_size(), 8u);
+  EXPECT_EQ(ring.try_enqueue_bulk(std::span(run).subspan(3)), 0u)
+      << "a full ring takes nothing";
+  EXPECT_EQ(ring.try_enqueue_bulk({}), 0u);
+  std::uint64_t out = 0;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(ring.try_dequeue(&out));
+    EXPECT_EQ(out, i);
+  }
+  EXPECT_FALSE(ring.try_dequeue(&out));
+  EXPECT_EQ(ring.claimed(), 8u);
+}
+
+TEST(Ring, RunsKeepFifoOrderWithinAndAcrossRuns) {
+  // Capacity 16, runs of 1..11 interleaved with single enqueues and
+  // partial drains, over many laps of the cells.
+  Ring<std::uint64_t> ring{16};
+  std::vector<std::uint64_t> got;
+  std::uint64_t next = 0;
+  std::uint64_t out = 0;
+  for (std::uint64_t k = 0; k < 2'000; ++k) {
+    std::vector<std::uint64_t> run(1 + k % 11);
+    std::iota(run.begin(), run.end(), next);
+    std::span<const std::uint64_t> rest(run);
+    while (!rest.empty()) {
+      rest = rest.subspan(ring.try_enqueue_bulk(rest));
+      if (!rest.empty() && ring.try_dequeue(&out)) got.push_back(out);
+    }
+    next += run.size();
+    if (k % 3 == 0 && ring.try_enqueue(next)) ++next;
+    for (std::uint64_t i = 0; i < k % 7 && ring.try_dequeue(&out); ++i) {
+      got.push_back(out);
+    }
+  }
+  while (ring.try_dequeue(&out)) got.push_back(out);
+  ASSERT_EQ(got.size(), next);
+  for (std::uint64_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], i);
+  EXPECT_EQ(ring.claimed(), next);
+}
+
+TEST(Ring, RunLongerThanCapacityGoesInCapacitySizedClaims) {
+  Ring<std::uint64_t> ring{8};
+  std::vector<std::uint64_t> run(20);
+  std::iota(run.begin(), run.end(), 0);
+  std::span<const std::uint64_t> rest(run);
+  std::vector<std::size_t> claims;
+  std::vector<std::uint64_t> got;
+  while (!rest.empty()) {
+    const std::size_t n = ring.try_enqueue_bulk(rest);
+    claims.push_back(n);
+    rest = rest.subspan(n);
+    std::uint64_t out = 0;
+    while (ring.try_dequeue(&out)) got.push_back(out);
+  }
+  EXPECT_EQ(claims, (std::vector<std::size_t>{8, 8, 4}));
+  EXPECT_EQ(got, run);
+}
+
+TEST(Ring, RunsFromManyProducersDeliverExactlyOnce) {
+  // 4 producers submit runs of 1..300 values (longer than the 256-cell
+  // ring, so partial claims happen) against 2 single-value consumers.
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kConsumers = 2;
+  constexpr std::uint64_t kPerProducer = 40'000;
+  Ring<std::uint64_t> ring{256};
+  std::atomic<std::uint64_t> consumed{0};
+  std::vector<std::vector<std::uint64_t>> received(kConsumers);
+  std::vector<std::thread> threads;
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&ring, p] {
+      std::vector<std::uint64_t> run;
+      std::uint64_t i = 0;
+      for (std::uint64_t k = 0; i < kPerProducer; ++k) {
+        const std::uint64_t len =
+            std::min(1 + (k * 37 + p * 11) % 300, kPerProducer - i);
+        run.resize(len);
+        std::iota(run.begin(), run.end(), p * kPerProducer + i);
+        std::span<const std::uint64_t> rest(run);
+        while (!rest.empty()) {
+          const std::size_t n = ring.try_enqueue_bulk(rest);
+          if (n == 0) std::this_thread::yield();
+          rest = rest.subspan(n);
+        }
+        i += len;
+      }
+    });
+  }
+  for (std::uint64_t c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&ring, &consumed, &received, c] {
+      std::uint64_t v = 0;
+      while (consumed.load(std::memory_order_relaxed) <
+             kProducers * kPerProducer) {
+        if (ring.try_dequeue(&v)) {
+          received[c].push_back(v);
+          consumed.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<std::uint64_t> all;
+  for (const std::vector<std::uint64_t>& r : received) {
+    std::vector<std::uint64_t> last(kProducers, 0);
+    std::vector<bool> seen(kProducers, false);
+    for (const std::uint64_t v : r) {
+      const std::uint64_t p = v / kPerProducer;
+      ASSERT_TRUE(!seen[p] || v > last[p]) << "producer order broken";
+      seen[p] = true;
+      last[p] = v;
+    }
+    all.insert(all.end(), r.begin(), r.end());
+  }
+  ASSERT_EQ(all.size(), kProducers * kPerProducer);
+  std::sort(all.begin(), all.end());
+  for (std::uint64_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
+  EXPECT_EQ(ring.approx_size(), 0u);
+  EXPECT_EQ(ring.claimed(), kProducers * kPerProducer);
 }
 
 }  // namespace

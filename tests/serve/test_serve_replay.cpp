@@ -3,6 +3,7 @@
 // the fleet digest and the OFCS chain compare equal — and the replay itself
 // is deterministic across serving topologies (serial 1p/1c ≡ concurrent
 // 4p/2c). This is the unit-scale version of the tlc_serve 100k cross-check.
+// Given a clock, the replay stamps every record it submits a cell at a time.
 #include "serve/replay.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <cstdint>
 
 #include "exp/fleet.hpp"
+#include "sim/clock_source.hpp"
 
 namespace tlc::serve {
 namespace {
@@ -142,6 +144,25 @@ TEST(ServeReplay, ProducerCountClampsToCellCount) {
   EXPECT_EQ(serve.stats.rejected, 0u);
   EXPECT_EQ(serve.stats.ingested,
             std::uint64_t{300} * kCycles + 3u * kCycles);
+}
+
+TEST(ServeReplay, ClockGivesOneLatencySamplePerIngestedRecord) {
+  // Runs go to the store a cell at a time; each run is stamped once, and
+  // every record of it must still yield a settle-latency sample.
+  sim::ManualClockSource clock{kTimeZero + std::chrono::seconds{1}};
+  ReplayConfig cfg = replay_config(2, 2);
+  cfg.clock = &clock;
+  const ReplayResult stamped = run_replay(cfg);
+  EXPECT_EQ(stamped.stats.settle_latency.count(), stamped.stats.ingested);
+  EXPECT_EQ(stamped.stats.ingested,
+            kDevices * kCycles + std::uint64_t{stamped.cells} * kCycles);
+
+  // The stamps change no result.
+  const ReplayResult plain = run_replay(replay_config(2, 2));
+  EXPECT_EQ(plain.stats.settle_latency.count(), 0u);
+  EXPECT_EQ(stamped.fleet_digest, plain.fleet_digest);
+  EXPECT_EQ(stamped.stats.billed_tlc, plain.stats.billed_tlc);
+  EXPECT_EQ(stamped.stats.ofcs_chain, plain.stats.ofcs_chain);
 }
 
 }  // namespace

@@ -2,15 +2,33 @@
 
 #include <stdexcept>
 
+#include "common/hot.hpp"
+
 namespace tlc::crypto {
 namespace {
 
 /// Thread-local incremental hasher: tree construction and the verify hot
 /// loop hash two or three short spans per node, and the Sha256 wrapper
-/// already reuses its EVP context across finish() calls.
+/// fetches SHA-256 once and reuses its EVP context across finish() calls.
 Sha256& hasher() {
   thread_local Sha256 h;
   return h;
+}
+
+/// Calls `visit(sibling)` for every level at which leaf `index` has a
+/// sibling, leaf level upward, stopping early when `visit` returns false;
+/// returns whether the walk ran to the root. The one sibling walk that
+/// prove() records and matches() compares.
+template <typename Visit>
+bool walk_siblings(const std::vector<std::vector<Digest>>& levels,
+                   std::size_t index, Visit&& visit) {
+  for (std::size_t level = 0; level + 1 < levels.size(); ++level) {
+    const std::vector<Digest>& nodes = levels[level];
+    const std::size_t sibling = index ^ 1;
+    if (sibling < nodes.size() && !visit(nodes[sibling])) return false;
+    index /= 2;
+  }
+  return true;
 }
 
 constexpr std::uint8_t kLeafTag = 0x00;
@@ -19,14 +37,14 @@ constexpr std::uint8_t kChainTag = 0x02;
 
 }  // namespace
 
-Digest leaf_digest(std::span<const std::uint8_t> data) {
+TLC_HOT Digest leaf_digest(std::span<const std::uint8_t> data) {
   Sha256& h = hasher();
   h.update(std::span{&kLeafTag, 1});
   h.update(data);
   return h.finish();
 }
 
-Digest node_digest(const Digest& left, const Digest& right) {
+TLC_HOT Digest node_digest(const Digest& left, const Digest& right) {
   Sha256& h = hasher();
   h.update(std::span{&kNodeTag, 1});
   h.update(left);
@@ -34,8 +52,8 @@ Digest node_digest(const Digest& left, const Digest& right) {
   return h.finish();
 }
 
-Digest chain_link(const Digest& prev_link, const Digest& root,
-                  std::uint64_t batch_index) {
+TLC_HOT Digest chain_link(const Digest& prev_link, const Digest& root,
+                          std::uint64_t batch_index) {
   std::uint8_t index_be[8];
   for (int i = 0; i < 8; ++i) {
     index_be[i] = static_cast<std::uint8_t>(batch_index >> (56 - 8 * i));
@@ -74,14 +92,24 @@ InclusionProof MerkleTree::prove(std::uint32_t index) const {
   InclusionProof proof;
   proof.leaf_index = index;
   proof.leaf_count = leaf_count();
-  std::size_t i = index;
-  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const std::vector<Digest>& nodes = levels_[level];
-    const std::size_t sibling = i ^ 1;
-    if (sibling < nodes.size()) proof.path.push_back(nodes[sibling]);
-    i /= 2;
-  }
+  walk_siblings(levels_, index, [&proof](const Digest& sibling) {
+    proof.path.push_back(sibling);
+    return true;
+  });
   return proof;
+}
+
+TLC_HOT bool MerkleTree::matches(const InclusionProof& proof) const {
+  if (proof.leaf_count != leaf_count() || proof.leaf_index >= leaf_count()) {
+    return false;
+  }
+  std::size_t consumed = 0;
+  const bool all_equal =
+      walk_siblings(levels_, proof.leaf_index, [&](const Digest& sibling) {
+        return consumed < proof.path.size() &&
+               proof.path[consumed++] == sibling;
+      });
+  return all_equal && consumed == proof.path.size();
 }
 
 bool verify_inclusion(const Digest& root, const Digest& leaf,

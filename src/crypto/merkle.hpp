@@ -64,6 +64,12 @@ class MerkleTree {
   /// Audit path for leaf `index`; throws std::out_of_range past the end.
   [[nodiscard]] InclusionProof prove(std::uint32_t index) const;
 
+  /// True iff `proof == prove(proof.leaf_index)`: same index, same count,
+  /// every sibling equal and the path exactly as long. Walks the stored
+  /// levels instead of building a proof, so it performs no allocation —
+  /// the verifier checks every carried proof of a canonical batch this way.
+  [[nodiscard]] bool matches(const InclusionProof& proof) const;
+
  private:
   MerkleTree() = default;
   std::vector<std::vector<Digest>> levels_;  // levels_[0] = leaves

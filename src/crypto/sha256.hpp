@@ -17,7 +17,10 @@ using Digest = std::array<std::uint8_t, 32>;
 /// Convenience: hex string of the digest.
 [[nodiscard]] std::string sha256_hex(std::span<const std::uint8_t> data);
 
-/// Incremental hasher for multi-part messages.
+/// Incremental hasher for multi-part messages. The constructor fetches
+/// SHA-256 once; finish() re-arms the same context, so a long-lived
+/// (e.g. thread-local) hasher pays no fetch and no EVP_MD_CTX allocation
+/// per digest.
 class Sha256 {
  public:
   Sha256();

@@ -14,9 +14,8 @@ constexpr std::uint8_t kBatchVersion = 1;
 void write_digest(wire::Writer& w, const crypto::Digest& d) { w.raw(d); }
 
 crypto::Digest read_digest(wire::Reader& r) {
-  const ByteVec raw = r.raw(32);
   crypto::Digest d{};
-  std::copy(raw.begin(), raw.end(), d.begin());
+  r.raw_into(d);
   return d;
 }
 

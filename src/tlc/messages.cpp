@@ -43,9 +43,8 @@ PlanEcho read_plan(wire::Reader& r) {
 void write_nonce(wire::Writer& w, const Nonce& n) { w.raw(n); }
 
 Nonce read_nonce(wire::Reader& r) {
-  const ByteVec raw = r.raw(16);
   Nonce n{};
-  std::copy(raw.begin(), raw.end(), n.begin());
+  r.raw_into(n);
   return n;
 }
 

@@ -230,19 +230,20 @@ BatchAudit BatchedVerifier::verify_batch(const ReceiptBatch& batch,
   next_index_ = batch.head.batch_index + 1;
 
   // Fast path for a complete in-order batch: rebuild the tree once (n−1
-  // node hashes instead of n·log n across per-entry proofs) and reduce
-  // each carried proof to a digest comparison against the canonical one —
-  // equivalent to verify_inclusion barring a SHA-256 collision. Falls back
-  // to per-entry proof verification when the root disagrees (a tampered
-  // payload) so the audit still names the exact bad entries.
+  // node hashes instead of n·log n across per-entry proofs) and check each
+  // carried proof in place against the rebuilt levels — equivalent to
+  // verify_inclusion barring a SHA-256 collision. Falls back to per-entry
+  // proof verification when the root disagrees (a tampered payload) so the
+  // audit still names the exact bad entries; the fallback reuses the leaf
+  // digests the rebuild already hashed.
   bool canonical = batch.entries.size() == batch.head.count;
   for (std::size_t i = 0; canonical && i < batch.entries.size(); ++i) {
     canonical = batch.entries[i].proof.leaf_index == i &&
                 batch.entries[i].proof.leaf_count == batch.head.count;
   }
+  std::vector<crypto::Digest> leaves;
   std::optional<crypto::MerkleTree> tree;
   if (canonical) {
-    std::vector<crypto::Digest> leaves;
     leaves.reserve(batch.entries.size());
     for (const BatchEntry& e : batch.entries) {
       leaves.push_back(crypto::leaf_digest(e.poc));
@@ -258,10 +259,12 @@ BatchAudit BatchedVerifier::verify_batch(const ReceiptBatch& batch,
     // then do the structural Algorithm 2 checks (sans RSA) run.
     const bool included =
         tree.has_value()
-            ? tree->prove(static_cast<std::uint32_t>(i)) == e.proof
+            ? tree->matches(e.proof)
             : (e.proof.leaf_count == batch.head.count &&
-               crypto::verify_inclusion(batch.head.root,
-                                        crypto::leaf_digest(e.poc), e.proof));
+               crypto::verify_inclusion(
+                   batch.head.root,
+                   canonical ? leaves[i] : crypto::leaf_digest(e.poc),
+                   e.proof));
     if (!included) {
       audit.receipts.push_back(VerifyResult::kBadInclusionProof);
       ++audit.rejected;

@@ -5,6 +5,13 @@
 #include "common/hot.hpp"
 
 namespace tlc::wire {
+namespace {
+
+/// The smallest encoded entry: payload length, leaf index, leaf count and
+/// path length, with an empty payload and path.
+constexpr std::size_t kMinEntryBytes = 4 + 4 + 4 + 1;
+
+}  // namespace
 
 TLC_HOT ByteVec encode_batch_frame(const BatchFrame& frame) {
   Writer w;
@@ -46,9 +53,15 @@ TLC_HOT BatchFrame decode_batch_frame(std::span<const std::uint8_t> data) {
   f.header.span_id = r.u64();
   f.head = r.bytes();
   const std::uint32_t count = r.u32();
+  // The count comes off the wire: bound it by what the rest of the frame
+  // can hold before reserving for it.
+  if (count > r.remaining() / kMinEntryBytes) {
+    // tlc-lint: allow(hot-path-alloc): reject path for tampered frames
+    throw DecodeError{"batch-frame: entry count exceeds the frame"};
+  }
   f.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    BatchFrameEntry e;
+    BatchFrameEntry& e = f.entries.emplace_back();
     e.payload = r.bytes();
     e.leaf_index = r.u32();
     e.leaf_count = r.u32();
@@ -59,12 +72,8 @@ TLC_HOT BatchFrame decode_batch_frame(std::span<const std::uint8_t> data) {
     }
     e.path.reserve(path_len);
     for (std::uint8_t j = 0; j < path_len; ++j) {
-      const ByteVec raw = r.raw(32);
-      Digest32 d{};
-      std::copy(raw.begin(), raw.end(), d.begin());
-      e.path.push_back(d);
+      r.raw_into(e.path.emplace_back());
     }
-    f.entries.push_back(std::move(e));
   }
   r.expect_end();
   return f;

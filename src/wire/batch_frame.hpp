@@ -49,8 +49,8 @@ struct BatchFrame {
 
 [[nodiscard]] ByteVec encode_batch_frame(const BatchFrame& frame);
 
-/// Throws DecodeError on bad magic, unknown version, truncation, or an
-/// oversized proof path.
+/// Throws DecodeError on bad magic, unknown version, truncation, an entry
+/// count the frame cannot hold, or an oversized proof path.
 [[nodiscard]] BatchFrame decode_batch_frame(std::span<const std::uint8_t> data);
 
 }  // namespace tlc::wire

@@ -1,5 +1,6 @@
 #include "wire/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -94,6 +95,13 @@ TLC_HOT ByteVec Reader::raw(std::size_t n) {
               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
+}
+
+TLC_HOT void Reader::raw_into(std::span<std::uint8_t> out) {
+  need(out.size());
+  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), out.size(),
+              out.begin());
+  pos_ += out.size();
 }
 
 TLC_HOT void Reader::expect_end() const {

@@ -65,6 +65,10 @@ class Reader {
   [[nodiscard]] ByteVec bytes();
   [[nodiscard]] std::string string();
   [[nodiscard]] ByteVec raw(std::size_t n);
+  /// Fills `out` with the next out.size() bytes (no length prefix): the
+  /// read for fixed-width fields, which decodes them in place instead of
+  /// allocating a ByteVec per field.
+  void raw_into(std::span<std::uint8_t> out);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return remaining() == 0; }

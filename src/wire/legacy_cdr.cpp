@@ -72,8 +72,7 @@ LegacyCdr decode_legacy_cdr(std::span<const std::uint8_t> data) {
   }
   Reader r{data};
   LegacyCdr cdr;
-  const ByteVec imsi = r.raw(8);
-  std::copy(imsi.begin(), imsi.end(), cdr.served_imsi.begin());
+  r.raw_into(cdr.served_imsi);
   cdr.gateway_address = r.u32();
   cdr.charging_id = r.u32();
   cdr.sequence_number = r.u32();

@@ -1,6 +1,7 @@
 // Merkle tree + hash chain (crypto/merkle.hpp): domain-separated hashing,
-// odd-leaf promotion, inclusion proofs that reject truncation and padding,
-// and the batch-head chain link.
+// odd-leaf promotion, inclusion proofs that reject truncation and padding
+// (both when recomputed from a leaf and when checked in place against the
+// tree), and the batch-head chain link.
 #include "crypto/merkle.hpp"
 
 #include <gtest/gtest.h>
@@ -66,6 +67,15 @@ TEST(Merkle, EveryLeafProvesAtEveryCount) {
       EXPECT_EQ(proof.leaf_count, n);
       EXPECT_TRUE(verify_inclusion(tree.root(), leaves[i], proof))
           << "n=" << n << " i=" << i;
+      EXPECT_TRUE(tree.matches(proof)) << "n=" << n << " i=" << i;
+      // The in-place check agrees with building the proof: leaf j's path
+      // presented as leaf i's matches exactly when the two paths coincide.
+      for (std::uint32_t j = 0; j < n; ++j) {
+        InclusionProof carried = tree.prove(j);
+        carried.leaf_index = i;
+        EXPECT_EQ(tree.matches(carried), proof == carried)
+            << "n=" << n << " i=" << i << " j=" << j;
+      }
     }
   }
 }
@@ -88,6 +98,12 @@ TEST(Merkle, RejectsWrongLeafAndWrongIndex) {
   InclusionProof moved = proof;
   moved.leaf_index = 2;
   EXPECT_FALSE(verify_inclusion(tree.root(), leaves[3], moved));
+  EXPECT_FALSE(tree.matches(moved));
+  moved.leaf_index = 8;  // past the end: rejected, not thrown
+  EXPECT_FALSE(tree.matches(moved));
+  InclusionProof recounted = proof;
+  recounted.leaf_count = 9;
+  EXPECT_FALSE(tree.matches(recounted));
 }
 
 TEST(Merkle, RejectsTruncatedAndPaddedPaths) {
@@ -99,14 +115,17 @@ TEST(Merkle, RejectsTruncatedAndPaddedPaths) {
   InclusionProof truncated = proof;
   truncated.path.pop_back();
   EXPECT_FALSE(verify_inclusion(tree.root(), leaves[5], truncated));
+  EXPECT_FALSE(tree.matches(truncated));
 
   InclusionProof padded = proof;
   padded.path.push_back(Digest{});
   EXPECT_FALSE(verify_inclusion(tree.root(), leaves[5], padded));
+  EXPECT_FALSE(tree.matches(padded));
 
   InclusionProof empty = proof;
   empty.path.clear();
   EXPECT_FALSE(verify_inclusion(tree.root(), leaves[5], empty));
+  EXPECT_FALSE(tree.matches(empty));
 }
 
 TEST(Merkle, RejectsTamperedSibling) {
@@ -116,6 +135,7 @@ TEST(Merkle, RejectsTamperedSibling) {
   ASSERT_FALSE(proof.path.empty());
   proof.path[0][7] ^= 0x01;
   EXPECT_FALSE(verify_inclusion(tree.root(), leaves[2], proof));
+  EXPECT_FALSE(tree.matches(proof));
 }
 
 TEST(Merkle, ProveThrowsPastTheEnd) {

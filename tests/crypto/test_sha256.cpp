@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "common/hex.hpp"
 
 namespace tlc::crypto {
@@ -42,6 +44,29 @@ TEST(Sha256, FinishResetsForReuse) {
   hasher.update(as_bytes("abc"));
   EXPECT_EQ(to_hex(hasher.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+
+  // The empty message right after a reset: nothing of "abc" survives it.
+  EXPECT_EQ(to_hex(hasher.finish()),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+
+  // Hundreds of resets of one context, cycling through the known answers
+  // (one block, empty, two blocks).
+  struct KnownAnswer {
+    std::string_view message;
+    std::string_view digest;
+  };
+  constexpr KnownAnswer kAnswers[] = {
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+  };
+  for (int i = 0; i < 300; ++i) {
+    const KnownAnswer& answer = kAnswers[i % 3];
+    hasher.update(as_bytes(answer.message));
+    EXPECT_EQ(to_hex(hasher.finish()), answer.digest) << "digest " << i;
+  }
 }
 
 TEST(Sha256, DifferentInputsDiffer) {

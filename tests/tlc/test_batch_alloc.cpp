@@ -1,4 +1,5 @@
-// Proves the batch-verify hot loop is allocation-free in steady state.
+// Proves the batch-verify hot loop is allocation-free in steady state, and
+// pins how often the batch-audit decoders allocate.
 //
 // A global operator-new hook counts heap allocations while armed (the
 // idiom of sim/test_scheduler_alloc.cpp). After one warm-up pass that
@@ -6,9 +7,11 @@
 // scratch writer, BatchedVerifier::check_integrity — one cached-context
 // RSA check plus per-entry Merkle inclusion walks — must perform exactly
 // zero C++ heap allocations, and so must crypto::verify_digest on its
-// own. OpenSSL's internal CRYPTO_malloc traffic is invisible to the hook
-// by design; the property under test is that OUR layer stays off the
-// heap per verified batch.
+// own and MerkleTree::matches, the in-place proof check. The receipt and
+// batch-frame decoders allocate once per variable-length field and never
+// for a fixed-width one (nonce, digest). OpenSSL's internal CRYPTO_malloc
+// traffic is invisible to the hook by design; the property under test is
+// that OUR layer stays off the heap per verified batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,10 +21,12 @@
 #include <optional>
 #include <vector>
 
+#include "crypto/merkle.hpp"
 #include "crypto/signer.hpp"
 #include "tlc/batch.hpp"
 #include "tlc/protocol_fixture.hpp"
 #include "tlc/verifier.hpp"
+#include "wire/batch_frame.hpp"
 
 namespace {
 
@@ -125,6 +130,69 @@ TEST_F(BatchAllocTest, VerifyDigestIsAllocationFreeOncePerKeyCached) {
   }
   EXPECT_EQ(observed, 0u) << "verify_digest allocated with a cached context";
   EXPECT_EQ(ok, kRounds);
+}
+
+TEST_F(BatchAllocTest, InPlaceProofCheckIsAllocationFree) {
+  std::vector<crypto::Digest> leaves(64);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    leaves[i].fill(static_cast<std::uint8_t>(i));
+  }
+  const crypto::MerkleTree tree = crypto::MerkleTree::build(leaves);
+  std::vector<crypto::InclusionProof> proofs;
+  for (std::uint32_t i = 0; i < tree.leaf_count(); ++i) {
+    proofs.push_back(tree.prove(i));
+  }
+
+  std::uint64_t observed = 0;
+  std::size_t matched = 0;
+  {
+    AllocationWindow window;
+    for (int round = 0; round < kRounds; ++round) {
+      for (const crypto::InclusionProof& proof : proofs) {
+        if (tree.matches(proof)) ++matched;
+      }
+    }
+    observed = window.count();
+  }
+  EXPECT_EQ(observed, 0u) << "MerkleTree::matches allocated";
+  EXPECT_EQ(matched, static_cast<std::size_t>(kRounds) * proofs.size());
+}
+
+TEST_F(BatchAllocTest, ReceiptDecodeAllocatesOncePerVariableLengthField) {
+  const ByteVec poc_bytes = make_valid_poc(kView, kView, 900).encode();
+  const PocMsg poc = PocMsg::decode(poc_bytes);
+  const CdaMsg cda = CdaMsg::decode(poc.peer_cda);
+
+  const auto allocations = [](auto decode) {
+    AllocationWindow window;
+    const auto decoded = decode();
+    return window.count();
+  };
+  // PoC: peer CDA and signature. CDA: peer CDR and signature. CDR: the
+  // signature. Nonces decode in place.
+  EXPECT_EQ(allocations([&] { return PocMsg::decode(poc_bytes); }), 2u);
+  EXPECT_EQ(allocations([&] { return CdaMsg::decode(poc.peer_cda); }), 2u);
+  EXPECT_EQ(allocations([&] { return CdrMsg::decode(cda.peer_cdr); }), 1u);
+}
+
+TEST_F(BatchAllocTest, BatchFrameDecodeAllocatesPerEntryNotPerDigest) {
+  const auto allocations = [](const ByteVec& bytes) {
+    AllocationWindow window;
+    const wire::BatchFrame frame = wire::decode_batch_frame(bytes);
+    return window.count();
+  };
+  const auto frame_bytes = [](const ReceiptBatch& batch) {
+    return wire::encode_batch_frame(to_batch_frame(batch, {}));
+  };
+  // Per frame: the head bytes and the entry vector. Per entry: the payload
+  // and the proof path, however many digests the path holds (1 at two
+  // leaves, 6 at 64).
+  constexpr std::uint64_t kPerFrame = 2;
+  constexpr std::uint64_t kPerEntry = 2;
+  EXPECT_EQ(allocations(frame_bytes(make_batch(2, 700))),
+            kPerFrame + 2 * kPerEntry);
+  EXPECT_EQ(allocations(frame_bytes(make_batch(64, 800))),
+            kPerFrame + 64 * kPerEntry);
 }
 
 TEST_F(BatchAllocTest, HookCountsWhenArmed) {

@@ -1,10 +1,17 @@
 // Robustness fuzzing: malformed and mutated inputs must be rejected
 // cleanly (DecodeError or a verification failure), never crash, and —
-// most importantly — a mutated Proof-of-Charging must NEVER verify.
+// most importantly — a mutated Proof-of-Charging must NEVER verify, and a
+// mutated batch frame must never get a foreign receipt or extra volume
+// accepted.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+
 #include "common/rng.hpp"
+#include "tlc/batch.hpp"
 #include "tlc/protocol_fixture.hpp"
+#include "wire/batch_frame.hpp"
 #include "wire/codec.hpp"
 #include "wire/legacy_cdr.hpp"
 
@@ -77,6 +84,102 @@ TEST_F(FuzzTest, TruncationsNeverVerify) {
   }
 }
 
+TEST_F(FuzzTest, BatchFrameMutationsNeverInflateTheAudit) {
+  // Golden: an 8-receipt batch frame with a non-zero per-hop header.
+  BatchBuilder builder{operator_keys(), PartyRole::kCellularOperator,
+                       FlushPolicy{8, false}};
+  std::optional<ReceiptBatch> batch;
+  for (int i = 0; i < 8; ++i) {
+    auto closed = builder.append(make_valid_poc(kView, kView, 60 + 2 * i),
+                                 /*cycle=*/3);
+    if (closed) batch = std::move(closed);
+  }
+  ASSERT_TRUE(batch.has_value());
+  wire::FrameHeader header;
+  header.trace_id = 0x0123456789ABCDEFULL;
+  header.span_id = 0xFEDCBA9876543210ULL;
+  header.attempt = 1;
+  const ByteVec original =
+      wire::encode_batch_frame(to_batch_frame(*batch, header));
+
+  struct Outcome {
+    bool decoded = false;
+    ReceiptBatch batch;
+    BatchAudit audit;
+  };
+  // decode → from_batch_frame → verify_batch on a fresh verifier. Only
+  // DecodeError may end the run early; any other exception is a failure.
+  const auto run = [](std::span<const std::uint8_t> bytes,
+                      std::size_t mutant) {
+    Outcome out;
+    try {
+      out.batch = from_batch_frame(wire::decode_batch_frame(bytes));
+      out.decoded = true;
+      BatchedVerifier verifier{edge_keys().public_key(),
+                               operator_keys().public_key(), plan()};
+      out.audit = verifier.verify_batch(out.batch);
+    } catch (const wire::DecodeError&) {
+      out.decoded = false;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << mutant << " threw " << e.what();
+      out.decoded = false;
+    }
+    return out;
+  };
+  const Outcome golden = run(original, 0);
+  ASSERT_TRUE(golden.decoded);
+  ASSERT_EQ(golden.audit.head, BatchVerifyResult::kOk);
+  ASSERT_EQ(golden.audit.accepted, 8u);
+
+  // Every accepted receipt carries the original's payload at its position,
+  // and the accepted volume never grows.
+  const auto expect_no_inflation = [&](const Outcome& got,
+                                       std::size_t mutant) {
+    if (!got.decoded) return;
+    EXPECT_LE(got.audit.total_verified_volume.count(),
+              golden.audit.total_verified_volume.count())
+        << "mutant " << mutant;
+    for (std::size_t i = 0; i < got.audit.receipts.size(); ++i) {
+      if (got.audit.receipts[i] != VerifyResult::kOk) continue;
+      EXPECT_TRUE(i < golden.batch.entries.size() &&
+                  got.batch.entries[i].poc == golden.batch.entries[i].poc)
+          << "mutant " << mutant << " accepted a foreign receipt " << i;
+    }
+  };
+
+  // One bit flip at every byte offset. Offsets 5..21 are the unsigned
+  // per-hop header (attempt, trace id, span id): those mutants must audit
+  // exactly like the original.
+  constexpr std::size_t kHeaderBegin = 5;
+  constexpr std::size_t kHeaderEnd = 22;
+  Rng rng{2027};
+  for (std::size_t offset = 0; offset < original.size(); ++offset) {
+    ByteVec mutant = original;
+    mutant[offset] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+    const Outcome got = run(mutant, offset);
+    expect_no_inflation(got, offset);
+    if (offset >= kHeaderBegin && offset < kHeaderEnd) {
+      ASSERT_TRUE(got.decoded) << "header mutant " << offset;
+      EXPECT_EQ(got.audit.head, golden.audit.head) << offset;
+      EXPECT_EQ(got.audit.receipts, golden.audit.receipts) << offset;
+      EXPECT_EQ(got.audit.accepted, golden.audit.accepted) << offset;
+      EXPECT_EQ(got.audit.rejected, golden.audit.rejected) << offset;
+      EXPECT_EQ(got.audit.total_verified_volume,
+                golden.audit.total_verified_volume)
+          << offset;
+    }
+  }
+
+  // Truncations at the steps TruncationsNeverVerify uses.
+  for (std::size_t keep = 0; keep < original.size();
+       keep += std::max<std::size_t>(1, original.size() / 64)) {
+    const std::span<const std::uint8_t> prefix{original.data(), keep};
+    const Outcome got = run(prefix, keep);
+    EXPECT_FALSE(got.decoded) << "truncation to " << keep << " decoded";
+    expect_no_inflation(got, keep);
+  }
+}
+
 TEST_F(FuzzTest, RandomBytesNeverDecodeAsLegacyCdr) {
   Rng rng{99};
   for (int trial = 0; trial < 200; ++trial) {
@@ -106,13 +209,15 @@ TEST_F(FuzzTest, ReaderNeverReadsOutOfBounds) {
     try {
       // A random sequence of reads either succeeds within bounds or
       // throws DecodeError; UB would be caught by sanitizers/asserts.
+      std::array<std::uint8_t, 16> fixed{};
       while (!r.at_end()) {
-        switch (rng.uniform_int(0, 4)) {
+        switch (rng.uniform_int(0, 5)) {
           case 0: (void)r.u8(); break;
           case 1: (void)r.u16(); break;
           case 2: (void)r.u32(); break;
           case 3: (void)r.u64(); break;
           case 4: (void)r.bytes(); break;
+          case 5: r.raw_into(fixed); break;
         }
       }
     } catch (const wire::DecodeError&) {

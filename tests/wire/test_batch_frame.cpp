@@ -1,6 +1,7 @@
 // Batch-frame codec (wire/batch_frame.hpp): bit-exact round-trips for the
 // head bytes and every payload/proof, plus rejection of bad magic, unknown
-// versions, truncation, and oversized proof paths.
+// versions, truncation, entry counts the frame cannot hold, and oversized
+// proof paths.
 #include "wire/batch_frame.hpp"
 
 #include <gtest/gtest.h>
@@ -83,6 +84,24 @@ TEST(BatchFrame, RejectsTruncation) {
     EXPECT_THROW((void)decode_batch_frame(prefix), DecodeError) << cut;
   }
   EXPECT_THROW((void)decode_batch_frame(ByteVec{}), DecodeError);
+}
+
+TEST(BatchFrame, RejectsEntryCountBeyondFrame) {
+  // The count is read before any entry: a count the remaining bytes cannot
+  // hold must be a DecodeError, never an allocation sized by the wire.
+  const BatchFrame frame = sample_frame();
+  const ByteVec bytes = encode_batch_frame(frame);
+  const std::size_t count_at = kFrameOverhead + frame.head.size();
+  const auto with_count = [&](std::uint32_t count) {
+    ByteVec out = bytes;
+    for (std::size_t i = 0; i < 4; ++i) {
+      out[count_at + i] = static_cast<std::uint8_t>(count >> (24 - 8 * i));
+    }
+    return out;
+  };
+  ASSERT_EQ(decode_batch_frame(with_count(2)).entries.size(), 2u);
+  EXPECT_THROW((void)decode_batch_frame(with_count(0xFFFFFFFFu)), DecodeError);
+  EXPECT_THROW((void)decode_batch_frame(with_count(3)), DecodeError);
 }
 
 TEST(BatchFrame, RejectsOversizedProofPath) {

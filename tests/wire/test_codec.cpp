@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -64,6 +66,13 @@ TEST(Codec, RawHasNoLengthPrefix) {
   EXPECT_EQ(w.size(), 3u);
   Reader r{w.buffer()};
   EXPECT_EQ(r.raw(3), raw);
+
+  // The fixed-width read fills a caller's array from the same bytes.
+  Reader fixed{w.buffer()};
+  std::array<std::uint8_t, 3> field{};
+  fixed.raw_into(field);
+  EXPECT_TRUE(std::equal(field.begin(), field.end(), raw.begin()));
+  EXPECT_TRUE(fixed.at_end());
 }
 
 TEST(Codec, TruncatedReadThrows) {
@@ -71,6 +80,8 @@ TEST(Codec, TruncatedReadThrows) {
   w.u16(0x1234);
   Reader r{w.buffer()};
   EXPECT_THROW((void)r.u32(), DecodeError);
+  std::array<std::uint8_t, 4> field{};
+  EXPECT_THROW(r.raw_into(field), DecodeError);
 }
 
 TEST(Codec, TruncatedBytesThrows) {

@@ -341,6 +341,10 @@ void rule_hot_path(const std::vector<const Token*>& ct,
                    const std::vector<Region>& regions, Sink& sink) {
   static const std::set<std::string> kBannedCalls = {
       "malloc", "calloc", "realloc", "strdup", "make_unique", "make_shared"};
+  // Each makes OpenSSL 3 look the digest up in its provider store: an
+  // explicit fetch, or (EVP_sha256 passed to an init) an implicit one.
+  static const std::set<std::string> kFetchCalls = {
+      "EVP_sha256", "EVP_get_digestbyname", "EVP_MD_fetch"};
   // open-brace code index -> region
   std::map<std::size_t, const Region*> by_open;
   for (const Region& r : regions) by_open[r.open] = &r;
@@ -389,6 +393,12 @@ void rule_hot_path(const std::vector<const Token*>& ct,
                     "'" + t.text +
                         "' allocates inside a TLC_HOT function; hot paths "
                         "must not allocate");
+      } else if (kFetchCalls.count(t.text) > 0 && j + 1 < ct.size() &&
+                 is_punct(*ct[j + 1], "(")) {
+        sink.report(t.line, kHotPathAlloc,
+                    "'" + t.text +
+                        "' looks up a digest algorithm inside a TLC_HOT "
+                        "function; fetch once per context, off the hot path");
       }
     }
   }

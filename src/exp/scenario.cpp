@@ -209,7 +209,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 
   source->start(end);
   bed.run_until(drain_end);
-  bed.obs().trace.close_jsonl();
+  if (!bed.obs().trace.close_jsonl()) {
+    log_warn("scenario: writing trace file ", config.trace_jsonl_path,
+             " failed; the JSONL trace is incomplete");
+  }
 
   ScenarioResult result;
   result.config = config;
@@ -263,13 +266,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
     result.batch_audit = summary;
   }
-  {
-    const std::vector<obs::TraceEvent> ring = bed.obs().trace.events();
-    const std::size_t keep = std::min<std::size_t>(ring.size(), 64);
-    result.trace_tail.reserve(keep);
-    for (std::size_t i = ring.size() - keep; i < ring.size(); ++i) {
-      result.trace_tail.push_back(ring[i].to_jsonl());
-    }
+  for (const obs::TraceEvent& ev : bed.obs().trace.tail(64)) {
+    result.trace_tail.push_back(ev.to_jsonl());
   }
   result.measured_app_mbps =
       source->bytes_emitted().as_double() * 8.0 /

@@ -85,10 +85,10 @@ void CellLink::set_observability(obs::Obs* obs, std::string prefix) {
   m_queue_wait_ = &obs_->metrics.log_histogram(component_ + ".queue_wait_ns");
 }
 
-void CellLink::emit_packet_span(const Packet& packet, std::string_view name,
-                                std::uint64_t salt, TimePoint begin,
-                                TimePoint end,
-                                std::vector<obs::TraceField> end_fields) {
+void CellLink::emit_packet_span(
+    const Packet& packet, std::string_view name, std::uint64_t salt,
+    TimePoint begin, TimePoint end,
+    std::initializer_list<obs::TraceArg> end_fields) {
 #if TLC_TRACE_ENABLED
   if (obs_ == nullptr || packet.trace_id == 0) return;
   const obs::SpanContext parent{packet.trace_id, packet.span_id};
@@ -96,7 +96,7 @@ void CellLink::emit_packet_span(const Packet& packet, std::string_view name,
       packet.trace_id, packet.id ^ comp_salt_, salt);
   const obs::SpanContext span = obs_->spans.child_with_id_at(
       begin, component_, name, parent, span_id);
-  obs_->spans.end_at(end, component_, span, std::move(end_fields));
+  obs_->spans.end_at(end, component_, span, end_fields);
 #else
   static_cast<void>(packet);
   static_cast<void>(name);

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -127,10 +128,11 @@ class CellLink {
   void report_drop(const Packet& packet, DropCause cause);
   void note_queue_gauges();
   /// Emits a completed [begin, end] span for a traced packet's queue
-  /// residency or link transit, with a derived (stateless) span ID.
+  /// residency or link transit, with a derived (stateless) span ID. An
+  /// untraced packet returns before anything is built.
   void emit_packet_span(const Packet& packet, std::string_view name,
                         std::uint64_t salt, TimePoint begin, TimePoint end,
-                        std::vector<obs::TraceField> end_fields);
+                        std::initializer_list<obs::TraceArg> end_fields);
 
   sim::Scheduler& sched_;
   Config config_;

@@ -1,5 +1,6 @@
 #include "obs/span.hpp"
 
+#include "common/hot.hpp"
 #include "common/rng.hpp"
 
 namespace tlc::obs {
@@ -42,127 +43,107 @@ std::string span_hex(std::uint64_t id) {
   return out;
 }
 
-TraceField trace_field(const SpanContext& ctx) {
-  return field("trace", span_hex(ctx.trace_id));
-}
-
-TraceField span_field(const SpanContext& ctx) {
-  return field("span", span_hex(ctx.span_id));
-}
-
-SpanContext Tracer::begin(bool use_clock, TimePoint t,
-                          std::string_view component, std::string_view name,
-                          std::uint64_t trace_id, std::uint64_t parent_span,
-                          std::uint64_t span_id,
-                          std::vector<TraceField> fields) {
+TLC_HOT SpanContext Tracer::begin(bool use_clock, TimePoint t,
+                                  std::string_view component,
+                                  std::string_view name,
+                                  std::uint64_t trace_id,
+                                  std::uint64_t parent_span,
+                                  std::uint64_t span_id,
+                                  std::span<const TraceArg> fields) {
   if (sink_ == nullptr || trace_id == 0) return {};
   const SpanContext ctx{trace_id, span_id};
   if (sink_->enabled(component, TraceLevel::kInfo)) {
-    std::vector<TraceField> all;
-    all.reserve(fields.size() + 4);
-    all.push_back(trace_field(ctx));
-    all.push_back(span_field(ctx));
-    if (parent_span != 0) {
-      all.push_back(field("parent", span_hex(parent_span)));
-    }
-    all.push_back(field("name", name));
-    for (TraceField& f : fields) all.push_back(std::move(f));
-    if (use_clock) {
-      sink_->emit(component, "span_begin", std::move(all));
-    } else {
-      sink_->emit_at(t, component, "span_begin", std::move(all));
-    }
+    TraceArg ids[4];
+    std::size_t n = 0;
+    ids[n++] = trace_field(ctx);
+    ids[n++] = span_field(ctx);
+    if (parent_span != 0) ids[n++] = id_field("parent", parent_span);
+    ids[n++] = field("name", name);
+    sink_->record(use_clock ? sink_->now() : t, component, "span_begin",
+                  TraceLevel::kInfo, {ids, n}, fields);
   }
   return ctx;
 }
 
 SpanContext Tracer::root(std::string_view component, std::string_view name,
                          std::uint64_t trace_id,
-                         std::vector<TraceField> fields) {
+                         std::initializer_list<TraceArg> fields) {
   return begin(/*use_clock=*/true, kTimeZero, component, name, trace_id,
                /*parent_span=*/0,
                never_zero(stream_mix64(kAllocDomain ^ trace_id ^ ++next_)),
-               std::move(fields));
+               fields);
 }
 
 SpanContext Tracer::root_at(TimePoint t, std::string_view component,
                             std::string_view name, std::uint64_t trace_id,
-                            std::vector<TraceField> fields) {
+                            std::initializer_list<TraceArg> fields) {
   return begin(/*use_clock=*/false, t, component, name, trace_id,
                /*parent_span=*/0,
                never_zero(stream_mix64(kAllocDomain ^ trace_id ^ ++next_)),
-               std::move(fields));
+               fields);
 }
 
 SpanContext Tracer::child(std::string_view component, std::string_view name,
                           const SpanContext& parent,
-                          std::vector<TraceField> fields) {
+                          std::initializer_list<TraceArg> fields) {
   if (!parent.valid()) return {};
   return begin(/*use_clock=*/true, kTimeZero, component, name,
                parent.trace_id, parent.span_id,
                never_zero(
                    stream_mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
-               std::move(fields));
+               fields);
 }
 
 SpanContext Tracer::child_at(TimePoint t, std::string_view component,
                              std::string_view name, const SpanContext& parent,
-                             std::vector<TraceField> fields) {
+                             std::initializer_list<TraceArg> fields) {
   if (!parent.valid()) return {};
   return begin(/*use_clock=*/false, t, component, name, parent.trace_id,
                parent.span_id,
                never_zero(
                    stream_mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
-               std::move(fields));
+               fields);
 }
 
 SpanContext Tracer::child_with_id(std::string_view component,
                                   std::string_view name,
                                   const SpanContext& parent,
                                   std::uint64_t span_id,
-                                  std::vector<TraceField> fields) {
+                                  std::initializer_list<TraceArg> fields) {
   if (!parent.valid()) return {};
   return begin(/*use_clock=*/true, kTimeZero, component, name,
-               parent.trace_id, parent.span_id, never_zero(span_id),
-               std::move(fields));
+               parent.trace_id, parent.span_id, never_zero(span_id), fields);
 }
 
-SpanContext Tracer::child_with_id_at(TimePoint t, std::string_view component,
-                                     std::string_view name,
-                                     const SpanContext& parent,
-                                     std::uint64_t span_id,
-                                     std::vector<TraceField> fields) {
+TLC_HOT SpanContext Tracer::child_with_id_at(
+    TimePoint t, std::string_view component, std::string_view name,
+    const SpanContext& parent, std::uint64_t span_id,
+    std::initializer_list<TraceArg> fields) {
   if (!parent.valid()) return {};
   return begin(/*use_clock=*/false, t, component, name, parent.trace_id,
-               parent.span_id, never_zero(span_id), std::move(fields));
+               parent.span_id, never_zero(span_id), fields);
 }
 
 void Tracer::end(std::string_view component, const SpanContext& span,
-                 std::vector<TraceField> fields) {
-  end_common(/*use_clock=*/true, kTimeZero, component, span,
-             std::move(fields));
+                 std::initializer_list<TraceArg> fields) {
+  end_common(/*use_clock=*/true, kTimeZero, component, span, fields);
 }
 
-void Tracer::end_at(TimePoint t, std::string_view component,
-                    const SpanContext& span, std::vector<TraceField> fields) {
-  end_common(/*use_clock=*/false, t, component, span, std::move(fields));
+TLC_HOT void Tracer::end_at(TimePoint t, std::string_view component,
+                            const SpanContext& span,
+                            std::initializer_list<TraceArg> fields) {
+  end_common(/*use_clock=*/false, t, component, span, fields);
 }
 
-void Tracer::end_common(bool use_clock, TimePoint t,
-                        std::string_view component, const SpanContext& span,
-                        std::vector<TraceField> fields) {
+TLC_HOT void Tracer::end_common(bool use_clock, TimePoint t,
+                                std::string_view component,
+                                const SpanContext& span,
+                                std::span<const TraceArg> fields) {
   if (sink_ == nullptr || !span.valid()) return;
   if (!sink_->enabled(component, TraceLevel::kInfo)) return;
-  std::vector<TraceField> all;
-  all.reserve(fields.size() + 2);
-  all.push_back(trace_field(span));
-  all.push_back(span_field(span));
-  for (TraceField& f : fields) all.push_back(std::move(f));
-  if (use_clock) {
-    sink_->emit(component, "span_end", std::move(all));
-  } else {
-    sink_->emit_at(t, component, "span_end", std::move(all));
-  }
+  const TraceArg ids[] = {trace_field(span), span_field(span)};
+  sink_->record(use_clock ? sink_->now() : t, component, "span_end",
+                TraceLevel::kInfo, ids, fields);
 }
 
 }  // namespace tlc::obs

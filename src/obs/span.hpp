@@ -20,9 +20,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/units.hpp"
 #include "obs/trace.hpp"
@@ -55,15 +56,20 @@ struct SpanContext {
 /// 16-char lowercase hex, the canonical rendering of trace/span IDs.
 [[nodiscard]] std::string span_hex(std::uint64_t id);
 
-/// A "trace"/"span" (and optionally "parent") field triple for tagging an
-/// ordinary TLC_TRACE_EVENT with the span it belongs to.
-[[nodiscard]] TraceField trace_field(const SpanContext& ctx);
-[[nodiscard]] TraceField span_field(const SpanContext& ctx);
+/// The "trace" and "span" fields that tag an ordinary TLC_TRACE_EVENT
+/// with the span it belongs to (rendered on read as span_hex).
+[[nodiscard]] constexpr TraceArg trace_field(const SpanContext& ctx) {
+  return id_field("trace", ctx.trace_id);
+}
+[[nodiscard]] constexpr TraceArg span_field(const SpanContext& ctx) {
+  return id_field("span", ctx.span_id);
+}
 
 /// Emits span_begin / span_end events into a TraceSink. Owned by Obs as
 /// `spans`, next to the sink it writes through; all methods are no-ops on
 /// an invalid parent context or a null sink, so untraced packets cost one
-/// branch.
+/// branch. The id fields and the caller's `fields` reach the sink as two
+/// argument lists; nothing is copied or formatted in between.
 class Tracer {
  public:
   Tracer() = default;
@@ -73,36 +79,37 @@ class Tracer {
   /// derive_trace_id; the root's parent is 0.
   SpanContext root(std::string_view component, std::string_view name,
                    std::uint64_t trace_id,
-                   std::vector<TraceField> fields = {});
+                   std::initializer_list<TraceArg> fields = {});
   SpanContext root_at(TimePoint t, std::string_view component,
                       std::string_view name, std::uint64_t trace_id,
-                      std::vector<TraceField> fields = {});
+                      std::initializer_list<TraceArg> fields = {});
 
   /// Opens a child span under `parent` with a freshly allocated span ID.
   SpanContext child(std::string_view component, std::string_view name,
                     const SpanContext& parent,
-                    std::vector<TraceField> fields = {});
+                    std::initializer_list<TraceArg> fields = {});
   SpanContext child_at(TimePoint t, std::string_view component,
                        std::string_view name, const SpanContext& parent,
-                       std::vector<TraceField> fields = {});
+                       std::initializer_list<TraceArg> fields = {});
 
   /// Opens a child span whose ID the caller derived (derive_span_id), for
   /// stateless begin/end pairs split across call sites.
   SpanContext child_with_id(std::string_view component, std::string_view name,
                             const SpanContext& parent, std::uint64_t span_id,
-                            std::vector<TraceField> fields = {});
+                            std::initializer_list<TraceArg> fields = {});
   SpanContext child_with_id_at(TimePoint t, std::string_view component,
                                std::string_view name,
                                const SpanContext& parent,
                                std::uint64_t span_id,
-                               std::vector<TraceField> fields = {});
+                               std::initializer_list<TraceArg> fields = {});
 
   /// Closes `span` (root or child). Extra fields land on the span_end
   /// event — duration is reconstructed from the two timestamps.
   void end(std::string_view component, const SpanContext& span,
-           std::vector<TraceField> fields = {});
+           std::initializer_list<TraceArg> fields = {});
   void end_at(TimePoint t, std::string_view component,
-              const SpanContext& span, std::vector<TraceField> fields = {});
+              const SpanContext& span,
+              std::initializer_list<TraceArg> fields = {});
 
   [[nodiscard]] TraceSink* sink() const { return sink_; }
 
@@ -111,20 +118,20 @@ class Tracer {
   static SpanContext noop_begin(std::string_view /*component*/,
                                 std::string_view /*name*/,
                                 const SpanContext& /*parent*/,
-                                std::initializer_list<TraceField> /*fields*/) {
+                                std::initializer_list<TraceArg> /*fields*/) {
     return {};
   }
   static void noop_end(std::string_view /*component*/,
                        const SpanContext& /*span*/,
-                       std::initializer_list<TraceField> /*fields*/) {}
+                       std::initializer_list<TraceArg> /*fields*/) {}
 
  private:
   SpanContext begin(bool use_clock, TimePoint t, std::string_view component,
                     std::string_view name, std::uint64_t trace_id,
                     std::uint64_t parent_span, std::uint64_t span_id,
-                    std::vector<TraceField> fields);
+                    std::span<const TraceArg> fields);
   void end_common(bool use_clock, TimePoint t, std::string_view component,
-                  const SpanContext& span, std::vector<TraceField> fields);
+                  const SpanContext& span, std::span<const TraceArg> fields);
 
   TraceSink* sink_ = nullptr;
   std::uint64_t next_ = 0;  // allocator for child()/root() span IDs

@@ -1,13 +1,12 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+
+#include "common/hot.hpp"
 #include "obs/json.hpp"
+#include "obs/span.hpp"
 
 namespace tlc::obs {
-namespace {
-
-std::string format_double(double v) { return format_json_double(v); }
-
-}  // namespace
 
 const char* to_string(TraceLevel level) {
   switch (level) {
@@ -21,38 +20,6 @@ const char* to_string(TraceLevel level) {
       return "error";
   }
   return "?";
-}
-
-TraceField field(std::string_view key, std::string_view value) {
-  return TraceField{std::string{key}, std::string{value}, /*quoted=*/true};
-}
-TraceField field(std::string_view key, const char* value) {
-  return field(key, std::string_view{value});
-}
-TraceField field(std::string_view key, bool value) {
-  return TraceField{std::string{key}, value ? "true" : "false",
-                    /*quoted=*/false};
-}
-TraceField field(std::string_view key, double value) {
-  return TraceField{std::string{key}, format_double(value),
-                    /*quoted=*/false};
-}
-TraceField field(std::string_view key, std::uint64_t value) {
-  return TraceField{std::string{key}, std::to_string(value),
-                    /*quoted=*/false};
-}
-TraceField field(std::string_view key, std::int64_t value) {
-  return TraceField{std::string{key}, std::to_string(value),
-                    /*quoted=*/false};
-}
-TraceField field(std::string_view key, int value) {
-  return field(key, static_cast<std::int64_t>(value));
-}
-TraceField field(std::string_view key, unsigned value) {
-  return field(key, static_cast<std::uint64_t>(value));
-}
-TraceField field(std::string_view key, Bytes value) {
-  return field(key, value.count());
 }
 
 std::string TraceEvent::to_jsonl() const {
@@ -86,71 +53,165 @@ TraceSink::TraceSink(Config config) : config_(config) {
   ring_.reserve(config_.ring_capacity);
 }
 
-TraceSink::~TraceSink() { close_jsonl(); }
+TraceSink::~TraceSink() { static_cast<void>(close_jsonl()); }
 
 bool TraceSink::open_jsonl(const std::string& path) {
-  close_jsonl();
+  static_cast<void>(close_jsonl());
   jsonl_ = std::fopen(path.c_str(), "w");
   return jsonl_ != nullptr;
 }
 
-void TraceSink::close_jsonl() {
-  if (jsonl_ != nullptr) {
-    std::fclose(jsonl_);
-    jsonl_ = nullptr;
-  }
+bool TraceSink::close_jsonl() {
+  if (jsonl_ == nullptr) return true;
+  bool ok = !jsonl_failed_ && std::ferror(jsonl_) == 0;
+  if (std::fclose(jsonl_) != 0) ok = false;
+  jsonl_ = nullptr;
+  jsonl_failed_ = false;
+  return ok;
 }
 
-bool TraceSink::enabled(std::string_view component, TraceLevel level) const {
-  if (level < config_.min_level) return false;
-  if (component_prefixes_.empty()) return true;
-  for (const std::string& prefix : component_prefixes_) {
-    if (component.substr(0, prefix.size()) == prefix) return true;
-  }
-  return false;
-}
-
-void TraceSink::emit(std::string_view component, std::string_view event,
-                     std::vector<TraceField> fields, TraceLevel level) {
-  emit_at(clock_ ? clock_() : kTimeZero, component, event, std::move(fields),
-          level);
-}
-
-void TraceSink::emit_at(TimePoint t, std::string_view component,
-                        std::string_view event,
-                        std::vector<TraceField> fields, TraceLevel level) {
+TLC_HOT void TraceSink::emit(std::string_view component,
+                             std::string_view event,
+                             std::initializer_list<TraceArg> fields,
+                             TraceLevel level) {
   if (!enabled(component, level)) return;
-  TraceEvent ev;
-  ev.seq = next_seq_++;
-  ev.sim_time = t;
-  ev.level = level;
-  ev.component = std::string{component};
-  ev.event = std::string{event};
-  ev.fields = std::move(fields);
-  ++emitted_;
-  if (jsonl_ != nullptr) {
-    const std::string line = ev.to_jsonl();
-    std::fwrite(line.data(), 1, line.size(), jsonl_);
-    std::fputc('\n', jsonl_);
+  record(now(), component, event, level, {fields.begin(), fields.size()});
+}
+
+TLC_HOT void TraceSink::emit_at(TimePoint t, std::string_view component,
+                                std::string_view event,
+                                std::initializer_list<TraceArg> fields,
+                                TraceLevel level) {
+  record(t, component, event, level, {fields.begin(), fields.size()});
+}
+
+TLC_HOT void TraceSink::record(TimePoint t, std::string_view component,
+                               std::string_view event, TraceLevel level,
+                               std::span<const TraceArg> head,
+                               std::span<const TraceArg> tail) {
+  if (!enabled(component, level)) return;
+  Slot& slot = next_slot();
+  slot.seq = next_seq_++;
+  slot.sim_time = t;
+  slot.level = level;
+  slot.component_len = static_cast<std::uint32_t>(component.size());
+  slot.event_len = static_cast<std::uint32_t>(event.size());
+  // Size the slot once, then copy: one resize per buffer instead of a
+  // capacity check per appended piece.
+  std::size_t chars = component.size() + event.size();
+  for (const std::span<const TraceArg> args : {head, tail}) {
+    for (const TraceArg& a : args) {
+      chars += a.key.size();
+      if (a.kind == TraceArg::Kind::kString) chars += a.text.size();
+    }
   }
-  if (ring_.size() < config_.ring_capacity) {
-    ring_.push_back(std::move(ev));
-  } else {
-    ring_[head_] = std::move(ev);
-    head_ = (head_ + 1) % config_.ring_capacity;
-    ++overwritten_;
+  slot.text.resize(chars);
+  slot.fields.resize(head.size() + tail.size());
+  char* out = slot.text.data();
+  const auto put = [&out](std::string_view s) {
+    out = std::copy(s.begin(), s.end(), out);
+  };
+  put(component);
+  put(event);
+  SlotField* f = slot.fields.data();
+  for (const std::span<const TraceArg> args : {head, tail}) {
+    for (const TraceArg& a : args) {
+      f->key_len = static_cast<std::uint32_t>(a.key.size());
+      f->kind = a.kind;
+      f->value = a.value;
+      put(a.key);
+      if (a.kind == TraceArg::Kind::kString) {
+        put(a.text);
+        f->value.u = a.text.size();
+      }
+      ++f;
+    }
+  }
+  ++emitted_;
+  if (jsonl_ != nullptr) stream(slot);
+}
+
+TLC_HOT TraceSink::Slot& TraceSink::next_slot() {
+  if (ring_.size() < config_.ring_capacity) return ring_.emplace_back();
+  Slot& slot = ring_[head_];
+  if (++head_ == config_.ring_capacity) head_ = 0;
+  ++overwritten_;
+  return slot;
+}
+
+// The JSONL stream formats at emit time, off the record path: it only runs
+// with a file attached.
+[[gnu::cold]] void TraceSink::stream(const Slot& slot) {
+  TraceEvent ev;
+  render(slot, &ev);
+  const std::string line = ev.to_jsonl();
+  if (std::fwrite(line.data(), 1, line.size(), jsonl_) != line.size() ||
+      std::fputc('\n', jsonl_) == EOF) {
+    jsonl_failed_ = true;
+  }
+}
+
+void TraceSink::render(const Slot& slot, TraceEvent* out) {
+  out->seq = slot.seq;
+  out->sim_time = slot.sim_time;
+  out->level = slot.level;
+  std::string_view text = slot.text;
+  const auto take = [&text](std::size_t n) {
+    const std::string_view head = text.substr(0, n);
+    text.remove_prefix(head.size());
+    return head;
+  };
+  out->component.assign(take(slot.component_len));
+  out->event.assign(take(slot.event_len));
+  out->fields.resize(slot.fields.size());
+  for (std::size_t i = 0; i < slot.fields.size(); ++i) {
+    const SlotField& f = slot.fields[i];
+    TraceField& rendered = out->fields[i];
+    rendered.key.assign(take(f.key_len));
+    rendered.quoted = false;
+    switch (f.kind) {
+      case TraceArg::Kind::kUnsigned:
+        rendered.value = std::to_string(f.value.u);
+        break;
+      case TraceArg::Kind::kSigned:
+        rendered.value = std::to_string(f.value.i);
+        break;
+      case TraceArg::Kind::kDouble:
+        rendered.value = format_json_double(f.value.d);
+        break;
+      case TraceArg::Kind::kBool:
+        rendered.value = f.value.b ? "true" : "false";
+        break;
+      case TraceArg::Kind::kString:
+        rendered.value.assign(take(f.value.u));
+        rendered.quoted = true;
+        break;
+      case TraceArg::Kind::kId:
+        rendered.value = span_hex(f.value.u);
+        rendered.quoted = true;
+        break;
+    }
   }
 }
 
 std::vector<TraceEvent> TraceSink::events(
     std::string_view component_prefix) const {
   std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const TraceEvent& ev = ring_[(head_ + i) % ring_.size()];
-    if (ev.component.substr(0, component_prefix.size()) == component_prefix) {
-      out.push_back(ev);
+    const Slot& slot = slot_at(i);
+    if (slot.component().substr(0, component_prefix.size()) ==
+        component_prefix) {
+      render(slot, &out.emplace_back());
     }
+  }
+  return out;
+}
+
+std::vector<TraceEvent> TraceSink::tail(std::size_t n) const {
+  const std::size_t keep = std::min(n, ring_.size());
+  std::vector<TraceEvent> out(keep);
+  for (std::size_t i = 0; i < keep; ++i) {
+    render(slot_at(ring_.size() - keep + i), &out[i]);
   }
   return out;
 }

@@ -1,10 +1,22 @@
 // Structured trace sink: typed events {sim_time, component, event, k=v...}.
 //
-// Events land in a fixed-capacity in-memory ring buffer (oldest entries
-// overwritten) and, when a JSONL file is attached, are streamed there as
-// one JSON object per line. Emission is filterable by component prefix and
-// level; the `enabled()` pre-check lets callers skip field formatting
-// entirely for suppressed events.
+// Recording and reading are split. The write side formats nothing:
+// `field(key, value)` returns a TraceArg — a key view plus one typed value
+// (unsigned, signed, double, bool, string view, or a 64-bit trace/span id)
+// — and emit() copies the event's arguments into the next slot of a
+// fixed-capacity ring (oldest entries overwritten). Slot storage is reused,
+// so once the ring has wrapped, recording an event allocates nothing. A
+// TraceArg's views are valid only for the call they are passed to: it is
+// never stored, and the sink copies whatever it keeps.
+//
+// The read side renders: events(), tail() and TraceEvent::to_jsonl() turn
+// slots into TraceEvents with pre-formatted values. A JSONL file, when
+// attached, is the one place that formats at emit time — each event is
+// rendered and streamed as one JSON object per line (the opt-in cold path
+// behind `tlc_lab --trace`).
+//
+// Emission is filterable by component prefix and level; the `enabled()`
+// pre-check lets callers skip building arguments for suppressed events.
 //
 // Determinism: events carry the simulated time (from a registered clock or
 // an explicit timestamp) plus a monotonically increasing sequence number
@@ -20,8 +32,10 @@
 #include <cstdio>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/units.hpp"
@@ -37,24 +51,94 @@ enum class TraceLevel : std::uint8_t {
 
 [[nodiscard]] const char* to_string(TraceLevel level);
 
-/// One key=value pair of an event. Values are pre-formatted; `quoted`
-/// records whether JSON output should quote the value (strings) or emit it
-/// raw (numbers, booleans).
+/// One key=value argument of an event being recorded: trivially copyable,
+/// formatted only when the event is read. `key` and `text` point into the
+/// caller's storage and are valid only for the emit call the argument is
+/// passed to — never store a TraceArg.
+struct TraceArg {
+  enum class Kind : std::uint8_t {
+    kUnsigned,
+    kSigned,
+    kDouble,
+    kBool,
+    kString,
+    kId,  // trace/span id: rendered as 16 quoted hex digits (span_hex)
+  };
+  union Value {
+    std::uint64_t u;  // kUnsigned, kId
+    std::int64_t i;   // kSigned
+    double d;         // kDouble
+    bool b;           // kBool
+  };
+
+  constexpr TraceArg() = default;
+  constexpr TraceArg(std::string_view arg_key, Kind arg_kind)
+      : key(arg_key), kind(arg_kind) {}
+
+  std::string_view key;
+  std::string_view text;  // kString
+  Value value{};
+  Kind kind = Kind::kUnsigned;
+};
+static_assert(std::is_trivially_copyable_v<TraceArg>);
+
+[[nodiscard]] constexpr TraceArg field(std::string_view key,
+                                       std::string_view value) {
+  TraceArg a(key, TraceArg::Kind::kString);
+  a.text = value;
+  return a;
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key,
+                                       const char* value) {
+  return field(key, std::string_view{value});
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key, bool value) {
+  TraceArg a(key, TraceArg::Kind::kBool);
+  a.value.b = value;
+  return a;
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key, double value) {
+  TraceArg a(key, TraceArg::Kind::kDouble);
+  a.value.d = value;
+  return a;
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key,
+                                       std::uint64_t value) {
+  TraceArg a(key, TraceArg::Kind::kUnsigned);
+  a.value.u = value;
+  return a;
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key,
+                                       std::int64_t value) {
+  TraceArg a(key, TraceArg::Kind::kSigned);
+  a.value.i = value;
+  return a;
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key, int value) {
+  return field(key, static_cast<std::int64_t>(value));
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key, unsigned value) {
+  return field(key, static_cast<std::uint64_t>(value));
+}
+[[nodiscard]] constexpr TraceArg field(std::string_view key, Bytes value) {
+  return field(key, value.count());
+}
+/// A trace or span id, rendered like every id in the trace: span_hex.
+[[nodiscard]] constexpr TraceArg id_field(std::string_view key,
+                                          std::uint64_t id) {
+  TraceArg a(key, TraceArg::Kind::kId);
+  a.value.u = id;
+  return a;
+}
+
+/// One key=value pair of an event as read back. Values are rendered;
+/// `quoted` records whether JSON output should quote the value (strings,
+/// ids) or emit it raw (numbers, booleans).
 struct TraceField {
   std::string key;
   std::string value;
   bool quoted = true;
 };
-
-[[nodiscard]] TraceField field(std::string_view key, std::string_view value);
-[[nodiscard]] TraceField field(std::string_view key, const char* value);
-[[nodiscard]] TraceField field(std::string_view key, bool value);
-[[nodiscard]] TraceField field(std::string_view key, double value);
-[[nodiscard]] TraceField field(std::string_view key, std::uint64_t value);
-[[nodiscard]] TraceField field(std::string_view key, std::int64_t value);
-[[nodiscard]] TraceField field(std::string_view key, int value);
-[[nodiscard]] TraceField field(std::string_view key, unsigned value);
-[[nodiscard]] TraceField field(std::string_view key, Bytes value);
 
 struct TraceEvent {
   std::uint64_t seq = 0;  // emission order; deterministic tie-break
@@ -86,6 +170,10 @@ class TraceSink {
   void set_clock(std::function<TimePoint()> clock) {
     clock_ = std::move(clock);
   }
+  /// The registered clock's time; kTimeZero when no clock is set.
+  [[nodiscard]] TimePoint now() const {
+    return clock_ ? clock_() : kTimeZero;
+  }
 
   void set_min_level(TraceLevel level) { config_.min_level = level; }
   [[nodiscard]] TraceLevel min_level() const { return config_.min_level; }
@@ -96,30 +184,52 @@ class TraceSink {
     component_prefixes_ = std::move(prefixes);
   }
 
-  /// Attaches a JSONL output file (truncates). Returns false on failure.
+  /// Attaches a JSONL output file (truncates), closing any previous one
+  /// without reporting on it. Returns false when the file cannot be opened.
   bool open_jsonl(const std::string& path);
-  void close_jsonl();
+  /// Detaches the JSONL file. False when a write to it or its close failed:
+  /// the file on disk is not the whole trace. True when none is attached.
+  [[nodiscard]] bool close_jsonl();
 
   /// Cheap pre-check: would an event for (component, level) be recorded?
   [[nodiscard]] bool enabled(std::string_view component,
-                             TraceLevel level) const;
+                             TraceLevel level) const {
+    if (level < config_.min_level) return false;
+    if (component_prefixes_.empty()) return true;
+    for (const std::string& prefix : component_prefixes_) {
+      if (component.substr(0, prefix.size()) == prefix) return true;
+    }
+    return false;
+  }
 
-  /// Records an event stamped with the registered clock (kTimeZero when no
-  /// clock is set). Suppressed events (level/component filter) are dropped.
+  /// Records an event stamped with the registered clock. Suppressed events
+  /// (level/component filter) are dropped before the clock is read.
   void emit(std::string_view component, std::string_view event,
-            std::vector<TraceField> fields = {},
+            std::initializer_list<TraceArg> fields = {},
             TraceLevel level = TraceLevel::kInfo);
 
   /// Same, with an explicit timestamp (for models that advance ahead of or
   /// behind the scheduler clock, e.g. the slotted radio).
   void emit_at(TimePoint t, std::string_view component,
-               std::string_view event, std::vector<TraceField> fields = {},
+               std::string_view event,
+               std::initializer_list<TraceArg> fields = {},
                TraceLevel level = TraceLevel::kInfo);
+
+  /// The record path under emit/emit_at, for callers holding two argument
+  /// lists (the span layer: its id fields, then the caller's fields). The
+  /// event's fields are `head` followed by `tail`; suppressed events are
+  /// dropped.
+  void record(TimePoint t, std::string_view component, std::string_view event,
+              TraceLevel level, std::span<const TraceArg> head,
+              std::span<const TraceArg> tail = {});
 
   /// Ring contents, oldest → newest; optionally only events whose
   /// component starts with `component_prefix`.
   [[nodiscard]] std::vector<TraceEvent> events(
       std::string_view component_prefix = {}) const;
+
+  /// The newest `n` ring events (all of them when fewer), oldest → newest.
+  [[nodiscard]] std::vector<TraceEvent> tail(std::size_t n) const;
 
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
   [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
@@ -129,19 +239,53 @@ class TraceSink {
   /// type-checked and formally "used" inside an unreachable branch, so a
   /// TLC_TRACE=OFF build stays warning-clean without #ifdef at call sites.
   static void noop(std::string_view /*component*/, std::string_view /*event*/,
-                   std::initializer_list<TraceField> /*fields*/,
+                   std::initializer_list<TraceArg> /*fields*/,
                    TraceLevel /*level*/) {}
 
  private:
+  /// One recorded argument. Its key, and then a string value, sit in the
+  /// owning slot's `text`; a string's length is kept in `value.u`.
+  struct SlotField {
+    std::uint32_t key_len = 0;
+    TraceArg::Kind kind = TraceArg::Kind::kUnsigned;
+    TraceArg::Value value{};
+  };
+
+  /// One ring entry: `text` holds the component, the event name, then
+  /// each field's key and string value, back to back. Overwriting a slot
+  /// keeps the capacity of `text` and `fields`.
+  struct Slot {
+    std::uint64_t seq = 0;
+    TimePoint sim_time = kTimeZero;
+    TraceLevel level = TraceLevel::kInfo;
+    std::uint32_t component_len = 0;
+    std::uint32_t event_len = 0;
+    std::string text;
+    std::vector<SlotField> fields;
+
+    [[nodiscard]] std::string_view component() const {
+      return std::string_view{text}.substr(0, component_len);
+    }
+  };
+
+  Slot& next_slot();
+  void stream(const Slot& slot);
+  static void render(const Slot& slot, TraceEvent* out);
+  /// Logical ring position `i` (0 = oldest) → slot.
+  [[nodiscard]] const Slot& slot_at(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
+  }
+
   Config config_;
   std::function<TimePoint()> clock_;
   std::vector<std::string> component_prefixes_;
-  std::vector<TraceEvent> ring_;  // grows to ring_capacity, then circular
-  std::size_t head_ = 0;          // next write slot once ring is full
+  std::vector<Slot> ring_;  // grows to ring_capacity, then circular
+  std::size_t head_ = 0;    // next write slot once ring is full
   std::uint64_t emitted_ = 0;
   std::uint64_t overwritten_ = 0;
   std::uint64_t next_seq_ = 0;
   std::FILE* jsonl_ = nullptr;
+  bool jsonl_failed_ = false;  // a write to jsonl_ came up short
 };
 
 }  // namespace tlc::obs

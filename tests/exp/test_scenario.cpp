@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/hex.hpp"
+#include "crypto/sha256.hpp"
 #include "net/packet.hpp"
 
 namespace tlc::exp {
@@ -221,6 +226,10 @@ TEST(Scenario, TraceJsonlIsDeterministicForSameSeed) {
   const auto trace_of = [](const std::string& path) {
     ScenarioConfig cfg = quick(AppKind::kWebcamUdp);
     cfg.dip_rate_per_s = 0.05;
+    // Settlement spans are direct Tracer calls, so they reach the stream in
+    // the TLC_TRACE=OFF build too, where every packet-path event compiles
+    // out: the non-empty check below holds in both builds.
+    cfg.wire_settlement = true;
     cfg.trace_jsonl_path = path;
     (void)run_scenario(cfg);
     std::ifstream in{path};
@@ -233,6 +242,50 @@ TEST(Scenario, TraceJsonlIsDeterministicForSameSeed) {
   const std::string b = trace_of(::testing::TempDir() + "scenario_b.jsonl");
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);  // byte-identical traces for identical seeds
+}
+
+// Pins the stream's bytes across versions, not only run to run: a change
+// that rewrote every line the same way would still pass the determinism
+// test above. Also ties the ring's render path to the stream's: trace_tail
+// must be the stream's last 64 lines.
+TEST(Scenario, TraceJsonlMatchesGolden) {
+  ScenarioConfig cfg = quick(AppKind::kWebcamUdp);
+  cfg.dip_rate_per_s = 0.05;
+  cfg.wire_settlement = true;
+  cfg.poc_batch_size = 64;
+  cfg.trace_jsonl_path = ::testing::TempDir() + "scenario_golden.jsonl";
+  const ScenarioResult result = run_scenario(cfg);
+
+  std::ifstream in{cfg.trace_jsonl_path, std::ios::binary};
+  std::stringstream buf;
+  buf << in.rdbuf();
+  in.close();
+  std::remove(cfg.trace_jsonl_path.c_str());
+  const std::string stream = buf.str();
+  std::vector<std::string> lines;
+  std::istringstream split{stream};
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  const std::string digest = to_hex(crypto::sha256(
+      {reinterpret_cast<const std::uint8_t*>(stream.data()), stream.size()}));
+
+#if TLC_TRACE_ENABLED
+  EXPECT_EQ(lines.size(), 153918u);
+  EXPECT_EQ(digest,
+            "93d736230acfc3becec547b93b35b520"
+            "b81c432c1a11cf656b8455fa474335a3");
+#else
+  // Only the settlement spans survive: packet-path events compile out.
+  EXPECT_EQ(lines.size(), 16u);
+  EXPECT_EQ(digest,
+            "69f8f4b62800b47dda4474ad4bf3ce29"
+            "a66ab9ca9531f6a5ca97927a17ff9eca");
+#endif
+
+  ASSERT_EQ(result.trace_tail.size(), std::min<std::size_t>(lines.size(), 64));
+  const std::size_t first = lines.size() - result.trace_tail.size();
+  for (std::size_t i = 0; i < result.trace_tail.size(); ++i) {
+    EXPECT_EQ(result.trace_tail[i], lines[first + i]) << "tail line " << i;
+  }
 }
 
 TEST(Scenario, ToMbPerHrNormalization) {

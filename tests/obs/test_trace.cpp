@@ -47,6 +47,20 @@ TEST(TraceSink, RingOverwritesOldestBeyondCapacity) {
   EXPECT_EQ(events[3].seq, 9u);
 }
 
+TEST(TraceSink, TailRendersOnlyTheNewestEvents) {
+  TraceSink sink{TraceSink::Config{/*ring_capacity=*/4}};
+  for (int i = 0; i < 10; ++i) {
+    sink.emit("c", "e" + std::to_string(i), {field("i", i)});
+  }
+  const auto last_two = sink.tail(2);
+  ASSERT_EQ(last_two.size(), 2u);
+  EXPECT_EQ(last_two[0].event, "e8");
+  EXPECT_EQ(last_two[1].event, "e9");
+  EXPECT_EQ(last_two[1].to_jsonl(), sink.events().back().to_jsonl());
+  EXPECT_EQ(sink.tail(100).size(), 4u);  // capped at what the ring holds
+  EXPECT_TRUE(TraceSink{}.tail(64).empty());
+}
+
 TEST(TraceSink, MinLevelSuppressesBelow) {
   TraceSink sink;
   sink.set_min_level(TraceLevel::kWarn);
@@ -142,7 +156,7 @@ TEST(TraceSink, JsonlFileReceivesOneLinePerEvent) {
     ASSERT_TRUE(sink.open_jsonl(path));
     sink.emit("a", "one");
     sink.emit("b", "two");
-    sink.close_jsonl();
+    EXPECT_TRUE(sink.close_jsonl());
   }
   std::ifstream in{path};
   ASSERT_TRUE(in.good());
@@ -155,6 +169,28 @@ TEST(TraceSink, JsonlFileReceivesOneLinePerEvent) {
   }
   EXPECT_EQ(lines, 2);
   std::remove(path.c_str());
+}
+
+// A full disk must not lose the trace silently: close_jsonl() reports any
+// failed write or close, and a healthy file still reports success.
+TEST(TraceSink, JsonlWriteFailureIsReported) {
+  const auto write_to = [](const std::string& path) {
+    TraceSink sink;
+    if (!sink.open_jsonl(path)) return false;
+    for (int i = 0; i < 1000; ++i) {
+      sink.emit("net.dl", "drop", {field("i", i)});
+    }
+    return sink.close_jsonl();
+  };
+  const std::string ok_path = ::testing::TempDir() + "trace_sink_ok.jsonl";
+  EXPECT_TRUE(write_to(ok_path));
+  std::remove(ok_path.c_str());
+  EXPECT_TRUE(TraceSink{}.close_jsonl());  // nothing attached: nothing lost
+
+  std::FILE* full = std::fopen("/dev/full", "w");
+  if (full == nullptr) GTEST_SKIP() << "/dev/full is not available";
+  std::fclose(full);
+  EXPECT_FALSE(write_to("/dev/full"));
 }
 
 // Two events scheduled at the same sim time must trace in a deterministic

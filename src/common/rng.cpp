@@ -83,15 +83,4 @@ std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t index) {
   return stream_mix64(stream_mix64(seed) ^ stream_mix64(~index));
 }
 
-std::uint64_t stream_draw(std::uint64_t stream, std::uint64_t k) {
-  // Equivalent to the k-th call of a splitmix64 generator seeded `stream`:
-  // the generator's state before draw k is stream + k·golden, and
-  // stream_mix64 adds the final golden increment itself.
-  return stream_mix64(stream + k * 0x9e3779b97f4a7c15ULL);
-}
-
-double stream_unit(std::uint64_t stream, std::uint64_t k) {
-  return static_cast<double>(stream_draw(stream, k) >> 11) * 0x1.0p-53;
-}
-
 }  // namespace tlc

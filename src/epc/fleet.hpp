@@ -23,16 +23,21 @@
 // walk_cells() below is the one fleet kernel: a cycle-major walk over a
 // cell range that bursts and settles every device and reports every cell.
 // exp::run_fleet and serve::run_replay both drive it and differ only in
-// the sink the records go to.
+// the sink the records go to. burst and settle_range are defined in this
+// header, always inlined, so one UE-cycle of the walk is one loop body
+// with no call per burst.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "charging/usage.hpp"
 #include "common/hot.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 
 namespace tlc::epc {
@@ -65,17 +70,41 @@ struct FleetTrafficParams {
   std::uint64_t ul_divisor = 40;
 };
 
-/// FNV-1a fold of one 64-bit word into a running hash — the primitive for
-/// the per-device PoC chains and the fleet digest.
+/// Throws std::invalid_argument, prefixed with `who`, unless base_loss,
+/// congestion_loss_max and handover_loss lie in [0, 1] (NaN fails) and
+/// mean_burst_period is positive: the precondition of DeviceFleet::burst.
+/// A negative loss would convert a negative byte count to unsigned, a
+/// handover loss above 1 would lose more than the burst, and a zero period
+/// would burst every nanosecond. Checked once per run, on the caller's
+/// thread, never per burst.
+void check_traffic(const FleetTrafficParams& params, const char* who);
+
+/// FNV-1a fold of one 64-bit word, least significant byte first, into a
+/// running hash — the primitive for the per-device PoC chains, the fleet
+/// digest and the OFCS chain. Written as explicit steps (a loop with
+/// variable shifts stays a loop at -O2). A zero byte's step is h ← h·P, so
+/// a word below 2^24 — a cycle index or one device's per-cycle byte count
+/// — folds its five zero high bytes with one multiply by P^5: the same
+/// hash in half the dependent steps.
 [[nodiscard]] constexpr std::uint64_t fnv1a64(std::uint64_t h,
                                               std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (i * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  constexpr std::uint64_t kPrime5 =
+      kPrime * kPrime * kPrime * kPrime * kPrime;  // mod 2^64
+  h = (h ^ (word & 0xff)) * kPrime;
+  h = (h ^ ((word >> 8) & 0xff)) * kPrime;
+  h = (h ^ ((word >> 16) & 0xff)) * kPrime;
+  if ((word >> 24) == 0) return h * kPrime5;
+  h = (h ^ ((word >> 24) & 0xff)) * kPrime;
+  h = (h ^ ((word >> 32) & 0xff)) * kPrime;
+  h = (h ^ ((word >> 40) & 0xff)) * kPrime;
+  h = (h ^ ((word >> 48) & 0xff)) * kPrime;
+  h = (h ^ (word >> 56)) * kPrime;
   return h;
 }
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+struct FleetWalk;
 
 class DeviceFleet {
  public:
@@ -133,9 +162,12 @@ class DeviceFleet {
 
   /// One downlink burst (plus piggybacked uplink) for device `d`: charges
   /// at the gateway column, applies the loss model, and advances the
-  /// device's draw counter. Only columns of `d` (and its cell's
-  /// accumulators, owned by the same walker) are touched.
-  BurstOutcome burst(FleetDeviceId d, const FleetTrafficParams& params);
+  /// device's burst counter. Only columns of `d` (and its cell's
+  /// accumulators, owned by the same walker) are touched. `params` must
+  /// pass check_traffic; burst itself does not check it.
+  BurstOutcome burst(FleetDeviceId d, const FleetTrafficParams& params) {
+    return burst_in(d, cell_of(d), params);
+  }
 
   /// Cycle-end settlement over the contiguous device range [begin, end):
   /// the CDR→CDA→PoC walk. For each device the gateway's CDR (charged) and
@@ -164,8 +196,10 @@ class DeviceFleet {
       return *this;
     }
   };
-  SettleTotals settle_range(FleetDeviceId begin, FleetDeviceId end,
-                            std::uint64_t cycle, double loss_weight);
+  [[gnu::always_inline]] SettleTotals settle_range(FleetDeviceId begin,
+                                                  FleetDeviceId end,
+                                                  std::uint64_t cycle,
+                                                  double loss_weight);
 
   /// Per-cell per-cycle accumulators (the RRC COUNTER CHECK the cell
   /// reports to the OFCS aggregator at cycle end). Reset by
@@ -217,29 +251,151 @@ class DeviceFleet {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
+  template <class Sink>
+  friend void walk_cell(DeviceFleet& fleet, const FleetWalk& walk,
+                        std::uint32_t cycle, std::uint32_t cell,
+                        std::span<TimePoint> next_burst, Sink& sink);
+
+  /// burst(d, params) for a caller that already knows cell_of(d).
+  [[gnu::always_inline]] BurstOutcome burst_in(
+      FleetDeviceId d, std::uint32_t cell, const FleetTrafficParams& params);
+
   std::uint32_t devices_per_cell_;
   std::uint32_t cell_count_;
 
-  // --- per-device columns (SoA, indexed by FleetDeviceId) ---
-  std::vector<std::uint64_t> seeds_;        // counter-based RNG stream
-  std::vector<std::uint64_t> draw_ix_;      // next draw counter
-  std::vector<std::uint32_t> burst_ix_;     // bursts to date (handover phase)
+  // --- per-device columns (SoA, indexed by FleetDeviceId), 85 B ---
+  std::vector<std::uint64_t> seeds_;  // counter-based RNG stream
+  // Bursts to date, n: burst n makes draws 4n … 4n + 3, and the low 32
+  // bits of n are its handover phase.
+  std::vector<std::uint64_t> bursts_;
   std::vector<std::uint8_t> connected_;     // RRC session state
   std::vector<std::uint32_t> reconnects_;   // session churn
   std::vector<std::uint64_t> cdr_dl_;       // per-cycle gateway CDR
   std::vector<std::uint64_t> app_dl_recv_;  // per-cycle edge delivery (CDA)
   std::vector<std::uint64_t> cdr_ul_;       // per-cycle uplink CDR
-  std::vector<std::uint64_t> app_ul_sent_;  // per-cycle uplink app bytes
   std::vector<std::uint64_t> modem_rx_;     // cumulative modem octets
   std::vector<std::uint64_t> modem_tx_;
   std::vector<std::uint64_t> billed_legacy_;  // cumulative bills
   std::vector<std::uint64_t> billed_tlc_;
   std::vector<std::uint64_t> poc_;  // per-device PoC hash chain
 
-  // --- per-cell per-cycle accumulators (cells never span walkers) ---
+  // --- per-cell columns (cells never span walkers) ---
+  std::vector<double> cell_congestion_;  // cell_congestion(cell), cached
+  // Per-cycle accumulators, reset by reset_cell_cycle.
   std::vector<std::uint64_t> cell_charged_dl_;
   std::vector<std::uint64_t> cell_delivered_dl_;
 };
+
+TLC_HOT inline DeviceFleet::BurstOutcome DeviceFleet::burst_in(
+    FleetDeviceId d, std::uint32_t cell, const FleetTrafficParams& params) {
+  assert(d < seeds_.size() && cell == cell_of(d));
+  const std::uint64_t stream = seeds_[d];
+  // Fixed draw budget per burst (4 draws) keeps the draw counter a
+  // function of the burst index alone — draw k of device d is the same
+  // number in every run, whatever the shard partition.
+  const std::uint64_t n = bursts_[d]++;
+  const std::uint64_t k = 4 * n;
+  const double size_u = stream_unit(stream, k);
+  const double dip_u = stream_unit(stream, k + 1);
+  const double loss_u = stream_unit(stream, k + 2);
+  const double gap_u = stream_unit(stream, k + 3);
+  const auto burst_no = static_cast<std::uint32_t>(n);
+
+  BurstOutcome out;
+  const auto burst_bytes = static_cast<std::uint64_t>(
+      (0.5 + size_u) * static_cast<double>(params.mean_burst_bytes));
+  // The gateway charges the full burst the moment it forwards it (§2.2:
+  // CDRs count at the P-GW, upstream of every radio-side loss).
+  out.charged_dl = burst_bytes;
+  cdr_dl_[d] += burst_bytes;
+  cell_charged_dl_[cell] += burst_bytes;
+
+  if (dip_u < params.dip_probability) {
+    // Coverage dip: RRC drops, nothing reaches the device, the charge
+    // stands — §3.1's "data charged but never delivered".
+    connected_[d] = 0;
+    out.dropped_disconnect = burst_bytes;
+  } else {
+    if (connected_[d] == 0) {
+      connected_[d] = 1;
+      ++reconnects_[d];
+      out.reconnected = true;
+    }
+    const double loss_frac =
+        params.base_loss +
+        params.congestion_loss_max * cell_congestion_[cell] * (2.0 * loss_u);
+    auto lost_radio = static_cast<std::uint64_t>(
+        static_cast<double>(burst_bytes) * loss_frac);
+    if (lost_radio > burst_bytes) lost_radio = burst_bytes;
+    std::uint64_t remaining = burst_bytes - lost_radio;
+    std::uint64_t lost_handover = 0;
+    if (params.handover_every != 0 &&
+        (burst_no + 1) % params.handover_every == 0) {
+      lost_handover = static_cast<std::uint64_t>(
+          static_cast<double>(remaining) * params.handover_loss);
+      remaining -= lost_handover;
+    }
+    out.dropped_radio = lost_radio;
+    out.dropped_handover = lost_handover;
+    out.delivered_dl = remaining;
+    app_dl_recv_[d] += remaining;
+    modem_rx_[d] += remaining;
+    cell_delivered_dl_[cell] += remaining;
+
+    // Piggybacked uplink acknowledgements, charged symmetrically.
+    const std::uint64_t ul =
+        burst_bytes / (params.ul_divisor == 0 ? 1 : params.ul_divisor) + 40;
+    out.charged_ul = ul;
+    cdr_ul_[d] += ul;
+    modem_tx_[d] += ul;
+  }
+
+  const auto period = static_cast<double>(params.mean_burst_period.count());
+  out.next_gap = Duration{static_cast<Duration::rep>((0.5 + gap_u) * period)};
+  if (out.next_gap <= Duration::zero()) out.next_gap = Duration{1};
+  return out;
+}
+
+TLC_HOT inline DeviceFleet::SettleTotals DeviceFleet::settle_range(
+    FleetDeviceId begin, FleetDeviceId end, std::uint64_t cycle,
+    double loss_weight) {
+  assert(end <= seeds_.size() && begin <= end);
+  SettleTotals totals;
+  totals.devices = end - begin;
+  for (FleetDeviceId d = begin; d < end; ++d) {
+    const std::uint64_t charged = cdr_dl_[d];
+    const std::uint64_t delivered = app_dl_recv_[d];
+    // The charging gap this cycle: the gateway view can only exceed the
+    // device view (losses happen downstream of the P-GW).
+    const std::uint64_t gap = charged - delivered;
+    const std::uint64_t tlc_bill =
+        charging::charged_volume(Bytes{charged}, Bytes{delivered},
+                                 loss_weight)
+            .count();
+    billed_legacy_[d] += charged;
+    billed_tlc_[d] += tlc_bill;
+    // Per-device PoC chain: the settlement transcript, folded in cycle
+    // order — any divergent charge or delivery changes every later link.
+    std::uint64_t h = poc_[d];
+    h = fnv1a64(h, cycle);
+    h = fnv1a64(h, charged);
+    h = fnv1a64(h, delivered);
+    h = fnv1a64(h, tlc_bill);
+    poc_[d] = h;
+
+    totals.charged_dl += charged;
+    totals.delivered_dl += delivered;
+    totals.gap_dl += gap;
+    totals.billed_legacy += charged;
+    totals.billed_tlc += tlc_bill;
+    totals.charged_ul += cdr_ul_[d];
+
+    cdr_dl_[d] = 0;
+    app_dl_recv_[d] = 0;
+    cdr_ul_[d] = 0;
+  }
+  return totals;
+}
 
 /// One cell's per-cycle RRC COUNTER CHECK totals: what the cell reports to
 /// the OFCS aggregator at cycle end.
@@ -313,9 +469,9 @@ TLC_HOT void walk_cell(DeviceFleet& fleet, const FleetWalk& walk,
     out.device = d;
     out.cell = cell;
     out.cycle = cycle;
-    TimePoint& next = next_burst[d];
+    TimePoint next = next_burst[d];
     while (next < stop) {
-      const DeviceFleet::BurstOutcome b = fleet.burst(d, walk.traffic);
+      const DeviceFleet::BurstOutcome b = fleet.burst_in(d, cell, walk.traffic);
       out.dropped_disconnect += b.dropped_disconnect;
       out.dropped_radio += b.dropped_radio;
       out.dropped_handover += b.dropped_handover;
@@ -323,6 +479,7 @@ TLC_HOT void walk_cell(DeviceFleet& fleet, const FleetWalk& walk,
       if (b.reconnected) out.reconnects += 1;
       next += b.next_gap;
     }
+    next_burst[d] = next;
     out.settled = fleet.settle_range(d, d + 1, cycle, walk.loss_weight);
     sink.settled(out);
   }

@@ -66,8 +66,9 @@ std::uint32_t resolve_shards(std::uint32_t requested) {
 
 FleetResult run_fleet(const FleetConfig& config) {
   // Checked on the caller's thread: no range walker may throw from the
-  // charging rule.
+  // charging rule, and the kernel never checks its traffic model.
   charging::check_loss_weight(config.loss_weight, "run_fleet");
+  epc::check_traffic(config.traffic, "run_fleet");
   DeviceFleet fleet(config.devices, config.devices_per_cell, config.seed);
   const std::uint32_t cells = fleet.cells();
   // More shards than cells would leave some shards empty; clamp instead.

@@ -99,7 +99,8 @@ struct FleetResult {
 
 /// Runs the fleet scenario to its horizon and settles every cycle. Throws
 /// std::invalid_argument on the caller's thread unless
-/// charging::valid_loss_weight(config.loss_weight).
+/// charging::valid_loss_weight(config.loss_weight) and config.traffic
+/// passes epc::check_traffic.
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
 
 /// Canonical one-line fingerprint of everything determinism-relevant in a

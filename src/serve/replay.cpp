@@ -56,6 +56,9 @@ struct SubmitSink {
 }  // namespace
 
 ReplayResult run_replay(const ReplayConfig& config) {
+  // Before any producer or consumer thread exists (the pipeline checks
+  // the loss weight the same way).
+  epc::check_traffic(config.traffic, "run_replay");
   epc::DeviceFleet fleet(config.devices, config.devices_per_cell,
                          config.seed);
   const std::uint32_t cells = fleet.cells();

@@ -57,6 +57,9 @@ struct ReplayResult {
   std::uint64_t fleet_digest = 0;
 };
 
+/// Throws std::invalid_argument on the caller's thread unless
+/// charging::valid_loss_weight(config.loss_weight) and config.traffic
+/// passes epc::check_traffic.
 [[nodiscard]] ReplayResult run_replay(const ReplayConfig& config);
 
 }  // namespace tlc::serve

@@ -1,6 +1,6 @@
 // DeviceFleet SoA tests: column bookkeeping of burst/settle, the
-// CDR-vs-CDA charging gap invariant, counter-based draw stability, and
-// the order-independent digest.
+// CDR-vs-CDA charging gap invariant, counter-based draw stability, the
+// FNV-1a fold, and the order-independent digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -147,6 +147,64 @@ TEST(DeviceFleet, DigestTracksSettledStateExactly) {
   };
   EXPECT_EQ(run(11), run(11));  // reproducible
   EXPECT_NE(run(11), run(12));  // seed-sensitive
+}
+
+TEST(DeviceFleet, Fnv1a64IsTheByteFold) {
+  // The fold behind every PoC chain, the fleet digest and the OFCS chain:
+  // FNV-1a over the word's eight bytes, least significant first.
+  const auto reference = [](std::uint64_t h, std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  tlc::Rng rng{0xf00d};
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t h = rng();
+    const std::uint64_t word = rng();
+    ASSERT_EQ(fnv1a64(h, word), reference(h, word)) << h << " " << word;
+  }
+  // Words of every byte length, across the short form for words below
+  // 2^24 (zero high bytes folded at once) and its boundary.
+  for (int bytes = 0; bytes <= 8; ++bytes) {
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t h = rng();
+      const std::uint64_t word = bytes == 0 ? 0 : rng() >> (64 - 8 * bytes);
+      ASSERT_EQ(fnv1a64(h, word), reference(h, word)) << h << " " << word;
+    }
+  }
+  for (const std::uint64_t word : {0xffffffULL, 0x1000000ULL}) {
+    EXPECT_EQ(fnv1a64(kFnvBasis, word), reference(kFnvBasis, word)) << word;
+  }
+  EXPECT_EQ(fnv1a64(kFnvBasis, 0), 0xa8c7f832281a39c5ULL);
+  EXPECT_EQ(fnv1a64(kFnvBasis, 0x61), 0x6926124a7b1433c4ULL);
+  EXPECT_EQ(fnv1a64(kFnvBasis, 0x0123456789abcdefULL),
+            0x37eb3f3347761c55ULL);
+}
+
+TEST(DeviceFleet, BurstNDrawsFourNThroughFourNPlusThree) {
+  // The (n+1)-th burst of a device sizes itself from draw 4n and spaces
+  // the next from draw 4n + 3, whatever other devices did, and n sets its
+  // handover phase.
+  DeviceFleet fleet{8, 4, 13};
+  FleetTrafficParams p = lossless();
+  p.handover_every = 3;
+  const FleetDeviceId d = 6;
+  const std::uint64_t stream = fleet.device_stream(d);
+  const auto mean = static_cast<double>(p.mean_burst_bytes);
+  const auto period = static_cast<double>(p.mean_burst_period.count());
+  for (std::uint64_t n = 0; n < 10; ++n) {
+    const auto want_bytes = static_cast<std::uint64_t>(
+        (0.5 + tlc::stream_unit(stream, 4 * n)) * mean);
+    const tlc::Duration want_gap{static_cast<tlc::Duration::rep>(
+        (0.5 + tlc::stream_unit(stream, 4 * n + 3)) * period)};
+    fleet.burst(static_cast<FleetDeviceId>(n % 4), p);
+    const auto b = fleet.burst(d, p);
+    EXPECT_EQ(b.charged_dl, want_bytes) << n;
+    EXPECT_EQ(b.next_gap, want_gap) << n;
+    EXPECT_EQ(b.dropped_handover > 0, (n + 1) % 3 == 0) << n;
+  }
 }
 
 TEST(DeviceFleet, DrawsAreCounterBasedNotOrderBased) {

@@ -8,6 +8,7 @@
 // cycle-boundary rule of the range walk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -197,6 +198,32 @@ TEST(FleetDeterminism, InvalidLossWeightThrowsOnCallerThread) {
   }
 }
 
+TEST(FleetDeterminism, InvalidTrafficThrowsOnCallerThread) {
+  // The kernel never checks its traffic model, so both entry points do,
+  // before any walker, producer or consumer thread exists. Each case sets
+  // one field out of range: a negative or NaN loss, a loss above 1, and a
+  // burst period that is not positive.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<epc::FleetTrafficParams> bad;
+  for (const double x : {-0.5, 1.5, nan}) {
+    bad.emplace_back().base_loss = x;
+    bad.emplace_back().congestion_loss_max = x;
+    bad.emplace_back().handover_loss = x;
+  }
+  bad.emplace_back().mean_burst_period = Duration::zero();
+  bad.emplace_back().mean_burst_period = -std::chrono::milliseconds{1};
+  for (const epc::FleetTrafficParams& traffic : bad) {
+    FleetConfig cfg = small_config();
+    cfg.traffic = traffic;
+    EXPECT_THROW((void)run_fleet(cfg), std::invalid_argument);
+    serve::ReplayConfig rcfg;
+    rcfg.devices = cfg.devices;
+    rcfg.traffic = traffic;
+    EXPECT_THROW((void)serve::run_replay(rcfg), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(epc::check_traffic(epc::FleetTrafficParams{}, "defaults"));
+}
+
 // ------------------------------------------------------ gap accounting ---
 
 TEST(FleetAccounting, GapIdentityAndMetricsAgree) {
@@ -297,6 +324,87 @@ TEST(FleetWalk, BurstAtHorizonNeverRuns) {
   }
   EXPECT_EQ(w.next_burst[0], w.walk.horizon());
   EXPECT_EQ(w.fleet.modem_rx(0), 0u);
+}
+
+TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
+  // The walk inlines burst and settle_range; a replay of the same loop
+  // through the public per-device calls (as tlcbench's FleetMirror does)
+  // on a twin fleet must emit the same rows, reports and final state.
+  // Three full cells of 7 devices plus a partial cell of 4; dips, radio
+  // loss and handovers all fire.
+  constexpr std::size_t kDevices = 3 * 7 + 4;
+  epc::FleetWalk walk;
+  walk.cycles = 3;
+  walk.cycle_length = std::chrono::milliseconds{100};
+  walk.traffic.mean_burst_period = std::chrono::milliseconds{10};
+  walk.traffic.dip_probability = 0.2;
+  walk.traffic.handover_every = 3;
+  epc::DeviceFleet kernel(kDevices, 7, 77);
+  ASSERT_EQ(kernel.cells(), 4u);
+  std::vector<TimePoint> next_burst(kDevices);
+  RecordingSink sink;
+  epc::walk_cells(kernel, walk, 0, kernel.cells(), next_burst, sink);
+
+  epc::DeviceFleet twin(kDevices, 7, 77);
+  std::vector<TimePoint> next(kDevices);
+  for (epc::FleetDeviceId d = 0; d < kDevices; ++d) {
+    next[d] = kTimeZero + twin.initial_offset(d, walk.traffic);
+  }
+  std::size_t row = 0;
+  std::size_t report = 0;
+  std::uint64_t handover_bytes = 0;
+  std::uint64_t reconnects = 0;
+  for (std::uint32_t cycle = 0; cycle < walk.cycles; ++cycle) {
+    const TimePoint stop = std::min(walk.cycle_end(cycle), walk.horizon());
+    for (std::uint32_t cell = 0; cell < twin.cells(); ++cell) {
+      for (epc::FleetDeviceId d = twin.first_device(cell);
+           d < twin.first_device(cell + 1); ++d) {
+        epc::DeviceCycle want;
+        while (next[d] < stop) {
+          const epc::DeviceFleet::BurstOutcome b = twin.burst(d, walk.traffic);
+          want.dropped_disconnect += b.dropped_disconnect;
+          want.dropped_radio += b.dropped_radio;
+          want.dropped_handover += b.dropped_handover;
+          want.bursts += 1;
+          if (b.reconnected) want.reconnects += 1;
+          next[d] += b.next_gap;
+        }
+        want.settled = twin.settle_range(d, d + 1, cycle, walk.loss_weight);
+        handover_bytes += want.dropped_handover;
+        reconnects += want.reconnects;
+        ASSERT_LT(row, sink.settled_rows.size());
+        const epc::DeviceCycle& got = sink.settled_rows[row++];
+        EXPECT_EQ(got.device, d);
+        EXPECT_EQ(got.cell, cell);
+        EXPECT_EQ(got.cycle, cycle);
+        EXPECT_EQ(got.settled.devices, want.settled.devices);
+        EXPECT_EQ(got.settled.charged_dl, want.settled.charged_dl);
+        EXPECT_EQ(got.settled.delivered_dl, want.settled.delivered_dl);
+        EXPECT_EQ(got.settled.gap_dl, want.settled.gap_dl);
+        EXPECT_EQ(got.settled.billed_legacy, want.settled.billed_legacy);
+        EXPECT_EQ(got.settled.billed_tlc, want.settled.billed_tlc);
+        EXPECT_EQ(got.settled.charged_ul, want.settled.charged_ul);
+        EXPECT_EQ(got.dropped_disconnect, want.dropped_disconnect);
+        EXPECT_EQ(got.dropped_radio, want.dropped_radio);
+        EXPECT_EQ(got.dropped_handover, want.dropped_handover);
+        EXPECT_EQ(got.bursts, want.bursts);
+        EXPECT_EQ(got.reconnects, want.reconnects);
+      }
+      ASSERT_LT(report, sink.reports.size());
+      const epc::CellReport& got = sink.reports[report++];
+      EXPECT_EQ(got.cycle, cycle);
+      EXPECT_EQ(got.cell, cell);
+      EXPECT_EQ(got.charged_dl, twin.cell_charged_dl(cell));
+      EXPECT_EQ(got.delivered_dl, twin.cell_delivered_dl(cell));
+      twin.reset_cell_cycle(cell);
+    }
+  }
+  EXPECT_EQ(row, sink.settled_rows.size());
+  EXPECT_EQ(report, sink.reports.size());
+  EXPECT_EQ(next, next_burst);
+  EXPECT_GT(handover_bytes, 0u);
+  EXPECT_GT(reconnects, 0u);  // dips, then RRC re-establishment
+  EXPECT_EQ(kernel.digest(), twin.digest());
 }
 
 // ------------------------------------------------------- shard knobs ---

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # CI-style check: the whole suite runs clean under standalone
 # UndefinedBehaviorSanitizer. The `ubsan` preset compiles with
-# -fno-sanitize-recover=all, so any detected UB aborts the offending test —
-# a green run means zero UB reports, not "reported but recovered".
+# -fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all, so
+# any detected UB, an out-of-range double -> integer conversion included,
+# aborts the offending test — a green run means zero UB reports, not
+# "reported but recovered".
 #
 # Self-configuring: a missing or unconfigured build-ubsan dir is created
 # from the `ubsan` preset, so the script behaves identically on a clean CI

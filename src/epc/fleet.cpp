@@ -1,5 +1,6 @@
 #include "epc/fleet.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -89,6 +90,77 @@ OfcsFold fold_ofcs(std::span<const CellReport> reports) {
       ++out.flagged;
     }
   }
+  return out;
+}
+
+SettlementLedger& SettlementLedger::operator+=(const SettlementLedger& o) {
+  bursts += o.bursts;
+  reconnects += o.reconnects;
+  gap_disconnect += o.gap_disconnect;
+  gap_radio += o.gap_radio;
+  gap_handover += o.gap_handover;
+  if (cycle_rows.size() < o.cycle_rows.size()) {
+    cycle_rows.resize(o.cycle_rows.size());
+  }
+  for (std::size_t c = 0; c < o.cycle_rows.size(); ++c) {
+    cycle_rows[c] += o.cycle_rows[c];
+  }
+  return *this;
+}
+
+void SettlementLedger::close(std::span<const CellReport> reports) {
+  DeviceFleet::SettleTotals all;
+  for (const DeviceFleet::SettleTotals& row : cycle_rows) all += row;
+  charged_dl = all.charged_dl;
+  delivered_dl = all.delivered_dl;
+  gap_dl = all.gap_dl;
+  billed_legacy = all.billed_legacy;
+  billed_tlc = all.billed_tlc;
+  charged_ul = all.charged_ul;
+  cell_reports = reports.size();
+  const OfcsFold ofcs = fold_ofcs(reports);
+  ofcs_chain = ofcs.chain;
+  flagged_reports = ofcs.flagged;
+}
+
+std::vector<std::string> SettlementLedger::diff(
+    const SettlementLedger& other) const {
+  std::vector<std::string> out;
+  const auto field = [&out](const std::string& name, std::uint64_t a,
+                            std::uint64_t b) {
+    if (a != b) {
+      out.push_back(name + ": " + std::to_string(a) + " != " +
+                    std::to_string(b));
+    }
+  };
+  field("charged_dl", charged_dl, other.charged_dl);
+  field("delivered_dl", delivered_dl, other.delivered_dl);
+  field("gap_dl", gap_dl, other.gap_dl);
+  field("billed_legacy", billed_legacy, other.billed_legacy);
+  field("billed_tlc", billed_tlc, other.billed_tlc);
+  field("charged_ul", charged_ul, other.charged_ul);
+  field("bursts", bursts, other.bursts);
+  field("reconnects", reconnects, other.reconnects);
+  field("gap_disconnect", gap_disconnect, other.gap_disconnect);
+  field("gap_radio", gap_radio, other.gap_radio);
+  field("gap_handover", gap_handover, other.gap_handover);
+  field("cell_reports", cell_reports, other.cell_reports);
+  field("cycle_rows.size()", cycle_rows.size(), other.cycle_rows.size());
+  for (std::size_t c = 0;
+       c < std::min(cycle_rows.size(), other.cycle_rows.size()); ++c) {
+    const DeviceFleet::SettleTotals& a = cycle_rows[c];
+    const DeviceFleet::SettleTotals& b = other.cycle_rows[c];
+    const std::string row = "cycle_rows[" + std::to_string(c) + "].";
+    field(row + "devices", a.devices, b.devices);
+    field(row + "charged_dl", a.charged_dl, b.charged_dl);
+    field(row + "delivered_dl", a.delivered_dl, b.delivered_dl);
+    field(row + "gap_dl", a.gap_dl, b.gap_dl);
+    field(row + "billed_legacy", a.billed_legacy, b.billed_legacy);
+    field(row + "billed_tlc", a.billed_tlc, b.billed_tlc);
+    field(row + "charged_ul", a.charged_ul, b.charged_ul);
+  }
+  field("ofcs_chain", ofcs_chain, other.ofcs_chain);
+  field("flagged_reports", flagged_reports, other.flagged_reports);
   return out;
 }
 

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "charging/usage.hpp"
@@ -195,6 +196,7 @@ class DeviceFleet {
       charged_ul += o.charged_ul;
       return *this;
     }
+    bool operator==(const SettleTotals&) const = default;
   };
   [[gnu::always_inline]] SettleTotals settle_range(FleetDeviceId begin,
                                                   FleetDeviceId end,
@@ -416,17 +418,24 @@ struct OfcsFold {
 };
 
 /// Folds `reports`, which must be in (cycle, cell) order, into the OFCS
-/// chain. exp::run_fleet and serve::run_replay both fold through this one
-/// function, so their chains and flag counts compare equal.
+/// chain. SettlementLedger::close folds through it for exp::run_fleet and
+/// serve::run_replay alike, so their chains and flag counts compare equal.
 [[nodiscard]] OfcsFold fold_ofcs(std::span<const CellReport> reports);
 
-/// The shape of a fleet run, as run_fleet and run_replay both walk it.
+/// One fleet scenario: the fleet, and the shape of the run that walks it.
+/// exp::FleetConfig and serve::ReplayConfig both derive from it and hand it
+/// to walk_cells as is, so the two paths cannot walk different scenarios.
 struct FleetWalk {
+  std::size_t devices = 100'000;
+  std::uint32_t devices_per_cell = 200;
   std::uint32_t cycles = 4;
   Duration cycle_length = std::chrono::seconds{1};
   FleetTrafficParams traffic;
-  /// Algorithm 1 split of the disputed gap (see settle_range).
+  /// Algorithm 1 split of the disputed gap (see settle_range): 0 = the
+  /// device pays nothing for undelivered bytes, 1 = legacy charging.
   double loss_weight = 0.5;
+  /// Fleet seed: every device's draw stream derives from it.
+  std::uint64_t seed = 42;
 
   [[nodiscard]] TimePoint cycle_end(std::uint32_t cycle) const {
     return kTimeZero + cycle_length * static_cast<std::int64_t>(cycle + 1);
@@ -449,6 +458,62 @@ struct DeviceCycle {
   std::uint64_t dropped_handover = 0;
   std::uint32_t bursts = 0;
   std::uint32_t reconnects = 0;
+};
+
+/// A run's settlement, as both parties hold it and reconcile it by
+/// recomputing and comparing (Algorithm 2, §5.3). exp::run_fleet's range
+/// sinks and serve::ServePipeline's consumers each add() into a ledger of
+/// their own; the runner sums them with += and closes the sum.
+/// exp::FleetResult and serve::PipelineStats derive from it, so batch ≡
+/// serve is ==, and diff() names every field that differs; both compare
+/// the ledger part only.
+struct SettlementLedger {
+  // Whole-run totals: close() sums them from the rows.
+  std::uint64_t charged_dl = 0;
+  std::uint64_t delivered_dl = 0;
+  std::uint64_t gap_dl = 0;
+  std::uint64_t billed_legacy = 0;
+  std::uint64_t billed_tlc = 0;
+  std::uint64_t charged_ul = 0;
+  // Burst-phase tallies, and the gap split by drop cause.
+  std::uint64_t bursts = 0;
+  std::uint64_t reconnects = 0;
+  std::uint64_t gap_disconnect = 0;
+  std::uint64_t gap_radio = 0;
+  std::uint64_t gap_handover = 0;
+  /// Cell reports folded into the OFCS chain (close() counts them).
+  std::uint64_t cell_reports = 0;
+  /// Settle totals per cycle, indexed by cycle.
+  std::vector<DeviceFleet::SettleTotals> cycle_rows;
+  /// The OFCS aggregator's verdict over the cell reports (fold_ofcs).
+  std::uint64_t ofcs_chain = 0;
+  std::uint64_t flagged_reports = 0;
+
+  SettlementLedger() = default;
+  explicit SettlementLedger(std::uint32_t cycles) : cycle_rows(cycles) {}
+
+  /// Tallies one device's settled cycle; `d.cycle` must index a row.
+  TLC_HOT [[gnu::always_inline]] void add(const DeviceCycle& d) {
+    cycle_rows[d.cycle] += d.settled;
+    bursts += d.bursts;
+    reconnects += d.reconnects;
+    gap_disconnect += d.dropped_disconnect;
+    gap_radio += d.dropped_radio;
+    gap_handover += d.dropped_handover;
+  }
+  /// Adds what add() adds — rows (grown to match), bursts, reconnects,
+  /// gap causes — of `o`: u64 sums, so the merge order cannot change a
+  /// byte.
+  SettlementLedger& operator+=(const SettlementLedger& o);
+  /// Sets the totals to the sums of the rows, and the cell-report count
+  /// and OFCS verdict from `reports`, which must be in (cycle, cell) order.
+  void close(std::span<const CellReport> reports);
+
+  bool operator==(const SettlementLedger&) const = default;
+  /// One line per field that differs, "name: this != other"; empty iff
+  /// *this == other.
+  [[nodiscard]] std::vector<std::string> diff(
+      const SettlementLedger& other) const;
 };
 
 /// Runs `cycle` for every device of `cell`: bursts each device while its

@@ -16,34 +16,22 @@ using epc::CellReport;
 using epc::DeviceCycle;
 using epc::DeviceFleet;
 
-/// One cell range's tallies. Each range's walk is the only writer of its
+/// One cell range's ledger. Each range's walk is the only writer of its
 /// sink, and of the report slots of its own cells; aligned so parallel
 /// walkers never share a cache line.
 struct alignas(64) RangeSink {
   RangeSink(std::uint32_t cycles, std::uint32_t cell_count,
             std::vector<CellReport>& slots)
-      : per_cycle(cycles), cells(cell_count), report_slots(&slots) {}
+      : ledger(cycles), cells(cell_count), report_slots(&slots) {}
 
-  void settled(const DeviceCycle& d) {
-    per_cycle[d.cycle] += d.settled;
-    bursts += d.bursts;
-    reconnects += d.reconnects;
-    dropped_disconnect += d.dropped_disconnect;
-    dropped_radio += d.dropped_radio;
-    dropped_handover += d.dropped_handover;
-  }
+  void settled(const DeviceCycle& d) { ledger.add(d); }
   /// Slots are (cycle, cell)-indexed, so the slot vector is already in the
   /// OFCS fold order once every range has walked.
   void report(const CellReport& r) {
     (*report_slots)[std::size_t{r.cycle} * cells + r.cell] = r;
   }
 
-  std::vector<DeviceFleet::SettleTotals> per_cycle;
-  std::uint64_t bursts = 0;
-  std::uint64_t reconnects = 0;
-  std::uint64_t dropped_disconnect = 0;
-  std::uint64_t dropped_radio = 0;
-  std::uint64_t dropped_handover = 0;
+  epc::SettlementLedger ledger;
   std::uint32_t cells;
   std::vector<CellReport>* report_slots;
 };
@@ -74,8 +62,6 @@ FleetResult run_fleet(const FleetConfig& config) {
   // More shards than cells would leave some shards empty; clamp instead.
   const std::uint32_t shards = std::min(resolve_shards(config.shards), cells);
   const std::uint32_t cells_per_shard = (cells + shards - 1) / shards;
-  const epc::FleetWalk walk{config.cycles, config.cycle_length,
-                            config.traffic, config.loss_weight};
 
   std::vector<TimePoint> next_burst(fleet.devices());
   std::vector<CellReport> reports(std::size_t{config.cycles} * cells);
@@ -83,7 +69,7 @@ FleetResult run_fleet(const FleetConfig& config) {
                                RangeSink{config.cycles, cells, reports});
   const auto walk_shard = [&](std::uint32_t s) {
     const std::uint32_t begin = std::min(s * cells_per_shard, cells);
-    epc::walk_cells(fleet, walk, begin,
+    epc::walk_cells(fleet, config, begin,
                     std::min(begin + cells_per_shard, cells), next_burst,
                     sinks[s]);
   };
@@ -98,50 +84,31 @@ FleetResult run_fleet(const FleetConfig& config) {
   }
 
   FleetResult result;
+  for (const RangeSink& sink : sinks) result += sink.ledger;
+  result.close(reports);
+  result.cycle_totals = result.cycle_rows;
   result.devices = fleet.devices();
   result.cells = cells;
   result.shards = shards;
-  result.cycle_totals.resize(config.cycles);
-  DeviceFleet::SettleTotals all;
-  for (std::uint32_t c = 0; c < config.cycles; ++c) {
-    DeviceFleet::SettleTotals t;
-    for (const RangeSink& sink : sinks) t += sink.per_cycle[c];
-    FleetCycleTotals& row = result.cycle_totals[c];
-    row.charged_dl = t.charged_dl;
-    row.delivered_dl = t.delivered_dl;
-    row.gap_dl = t.gap_dl;
-    row.billed_legacy = t.billed_legacy;
-    row.billed_tlc = t.billed_tlc;
-    all += t;
-  }
-  result.charged_dl = all.charged_dl;
-  result.delivered_dl = all.delivered_dl;
-  result.gap_dl = all.gap_dl;
-  result.billed_legacy = all.billed_legacy;
-  result.billed_tlc = all.billed_tlc;
-  result.charged_ul = all.charged_ul;
   result.digest = fleet.digest();
-  const epc::OfcsFold ofcs = epc::fold_ofcs(reports);
-  result.ofcs_chain = ofcs.chain;
-  result.flagged_reports = ofcs.flagged;
+  result.messages = result.cell_reports;
+  result.events = result.bursts + result.messages;
 
-  std::map<std::string, std::uint64_t>& counters = result.metrics.counters;
-  for (const RangeSink& sink : sinks) {
-    counters["fleet.bursts"] += sink.bursts;
-    counters["fleet.reconnects"] += sink.reconnects;
-    counters["fleet.dropped_disconnect_bytes"] += sink.dropped_disconnect;
-    counters["fleet.dropped_radio_bytes"] += sink.dropped_radio;
-    counters["fleet.dropped_handover_bytes"] += sink.dropped_handover;
+  std::uint64_t settled_devices = 0;
+  for (const DeviceFleet::SettleTotals& row : result.cycle_rows) {
+    settled_devices += row.devices;
   }
-  // Every burst lands strictly before the horizon, so every byte a burst
-  // charged or delivered is in exactly one settled cycle.
-  counters["fleet.charged_dl_bytes"] = all.charged_dl;
-  counters["fleet.delivered_dl_bytes"] = all.delivered_dl;
-  counters["fleet.charged_ul_bytes"] = all.charged_ul;
-  counters["fleet.settled_devices"] = all.devices;
-  counters["fleet.cell_reports"] = reports.size();
-  result.messages = reports.size();
-  result.events = counters["fleet.bursts"] + result.messages;
+  std::map<std::string, std::uint64_t>& counters = result.metrics.counters;
+  counters["fleet.bursts"] = result.bursts;
+  counters["fleet.reconnects"] = result.reconnects;
+  counters["fleet.dropped_disconnect_bytes"] = result.gap_disconnect;
+  counters["fleet.dropped_radio_bytes"] = result.gap_radio;
+  counters["fleet.dropped_handover_bytes"] = result.gap_handover;
+  counters["fleet.charged_dl_bytes"] = result.charged_dl;
+  counters["fleet.delivered_dl_bytes"] = result.delivered_dl;
+  counters["fleet.charged_ul_bytes"] = result.charged_ul;
+  counters["fleet.settled_devices"] = settled_devices;
+  counters["fleet.cell_reports"] = result.cell_reports;
   return result;
 }
 
@@ -167,8 +134,8 @@ std::string fleet_fingerprint(const FleetResult& result) {
                 static_cast<unsigned long long>(result.ofcs_chain),
                 static_cast<unsigned long long>(result.flagged_reports));
   out += buf;
-  for (std::size_t c = 0; c < result.cycle_totals.size(); ++c) {
-    const FleetCycleTotals& row = result.cycle_totals[c];
+  for (std::size_t c = 0; c < result.cycle_rows.size(); ++c) {
+    const DeviceFleet::SettleTotals& row = result.cycle_rows[c];
     std::snprintf(buf, sizeof buf,
                   " cycle%zu={charged=%llu delivered=%llu gap=%llu "
                   "legacy=%llu tlc=%llu}",

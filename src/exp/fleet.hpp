@@ -6,10 +6,10 @@
 // `parallel`, one after another on the caller's thread otherwise. No event
 // queue is involved: a device's bill depends only on its own counter-based
 // draws, so each range walks cycle-major and settles every device the
-// moment its cycle's bursts are done. Each range tallies into its own sink
-// and writes its cells' reports into (cycle, cell)-indexed slots; after
-// the join the tallies are summed and the slots folded into the OFCS chain
-// (epc::fold_ofcs).
+// moment its cycle's bursts are done. Each range tallies into its own
+// epc::SettlementLedger and writes its cells' reports into (cycle,
+// cell)-indexed slots; after the join the ledgers are summed and closed
+// over the slots, which folds them into the OFCS chain (epc::fold_ofcs).
 //
 // The result — every column, every counter, the OFCS hash chain, the
 // fleet digest — is byte-identical for any shard count and for serial vs.
@@ -18,48 +18,32 @@
 // pipeline.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/units.hpp"
 #include "epc/fleet.hpp"
 #include "obs/metrics.hpp"
 
 namespace tlc::exp {
 
-struct FleetConfig {
-  std::size_t devices = 100'000;
-  std::uint32_t devices_per_cell = 200;
+/// The scenario (epc::FleetWalk) plus how run_fleet partitions it.
+struct FleetConfig : epc::FleetWalk {
   /// Number of cell ranges the fleet is split into (clamped to the cell
   /// count). 0 → resolve_shards(): TLC_SHARDS env, else hardware
   /// concurrency.
   std::uint32_t shards = 0;
-  /// Charging cycles to simulate; the horizon is cycles × cycle_length.
-  std::uint32_t cycles = 4;
-  Duration cycle_length = std::chrono::seconds{1};
-  epc::FleetTrafficParams traffic;
-  /// Algorithm 1 split of the disputed gap (0 = device pays nothing for
-  /// undelivered bytes, 1 = legacy charging).
-  double loss_weight = 0.5;
-  std::uint64_t seed = 42;
   /// Parallel mode walks each cell range on its own thread; serial mode
   /// walks them in turn on the caller's thread — same results.
   bool parallel = true;
 };
 
-/// Fleet-wide totals for one charging cycle (sum over all ranges' exact
-/// u64 settle totals).
-struct FleetCycleTotals {
-  std::uint64_t charged_dl = 0;
-  std::uint64_t delivered_dl = 0;
-  std::uint64_t gap_dl = 0;
-  std::uint64_t billed_legacy = 0;
-  std::uint64_t billed_tlc = 0;
-};
+/// Kept only for tlcbench/, which spells the row type by this name.
+using FleetCycleTotals = epc::DeviceFleet::SettleTotals;
 
-struct FleetResult {
+/// The settled ledger of the run, plus the fleet-state digest and the
+/// run's shape.
+struct FleetResult : epc::SettlementLedger {
   std::uint64_t devices = 0;
   std::uint32_t cells = 0;
   /// Cell ranges walked (FleetConfig::shards after clamping).
@@ -71,25 +55,16 @@ struct FleetResult {
   std::uint64_t messages = 0;
   /// Always 0: the range walk has no synchronisation windows.
   std::uint64_t windows = 0;
-
-  std::uint64_t charged_dl = 0;
-  std::uint64_t delivered_dl = 0;
-  std::uint64_t gap_dl = 0;
-  std::uint64_t billed_legacy = 0;
-  std::uint64_t billed_tlc = 0;
-  std::uint64_t charged_ul = 0;
+  /// A copy of cycle_rows, kept only for tlcbench/.
   std::vector<FleetCycleTotals> cycle_totals;
 
-  /// Order-independent fold of every device's settled columns.
+  /// Order-independent fold of every device's settled columns, read from
+  /// the fleet after the walk (no sink tallies it, so it is not part of
+  /// the ledger).
   std::uint64_t digest = 0;
-  /// OFCS aggregator hash chain over per-cell cycle reports, folded in
-  /// (cycle, cell) order — sensitive to that order, which is exactly why
-  /// the determinism suite checks it.
-  std::uint64_t ofcs_chain = 0;
-  /// Reports the aggregator flagged (cell gap ratio above threshold).
-  std::uint64_t flagged_reports = 0;
 
-  /// `fleet.*` counters summed over every range.
+  /// `fleet.*` counters, filled from the ledger. Kept only for tlcbench/,
+  /// which reads them; fleet_fingerprint prints them, so its text holds.
   obs::MetricsSnapshot metrics;
 };
 

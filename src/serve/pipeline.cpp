@@ -19,7 +19,7 @@ void owner_increment(std::atomic<std::uint64_t>& count) {
 }
 
 /// The first settlement check `rec` fails, in RejectCause order, or
-/// nullopt when its claimed bills recompute from its own views.
+/// nullopt when it passes every check that applies to its kind.
 std::optional<RejectCause> first_failed_check(const ExchangeRecord& rec,
                                               std::uint32_t cycles,
                                               double loss_weight) {
@@ -27,6 +27,7 @@ std::optional<RejectCause> first_failed_check(const ExchangeRecord& rec,
   if (rec.delivered_dl > rec.charged_dl) {
     return RejectCause::kDeliveredExceedsCharged;
   }
+  if (rec.kind == RecordKind::kCellReport) return std::nullopt;
   std::uint64_t cause_sum = 0;
   for (std::uint64_t bytes : rec.gap_by_cause) cause_sum += bytes;
   if (cause_sum != rec.charged_dl - rec.delivered_dl) {
@@ -39,6 +40,29 @@ std::optional<RejectCause> first_failed_check(const ExchangeRecord& rec,
       Bytes{rec.charged_dl}, Bytes{rec.delivered_dl}, loss_weight);
   if (rec.billed_tlc != bill.count()) return RejectCause::kTlcBillMismatch;
   return std::nullopt;
+}
+
+/// The device cycle a settlement record that passed every check settles:
+/// what the fleet walk hands a batch range sink for the same device.
+epc::DeviceCycle settled_cycle(const ExchangeRecord& rec) {
+  epc::DeviceCycle d;
+  d.cycle = rec.cycle;
+  d.settled.devices = 1;
+  d.settled.charged_dl = rec.charged_dl;
+  d.settled.delivered_dl = rec.delivered_dl;
+  d.settled.gap_dl = rec.charged_dl - rec.delivered_dl;
+  d.settled.billed_legacy = rec.billed_legacy;
+  d.settled.billed_tlc = rec.billed_tlc;
+  d.settled.charged_ul = rec.charged_ul;
+  d.dropped_disconnect =
+      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kDisconnect)];
+  d.dropped_radio =
+      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kRadio)];
+  d.dropped_handover =
+      rec.gap_by_cause[static_cast<std::size_t>(GapCause::kHandover)];
+  d.bursts = rec.bursts;
+  d.reconnects = rec.reconnects;
+  return d;
 }
 
 }  // namespace
@@ -126,18 +150,12 @@ void ServePipeline::settle(const ExchangeRecord& rec,
     state->latency.observe(lat < 0 ? 0 : static_cast<std::uint64_t>(lat));
   }
 
-  if (rec.kind == RecordKind::kCellReport) {
-    state->reports.push_back(CellReport{rec.cycle, rec.cell, rec.charged_dl,
-                                        rec.delivered_dl});
-    state->cell_reports += 1;
-    owner_increment(state->settled);
-    return;
-  }
-
   // Settlement recomputation check (the live analogue of the batch
   // verifier's Algorithm 2 re-derivation): the record carries both raw
   // views and the bills someone claims they settle to — accept only if the
-  // bills recompute from the views under this pipeline's loss_weight.
+  // bills recompute from the views under this pipeline's loss_weight. A
+  // cell report must still name a cycle this run settles and views in
+  // order, or it would reach the OFCS fold.
   const std::optional<RejectCause> failed =
       first_failed_check(rec, config_.cycles, config_.loss_weight);
   if (failed) {
@@ -145,21 +163,12 @@ void ServePipeline::settle(const ExchangeRecord& rec,
     owner_increment(state->rejected);
     return;
   }
-
-  const std::uint64_t gap = rec.charged_dl - rec.delivered_dl;
-  epc::DeviceFleet::SettleTotals& row = state->per_cycle[rec.cycle];
-  row.devices += 1;
-  row.charged_dl += rec.charged_dl;
-  row.delivered_dl += rec.delivered_dl;
-  row.gap_dl += gap;
-  row.billed_legacy += rec.billed_legacy;
-  row.billed_tlc += rec.billed_tlc;
-  row.charged_ul += rec.charged_ul;
-  for (std::size_t c = 0; c < kGapCauseCount; ++c) {
-    state->gap_by_cause[c] += rec.gap_by_cause[c];
+  if (rec.kind == RecordKind::kCellReport) {
+    state->reports.push_back(CellReport{rec.cycle, rec.cell, rec.charged_dl,
+                                        rec.delivered_dl});
+  } else {
+    state->ledger.add(settled_cycle(rec));
   }
-  state->bursts += rec.bursts;
-  state->reconnects += rec.reconnects;
   owner_increment(state->settled);
 }
 
@@ -173,7 +182,6 @@ void ServePipeline::drain() {
   assert(store_empty());
 
   stats_.ingested = store_.claimed();
-  stats_.cycle_rows.resize(config_.cycles);
   std::vector<CellReport> reports;
   for (const auto& state : consumer_states_) {
     stats_.settled += state->settled.load(std::memory_order_relaxed);
@@ -181,50 +189,20 @@ void ServePipeline::drain() {
     for (std::size_t c = 0; c < kRejectCauseCount; ++c) {
       stats_.rejected_by_cause[c] += state->rejected_by_cause[c];
     }
-    stats_.cell_reports += state->cell_reports;
-    stats_.bursts += state->bursts;
-    stats_.reconnects += state->reconnects;
-    stats_.gap_disconnect +=
-        state->gap_by_cause[static_cast<std::size_t>(GapCause::kDisconnect)];
-    stats_.gap_radio +=
-        state->gap_by_cause[static_cast<std::size_t>(GapCause::kRadio)];
-    stats_.gap_handover +=
-        state->gap_by_cause[static_cast<std::size_t>(GapCause::kHandover)];
-    for (std::size_t c = 0; c < stats_.cycle_rows.size(); ++c) {
-      const epc::DeviceFleet::SettleTotals& row = state->per_cycle[c];
-      PipelineCycleRow& out = stats_.cycle_rows[c];
-      out.charged_dl += row.charged_dl;
-      out.delivered_dl += row.delivered_dl;
-      out.gap_dl += row.gap_dl;
-      out.billed_legacy += row.billed_legacy;
-      out.billed_tlc += row.billed_tlc;
-      out.charged_ul += row.charged_ul;
-      out.settled_devices += row.devices;
-    }
+    stats_ += state->ledger;
     reports.insert(reports.end(), state->reports.begin(),
                    state->reports.end());
     stats_.settle_latency.merge_from(state->latency);
   }
-  for (const PipelineCycleRow& row : stats_.cycle_rows) {
-    stats_.charged_dl += row.charged_dl;
-    stats_.delivered_dl += row.delivered_dl;
-    stats_.gap_dl += row.gap_dl;
-    stats_.billed_legacy += row.billed_legacy;
-    stats_.billed_tlc += row.billed_tlc;
-    stats_.charged_ul += row.charged_ul;
-  }
 
-  // OFCS fold: order every consumer's reports by (cycle, cell) — the order
-  // the batch run's report slots already have — and fold them through the
-  // same epc::fold_ofcs.
+  // Order every consumer's reports by (cycle, cell) — the order the batch
+  // run's report slots already have — and close the ledger over them.
   std::sort(reports.begin(), reports.end(),
             [](const CellReport& a, const CellReport& b) {
               if (a.cycle != b.cycle) return a.cycle < b.cycle;
               return a.cell < b.cell;
             });
-  const epc::OfcsFold ofcs = epc::fold_ofcs(reports);
-  stats_.ofcs_chain = ofcs.chain;
-  stats_.flagged_reports = ofcs.flagged;
+  stats_.close(reports);
 }
 
 void ServePipeline::publish(obs::MetricsRegistry* registry) const {

@@ -7,9 +7,10 @@
 // charged/delivered views (Algorithm 1's split) and accepts only records
 // whose claimed bills recompute exactly — the live analogue of the
 // recomputation check the batch verifier applies to PoC receipts. Accepted
-// settlements accumulate into per-cycle totals, per-cause gap counters,
-// and fleet-wide sums; kCellReport records queue for the OFCS aggregation
-// fold at drain time.
+// settlements are added to the consumer's epc::SettlementLedger, the one
+// exp::run_fleet's range sinks tally into; kCellReport records that pass
+// the cycle-range and delivered ≤ charged checks queue for the OFCS fold
+// that closes the ledger at drain time.
 //
 // Invariant (CI-gated by bench_serve): every submitted record is accounted
 // exactly once — ingested() == settled() + rejected() — and the store
@@ -24,13 +25,12 @@
 //   * all submits happen-before drain(): the caller stops its producers,
 //     then drains. After drain() returns, the stats accessors are stable
 //     and single-threaded reads;
-//   * each consumer is the only writer of its own tallies (per-cycle rows,
-//     gap causes, reject causes, reports, latency histogram), plain
-//     integers in a cache-aligned state of its own; only its settled and
-//     rejected counts are atomics, owner-stored, so the live accessors can
-//     sum them. drain() merges the consumers once, in consumer order:
-//     every tally is a u64 sum, so thread interleaving cannot change a
-//     drained value;
+//   * each consumer is the only writer of its own tallies (ledger, reject
+//     causes, reports, latency histogram), plain integers in a
+//     cache-aligned state of its own; only its settled and rejected counts
+//     are atomics, owner-stored, so the live accessors can sum them.
+//     drain() merges the consumers once, in consumer order: every tally is
+//     a u64 sum, so thread interleaving cannot change a drained value;
 //   * ingested() is the store's count of claimed positions, so it needs
 //     no counter of its own; it is exact once the producers have returned.
 #pragma once
@@ -58,8 +58,8 @@ struct PipelineConfig {
   /// Bounded in-flight records, rounded up to a power of two; submit()
   /// spins when full.
   std::size_t store_capacity = 4096;
-  /// Pre-sizes the per-cycle accumulator rows; records with cycle ≥ this
-  /// are rejected as malformed.
+  /// Pre-sizes the per-cycle ledger rows; records and cell reports with
+  /// cycle ≥ this are rejected as malformed.
   std::uint32_t cycles = 4;
   /// Algorithm 1 gap split used for the settlement recomputation check;
   /// the constructor throws std::invalid_argument outside [0, 1] or NaN.
@@ -69,23 +69,15 @@ struct PipelineConfig {
   const sim::ClockSource* clock = nullptr;
 };
 
-/// Fleet-wide totals for one charging cycle, accumulated live (mirrors
-/// exp::FleetCycleTotals plus the serving-side extras).
-struct PipelineCycleRow {
-  std::uint64_t charged_dl = 0;
-  std::uint64_t delivered_dl = 0;
-  std::uint64_t gap_dl = 0;
-  std::uint64_t billed_legacy = 0;
-  std::uint64_t billed_tlc = 0;
-  std::uint64_t charged_ul = 0;
-  std::uint64_t settled_devices = 0;
-};
+/// Kept only for tlcbench/, which spells the row type by this name.
+using PipelineCycleRow = epc::DeviceFleet::SettleTotals;
 
 /// One cell's per-cycle RRC COUNTER CHECK totals, queued for the OFCS fold.
 using epc::CellReport;
 
 /// The settlement check a rejected record failed first, in the order
-/// settle() applies them.
+/// settle() applies them. A cell report carries no gap split and no bills,
+/// so only the first two checks apply to it.
 enum class RejectCause : std::uint32_t {
   kCycleOutOfRange = 0,          // cycle >= PipelineConfig::cycles
   kDeliveredExceedsCharged = 1,  // delivered_dl > charged_dl
@@ -115,34 +107,17 @@ inline constexpr std::size_t kRejectCauseCount =
   }
 }
 
-/// Drained snapshot of everything the pipeline accumulated.
-struct PipelineStats {
+/// Drained snapshot of everything the pipeline accumulated: the settled
+/// ledger — closed over the accepted cell reports in (cycle, cell) order,
+/// the fold and order exp::run_fleet uses, so the two compare equal — plus
+/// the conservation counts and the settle latency.
+struct PipelineStats : epc::SettlementLedger {
   std::uint64_t ingested = 0;
-  std::uint64_t settled = 0;   // accepted settlement records
-  std::uint64_t rejected = 0;  // failed the recomputation check
+  std::uint64_t settled = 0;   // accepted settlement records and reports
+  std::uint64_t rejected = 0;  // failed a settlement check
   /// Rejects by the first check they failed, indexed by RejectCause; sums
   /// to `rejected`.
   std::array<std::uint64_t, kRejectCauseCount> rejected_by_cause{};
-  std::uint64_t cell_reports = 0;
-
-  std::uint64_t charged_dl = 0;
-  std::uint64_t delivered_dl = 0;
-  std::uint64_t gap_dl = 0;
-  std::uint64_t billed_legacy = 0;
-  std::uint64_t billed_tlc = 0;
-  std::uint64_t charged_ul = 0;
-  std::uint64_t bursts = 0;
-  std::uint64_t reconnects = 0;
-  std::uint64_t gap_disconnect = 0;
-  std::uint64_t gap_radio = 0;
-  std::uint64_t gap_handover = 0;
-  std::vector<PipelineCycleRow> cycle_rows;
-
-  /// OFCS aggregator chain over cell reports folded in (cycle, cell)
-  /// order by epc::fold_ofcs — the fold and order exp::run_fleet uses,
-  /// so the two chains compare equal.
-  std::uint64_t ofcs_chain = 0;
-  std::uint64_t flagged_reports = 0;
 
   /// Enqueue→settle latency across all consumers (empty without a clock).
   obs::LogHistogram settle_latency;
@@ -197,13 +172,9 @@ class ServePipeline {
   /// drain() reads them after the join. Aligned so that no two consumers
   /// (and no producer) share a cache line.
   struct alignas(64) ConsumerState {
-    explicit ConsumerState(std::uint32_t cycles) : per_cycle(cycles) {}
+    explicit ConsumerState(std::uint32_t cycles) : ledger(cycles) {}
 
-    std::vector<epc::DeviceFleet::SettleTotals> per_cycle;
-    std::uint64_t gap_by_cause[kGapCauseCount] = {0, 0, 0};
-    std::uint64_t bursts = 0;
-    std::uint64_t reconnects = 0;
-    std::uint64_t cell_reports = 0;
+    epc::SettlementLedger ledger;
     std::array<std::uint64_t, kRejectCauseCount> rejected_by_cause{};
     std::vector<CellReport> reports;
     obs::LogHistogram latency;

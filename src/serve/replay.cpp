@@ -73,8 +73,6 @@ ReplayResult run_replay(const ReplayConfig& config) {
   pipe_cfg.clock = config.clock;
   ServePipeline pipeline(pipe_cfg);
 
-  const epc::FleetWalk walk{config.cycles, config.cycle_length,
-                            config.traffic, config.loss_weight};
   std::vector<TimePoint> next_burst(fleet.devices());
   const std::uint32_t cells_per_producer =
       (cells + static_cast<std::uint32_t>(producers) - 1) /
@@ -89,7 +87,7 @@ ReplayResult run_replay(const ReplayConfig& config) {
           std::min(cell_begin + cells_per_producer, cells);
       threads.emplace_back([&, cell_begin, cell_end] {
         SubmitSink sink{pipeline, config.devices_per_cell};
-        epc::walk_cells(fleet, walk, cell_begin, cell_end, next_burst,
+        epc::walk_cells(fleet, config, cell_begin, cell_end, next_burst,
                         sink);
       });
     }

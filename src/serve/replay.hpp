@@ -11,9 +11,10 @@
 // Because every draw a device makes is a pure function of (seed, device,
 // counter) — never of thread timing — and every accumulator the pipeline
 // keeps is a commutative sum (or a (cycle, cell)-sorted fold, for the OFCS
-// chain), the drained totals are byte-identical to the batch run's
-// FleetResult for ANY producer/consumer count, including 1/1 (the
-// serial ≡ concurrent determinism test) and the tlc_serve cross-check.
+// chain), the drained ledger equals the batch run's FleetResult ledger
+// (epc::SettlementLedger ==) for ANY producer/consumer count, including
+// 1/1 (the serial ≡ concurrent determinism test) and the tlc_serve
+// cross-check.
 // The kernel's boundary rule holds on both paths: a cycle owns exactly the
 // bursts stamped strictly before its end, so a burst landing on the
 // boundary belongs to the next cycle.
@@ -27,17 +28,11 @@
 
 namespace tlc::serve {
 
-struct ReplayConfig {
-  std::size_t devices = 100'000;
-  std::uint32_t devices_per_cell = 200;
-  std::uint32_t cycles = 4;
-  Duration cycle_length = std::chrono::seconds{1};
-  epc::FleetTrafficParams traffic;
-  double loss_weight = 0.5;
-  std::uint64_t seed = 42;
-
-  /// Serving topology. Producers partition the fleet on cell boundaries
-  /// (like batch shards); results are identical for any combination.
+/// The scenario (epc::FleetWalk) plus the serving topology that replays
+/// it.
+struct ReplayConfig : epc::FleetWalk {
+  /// Producers partition the fleet on cell boundaries (like batch shards);
+  /// results are identical for any combination.
   std::size_t producers = 2;
   std::size_t consumers = 2;
   std::size_t store_capacity = 4096;
@@ -49,11 +44,11 @@ struct ReplayConfig {
 struct ReplayResult {
   std::uint64_t devices = 0;
   std::uint32_t cells = 0;
-  /// Drained pipeline accumulation: totals, per-cycle rows, gap causes,
-  /// OFCS chain, flagged count, settle latency.
+  /// Drained pipeline stats: the settled ledger, which compares == to
+  /// exp::FleetResult's, plus conservation counts and settle latency.
   PipelineStats stats;
   /// Fleet state digest after the replay settled every device — compares
-  /// against exp::FleetResult::digest.
+  /// against exp::FleetResult::digest, next to the ledger.
   std::uint64_t fleet_digest = 0;
 };
 

@@ -11,11 +11,16 @@
 //   seq == pos + 1   holds the value for the consumer claiming `pos`;
 //   seq == pos + N   freed for the producer of the next lap (N = capacity).
 //
+// N is at least 2: with one cell, "holds the value for the consumer at
+// `pos`" (pos + 1) would read as "free for the producer at `pos + 1`", so a
+// second enqueue would overwrite the first value and the next dequeue
+// would never find its sequence.
+//
 // Properties the serving pipeline relies on:
 //   * bounded: a claim takes at most the free cells, and fails
 //     (backpressure) instead of growing once `capacity()` values are in
-//     flight; the capacity rounds up to a power of two so a position maps
-//     to its cell with a mask;
+//     flight; the capacity rounds up to a power of two, at least 2, so a
+//     position maps to its cell with a mask;
 //   * allocation-free after construction: no node pool, free list or
 //     reclamation, so no ABA and no use-after-free to guard against;
 //   * FIFO over linearized claims, hence per-producer order, within a run
@@ -49,9 +54,10 @@ class Ring {
 
  public:
   /// Holds up to `capacity` values, rounded up to a power of two (at
-  /// least 1); capacity() reports the bound actually enforced.
+  /// least 2, see the header); capacity() reports the bound actually
+  /// enforced.
   explicit Ring(std::size_t capacity)
-      : mask_(std::bit_ceil(std::max<std::size_t>(capacity, 1)) - 1),
+      : mask_(std::bit_ceil(std::max<std::size_t>(capacity, 2)) - 1),
         cells_(mask_ + 1) {
     for (std::size_t i = 0; i < cells_.size(); ++i) {
       cells_[i].seq.store(i, std::memory_order_relaxed);

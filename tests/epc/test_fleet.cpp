@@ -1,9 +1,14 @@
 // DeviceFleet SoA tests: column bookkeeping of burst/settle, the
 // CDR-vs-CDA charging gap invariant, counter-based draw stability, the
-// FNV-1a fold, and the order-independent digest.
+// FNV-1a fold, and the order-independent digest. SettlementLedger tests:
+// == and diff() see every field, and add / += / close sum to the same
+// ledger in any merge order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "epc/fleet.hpp"
@@ -226,6 +231,140 @@ TEST(DeviceFleet, DrawsAreCounterBasedNotOrderBased) {
   EXPECT_EQ(a2.charged_dl, b2.charged_dl);
   EXPECT_EQ(a2.delivered_dl, b2.delivered_dl);
   EXPECT_EQ(a2.next_gap, b2.next_gap);
+}
+
+// ----------------------------------------------------- settlement ledger ---
+
+/// Every field of `l`, named as diff() names it. The structured bindings
+/// name every field of the ledger and of a row, so a field added to either
+/// stops this compiling until it is listed here, and so checked against
+/// == and diff().
+std::vector<std::pair<std::string, std::uint64_t*>> fields(
+    SettlementLedger& l) {
+  auto& [charged_dl, delivered_dl, gap_dl, billed_legacy, billed_tlc,
+         charged_ul, bursts, reconnects, gap_disconnect, gap_radio,
+         gap_handover, cell_reports, cycle_rows, ofcs_chain,
+         flagged_reports] = l;
+  std::vector<std::pair<std::string, std::uint64_t*>> out{
+      {"charged_dl", &charged_dl},
+      {"delivered_dl", &delivered_dl},
+      {"gap_dl", &gap_dl},
+      {"billed_legacy", &billed_legacy},
+      {"billed_tlc", &billed_tlc},
+      {"charged_ul", &charged_ul},
+      {"bursts", &bursts},
+      {"reconnects", &reconnects},
+      {"gap_disconnect", &gap_disconnect},
+      {"gap_radio", &gap_radio},
+      {"gap_handover", &gap_handover},
+      {"cell_reports", &cell_reports},
+      {"ofcs_chain", &ofcs_chain},
+      {"flagged_reports", &flagged_reports},
+  };
+  for (std::size_t c = 0; c < cycle_rows.size(); ++c) {
+    auto& [devices, row_charged, row_delivered, row_gap, row_legacy, row_tlc,
+           row_ul] = cycle_rows[c];
+    const std::string row = "cycle_rows[" + std::to_string(c) + "].";
+    out.emplace_back(row + "devices", &devices);
+    out.emplace_back(row + "charged_dl", &row_charged);
+    out.emplace_back(row + "delivered_dl", &row_delivered);
+    out.emplace_back(row + "gap_dl", &row_gap);
+    out.emplace_back(row + "billed_legacy", &row_legacy);
+    out.emplace_back(row + "billed_tlc", &row_tlc);
+    out.emplace_back(row + "charged_ul", &row_ul);
+  }
+  return out;
+}
+
+/// Devices [begin, end) over two cycles, settled by hand into one ledger:
+/// device d charges 1000 + 100·d (+1 in cycle 1) with a gap of 10·d split
+/// 2:1:1 over the causes, bills the TLC half of the gap, and makes
+/// 3 + d % 4 bursts and d % 2 reconnects per cycle.
+SettlementLedger range_ledger(FleetDeviceId begin, FleetDeviceId end) {
+  SettlementLedger ledger(2);
+  for (FleetDeviceId d = begin; d < end; ++d) {
+    for (std::uint32_t cycle = 0; cycle < 2; ++cycle) {
+      const std::uint64_t charged = 1000 + 100 * d + cycle;
+      const std::uint64_t gap = 10 * d;
+      DeviceCycle dc;
+      dc.device = d;
+      dc.cycle = cycle;
+      dc.settled = {1, charged, charged - gap, gap, charged,
+                    charged - gap / 2, charged / 40};
+      dc.dropped_disconnect = gap / 2;
+      dc.dropped_radio = gap / 4;
+      dc.dropped_handover = gap - gap / 2 - gap / 4;
+      dc.bursts = 3 + d % 4;
+      dc.reconnects = d % 2;
+      ledger.add(dc);
+    }
+  }
+  return ledger;
+}
+
+const std::vector<CellReport> kReports{
+    {0, 0, 5000, 4900}, {0, 1, 3000, 1000}, {1, 0, 5100, 5000}};
+
+TEST(SettlementLedger, EveryFieldAloneBreaksEqualityAndNamesItself) {
+  SettlementLedger base = range_ledger(0, 6);
+  base.close(kReports);
+  EXPECT_TRUE(base == base);
+  EXPECT_EQ(base.diff(base), std::vector<std::string>{});
+  const std::size_t count = fields(base).size();
+  ASSERT_EQ(count, 14u + 2u * 7u);
+  for (std::size_t i = 0; i < count; ++i) {
+    SettlementLedger copy = base;
+    const auto [name, value] = fields(copy)[i];
+    *value += 1;
+    EXPECT_FALSE(copy == base) << name;
+    EXPECT_EQ(copy.diff(base),
+              std::vector<std::string>{name + ": " + std::to_string(*value) +
+                                       " != " + std::to_string(*value - 1)});
+  }
+  SettlementLedger shorter = base;
+  shorter.cycle_rows.pop_back();
+  EXPECT_FALSE(shorter == base);
+  EXPECT_EQ(shorter.diff(base),
+            std::vector<std::string>{"cycle_rows.size(): 1 != 2"});
+}
+
+TEST(SettlementLedger, RangesMergeInEitherOrderAndTotalsAreRowSums) {
+  SettlementLedger low_high;
+  low_high += range_ledger(0, 4);
+  low_high += range_ledger(4, 10);
+  low_high.close(kReports);
+  SettlementLedger high_low;
+  high_low += range_ledger(4, 10);
+  high_low += range_ledger(0, 4);
+  high_low.close(kReports);
+  SettlementLedger whole = range_ledger(0, 10);
+  whole.close(kReports);
+  EXPECT_EQ(low_high.diff(high_low), std::vector<std::string>{});
+  EXPECT_TRUE(low_high == high_low);
+  EXPECT_EQ(whole.diff(low_high), std::vector<std::string>{});
+
+  // Ten devices, each once per cycle: Σ(1000 + 100·d) = 14'500 in cycle 0.
+  ASSERT_EQ(low_high.cycle_rows.size(), 2u);
+  EXPECT_EQ(low_high.cycle_rows[0].devices, 10u);
+  EXPECT_EQ(low_high.cycle_rows[0].charged_dl, 14'500u);
+  EXPECT_EQ(low_high.cycle_rows[1].charged_dl, 14'510u);
+  DeviceFleet::SettleTotals sum = low_high.cycle_rows[0];
+  sum += low_high.cycle_rows[1];
+  EXPECT_EQ(low_high.charged_dl, sum.charged_dl);
+  EXPECT_EQ(low_high.delivered_dl, sum.delivered_dl);
+  EXPECT_EQ(low_high.gap_dl, sum.gap_dl);
+  EXPECT_EQ(low_high.billed_legacy, sum.billed_legacy);
+  EXPECT_EQ(low_high.billed_tlc, sum.billed_tlc);
+  EXPECT_EQ(low_high.charged_ul, sum.charged_ul);
+  EXPECT_EQ(low_high.bursts, 2u * (30u + 13u));
+  EXPECT_EQ(low_high.reconnects, 10u);
+  EXPECT_EQ(low_high.gap_disconnect + low_high.gap_radio +
+                low_high.gap_handover,
+            low_high.gap_dl);
+  // close() counts and folds the reports; 3000/1000 is the flagged one.
+  EXPECT_EQ(low_high.cell_reports, 3u);
+  EXPECT_EQ(low_high.ofcs_chain, fold_ofcs(kReports).chain);
+  EXPECT_EQ(low_high.flagged_reports, 1u);
 }
 
 }  // namespace

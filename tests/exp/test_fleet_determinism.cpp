@@ -81,6 +81,23 @@ TEST(FleetDeterminism, MatchesPinnedGoldens) {
   EXPECT_EQ(result.flagged_reports, 0u);
   EXPECT_EQ(result.charged_dl, 138182699u);
   EXPECT_EQ(result.billed_tlc, 133101876u);
+  // The rest of the ledger; BatchMatchesReplay holds every replay of this
+  // scenario to the same ledger.
+  EXPECT_EQ(result.delivered_dl, 128019835u);
+  EXPECT_EQ(result.gap_dl, 10162864u);
+  EXPECT_EQ(result.billed_legacy, 138182699u);
+  EXPECT_EQ(result.charged_ul, 3863303u);
+  EXPECT_EQ(result.bursts, 11512u);
+  EXPECT_EQ(result.reconnects, 115u);
+  EXPECT_EQ(result.gap_disconnect, 1643580u);
+  EXPECT_EQ(result.gap_radio, 8519284u);
+  EXPECT_EQ(result.gap_handover, 0u);
+  EXPECT_EQ(result.cell_reports, 60u);
+  ASSERT_EQ(result.cycle_rows.size(), 2u);
+  EXPECT_EQ(result.cycle_rows[0].charged_dl, 65486958u);
+  EXPECT_EQ(result.cycle_rows[0].billed_tlc, 63035080u);
+  EXPECT_EQ(result.cycle_rows[1].charged_dl, 72695741u);
+  EXPECT_EQ(result.cycle_rows[1].billed_tlc, 70066796u);
 }
 
 TEST(FleetDeterminism, ByteIdenticalAcrossShardCounts) {
@@ -120,49 +137,44 @@ TEST(FleetDeterminism, SerialMatchesParallel) {
 
 TEST(FleetDeterminism, BatchMatchesReplay) {
   // run_fleet and serve::run_replay drive the same kernel into different
-  // sinks; every settlement artifact must agree at any topology.
-  const FleetConfig base = small_config();
+  // sinks; the ledgers and the fleet state must agree at any topology. The
+  // second traffic input hands over every third burst at c = 0.3, so the
+  // handover gap cause and a loss weight other than 0.5 are in the
+  // comparison too (the default's handover every 64 bursts never fires in
+  // this 200-ms run).
+  FleetConfig handover = small_config();
+  handover.traffic.handover_every = 3;
+  handover.loss_weight = 0.3;
   struct Topology {
     std::uint32_t shards;
     std::size_t producers;
   };
-  for (const Topology topo : {Topology{1, 1}, Topology{3, 2}, Topology{8, 4}}) {
-    FleetConfig cfg = base;
-    cfg.shards = topo.shards;
-    const FleetResult batch = run_fleet(cfg);
+  for (const FleetConfig& base : {small_config(), handover}) {
+    for (const Topology topo :
+         {Topology{1, 1}, Topology{3, 2}, Topology{8, 4}}) {
+      FleetConfig cfg = base;
+      cfg.shards = topo.shards;
+      const FleetResult batch = run_fleet(cfg);
 
-    serve::ReplayConfig rcfg;
-    rcfg.devices = base.devices;
-    rcfg.devices_per_cell = base.devices_per_cell;
-    rcfg.cycles = base.cycles;
-    rcfg.cycle_length = base.cycle_length;
-    rcfg.traffic = base.traffic;
-    rcfg.loss_weight = base.loss_weight;
-    rcfg.seed = base.seed;
-    rcfg.producers = topo.producers;
-    rcfg.consumers = 2;
-    rcfg.store_capacity = 256;
-    const serve::ReplayResult live = serve::run_replay(rcfg);
-    const serve::PipelineStats& s = live.stats;
+      serve::ReplayConfig rcfg{base};
+      rcfg.producers = topo.producers;
+      rcfg.consumers = 2;
+      rcfg.store_capacity = 256;
+      const serve::ReplayResult live = serve::run_replay(rcfg);
+      const serve::PipelineStats& s = live.stats;
 
-    SCOPED_TRACE(testing::Message() << "shards=" << topo.shards
-                                    << " producers=" << topo.producers);
-    EXPECT_EQ(s.rejected, 0u);
-    EXPECT_EQ(live.fleet_digest, batch.digest);
-    EXPECT_EQ(s.ofcs_chain, batch.ofcs_chain);
-    EXPECT_EQ(s.flagged_reports, batch.flagged_reports);
-    EXPECT_EQ(s.charged_dl, batch.charged_dl);
-    EXPECT_EQ(s.delivered_dl, batch.delivered_dl);
-    EXPECT_EQ(s.billed_tlc, batch.billed_tlc);
-    EXPECT_EQ(s.charged_ul, batch.charged_ul);
-    EXPECT_EQ(s.cell_reports, batch.messages);
-    EXPECT_EQ(s.bursts, batch.metrics.counter_or_zero("fleet.bursts"));
-    EXPECT_EQ(s.gap_handover,
-              batch.metrics.counter_or_zero("fleet.dropped_handover_bytes"));
-    ASSERT_EQ(s.cycle_rows.size(), batch.cycle_totals.size());
-    for (std::size_t c = 0; c < s.cycle_rows.size(); ++c) {
-      EXPECT_EQ(s.cycle_rows[c].charged_dl, batch.cycle_totals[c].charged_dl);
-      EXPECT_EQ(s.cycle_rows[c].billed_tlc, batch.cycle_totals[c].billed_tlc);
+      SCOPED_TRACE(testing::Message()
+                   << "handover_every=" << base.traffic.handover_every
+                   << " shards=" << topo.shards
+                   << " producers=" << topo.producers);
+      EXPECT_EQ(s.diff(batch), std::vector<std::string>{});
+      EXPECT_TRUE(s == batch);
+      EXPECT_EQ(live.fleet_digest, batch.digest);
+      EXPECT_EQ(s.rejected, 0u);
+      EXPECT_EQ(s.cell_reports, batch.messages);
+      if (base.traffic.handover_every == 3) {
+        EXPECT_GT(batch.gap_handover, 0u);
+      }
     }
   }
 }
@@ -191,9 +203,7 @@ TEST(FleetDeterminism, InvalidLossWeightThrowsOnCallerThread) {
     FleetConfig cfg = small_config();
     cfg.loss_weight = c;
     EXPECT_THROW((void)run_fleet(cfg), std::invalid_argument);
-    serve::ReplayConfig rcfg;
-    rcfg.devices = cfg.devices;
-    rcfg.loss_weight = c;
+    const serve::ReplayConfig rcfg{cfg};
     EXPECT_THROW((void)serve::run_replay(rcfg), std::invalid_argument);
   }
 }
@@ -216,9 +226,7 @@ TEST(FleetDeterminism, InvalidTrafficThrowsOnCallerThread) {
     FleetConfig cfg = small_config();
     cfg.traffic = traffic;
     EXPECT_THROW((void)run_fleet(cfg), std::invalid_argument);
-    serve::ReplayConfig rcfg;
-    rcfg.devices = cfg.devices;
-    rcfg.traffic = traffic;
+    const serve::ReplayConfig rcfg{cfg};
     EXPECT_THROW((void)serve::run_replay(rcfg), std::invalid_argument);
   }
   EXPECT_NO_THROW(epc::check_traffic(epc::FleetTrafficParams{}, "defaults"));
@@ -253,10 +261,11 @@ TEST(FleetAccounting, GapIdentityAndMetricsAgree) {
   EXPECT_EQ(result.windows, 0u);
   // Per-cycle rows sum to the grand totals.
   std::uint64_t charged = 0;
-  for (const FleetCycleTotals& row : result.cycle_totals) {
+  for (const epc::DeviceFleet::SettleTotals& row : result.cycle_rows) {
     charged += row.charged_dl;
   }
   EXPECT_EQ(charged, result.charged_dl);
+  EXPECT_TRUE(result.cycle_totals == result.cycle_rows);
 }
 
 // ------------------------------------------------- kernel boundary rule ---
@@ -377,13 +386,7 @@ TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
         EXPECT_EQ(got.device, d);
         EXPECT_EQ(got.cell, cell);
         EXPECT_EQ(got.cycle, cycle);
-        EXPECT_EQ(got.settled.devices, want.settled.devices);
-        EXPECT_EQ(got.settled.charged_dl, want.settled.charged_dl);
-        EXPECT_EQ(got.settled.delivered_dl, want.settled.delivered_dl);
-        EXPECT_EQ(got.settled.gap_dl, want.settled.gap_dl);
-        EXPECT_EQ(got.settled.billed_legacy, want.settled.billed_legacy);
-        EXPECT_EQ(got.settled.billed_tlc, want.settled.billed_tlc);
-        EXPECT_EQ(got.settled.charged_ul, want.settled.charged_ul);
+        EXPECT_TRUE(got.settled == want.settled);
         EXPECT_EQ(got.dropped_disconnect, want.dropped_disconnect);
         EXPECT_EQ(got.dropped_radio, want.dropped_radio);
         EXPECT_EQ(got.dropped_handover, want.dropped_handover);

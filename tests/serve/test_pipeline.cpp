@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,6 +42,18 @@ ExchangeRecord valid_settlement(std::uint32_t device, std::uint32_t cycle,
           .count();
   rec.bursts = 3;
   rec.reconnects = 1;
+  return rec;
+}
+
+/// A cell report record for (cycle, cell) with the given views.
+ExchangeRecord cell_report(std::uint32_t cycle, std::uint32_t cell,
+                           std::uint64_t charged, std::uint64_t delivered) {
+  ExchangeRecord rec;
+  rec.kind = RecordKind::kCellReport;
+  rec.cycle = cycle;
+  rec.cell = cell;
+  rec.charged_dl = charged;
+  rec.delivered_dl = delivered;
   return rec;
 }
 
@@ -78,9 +91,9 @@ TEST(ServePipeline, AcceptsValidSettlementsAndAccumulates) {
   EXPECT_EQ(s.gap_handover, 150u);
   EXPECT_EQ(s.gap_disconnect + s.gap_radio + s.gap_handover, s.gap_dl);
   ASSERT_EQ(s.cycle_rows.size(), 2u);
-  EXPECT_EQ(s.cycle_rows[0].settled_devices, 2u);
+  EXPECT_EQ(s.cycle_rows[0].devices, 2u);
   EXPECT_EQ(s.cycle_rows[0].charged_dl, 3000u);
-  EXPECT_EQ(s.cycle_rows[1].settled_devices, 1u);
+  EXPECT_EQ(s.cycle_rows[1].devices, 1u);
   EXPECT_EQ(s.cycle_rows[1].gap_dl, 500u);
   EXPECT_TRUE(pipeline.store_empty());
 }
@@ -118,7 +131,7 @@ TEST(ServePipeline, RejectsRecordsThatFailRecomputation) {
   EXPECT_EQ(s.ingested, s.settled + s.rejected);
   // Rejected records must not leak into any accumulator.
   EXPECT_EQ(s.charged_dl, 1000u);
-  EXPECT_EQ(s.cycle_rows[0].settled_devices, 1u);
+  EXPECT_EQ(s.cycle_rows[0].devices, 1u);
   // Each check failed once, and the causes account for every reject.
   for (std::size_t c = 0; c < kRejectCauseCount; ++c) {
     EXPECT_EQ(s.rejected_by_cause[c], 1u)
@@ -214,13 +227,7 @@ TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {
       {0, 1, 400, 390},
   };
   for (const CellReport& r : reports) {
-    ExchangeRecord rec;
-    rec.kind = RecordKind::kCellReport;
-    rec.cycle = r.cycle;
-    rec.cell = r.cell;
-    rec.charged_dl = r.charged_dl;
-    rec.delivered_dl = r.delivered_dl;
-    pipeline.submit(rec);
+    pipeline.submit(cell_report(r.cycle, r.cell, r.charged_dl, r.delivered_dl));
   }
   pipeline.drain();
 
@@ -241,6 +248,58 @@ TEST(ServePipeline, CellReportsFoldIntoOfcsChainInCycleCellOrder) {
     chain = epc::fnv1a64(chain, r.delivered_dl);
   }
   EXPECT_EQ(s.ofcs_chain, chain);
+}
+
+TEST(ServePipeline, CellReportsFailTheCycleAndViewChecks) {
+  // A report for a cycle the pipeline does not run, and one that delivered
+  // more than it charged (its gap would wrap to ~1.8e19 and be flagged),
+  // are rejected under the settlement checks' causes and leave the OFCS
+  // fold as if they were never sent.
+  const std::vector<ExchangeRecord> valid{cell_report(0, 1, 1000, 900),
+                                          cell_report(1, 0, 800, 100)};
+  ServePipeline clean{small_config()};
+  for (const ExchangeRecord& rec : valid) clean.submit(rec);
+  clean.drain();
+
+  ServePipeline mixed{small_config()};
+  mixed.submit(valid[0]);
+  mixed.submit(cell_report(7, 2, 1000, 900));
+  mixed.submit(cell_report(0, 3, 100, 5000));
+  mixed.submit(valid[1]);
+  mixed.drain();
+
+  const PipelineStats& s = mixed.stats();
+  EXPECT_EQ(s.ingested, 4u);
+  EXPECT_EQ(s.settled, 2u);
+  EXPECT_EQ(s.rejected, 2u);
+  EXPECT_EQ(s.rejected_by_cause[static_cast<std::size_t>(
+                RejectCause::kCycleOutOfRange)],
+            1u);
+  EXPECT_EQ(s.rejected_by_cause[static_cast<std::size_t>(
+                RejectCause::kDeliveredExceedsCharged)],
+            1u);
+  EXPECT_EQ(s.cell_reports, 2u);
+  EXPECT_EQ(s.flagged_reports, 1u);  // the 800/100 report alone
+  EXPECT_EQ(s.diff(clean.stats()), std::vector<std::string>{});
+  EXPECT_TRUE(s == clean.stats());
+}
+
+TEST(ServePipeline, StoreOfCapacityOneSettlesARun) {
+  // Capacity 1 rounds up to the ring's two-cell minimum; a 100-record run
+  // goes through it two records at a time.
+  PipelineConfig cfg = small_config();
+  cfg.store_capacity = 1;
+  ServePipeline pipeline{cfg};
+  std::vector<ExchangeRecord> run;
+  for (std::uint32_t d = 0; d < 100; ++d) {
+    run.push_back(valid_settlement(d, d % 2, 1000, d % 50));
+  }
+  pipeline.submit(std::span<ExchangeRecord>(run));
+  pipeline.drain();
+  EXPECT_EQ(pipeline.stats().ingested, 100u);
+  EXPECT_EQ(pipeline.stats().settled, 100u);
+  EXPECT_EQ(pipeline.stats().charged_dl, 100'000u);
+  EXPECT_TRUE(pipeline.store_empty());
 }
 
 TEST(ServePipeline, ConservationHoldsUnderConcurrentProducers) {
@@ -339,38 +398,15 @@ TEST(ServePipeline, RunSubmitStampsEveryRecordOfTheRun) {
   }
 }
 
-/// Every PipelineStats field of `a` equals that of `b`.
+/// Every PipelineStats field of `a` equals that of `b`: the ledger, and
+/// next to it the conservation counts and the latency sample count.
 void expect_same_stats(const PipelineStats& a, const PipelineStats& b) {
+  EXPECT_EQ(a.diff(b), std::vector<std::string>{});
+  EXPECT_TRUE(a == b);
   EXPECT_EQ(a.ingested, b.ingested);
   EXPECT_EQ(a.settled, b.settled);
   EXPECT_EQ(a.rejected, b.rejected);
   EXPECT_EQ(a.rejected_by_cause, b.rejected_by_cause);
-  EXPECT_EQ(a.cell_reports, b.cell_reports);
-  EXPECT_EQ(a.charged_dl, b.charged_dl);
-  EXPECT_EQ(a.delivered_dl, b.delivered_dl);
-  EXPECT_EQ(a.gap_dl, b.gap_dl);
-  EXPECT_EQ(a.billed_legacy, b.billed_legacy);
-  EXPECT_EQ(a.billed_tlc, b.billed_tlc);
-  EXPECT_EQ(a.charged_ul, b.charged_ul);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.reconnects, b.reconnects);
-  EXPECT_EQ(a.gap_disconnect, b.gap_disconnect);
-  EXPECT_EQ(a.gap_radio, b.gap_radio);
-  EXPECT_EQ(a.gap_handover, b.gap_handover);
-  ASSERT_EQ(a.cycle_rows.size(), b.cycle_rows.size());
-  for (std::size_t c = 0; c < a.cycle_rows.size(); ++c) {
-    const PipelineCycleRow& x = a.cycle_rows[c];
-    const PipelineCycleRow& y = b.cycle_rows[c];
-    EXPECT_EQ(x.charged_dl, y.charged_dl);
-    EXPECT_EQ(x.delivered_dl, y.delivered_dl);
-    EXPECT_EQ(x.gap_dl, y.gap_dl);
-    EXPECT_EQ(x.billed_legacy, y.billed_legacy);
-    EXPECT_EQ(x.billed_tlc, y.billed_tlc);
-    EXPECT_EQ(x.charged_ul, y.charged_ul);
-    EXPECT_EQ(x.settled_devices, y.settled_devices);
-  }
-  EXPECT_EQ(a.ofcs_chain, b.ofcs_chain);
-  EXPECT_EQ(a.flagged_reports, b.flagged_reports);
   EXPECT_EQ(a.settle_latency.count(), b.settle_latency.count());
 }
 
@@ -380,13 +416,7 @@ TEST(ServePipeline, RunSubmitMatchesPerRecordSubmit) {
   std::vector<ExchangeRecord> records;
   for (std::uint32_t i = 0; i < 1'000; ++i) {
     if (i % 40 == 39) {
-      ExchangeRecord report;
-      report.kind = RecordKind::kCellReport;
-      report.cycle = (i / 40) % 2;
-      report.cell = i / 80;
-      report.charged_dl = 1000 + i;
-      report.delivered_dl = 700 + i;
-      records.push_back(report);
+      records.push_back(cell_report((i / 40) % 2, i / 80, 1000 + i, 700 + i));
       continue;
     }
     ExchangeRecord rec = valid_settlement(i, i % 2, 1000 + i, i % 300);
@@ -448,13 +478,7 @@ TEST(ServePipeline, PublishExportsServeCounters) {
   ExchangeRecord bad = valid_settlement(1, 0, 1000, 100);
   bad.billed_tlc += 3;
   pipeline.submit(bad);
-  ExchangeRecord report;
-  report.kind = RecordKind::kCellReport;
-  report.cycle = 0;
-  report.cell = 0;
-  report.charged_dl = 1000;
-  report.delivered_dl = 900;
-  pipeline.submit(report);
+  pipeline.submit(cell_report(0, 0, 1000, 900));
   pipeline.drain();
 
   obs::MetricsRegistry registry;

@@ -190,8 +190,27 @@ TEST(Ring, NonPowerOfTwoCapacityRoundsUpAndRefusesThere) {
   EXPECT_FALSE(ring.try_enqueue(8)) << "the rounded capacity is the bound";
   EXPECT_EQ(ring.approx_size(), 8u);
 
-  EXPECT_EQ(Ring<std::uint64_t>{0}.capacity(), 1u);
+  EXPECT_EQ(Ring<std::uint64_t>{0}.capacity(), 2u);
   EXPECT_EQ(Ring<std::uint64_t>{64}.capacity(), 64u);
+}
+
+TEST(Ring, CapacityOneGetsTwoCellsAndKeepsBothValues) {
+  // One cell could not tell "published at pos" from "free at pos + 1": a
+  // second enqueue would overwrite the first value, and the next dequeue
+  // would wait forever for its sequence.
+  Ring<std::uint64_t> ring{1};
+  ASSERT_EQ(ring.capacity(), 2u);
+  EXPECT_TRUE(ring.try_enqueue(1));
+  EXPECT_TRUE(ring.try_enqueue(2));
+  EXPECT_FALSE(ring.try_enqueue(3)) << "two values fill two cells";
+  EXPECT_EQ(ring.approx_size(), 2u);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(ring.try_dequeue(&out));
+  EXPECT_EQ(out, 1u);
+  ASSERT_TRUE(ring.try_dequeue(&out));
+  EXPECT_EQ(out, 2u);
+  EXPECT_FALSE(ring.try_dequeue(&out));
+  EXPECT_EQ(ring.approx_size(), 0u);
 }
 
 TEST(Ring, CellsReusedOverManyLaps) {

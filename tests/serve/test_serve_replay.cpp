@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "exp/fleet.hpp"
 #include "sim/clock_source.hpp"
@@ -21,12 +23,17 @@ constexpr std::uint32_t kDevicesPerCell = 100;
 constexpr std::uint32_t kCycles = 3;
 constexpr std::uint64_t kSeed = 7;
 
+epc::FleetWalk scenario() {
+  epc::FleetWalk walk;
+  walk.devices = kDevices;
+  walk.devices_per_cell = kDevicesPerCell;
+  walk.cycles = kCycles;
+  walk.seed = kSeed;
+  return walk;
+}
+
 ReplayConfig replay_config(std::size_t producers, std::size_t consumers) {
-  ReplayConfig cfg;
-  cfg.devices = kDevices;
-  cfg.devices_per_cell = kDevicesPerCell;
-  cfg.cycles = kCycles;
-  cfg.seed = kSeed;
+  ReplayConfig cfg{scenario()};
   cfg.producers = producers;
   cfg.consumers = consumers;
   cfg.store_capacity = 256;
@@ -34,12 +41,8 @@ ReplayConfig replay_config(std::size_t producers, std::size_t consumers) {
 }
 
 exp::FleetResult batch_result() {
-  exp::FleetConfig cfg;
-  cfg.devices = kDevices;
-  cfg.devices_per_cell = kDevicesPerCell;
+  exp::FleetConfig cfg{scenario()};
   cfg.shards = 2;
-  cfg.cycles = kCycles;
-  cfg.seed = kSeed;
   return exp::run_fleet(cfg);
 }
 
@@ -58,43 +61,17 @@ TEST(ServeReplay, MatchesBatchFleetRunExactly) {
   EXPECT_EQ(s.ingested,
             kDevices * kCycles + std::uint64_t{batch.cells} * kCycles);
   EXPECT_EQ(s.cell_reports, std::uint64_t{batch.cells} * kCycles);
-
-  // Fleet-wide byte totals.
-  EXPECT_EQ(s.charged_dl, batch.charged_dl);
-  EXPECT_EQ(s.delivered_dl, batch.delivered_dl);
-  EXPECT_EQ(s.gap_dl, batch.gap_dl);
-  EXPECT_EQ(s.billed_legacy, batch.billed_legacy);
-  EXPECT_EQ(s.billed_tlc, batch.billed_tlc);
-  EXPECT_EQ(s.charged_ul, batch.charged_ul);
-
-  // Per-cycle rows.
-  ASSERT_EQ(s.cycle_rows.size(), batch.cycle_totals.size());
-  for (std::size_t c = 0; c < s.cycle_rows.size(); ++c) {
-    EXPECT_EQ(s.cycle_rows[c].charged_dl, batch.cycle_totals[c].charged_dl);
-    EXPECT_EQ(s.cycle_rows[c].delivered_dl,
-              batch.cycle_totals[c].delivered_dl);
-    EXPECT_EQ(s.cycle_rows[c].gap_dl, batch.cycle_totals[c].gap_dl);
-    EXPECT_EQ(s.cycle_rows[c].billed_legacy,
-              batch.cycle_totals[c].billed_legacy);
-    EXPECT_EQ(s.cycle_rows[c].billed_tlc, batch.cycle_totals[c].billed_tlc);
-    EXPECT_EQ(s.cycle_rows[c].settled_devices, kDevices);
+  ASSERT_EQ(s.cycle_rows.size(), kCycles);
+  for (const epc::DeviceFleet::SettleTotals& row : s.cycle_rows) {
+    EXPECT_EQ(row.devices, kDevices);
   }
 
-  // Gap-cause taxonomy against the batch run's counters.
-  EXPECT_EQ(s.gap_disconnect,
-            batch.metrics.counter_or_zero("fleet.dropped_disconnect_bytes"));
-  EXPECT_EQ(s.gap_radio,
-            batch.metrics.counter_or_zero("fleet.dropped_radio_bytes"));
-  EXPECT_EQ(s.gap_handover,
-            batch.metrics.counter_or_zero("fleet.dropped_handover_bytes"));
-  EXPECT_EQ(s.bursts, batch.metrics.counter_or_zero("fleet.bursts"));
-  EXPECT_EQ(s.reconnects, batch.metrics.counter_or_zero("fleet.reconnects"));
-
-  // The strongest checks: per-device settled-state digest and the
-  // (cycle, cell)-ordered OFCS aggregator chain.
+  // The whole ledger — totals, per-cycle rows, gap causes, bursts,
+  // reconnects, the (cycle, cell)-ordered OFCS chain — and, next to it,
+  // the per-device settled-state digest.
+  EXPECT_EQ(s.diff(batch), std::vector<std::string>{});
+  EXPECT_TRUE(s == batch);
   EXPECT_EQ(serve.fleet_digest, batch.digest);
-  EXPECT_EQ(s.ofcs_chain, batch.ofcs_chain);
-  EXPECT_EQ(s.flagged_reports, batch.flagged_reports);
 }
 
 TEST(ServeReplay, SerialAndConcurrentTopologiesAreIdentical) {
@@ -110,27 +87,8 @@ TEST(ServeReplay, SerialAndConcurrentTopologiesAreIdentical) {
   EXPECT_EQ(a.ingested, b.ingested);
   EXPECT_EQ(a.settled, b.settled);
   EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.cell_reports, b.cell_reports);
-  EXPECT_EQ(a.charged_dl, b.charged_dl);
-  EXPECT_EQ(a.delivered_dl, b.delivered_dl);
-  EXPECT_EQ(a.gap_dl, b.gap_dl);
-  EXPECT_EQ(a.billed_legacy, b.billed_legacy);
-  EXPECT_EQ(a.billed_tlc, b.billed_tlc);
-  EXPECT_EQ(a.charged_ul, b.charged_ul);
-  EXPECT_EQ(a.bursts, b.bursts);
-  EXPECT_EQ(a.reconnects, b.reconnects);
-  EXPECT_EQ(a.gap_disconnect, b.gap_disconnect);
-  EXPECT_EQ(a.gap_radio, b.gap_radio);
-  EXPECT_EQ(a.gap_handover, b.gap_handover);
-  ASSERT_EQ(a.cycle_rows.size(), b.cycle_rows.size());
-  for (std::size_t c = 0; c < a.cycle_rows.size(); ++c) {
-    EXPECT_EQ(a.cycle_rows[c].charged_dl, b.cycle_rows[c].charged_dl);
-    EXPECT_EQ(a.cycle_rows[c].billed_tlc, b.cycle_rows[c].billed_tlc);
-    EXPECT_EQ(a.cycle_rows[c].settled_devices,
-              b.cycle_rows[c].settled_devices);
-  }
-  EXPECT_EQ(a.ofcs_chain, b.ofcs_chain);
-  EXPECT_EQ(a.flagged_reports, b.flagged_reports);
+  EXPECT_EQ(a.diff(b), std::vector<std::string>{});
+  EXPECT_TRUE(a == b);
 }
 
 TEST(ServeReplay, ProducerCountClampsToCellCount) {

@@ -9,8 +9,8 @@
 // zero), TLC-random sits between it and legacy, legacy has the long tail.
 #include <cstdio>
 
-#include "dataset.hpp"
 #include "exp/metrics.hpp"
+#include "exp/sweep.hpp"
 
 using namespace tlc;
 using namespace tlc::exp;

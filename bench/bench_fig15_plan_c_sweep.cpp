@@ -9,9 +9,8 @@
 #include <cstdio>
 
 #include "common/format.hpp"
-
-#include "dataset.hpp"
 #include "exp/metrics.hpp"
+#include "exp/sweep.hpp"
 
 using namespace tlc;
 using namespace tlc::exp;

@@ -5,8 +5,8 @@
 // needs 3.5 (WebCam UDP), 2.7 (WebCam RTSP), 4.6 (gaming), 2.7 (VR).
 #include <cstdio>
 
-#include "dataset.hpp"
 #include "exp/metrics.hpp"
+#include "exp/sweep.hpp"
 
 using namespace tlc;
 using namespace tlc::exp;

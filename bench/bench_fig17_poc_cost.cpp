@@ -19,7 +19,6 @@
 #include "exp/device_profile.hpp"
 #include "tlc/batch.hpp"
 #include "tlc/protocol.hpp"
-#include "tlc/timed_exchange.hpp"
 #include "tlc/verifier.hpp"
 #include "wire/legacy_cdr.hpp"
 
@@ -253,15 +252,14 @@ void print_summary() {
   // --- negotiation-time decomposition over the simulated channel ---------
   // §7.2: "The negotiation time mainly includes the cryptographic
   // computation (contributing 54.9% on average), and the round-trip
-  // between device and network (45.1%)." We replay the exchange on the
-  // simulator with phone-class crypto times (host-measured, scaled) and
-  // LTE one-way latency.
+  // between device and network (45.1%)." We run the exchange and charge
+  // each message phone-class crypto times (host-measured, scaled) and LTE
+  // one-way latency.
   std::printf("\n## Fig. 17 negotiation decomposition (simulated channel)\n");
   std::printf("%-10s %12s %12s %12s %13s\n", "device", "total (ms)",
               "crypto (ms)", "rtt (ms)", "crypto share");
   for (const auto& dev : exp::device_profiles()) {
     if (dev.name == "Z840") continue;
-    sim::Scheduler sched;
     ProtocolParty op_party{env().config(PartyRole::kCellularOperator),
                            *env().operator_strategy, env().operator_keys,
                            env().edge_keys.public_key(), Rng{400}};
@@ -276,8 +274,7 @@ void print_summary() {
         from_seconds(negotiate_ms / 3.0 / 1e3);  // operator (initiator)
     tcfg.responder_crypto =
         from_seconds(negotiate_ms / 3.0 / 1e3 * dev.crypto_slowdown);
-    const auto timed =
-        run_timed_exchange(sched, op_party, edge_party, tcfg);
+    const auto timed = run_timed_exchange(op_party, edge_party, tcfg);
     const double total_ms = to_seconds(timed.elapsed) * 1e3;
     const double crypto_ms = to_seconds(timed.crypto_time) * 1e3;
     const double rtt_ms = to_seconds(timed.network_time) * 1e3;
@@ -291,7 +288,6 @@ void print_summary() {
       "54.9%% crypto share reflects 2019 Java RSA-1024 on phones (~20 ms "
       "per\nmessage). Re-running with that era's crypto cost:\n");
   {
-    sim::Scheduler sched;
     ProtocolParty op_party{env().config(PartyRole::kCellularOperator),
                            *env().operator_strategy, env().operator_keys,
                            env().edge_keys.public_key(), Rng{500}};
@@ -302,7 +298,7 @@ void print_summary() {
     tcfg.one_way_latency = std::chrono::milliseconds{14};
     tcfg.initiator_crypto = std::chrono::milliseconds{3};   // core server
     tcfg.responder_crypto = std::chrono::milliseconds{20};  // 2019 phone
-    const auto timed = run_timed_exchange(sched, op_party, edge_party, tcfg);
+    const auto timed = run_timed_exchange(op_party, edge_party, tcfg);
     const double total_ms = to_seconds(timed.elapsed) * 1e3;
     const double crypto_ms = to_seconds(timed.crypto_time) * 1e3;
     std::printf("  2019-calibrated: total %.1f ms, crypto share %.1f%% "

@@ -1,69 +1,27 @@
-// Minimal leveled logger.
+// Warnings to stderr.
 //
-// The library itself is silent at default level; simulations and benches
-// raise the level for progress output. Logging is never on a packet fast
+// The library is otherwise silent: its only log lines are cold warnings
+// (a trace file that cannot be opened or written), never on a packet fast
 // path.
-//
-// Two pluggable hooks keep log lines usable inside a simulation:
-//   * set_log_sink routes formatted lines somewhere other than stderr
-//     (test capture, a file, the structured trace);
-//   * set_log_clock registers a simulated-time source (typically a
-//     Scheduler's now()), after which every line is prefixed with the
-//     simulated time so log output can be ordered against trace events.
 #pragma once
 
-#include <functional>
+#include <cstdio>
 #include <sstream>
-#include <string_view>
-
-#include "common/units.hpp"
+#include <string>
+#include <utility>
 
 namespace tlc {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
-
-/// Receives every emitted line, already prefixed with level (and simulated
-/// time when a clock is registered). Pass nullptr to restore stderr.
-using LogSinkFn = std::function<void(LogLevel, std::string_view line)>;
-void set_log_sink(LogSinkFn sink);
-
-/// Registers a simulated-time source; lines are prefixed "[t=12.345s]".
-/// The callable must stay valid until cleared. Pass nullptr to clear
-/// (callers owning the clock — e.g. anything holding a Scheduler — must
-/// clear before the clock dies).
-using LogClockFn = std::function<TimePoint()>;
-void set_log_clock(LogClockFn clock);
-
-namespace detail {
-void log_line(LogLevel level, std::string_view message);
-}
-
-template <typename... Args>
-void log(LogLevel level, Args&&... args) {
-  if (level < log_level()) return;
-  std::ostringstream oss;
-  (oss << ... << std::forward<Args>(args));
-  detail::log_line(level, oss.str());
-}
-
-template <typename... Args>
-void log_debug(Args&&... args) {
-  log(LogLevel::kDebug, std::forward<Args>(args)...);
-}
-template <typename... Args>
-void log_info(Args&&... args) {
-  log(LogLevel::kInfo, std::forward<Args>(args)...);
-}
+/// Writes "[tlc WARN ] <args...>" and a newline to stderr in one fwrite,
+/// so lines from concurrent sweep workers do not interleave.
 template <typename... Args>
 void log_warn(Args&&... args) {
-  log(LogLevel::kWarn, std::forward<Args>(args)...);
-}
-template <typename... Args>
-void log_error(Args&&... args) {
-  log(LogLevel::kError, std::forward<Args>(args)...);
+  std::ostringstream oss;
+  oss << "[tlc WARN ] ";
+  (oss << ... << std::forward<Args>(args));
+  oss << '\n';
+  const std::string line = oss.str();
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace tlc

@@ -37,7 +37,6 @@ BaseStation::BaseStation(sim::Scheduler& sched, BaseStationConfig config,
                   plan_.cycle_at(operator_clock_.local_time(at)).index;
               ul_radio_loss_by_cycle_[cycle] += p.size;
             }
-            if (ul_drop_observer_) ul_drop_observer_(p, cause, at);
           }) {}
 
 void BaseStation::set_observability(obs::Obs* obs,

@@ -74,9 +74,8 @@ class BaseStation {
   void set_counter_check_sink(CounterCheckFn fn) {
     counter_check_sink_ = std::move(fn);
   }
-  /// Observers for every lost packet (ground-truth bookkeeping).
+  /// Observer for every lost downlink packet (ground-truth bookkeeping).
   void set_downlink_drop_observer(DropFn fn) { dl_drop_observer_ = std::move(fn); }
-  void set_uplink_drop_observer(DropFn fn) { ul_drop_observer_ = std::move(fn); }
   /// Downlink deliveries (→ device + ground truth).
   void set_downlink_sink(UplinkSinkFn fn) { downlink_sink_ = std::move(fn); }
 
@@ -160,7 +159,6 @@ class BaseStation {
   SessionFn session_cb_;
   CounterCheckFn counter_check_sink_;
   DropFn dl_drop_observer_;
-  DropFn ul_drop_observer_;
 
   bool attached_ = true;
   bool rrc_connected_ = true;

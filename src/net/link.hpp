@@ -71,10 +71,7 @@ class CellLink {
   void set_background_load(BitRate load);
   [[nodiscard]] BitRate background_load() const { return background_; }
 
-  /// Updates the load-dependent air-contention loss probability.
-  void set_congestion_loss(double probability) {
-    config_.congestion_loss = probability;
-  }
+  /// Load-dependent air-contention loss probability.
   [[nodiscard]] double congestion_loss() const {
     return config_.congestion_loss;
   }

@@ -44,13 +44,6 @@ void append_json_string(std::string* out, std::string_view s) {
   out->push_back('"');
 }
 
-std::string json_string(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  append_json_string(&out, s);
-  return out;
-}
-
 std::string format_json_double(double v) {
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
     char buf[32];

@@ -15,9 +15,6 @@ namespace tlc::obs {
 /// Appends `s` to `*out` as a quoted, escaped JSON string literal.
 void append_json_string(std::string* out, std::string_view s);
 
-/// The quoted, escaped literal as a fresh string.
-[[nodiscard]] std::string json_string(std::string_view s);
-
 /// Deterministic double formatting: integral values without a fractional
 /// part, everything else with enough digits to round-trip.
 [[nodiscard]] std::string format_json_double(double v);

@@ -94,12 +94,6 @@ std::uint64_t MetricsSnapshot::counter_or_zero(std::string_view name) const {
   return it == counters.end() ? 0 : it->second;
 }
 
-void MetricsSnapshot::merge_counters_from(const MetricsSnapshot& other) {
-  for (const auto& [name, value] : other.counters) {
-    counters[name] += value;
-  }
-}
-
 LogHistogramSnapshot MetricsSnapshot::log_histogram_or_zero(
     std::string_view name) const {
   const auto it = log_histograms.find(std::string{name});

@@ -177,13 +177,6 @@ struct MetricsSnapshot {
   /// Counter value, or 0 when the counter was never registered.
   [[nodiscard]] std::uint64_t counter_or_zero(std::string_view name) const;
 
-  /// Sums every counter of `other` into this snapshot, creating missing
-  /// keys. Only counters merge: u64 addition is exactly commutative, so a
-  /// fold over per-shard registries is independent of shard count and
-  /// fold order. Gauges and histograms (which have no order-free merge)
-  /// are left untouched.
-  void merge_counters_from(const MetricsSnapshot& other);
-
   /// Percentile summary, or a zero snapshot when never registered.
   [[nodiscard]] LogHistogramSnapshot log_histogram_or_zero(
       std::string_view name) const;

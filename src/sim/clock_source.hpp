@@ -1,18 +1,14 @@
-// Pluggable time backends: the bridge between batch simulation and the
-// online serving mode.
+// Pluggable time backends for the online serving mode.
 //
-// Every batch scenario reads time from a Scheduler (virtual, advanced by
-// the event loop). A long-running charging service has no event loop to
-// advance time for it — the wall clock does. ClockSource abstracts over
-// both so the serve pipeline's latency accounting and interval throughput
-// harness are written once:
+// A long-running charging service has no event loop to advance time for
+// it — the wall clock does. ClockSource lets the serve pipeline's latency
+// accounting run on either of:
 //
-//   SchedulerClockSource — mirrors Scheduler::now(); deterministic replay.
-//   ManualClockSource    — atomically settable; deterministic tests of the
-//                          live pipeline without a scheduler.
-//   WallClockSource      — monotonic wall time anchored at construction
-//                          (epoch maps to kTimeZero), so serving-mode
-//                          timestamps share the simulated time axis.
+//   ManualClockSource — atomically settable; deterministic tests of the
+//                       live pipeline.
+//   WallClockSource   — monotonic wall time anchored at construction
+//                       (epoch maps to kTimeZero), so serving-mode
+//                       timestamps share the simulated time axis.
 //
 // Only monotonic clocks: the charging-cycle boundary logic (sim/clock.hpp's
 // NodeClock offsets ride on top) assumes time never goes backwards.
@@ -25,8 +21,6 @@
 
 namespace tlc::sim {
 
-class Scheduler;
-
 /// Read-only time backend. Implementations must be monotonic
 /// (now() never decreases) and safe to call from multiple threads.
 class ClockSource {
@@ -37,20 +31,6 @@ class ClockSource {
   virtual ~ClockSource() = default;
 
   [[nodiscard]] virtual TimePoint now() const = 0;
-};
-
-/// Virtual time: reads the scheduler's clock. Single-threaded by nature —
-/// the scheduler advances on the dispatching thread — so this source is for
-/// components living on that same thread.
-class SchedulerClockSource final : public ClockSource {
- public:
-  explicit SchedulerClockSource(const Scheduler& scheduler)
-      : scheduler_(&scheduler) {}
-
-  [[nodiscard]] TimePoint now() const override;
-
- private:
-  const Scheduler* scheduler_;
 };
 
 /// Settable virtual time, safe across threads: one writer advances, any

@@ -335,4 +335,20 @@ int run_exchange(ProtocolParty& initiator, ProtocolParty& responder) {
   return messages;
 }
 
+TimedExchangeResult run_timed_exchange(ProtocolParty& initiator,
+                                       ProtocolParty& responder,
+                                       const TimedExchangeConfig& config) {
+  TimedExchangeResult result;
+  result.messages = run_exchange(initiator, responder);
+  result.network_time = result.messages * config.one_way_latency;
+  result.crypto_time =
+      result.messages * (config.initiator_crypto + config.responder_crypto);
+  result.elapsed = result.network_time + result.crypto_time;
+  result.completed = initiator.state() == ProtocolState::kDone &&
+                     responder.state() == ProtocolState::kDone;
+  result.rounds = initiator.rounds();
+  result.charged = initiator.charged();
+  return result;
+}
+
 }  // namespace tlc::core

@@ -142,4 +142,34 @@ class ProtocolParty {
 /// state/PoC afterwards.
 int run_exchange(ProtocolParty& initiator, ProtocolParty& responder);
 
+/// Per-message costs of an exchange over a channel with latency.
+struct TimedExchangeConfig {
+  /// One-way latency between the parties (edge device ↔ operator core).
+  Duration one_way_latency = std::chrono::milliseconds{12};
+  /// Time the initiator spends signing/verifying per message it handles.
+  Duration initiator_crypto = std::chrono::milliseconds{2};
+  /// Same for the responder.
+  Duration responder_crypto = std::chrono::milliseconds{2};
+};
+
+struct TimedExchangeResult {
+  bool completed = false;  // both parties reached kDone
+  Duration elapsed = Duration::zero();
+  Duration crypto_time = Duration::zero();   // summed processing time
+  Duration network_time = Duration::zero();  // summed propagation time
+  int messages = 0;
+  int rounds = 0;
+  Bytes charged;
+};
+
+/// run_exchange with §7.2's split of negotiation time into cryptographic
+/// computation and device↔network round trips. The exchange is lockstep —
+/// one message in flight at a time — and each message costs its sender's
+/// crypto, one one-way latency and its receiver's crypto. So for n
+/// messages, network_time = n · latency, crypto_time = n · (initiator +
+/// responder crypto), and elapsed is their sum.
+[[nodiscard]] TimedExchangeResult run_timed_exchange(
+    ProtocolParty& initiator, ProtocolParty& responder,
+    const TimedExchangeConfig& config);
+
 }  // namespace tlc::core

@@ -1,30 +1,92 @@
 #include "tlc/receipt_store.hpp"
 
+#include <array>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "wire/codec.hpp"
 
 namespace tlc::core {
 namespace {
 
-constexpr char kMagic[8] = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '1'};
+constexpr std::size_t kMagicSize = 8;
 
-void write_u32(std::ostream& os, std::uint32_t v) {
-  const char bytes[4] = {
-      static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-      static_cast<char>(v >> 8), static_cast<char>(v)};
-  os.write(bytes, 4);
+/// The file framing both archives share: an 8-byte magic, then records,
+/// each a big-endian u32 length and that many bytes.
+struct Framing {
+  const char* store;  // names the archive in errors
+  std::array<char, kMagicSize> magic;
+};
+
+constexpr Framing kPocFile{"ReceiptStore",
+                           {'T', 'L', 'C', 'R', 'C', 'P', 'T', '1'}};
+constexpr Framing kBatchFile{"BatchedReceiptStore",
+                             {'T', 'L', 'C', 'R', 'C', 'P', 'T', '2'}};
+
+[[noreturn]] void fail(const Framing& f, const std::string& what) {
+  throw std::runtime_error{std::string{f.store} + ": " + what};
 }
 
-std::uint32_t read_u32(std::istream& is) {
-  unsigned char bytes[4];
-  is.read(reinterpret_cast<char*>(bytes), 4);
-  if (!is) throw std::runtime_error{"ReceiptStore: truncated record length"};
-  return (static_cast<std::uint32_t>(bytes[0]) << 24) |
-         (static_cast<std::uint32_t>(bytes[1]) << 16) |
-         (static_cast<std::uint32_t>(bytes[2]) << 8) |
-         static_cast<std::uint32_t>(bytes[3]);
+/// Appends one record, writing the magic first when the file is new.
+void append_record(const std::filesystem::path& path, const Framing& f,
+                   const ByteVec& bytes) {
+  const bool fresh = !std::filesystem::exists(path);
+  std::ofstream os{path, std::ios::binary | std::ios::app};
+  if (!os) fail(f, "cannot open " + path.string());
+  if (fresh) {
+    os.write(f.magic.data(), static_cast<std::streamsize>(kMagicSize));
+  }
+  const auto len = static_cast<std::uint32_t>(bytes.size());
+  const char prefix[4] = {
+      static_cast<char>(len >> 24), static_cast<char>(len >> 16),
+      static_cast<char>(len >> 8), static_cast<char>(len)};
+  os.write(prefix, sizeof(prefix));
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+  if (!os) fail(f, "write failed");
+}
+
+/// Every record of the file, in order, through `decode`; none when the
+/// file does not exist. Throws std::runtime_error on a foreign magic, a
+/// truncated record, or a record `decode` rejects with wire::DecodeError.
+template <class Decode>
+auto load_records(const std::filesystem::path& path, const Framing& f,
+                  Decode decode) {
+  std::vector<std::invoke_result_t<Decode, const ByteVec&>> out;
+  if (!std::filesystem::exists(path)) return out;
+  std::ifstream is{path, std::ios::binary};
+  if (!is) fail(f, "cannot open " + path.string());
+  std::uintmax_t left = std::filesystem::file_size(path);
+  std::array<char, kMagicSize> magic{};
+  is.read(magic.data(), static_cast<std::streamsize>(kMagicSize));
+  if (!is || magic != f.magic) {
+    fail(f, "not a " + std::string{f.magic.data(), kMagicSize} + " file");
+  }
+  left -= kMagicSize;
+  while (left > 0) {
+    unsigned char prefix[4];
+    is.read(reinterpret_cast<char*>(prefix), sizeof(prefix));
+    if (!is) fail(f, "truncated record length");
+    left -= sizeof(prefix);
+    const std::uint32_t len = (static_cast<std::uint32_t>(prefix[0]) << 24) |
+                              (static_cast<std::uint32_t>(prefix[1]) << 16) |
+                              (static_cast<std::uint32_t>(prefix[2]) << 8) |
+                              static_cast<std::uint32_t>(prefix[3]);
+    // Checked before allocating: a corrupt prefix must not size the buffer.
+    if (len > left) fail(f, "truncated record");
+    ByteVec bytes(len);
+    is.read(reinterpret_cast<char*>(bytes.data()), len);
+    if (!is) fail(f, "truncated record");
+    left -= len;
+    try {
+      out.push_back(decode(bytes));
+    } catch (const wire::DecodeError& e) {
+      fail(f, std::string{"corrupt record: "} + e.what());
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -33,45 +95,13 @@ ReceiptStore::ReceiptStore(std::filesystem::path path)
     : path_(std::move(path)) {}
 
 void ReceiptStore::append(const PocMsg& poc) {
-  const bool fresh = !std::filesystem::exists(path_);
-  std::ofstream os{path_, std::ios::binary | std::ios::app};
-  if (!os) {
-    throw std::runtime_error{"ReceiptStore: cannot open " + path_.string()};
-  }
-  if (fresh) os.write(kMagic, sizeof(kMagic));
-  const ByteVec bytes = poc.encode();
-  write_u32(os, static_cast<std::uint32_t>(bytes.size()));
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  if (!os) throw std::runtime_error{"ReceiptStore: write failed"};
+  append_record(path_, kPocFile, poc.encode());
 }
 
 std::vector<PocMsg> ReceiptStore::load_all() const {
-  std::vector<PocMsg> out;
-  if (!std::filesystem::exists(path_)) return out;
-  std::ifstream is{path_, std::ios::binary};
-  if (!is) {
-    throw std::runtime_error{"ReceiptStore: cannot open " + path_.string()};
-  }
-  char magic[sizeof(kMagic)];
-  is.read(magic, sizeof(magic));
-  if (!is || !std::equal(std::begin(magic), std::end(magic),
-                         std::begin(kMagic))) {
-    throw std::runtime_error{"ReceiptStore: not a receipt file"};
-  }
-  while (is.peek() != std::ifstream::traits_type::eof()) {
-    const std::uint32_t len = read_u32(is);
-    ByteVec bytes(len);
-    is.read(reinterpret_cast<char*>(bytes.data()), len);
-    if (!is) throw std::runtime_error{"ReceiptStore: truncated record"};
-    try {
-      out.push_back(PocMsg::decode(bytes));
-    } catch (const wire::DecodeError& e) {
-      throw std::runtime_error{std::string{"ReceiptStore: corrupt record: "} +
-                               e.what()};
-    }
-  }
-  return out;
+  return load_records(path_, kPocFile, [](const ByteVec& bytes) {
+    return PocMsg::decode(bytes);
+  });
 }
 
 std::size_t ReceiptStore::count() const { return load_all().size(); }
@@ -95,12 +125,6 @@ ReceiptStore::AuditReport ReceiptStore::audit(
 }
 
 // ---------------------------------------------------- BatchedReceiptStore
-
-namespace {
-
-constexpr char kBatchFileMagic[8] = {'T', 'L', 'C', 'R', 'C', 'P', 'T', '2'};
-
-}  // namespace
 
 BatchedReceiptStore::BatchedReceiptStore(std::filesystem::path path,
                                          const crypto::KeyPair& key,
@@ -131,50 +155,17 @@ void BatchedReceiptStore::flush() {
 }
 
 void BatchedReceiptStore::write_batch(const ReceiptBatch& batch) {
-  const bool fresh = !std::filesystem::exists(path_);
-  std::ofstream os{path_, std::ios::binary | std::ios::app};
-  if (!os) {
-    throw std::runtime_error{"BatchedReceiptStore: cannot open " +
-                             path_.string()};
-  }
-  if (fresh) os.write(kBatchFileMagic, sizeof(kBatchFileMagic));
   // Stored record == wire frame with a zeroed header: the archive holds
   // exactly the bytes a settlement would transmit.
   const ByteVec bytes =
       wire::encode_batch_frame(to_batch_frame(batch, wire::FrameHeader{}));
-  write_u32(os, static_cast<std::uint32_t>(bytes.size()));
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  if (!os) throw std::runtime_error{"BatchedReceiptStore: write failed"};
+  append_record(path_, kBatchFile, bytes);
 }
 
 std::vector<ReceiptBatch> BatchedReceiptStore::load_all() const {
-  std::vector<ReceiptBatch> out;
-  if (!std::filesystem::exists(path_)) return out;
-  std::ifstream is{path_, std::ios::binary};
-  if (!is) {
-    throw std::runtime_error{"BatchedReceiptStore: cannot open " +
-                             path_.string()};
-  }
-  char magic[sizeof(kBatchFileMagic)];
-  is.read(magic, sizeof(magic));
-  if (!is || !std::equal(std::begin(magic), std::end(magic),
-                         std::begin(kBatchFileMagic))) {
-    throw std::runtime_error{"BatchedReceiptStore: not a batch receipt file"};
-  }
-  while (is.peek() != std::ifstream::traits_type::eof()) {
-    const std::uint32_t len = read_u32(is);
-    ByteVec bytes(len);
-    is.read(reinterpret_cast<char*>(bytes.data()), len);
-    if (!is) throw std::runtime_error{"BatchedReceiptStore: truncated record"};
-    try {
-      out.push_back(from_batch_frame(wire::decode_batch_frame(bytes)));
-    } catch (const wire::DecodeError& e) {
-      throw std::runtime_error{
-          std::string{"BatchedReceiptStore: corrupt record: "} + e.what()};
-    }
-  }
-  return out;
+  return load_records(path_, kBatchFile, [](const ByteVec& bytes) {
+    return from_batch_frame(wire::decode_batch_frame(bytes));
+  });
 }
 
 std::size_t BatchedReceiptStore::count() const {

@@ -1,5 +1,5 @@
-// ClockSource backends (sim/clock_source.hpp): scheduler mirroring, manual
-// monotonic advance under racing writers, wall-clock anchoring.
+// ClockSource backends (sim/clock_source.hpp): manual monotonic advance
+// under racing writers, wall-clock anchoring.
 #include "sim/clock_source.hpp"
 
 #include <gtest/gtest.h>
@@ -7,27 +7,11 @@
 #include <thread>
 #include <vector>
 
-#include "sim/scheduler.hpp"
-
 namespace tlc::sim {
 namespace {
 
 using std::chrono::milliseconds;
 using std::chrono::seconds;
-
-TEST(SchedulerClockSource, MirrorsSchedulerTime) {
-  Scheduler sched;
-  SchedulerClockSource clock{sched};
-  EXPECT_EQ(clock.now(), kTimeZero);
-
-  TimePoint seen{};
-  sched.schedule_at(kTimeZero + seconds{5},
-                    InlineCallback{[&clock, &seen] { seen = clock.now(); }});
-  while (sched.step()) {
-  }
-  EXPECT_EQ(seen, kTimeZero + seconds{5});
-  EXPECT_EQ(clock.now(), sched.now());
-}
 
 TEST(ManualClockSource, StartsAtGivenTimeAndAdvances) {
   ManualClockSource clock{kTimeZero + seconds{10}};

@@ -254,6 +254,21 @@ TEST_F(BatchTest, VerifierRejectsChainViolations) {
     BatchedVerifier v = make_batched_verifier();
     EXPECT_EQ(v.verify_batch(empty).head, BatchVerifyResult::kMalformedHead);
   }
+  {  // A rejected head leaves the chain where it was: after a forged copy
+     // of batch 1, the genuine batch 1 still verifies.
+    ReceiptBatch forged = batches[1];
+    forged.head.count += 1;
+    BatchedVerifier v = make_batched_verifier();
+    EXPECT_EQ(v.verify_batch(batches[0]).head, BatchVerifyResult::kOk);
+    const BatchAudit rejected = v.verify_batch(forged);
+    EXPECT_NE(rejected.head, BatchVerifyResult::kOk);
+    EXPECT_EQ(rejected.accepted, 0u);
+    const BatchAudit genuine = v.verify_batch(batches[1]);
+    EXPECT_EQ(genuine.head, BatchVerifyResult::kOk);
+    EXPECT_EQ(genuine.accepted, 2u);
+    EXPECT_EQ(v.heads_accepted(), 2u);
+    EXPECT_EQ(v.heads_rejected(), 1u);
+  }
 }
 
 TEST_F(BatchTest, CheckIntegrityValidatesProofsWithoutCharging) {
@@ -366,6 +381,20 @@ TEST_F(BatchStoreTest, RejectsForeignFile) {
   }
   // The constructor scans the archive to resume the chain, so a foreign
   // file is rejected before any append can extend it.
+  EXPECT_THROW((BatchedReceiptStore{path_, operator_keys(),
+                                    PartyRole::kCellularOperator}),
+               std::runtime_error);
+}
+
+TEST_F(BatchStoreTest, DetectsTruncation) {
+  {
+    BatchedReceiptStore store{path_, operator_keys(),
+                              PartyRole::kCellularOperator,
+                              FlushPolicy{1, false}};
+    store.append(make_valid_poc(kView, kView, 440), 3);
+  }
+  // Chop the tail off the file.
+  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 10);
   EXPECT_THROW((BatchedReceiptStore{path_, operator_keys(),
                                     PartyRole::kCellularOperator}),
                std::runtime_error);

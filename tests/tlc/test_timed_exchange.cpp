@@ -1,7 +1,8 @@
-#include "tlc/timed_exchange.hpp"
-
+// run_timed_exchange (tlc/protocol.hpp): §7.2's crypto vs. round-trip
+// decomposition of a lockstep exchange.
 #include <gtest/gtest.h>
 
+#include "tlc/protocol.hpp"
 #include "tlc/protocol_fixture.hpp"
 
 namespace tlc::core {
@@ -12,8 +13,6 @@ using std::chrono::milliseconds;
 class TimedExchangeTest : public testing::ProtocolFixture {
  protected:
   static constexpr LocalView kView{Bytes{1'000'000}, Bytes{920'000}};
-
-  sim::Scheduler sched;
 
   std::pair<ProtocolParty, ProtocolParty> make_pair(
       const Strategy& edge_strategy, const Strategy& op_strategy,
@@ -34,7 +33,7 @@ TEST_F(TimedExchangeTest, OneRoundTimingDecomposition) {
   cfg.one_way_latency = milliseconds{10};
   cfg.initiator_crypto = milliseconds{3};
   cfg.responder_crypto = milliseconds{5};
-  const auto result = run_timed_exchange(sched, op, edge, cfg);
+  const auto result = run_timed_exchange(op, edge, cfg);
 
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.messages, 3);  // CDR, CDA, PoC
@@ -58,7 +57,7 @@ TEST_F(TimedExchangeTest, CryptoShareMatchesPaperBallpark) {
   cfg.one_way_latency = milliseconds{12};
   cfg.initiator_crypto = milliseconds{6};
   cfg.responder_crypto = milliseconds{9};
-  const auto result = run_timed_exchange(sched, op, edge, cfg);
+  const auto result = run_timed_exchange(op, edge, cfg);
   const double crypto_share =
       to_seconds(result.crypto_time) / to_seconds(result.elapsed);
   EXPECT_GT(crypto_share, 0.4);
@@ -69,19 +68,25 @@ TEST_F(TimedExchangeTest, MultiRoundExchangesTakeLonger) {
   const auto es_fast = make_optimal_edge();
   const auto os_fast = make_optimal_operator();
   auto [op1, edge1] = make_pair(*es_fast, *os_fast, 3);
-  const auto one_round = run_timed_exchange(sched, op1, edge1, {});
+  const auto one_round = run_timed_exchange(op1, edge1, {});
 
   const auto es_slow = make_random_edge(0.5);
   const auto os_slow = make_random_operator(0.5);
   // Find a seed where the random pair needs >1 round.
   for (std::uint64_t seed = 1; seed < 40; ++seed) {
-    sim::Scheduler fresh;
     auto [op2, edge2] = make_pair(*es_slow, *os_slow, seed);
-    const auto multi = run_timed_exchange(fresh, op2, edge2, {});
+    const TimedExchangeConfig cfg;
+    const auto multi = run_timed_exchange(op2, edge2, cfg);
     ASSERT_TRUE(multi.completed);
     if (multi.rounds > 1) {
       EXPECT_GT(multi.messages, one_round.messages);
       EXPECT_GT(multi.elapsed, one_round.elapsed);
+      // Lockstep: every message pays both parties' crypto and one trip.
+      const Duration per_message_crypto =
+          cfg.initiator_crypto + cfg.responder_crypto;
+      EXPECT_EQ(multi.elapsed,
+                multi.messages * (cfg.one_way_latency + per_message_crypto));
+      EXPECT_EQ(multi.crypto_time, multi.messages * per_message_crypto);
       return;
     }
   }
@@ -99,7 +104,7 @@ TEST_F(TimedExchangeTest, FailedExchangeReportsIncomplete) {
                    Rng{2}};
   ProtocolParty edge{cfg_e, *es, edge_keys(), operator_keys().public_key(),
                      Rng{3}};
-  const auto result = run_timed_exchange(sched, op, edge, {});
+  const auto result = run_timed_exchange(op, edge, {});
   EXPECT_FALSE(result.completed);
   EXPECT_GT(result.messages, 3);
 }
@@ -112,7 +117,7 @@ TEST_F(TimedExchangeTest, ZeroLatencyStillOrdersCorrectly) {
   cfg.one_way_latency = Duration::zero();
   cfg.initiator_crypto = Duration::zero();
   cfg.responder_crypto = Duration::zero();
-  const auto result = run_timed_exchange(sched, op, edge, cfg);
+  const auto result = run_timed_exchange(op, edge, cfg);
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.elapsed, Duration::zero());
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# CI-style check: build with ThreadSanitizer (-DTLC_SANITIZE=thread) and run
-# the concurrency-sensitive tests — everything carrying the `sweep` ctest
-# label: the parallel-vs-serial determinism test, the sweep fan-out and
-# exception-propagation tests, and the concurrent-testbed registry-isolation
-# test. Any data race in the sweep engine, the thread-local scratch buffers,
-# or the log-hook globals fails the run.
+# Build with ThreadSanitizer (-DTLC_SANITIZE=thread) and run the
+# concurrency-sensitive tests: the `sweep`, `perf-smoke` and `serve` ctest
+# labels, the same set as the `tsan` test preset that the CI leg runs.
+# These cover the sweep engine's parallel-vs-serial determinism, fan-out
+# and exception propagation, the concurrent-testbed registry isolation, the
+# thread-local scratch buffers, and the serving pipeline's ring, consumers
+# and drain. Any data race fails the run.
 #
 # Self-configuring: a missing or unconfigured build dir is created from the
 # `tsan` preset (or a plain configure when a custom dir is given), so the
@@ -30,6 +31,6 @@ fi
 
 cmake --build "$build_dir" -j "$(nproc)"
 
-ctest --test-dir "$build_dir" -L sweep --output-on-failure
+ctest --test-dir "$build_dir" -L 'sweep|perf-smoke|serve' --output-on-failure
 
-echo "OK: sweep-labelled tests are race-free under ThreadSanitizer."
+echo "OK: sweep, perf-smoke and serve tests are race-free under ThreadSanitizer."

@@ -566,7 +566,7 @@ const std::map<std::string, std::set<std::string>>& allowed_deps() {
       {"charging", {"common", "obs", "sim"}},
       {"net", {"common", "obs", "charging", "sim"}},
       {"workloads", {"common", "obs", "net", "sim"}},
-      {"tlc", {"common", "obs", "charging", "crypto", "sim", "wire"}},
+      {"tlc", {"common", "obs", "charging", "crypto", "wire"}},
       {"epc",
        {"common", "obs", "charging", "net", "sim", "tlc", "wire"}},
       {"monitor", {"common", "obs", "charging", "epc", "tlc"}},

@@ -7,9 +7,18 @@
 //   tlc_lab --app=udp --dip=0.08 --c=0.25 --cycles=6
 //   tlc_lab --app=rtsp --tamper-op=2.0 --dl-source=api
 //   tlc_lab --help
+//
+// A value that does not parse exits 2 with usage: a non-finite number, a
+// count or seed that is not a whole decimal integer in range, a negative
+// --bg, --dip, --clock-spread or --handover, a cycle length under 1 ns, or
+// a time too long for the simulated clock.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include <algorithm>
@@ -62,15 +71,44 @@ bool parse_flag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-double parse_double(const std::string& value, const char* flag) {
+// Times run on a clock of signed 64-bit nanoseconds (~292 years). A
+// seconds-valued flag stays under a quarter of its range and the run
+// (cycles + 2 cycle lengths, for warm-up and cool-down) under half, so no
+// sum of them, nor the drain after the run, overflows it.
+constexpr double kMaxSecs = to_seconds(Duration::max()) / 4;
+
+[[noreturn]] void bad_value(const std::string& value, const char* flag) {
+  std::fprintf(stderr, "tlc_lab: bad value for %s: '%s'\n", flag,
+               value.c_str());
+  usage(2);
+}
+
+/// The whole of `value` as a finite number in [min, max].
+double parse_double(const std::string& value, const char* flag,
+                    double min = -std::numeric_limits<double>::infinity(),
+                    double max = std::numeric_limits<double>::infinity()) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    std::fprintf(stderr, "tlc_lab: bad value for %s: '%s'\n", flag,
-                 value.c_str());
-    usage(2);
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(v) || v < min ||
+      v > max) {
+    bad_value(value, flag);
   }
   return v;
+}
+
+/// The whole of `value` as a decimal integer in [min, max].
+template <class T>
+T parse_integer(const std::string& value, const char* flag, T min, T max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(value[0])) == 0 ||
+      *end != '\0' || errno == ERANGE ||
+      n < static_cast<unsigned long long>(min) ||
+      n > static_cast<unsigned long long>(max)) {
+    bad_value(value, flag);
+  }
+  return static_cast<T>(n);
 }
 
 }  // namespace
@@ -78,7 +116,7 @@ double parse_double(const std::string& value, const char* flag) {
 int main(int argc, char** argv) {
   ScenarioConfig cfg;
   cfg.cycles = 4;
-  cfg.cycle_length = std::chrono::seconds{300};
+  std::string cycle_secs = "300";
   bool print_metrics = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -100,30 +138,32 @@ int main(int argc, char** argv) {
       else if (value == "gaming") cfg.app = AppKind::kGaming;
       else usage(2);
     } else if (parse_flag(arg, "--bg", &value)) {
-      cfg.background_mbps = parse_double(value, "--bg");
+      cfg.background_mbps = parse_double(value, "--bg", 0.0);
     } else if (parse_flag(arg, "--dip", &value)) {
-      cfg.dip_rate_per_s = parse_double(value, "--dip");
+      cfg.dip_rate_per_s = parse_double(value, "--dip", 0.0);
     } else if (parse_flag(arg, "--rss", &value)) {
       cfg.base_rss = Dbm{parse_double(value, "--rss")};
     } else if (parse_flag(arg, "--c", &value)) {
       cfg.loss_weight = parse_double(value, "--c");
       if (!charging::valid_loss_weight(cfg.loss_weight)) usage(2);
     } else if (parse_flag(arg, "--cycles", &value)) {
-      cfg.cycles = static_cast<int>(parse_double(value, "--cycles"));
-      if (cfg.cycles < 1) usage(2);
+      // The run adds a warm-up and a cool-down cycle.
+      cfg.cycles = parse_integer<int>(value, "--cycles", 1,
+                                      std::numeric_limits<int>::max() - 2);
     } else if (parse_flag(arg, "--cycle-secs", &value)) {
-      cfg.cycle_length = from_seconds(parse_double(value, "--cycle-secs"));
+      cycle_secs = value;
     } else if (parse_flag(arg, "--seed", &value)) {
-      cfg.seed = static_cast<std::uint64_t>(parse_double(value, "--seed"));
+      cfg.seed = parse_integer<std::uint64_t>(
+          value, "--seed", 0, std::numeric_limits<std::uint64_t>::max());
     } else if (parse_flag(arg, "--clock-spread", &value)) {
-      cfg.clock_offset_spread_s = parse_double(value, "--clock-spread");
+      cfg.clock_offset_spread_s =
+          parse_double(value, "--clock-spread", 0.0, kMaxSecs);
     } else if (parse_flag(arg, "--tamper-op", &value)) {
       cfg.operator_cdr_tamper = parse_double(value, "--tamper-op");
     } else if (parse_flag(arg, "--tamper-edge-api", &value)) {
       cfg.edge_api_tamper = parse_double(value, "--tamper-edge-api");
     } else if (parse_flag(arg, "--handover", &value)) {
-      cfg.handover_period_s = parse_double(value, "--handover");
-      if (cfg.handover_period_s < 0) usage(2);
+      cfg.handover_period_s = parse_double(value, "--handover", 0.0, kMaxSecs);
     } else if (parse_flag(arg, "--trace", &value)) {
       cfg.trace_jsonl_path = value;
     } else if (parse_flag(arg, "--dl-source", &value)) {
@@ -140,6 +180,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "tlc_lab: unknown option '%s'\n", arg);
       usage(2);
     }
+  }
+  // A cycle lasts at least one clock tick, and the run fits (see kMaxSecs).
+  const double secs = parse_double(cycle_secs, "--cycle-secs", 0.0);
+  if (secs * (cfg.cycles + 2.0) >= 2 * kMaxSecs) {
+    bad_value(cycle_secs, "--cycle-secs");
+  }
+  cfg.cycle_length = from_seconds(secs);
+  if (cfg.cycle_length <= Duration::zero()) {
+    bad_value(cycle_secs, "--cycle-secs");
   }
 
   std::printf("scenario: %s | bg %.0f Mbps | dips %.2f/s | RSS %.0f dBm | "

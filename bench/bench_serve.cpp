@@ -3,9 +3,10 @@
 //
 // Two sections, each swept over a list of thread counts:
 //
-//   1. store: raw enqueue+dequeue pair throughput of the receipt store
-//      (the bounded ring), measured as warmup + N sampled intervals
-//      (ops/sec per interval, mean/min/max reported);
+//   1. store: raw throughput of the receipt store (the bounded ring) in
+//      pairs of a one-record run enqueued and one run claimed, measured
+//      as warmup + N sampled intervals (ops/sec per interval, mean/min/max
+//      reported);
 //   2. pipeline: end-to-end submit→settle throughput of ServePipeline
 //      with T producers and 2 consumers; every 97th record is tampered
 //      (bill off by one) to exercise the reject path.
@@ -125,9 +126,10 @@ void print_result(const char* section, const HarnessResult& r) {
   std::printf(")\n");
 }
 
-/// Store section: each worker runs enqueue/dequeue pairs; one "op" is a
-/// completed pair. Afterwards the main thread drains the store and gates
-/// on emptiness.
+/// Store section: each worker enqueues a one-record run, then claims one
+/// run (its own or another worker's) and copies its record out; one "op"
+/// is a completed pair. Afterwards the main thread drains the store and
+/// gates on emptiness.
 HarnessResult bench_store(const Options& opt, std::size_t threads,
                           bool* gate_ok) {
   ReceiptStore store(opt.capacity);
@@ -138,21 +140,21 @@ HarnessResult bench_store(const Options& opt, std::size_t threads,
                std::atomic<std::uint64_t>& ops) {
         const ExchangeRecord rec = make_record(thread, 0, 4);
         ExchangeRecord out;
+        const auto copy_out = [&out](const ExchangeRecord& r) { out = r; };
         while (!stop.load(std::memory_order_relaxed)) {
           while (!store.try_enqueue(rec)) {
             if (stop.load(std::memory_order_relaxed)) return;
           }
-          while (!store.try_dequeue(&out)) {
+          while (store.try_dequeue_run(copy_out) == 0) {
             if (stop.load(std::memory_order_relaxed)) return;
           }
           ops.fetch_add(1, std::memory_order_relaxed);
         }
       });
-  // Workers may exit between their enqueue and dequeue; sweep leftovers,
-  // then the store must be empty — a record stuck in a claimed but never
-  // published cell would be a correctness bug, not noise.
-  ExchangeRecord out;
-  while (store.try_dequeue(&out)) {
+  // Workers may exit between their enqueue and their claim; sweep
+  // leftovers, then the store must be empty — a record stuck in a claimed
+  // but never published run would be a correctness bug, not noise.
+  while (store.try_dequeue_run([](const ExchangeRecord&) {}) != 0) {
   }
   if (store.approx_size() != 0) {
     std::printf("GATE FAILURE: store not empty after drain (%zu threads)\n",

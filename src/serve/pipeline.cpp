@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "charging/usage.hpp"
@@ -67,11 +68,22 @@ epc::DeviceCycle settled_cycle(const ExchangeRecord& rec) {
 
 }  // namespace
 
+void check_thread_count(std::size_t threads, const char* who) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument{std::string{who} + ": " +
+                                std::to_string(threads) +
+                                " threads exceed the maximum of " +
+                                std::to_string(kMaxThreads)};
+  }
+}
+
+// The store, constructed first, refuses a capacity above its maximum.
 ServePipeline::ServePipeline(PipelineConfig config)
     : config_(config), store_(config.store_capacity) {
   // Checked here, before any consumer exists, so settle() never throws
   // from charged_volume on a consumer thread.
   charging::check_loss_weight(config_.loss_weight, "ServePipeline");
+  check_thread_count(config_.consumers, "ServePipeline");
   if (config_.consumers == 0) config_.consumers = 1;
   consumer_states_.reserve(config_.consumers);
   for (std::size_t i = 0; i < config_.consumers; ++i) {
@@ -125,17 +137,16 @@ std::uint64_t ServePipeline::rejected() const {
 
 void ServePipeline::consume(std::size_t consumer_index) {
   ConsumerState* state = consumer_states_[consumer_index].get();
-  ExchangeRecord rec;
+  const auto settle_in_cell = [this, state](const ExchangeRecord& rec) {
+    settle(rec, state);
+  };
   for (;;) {
-    // Read the flag BEFORE the dequeue whose failure ends the loop: every
+    // Read the flag BEFORE the claim whose failure ends the loop: every
     // submit happens-before drain() sets it, so once it reads true a
-    // failed dequeue means the store is empty for good. Read after the
-    // failure, it could miss a record published in between.
+    // failed claim means the store is empty for good. Read after the
+    // failure, it could miss a run published in between.
     const bool stopping = stopping_.load(std::memory_order_acquire);
-    if (store_.try_dequeue(&rec)) {
-      settle(rec, state);
-      continue;
-    }
+    if (store_.try_dequeue_run(settle_in_cell) != 0) continue;
     if (stopping) break;
     std::this_thread::yield();
   }

@@ -2,8 +2,9 @@
 // store.
 //
 // Producers (ingest threads, the fleet replay, bench_serve) submit
-// ExchangeRecords; a pool of consumer threads dequeues each record and
-// *settles* it: the consumer re-derives the TLC bill from the record's own
+// ExchangeRecords, one run at a time; a pool of consumer threads claims
+// each run whole from the store and *settles* its records in place, in
+// order: the consumer re-derives the TLC bill from the record's own
 // charged/delivered views (Algorithm 1's split) and accepts only records
 // whose claimed bills recompute exactly — the live analogue of the
 // recomputation check the batch verifier applies to PoC receipts. Accepted
@@ -21,7 +22,8 @@
 //   * submit() may run from any number of producer threads, with no
 //     registration; it applies backpressure (yields) when the store is
 //     full, and never drops. A run submitted as one span is claimed in
-//     the store in as few CASes as the free cells allow;
+//     the store in as few CASes as the free cells allow, and each claimed
+//     prefix reaches one consumer whole;
 //   * all submits happen-before drain(): the caller stops its producers,
 //     then drains. After drain() returns, the stats accessors are stable
 //     and single-threaded reads;
@@ -51,12 +53,23 @@
 
 namespace tlc::serve {
 
+/// The most consumer threads a ServePipeline, and producer threads a
+/// run_replay, will start. Each is an OS thread that spins while idle, so
+/// more than a host has cores only adds contention; both throw
+/// std::invalid_argument above it, before starting any thread.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// Throws std::invalid_argument naming `who` when `threads` > kMaxThreads.
+void check_thread_count(std::size_t threads, const char* who);
+
 struct PipelineConfig {
+  /// Consumer threads, at most kMaxThreads; 0 runs one.
   std::size_t consumers = 2;
   /// Ignored: producers need no registration, so any number may submit.
   std::size_t max_producers = 4;
   /// Bounded in-flight records, rounded up to a power of two; submit()
-  /// spins when full.
+  /// spins when full. The constructor throws std::invalid_argument above
+  /// ReceiptStore::kMaxCapacity (2^24), before allocating the store.
   std::size_t store_capacity = 4096;
   /// Pre-sizes the per-cycle ledger rows; records and cell reports with
   /// cycle ≥ this are rejected as malformed.
@@ -184,6 +197,8 @@ class ServePipeline {
     std::atomic<std::uint64_t> rejected{0};
   };
 
+  /// One consumer's loop: claims whole runs and settles their records in
+  /// their store cells until drain() stops it and the store is empty.
   void consume(std::size_t consumer_index);
   void settle(const ExchangeRecord& rec, ConsumerState* state) const;
 

@@ -57,8 +57,9 @@ struct SubmitSink {
 
 ReplayResult run_replay(const ReplayConfig& config) {
   // Before any producer or consumer thread exists (the pipeline checks
-  // the loss weight the same way).
+  // the loss weight, consumer count and store capacity the same way).
   epc::check_traffic(config.traffic, "run_replay");
+  check_thread_count(config.producers, "run_replay");
   epc::DeviceFleet fleet(config.devices, config.devices_per_cell,
                          config.seed);
   const std::uint32_t cells = fleet.cells();

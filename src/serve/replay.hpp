@@ -32,7 +32,8 @@ namespace tlc::serve {
 /// it.
 struct ReplayConfig : epc::FleetWalk {
   /// Producers partition the fleet on cell boundaries (like batch shards);
-  /// results are identical for any combination.
+  /// results are identical for any combination. At most kMaxThreads each;
+  /// producers beyond the cell count are not started.
   std::size_t producers = 2;
   std::size_t consumers = 2;
   std::size_t store_capacity = 4096;
@@ -52,9 +53,11 @@ struct ReplayResult {
   std::uint64_t fleet_digest = 0;
 };
 
-/// Throws std::invalid_argument on the caller's thread unless
-/// charging::valid_loss_weight(config.loss_weight) and config.traffic
-/// passes epc::check_traffic.
+/// Throws std::invalid_argument on the caller's thread, before starting any
+/// thread, unless charging::valid_loss_weight(config.loss_weight),
+/// config.traffic passes epc::check_traffic, producers and consumers are
+/// at most kMaxThreads and store_capacity at most
+/// ReceiptStore::kMaxCapacity.
 [[nodiscard]] ReplayResult run_replay(const ReplayConfig& config);
 
 }  // namespace tlc::serve

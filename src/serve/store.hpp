@@ -15,4 +15,9 @@ struct ReceiptStore : Ring<ExchangeRecord> {
   struct Handle {};
 };
 
+// Two cache lines per record: the sequence, the 96-byte record and the run
+// length use 108 bytes, which leaves room for a 64-bit trace id per record.
+static_assert(ReceiptStore::kCellBytes == 128,
+              "a receipt-store cell is two cache lines");
+
 }  // namespace tlc::serve

@@ -1,17 +1,20 @@
 // ServePipeline (serve/pipeline.hpp): the live settlement recomputation
 // check and its per-cause reject counters, exactly-once accounting
-// (ingested == settled + rejected, also across drain right after a
-// producer joins), per-cycle and per-cause accumulation, the (cycle,
-// cell)-ordered OFCS fold, run submits, latency stamping, and metrics
-// publication.
+// (ingested == settled + rejected, also across drain right after the
+// producers join, with one consumer or three competing for the runs),
+// per-cycle and per-cause accumulation, the (cycle, cell)-ordered OFCS
+// fold, run submits, latency stamping, metrics publication, and the
+// store capacity and consumer count it refuses.
 #include "serve/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -443,16 +446,26 @@ TEST(ServePipeline, RunSubmitMatchesPerRecordSubmit) {
   EXPECT_EQ(runs.stats().cell_reports, 25u);
 }
 
+/// Round `round`'s run for the drain stress tests: 1 to 150 settlements,
+/// so some runs fit the 64-record store whole and others go in as several
+/// published prefixes.
+std::vector<ExchangeRecord> drain_round_run(std::uint32_t round) {
+  std::vector<ExchangeRecord> run;
+  for (std::uint32_t i = 0; i < 1 + (round * 37) % 150; ++i) {
+    run.push_back(valid_settlement(round, i % 2, 1000 - i, i % 10));
+  }
+  return run;
+}
+
 TEST(ServePipeline, OneConsumerDrainRightAfterProducerJoinSettlesAll) {
-  // The drain race: a record published between a consumer's failed
-  // dequeue and its read of the stop flag must still be settled. Each
-  // round joins its producer immediately before drain().
+  // The drain race: a run published between a consumer's failed claim
+  // and its read of the stop flag must still be settled. Each round joins
+  // its producer immediately before drain().
   for (std::uint32_t round = 0; round < 300; ++round) {
     PipelineConfig cfg = small_config();
     cfg.consumers = 1;
     ServePipeline pipeline{cfg};
-    std::vector<ExchangeRecord> run{valid_settlement(round, 0, 1000, 10)};
-    if (round % 2 == 1) run.push_back(valid_settlement(round, 1, 900, 0));
+    std::vector<ExchangeRecord> run = drain_round_run(round);
     std::thread producer{[&pipeline, &run] {
       pipeline.submit(std::span<ExchangeRecord>(run));
     }};
@@ -463,6 +476,47 @@ TEST(ServePipeline, OneConsumerDrainRightAfterProducerJoinSettlesAll) {
     ASSERT_EQ(s.settled + s.rejected, s.ingested) << "round " << round;
     ASSERT_EQ(s.settled, run.size()) << "round " << round;
   }
+}
+
+TEST(ServePipeline, ThreeConsumersDrainRightAfterProducerJoinSettlesAll) {
+  // The same race with three consumers competing for the runs of two
+  // producers, both joined immediately before drain().
+  for (std::uint32_t round = 0; round < 200; ++round) {
+    PipelineConfig cfg = small_config();
+    cfg.consumers = 3;
+    ServePipeline pipeline{cfg};
+    std::vector<ExchangeRecord> a = drain_round_run(round);
+    std::vector<ExchangeRecord> b = drain_round_run(round + 7);
+    std::thread first{[&pipeline, &a] {
+      pipeline.submit(std::span<ExchangeRecord>(a));
+    }};
+    std::thread second{[&pipeline, &b] {
+      pipeline.submit(std::span<ExchangeRecord>(b));
+    }};
+    first.join();
+    second.join();
+    pipeline.drain();
+    const PipelineStats& s = pipeline.stats();
+    ASSERT_EQ(s.ingested, a.size() + b.size()) << "round " << round;
+    ASSERT_EQ(s.settled + s.rejected, s.ingested) << "round " << round;
+    ASSERT_EQ(s.settled, a.size() + b.size()) << "round " << round;
+  }
+}
+
+TEST(ServePipeline, RefusesAStoreAboveTheMaximumAndTooManyConsumers) {
+  // Refused on the caller's thread before any consumer starts: capacities
+  // whose power of two does not exist or whose cells would not fit in
+  // memory, and more consumers than the documented bound.
+  for (const std::size_t capacity :
+       {ReceiptStore::kMaxCapacity + 1, std::size_t{1} << 40,
+        (std::size_t{1} << 63) + 1, std::numeric_limits<std::size_t>::max()}) {
+    PipelineConfig cfg = small_config();
+    cfg.store_capacity = capacity;
+    EXPECT_THROW(ServePipeline{cfg}, std::invalid_argument) << capacity;
+  }
+  PipelineConfig cfg = small_config();
+  cfg.consumers = kMaxThreads + 1;
+  EXPECT_THROW(ServePipeline{cfg}, std::invalid_argument);
 }
 
 TEST(ServePipeline, NoClockMeansNoLatencySamples) {

@@ -1,8 +1,11 @@
 // The receipt store's bounded ring (serve/ring.hpp): FIFO order, capacity
-// backpressure at the rounded power-of-two bound, cell reuse over many
-// laps of the sequence numbers, run claims (partial at the bound, FIFO
-// within and across runs), and multi-producer/multi-consumer exactly-once
-// delivery with per-producer order.
+// backpressure at the rounded power-of-two bound and the refused capacity
+// above the maximum, cell reuse over many laps of the sequence numbers,
+// run handoff on both sides (a producer's claim goes in as one published
+// prefix at the bound, a consumer's claim visits it whole and in order,
+// FIFO within and across runs), and multi-producer/multi-consumer
+// exactly-once delivery with per-producer order. Every consumer here
+// claims runs: the ring has no single-value dequeue.
 #include "serve/ring.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -30,7 +35,10 @@ class MpmcQueue {
  public:
   explicit MpmcQueue(std::size_t capacity) : ring_(capacity) {}
   bool try_enqueue(const T& v) { return ring_.try_enqueue(v); }
-  bool try_dequeue(T* out) { return ring_.try_dequeue(out); }
+  template <typename F>
+  std::size_t try_dequeue_run(F&& visit) {
+    return ring_.try_dequeue_run(visit);
+  }
   [[nodiscard]] std::size_t approx_size() const { return ring_.approx_size(); }
 
  private:
@@ -46,11 +54,10 @@ class FcQueue {
     r.charged_dl = v;
     return store_.try_enqueue(r);
   }
-  bool try_dequeue(T* out) {
-    ExchangeRecord r;
-    if (!store_.try_dequeue(&r)) return false;
-    *out = r.charged_dl;
-    return true;
+  template <typename F>
+  std::size_t try_dequeue_run(F&& visit) {
+    return store_.try_dequeue_run(
+        [&visit](const ExchangeRecord& r) { visit(T{r.charged_dl}); });
   }
   [[nodiscard]] std::size_t approx_size() const {
     return store_.approx_size();
@@ -61,6 +68,20 @@ class FcQueue {
 };
 
 namespace {
+
+/// Claims the oldest run into `*out`: true iff it held one value, as every
+/// run try_enqueue makes does.
+template <typename Q>
+bool dequeue_one(Q& queue, std::uint64_t* out) {
+  return queue.try_dequeue_run([out](std::uint64_t v) { *out = v; }) == 1;
+}
+
+/// Claims the oldest run and appends its values to `*got`; returns its
+/// length, 0 when nothing is published at the head.
+template <typename Q>
+std::size_t take_run(Q& queue, std::vector<std::uint64_t>* got) {
+  return queue.try_dequeue_run([got](std::uint64_t v) { got->push_back(v); });
+}
 
 template <typename Q>
 class ReceiptStoreTest : public ::testing::Test {};
@@ -77,10 +98,10 @@ TYPED_TEST(ReceiptStoreTest, FifoSingleThread) {
   EXPECT_EQ(queue.approx_size(), 10u);
   std::uint64_t out = 0;
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(queue.try_dequeue(&out));
+    ASSERT_TRUE(dequeue_one(queue, &out));
     EXPECT_EQ(out, i);
   }
-  EXPECT_FALSE(queue.try_dequeue(&out));
+  EXPECT_FALSE(dequeue_one(queue, &out));
   EXPECT_EQ(queue.approx_size(), 0u);
 }
 
@@ -91,7 +112,7 @@ TYPED_TEST(ReceiptStoreTest, CapacityBackpressure) {
   }
   EXPECT_FALSE(queue.try_enqueue(99)) << "full store must refuse";
   std::uint64_t out = 0;
-  ASSERT_TRUE(queue.try_dequeue(&out));
+  ASSERT_TRUE(dequeue_one(queue, &out));
   EXPECT_EQ(out, 0u);
   EXPECT_TRUE(queue.try_enqueue(99)) << "slot freed by the dequeue";
 }
@@ -103,7 +124,7 @@ TYPED_TEST(ReceiptStoreTest, NodesRecycleThroughFixedPool) {
   std::uint64_t out = 0;
   for (std::uint64_t i = 0; i < 10'000; ++i) {
     ASSERT_TRUE(queue.try_enqueue(i));
-    ASSERT_TRUE(queue.try_dequeue(&out));
+    ASSERT_TRUE(dequeue_one(queue, &out));
     ASSERT_EQ(out, i);
   }
   EXPECT_EQ(queue.approx_size(), 0u);
@@ -131,15 +152,10 @@ TYPED_TEST(ReceiptStoreTest, MpmcExactlyOnce) {
   }
   for (std::uint64_t c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&queue, &producers_done, &received, c] {
-      std::uint64_t out = 0;
       for (;;) {
-        if (queue.try_dequeue(&out)) {
-          received[c].push_back(out);
-          continue;
-        }
+        if (take_run(queue, &received[c]) != 0) continue;
         if (producers_done.load(std::memory_order_acquire) == kProducers) {
-          if (!queue.try_dequeue(&out)) break;
-          received[c].push_back(out);
+          if (take_run(queue, &received[c]) == 0) break;
         } else {
           std::this_thread::yield();
         }
@@ -171,10 +187,7 @@ TYPED_TEST(ReceiptStoreTest, PerProducerOrderPreserved) {
       while (!queue.try_enqueue(i)) std::this_thread::yield();
     }
   }};
-  std::uint64_t out = 0;
-  while (got.size() < kCount) {
-    if (queue.try_dequeue(&out)) got.push_back(out);
-  }
+  while (got.size() < kCount) take_run(queue, &got);
   producer.join();
   for (std::uint64_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(got[i], i);
@@ -205,11 +218,11 @@ TEST(Ring, CapacityOneGetsTwoCellsAndKeepsBothValues) {
   EXPECT_FALSE(ring.try_enqueue(3)) << "two values fill two cells";
   EXPECT_EQ(ring.approx_size(), 2u);
   std::uint64_t out = 0;
-  ASSERT_TRUE(ring.try_dequeue(&out));
+  ASSERT_TRUE(dequeue_one(ring, &out));
   EXPECT_EQ(out, 1u);
-  ASSERT_TRUE(ring.try_dequeue(&out));
+  ASSERT_TRUE(dequeue_one(ring, &out));
   EXPECT_EQ(out, 2u);
-  EXPECT_FALSE(ring.try_dequeue(&out));
+  EXPECT_FALSE(dequeue_one(ring, &out));
   EXPECT_EQ(ring.approx_size(), 0u);
 }
 
@@ -220,7 +233,7 @@ TEST(Ring, CellsReusedOverManyLaps) {
   std::uint64_t out = 0;
   for (std::uint64_t i = 0; i < 10'000; ++i) {
     ASSERT_TRUE(ring.try_enqueue(i));
-    ASSERT_TRUE(ring.try_dequeue(&out));
+    ASSERT_TRUE(dequeue_one(ring, &out));
     ASSERT_EQ(out, i);
   }
 
@@ -241,12 +254,11 @@ TEST(Ring, CellsReusedOverManyLaps) {
   }
   for (std::uint64_t c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&ring, &consumed, &received, c] {
-      std::uint64_t v = 0;
       while (consumed.load(std::memory_order_relaxed) <
              kProducers * kPerProducer) {
-        if (ring.try_dequeue(&v)) {
-          received[c].push_back(v);
-          consumed.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t n = take_run(ring, &received[c]);
+        if (n != 0) {
+          consumed.fetch_add(n, std::memory_order_relaxed);
         } else {
           std::this_thread::yield();
         }
@@ -285,12 +297,12 @@ TEST(Ring, RunClaimTakesTheFreePrefixAtTheBound) {
   EXPECT_EQ(ring.try_enqueue_bulk(std::span(run).subspan(3)), 0u)
       << "a full ring takes nothing";
   EXPECT_EQ(ring.try_enqueue_bulk({}), 0u);
-  std::uint64_t out = 0;
+  std::vector<std::uint64_t> got;
+  while (got.size() < 8) ASSERT_NE(take_run(ring, &got), 0u);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_dequeue(&out));
-    EXPECT_EQ(out, i);
+    EXPECT_EQ(got[i], i);
   }
-  EXPECT_FALSE(ring.try_dequeue(&out));
+  EXPECT_EQ(take_run(ring, &got), 0u);
   EXPECT_EQ(ring.claimed(), 8u);
 }
 
@@ -300,22 +312,21 @@ TEST(Ring, RunsKeepFifoOrderWithinAndAcrossRuns) {
   Ring<std::uint64_t> ring{16};
   std::vector<std::uint64_t> got;
   std::uint64_t next = 0;
-  std::uint64_t out = 0;
   for (std::uint64_t k = 0; k < 2'000; ++k) {
     std::vector<std::uint64_t> run(1 + k % 11);
     std::iota(run.begin(), run.end(), next);
     std::span<const std::uint64_t> rest(run);
     while (!rest.empty()) {
       rest = rest.subspan(ring.try_enqueue_bulk(rest));
-      if (!rest.empty() && ring.try_dequeue(&out)) got.push_back(out);
+      if (!rest.empty()) take_run(ring, &got);
     }
     next += run.size();
     if (k % 3 == 0 && ring.try_enqueue(next)) ++next;
-    for (std::uint64_t i = 0; i < k % 7 && ring.try_dequeue(&out); ++i) {
-      got.push_back(out);
+    for (std::uint64_t i = 0; i < k % 7 && take_run(ring, &got) != 0; ++i) {
     }
   }
-  while (ring.try_dequeue(&out)) got.push_back(out);
+  while (take_run(ring, &got) != 0) {
+  }
   ASSERT_EQ(got.size(), next);
   for (std::uint64_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], i);
   EXPECT_EQ(ring.claimed(), next);
@@ -332,8 +343,8 @@ TEST(Ring, RunLongerThanCapacityGoesInCapacitySizedClaims) {
     const std::size_t n = ring.try_enqueue_bulk(rest);
     claims.push_back(n);
     rest = rest.subspan(n);
-    std::uint64_t out = 0;
-    while (ring.try_dequeue(&out)) got.push_back(out);
+    while (take_run(ring, &got) != 0) {
+    }
   }
   EXPECT_EQ(claims, (std::vector<std::size_t>{8, 8, 4}));
   EXPECT_EQ(got, run);
@@ -341,7 +352,7 @@ TEST(Ring, RunLongerThanCapacityGoesInCapacitySizedClaims) {
 
 TEST(Ring, RunsFromManyProducersDeliverExactlyOnce) {
   // 4 producers submit runs of 1..300 values (longer than the 256-cell
-  // ring, so partial claims happen) against 2 single-value consumers.
+  // ring, so partial claims happen) against 2 consumers.
   constexpr std::uint64_t kProducers = 4;
   constexpr std::uint64_t kConsumers = 2;
   constexpr std::uint64_t kPerProducer = 40'000;
@@ -370,12 +381,11 @@ TEST(Ring, RunsFromManyProducersDeliverExactlyOnce) {
   }
   for (std::uint64_t c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&ring, &consumed, &received, c] {
-      std::uint64_t v = 0;
       while (consumed.load(std::memory_order_relaxed) <
              kProducers * kPerProducer) {
-        if (ring.try_dequeue(&v)) {
-          received[c].push_back(v);
-          consumed.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t n = take_run(ring, &received[c]);
+        if (n != 0) {
+          consumed.fetch_add(n, std::memory_order_relaxed);
         } else {
           std::this_thread::yield();
         }
@@ -401,6 +411,157 @@ TEST(Ring, RunsFromManyProducersDeliverExactlyOnce) {
   for (std::uint64_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
   EXPECT_EQ(ring.approx_size(), 0u);
   EXPECT_EQ(ring.claimed(), kProducers * kPerProducer);
+}
+
+TEST(Ring, OneClaimVisitsAWholeRunInOrder) {
+  Ring<std::uint64_t> ring{16};
+  const std::vector<std::uint64_t> first{10, 11, 12, 13, 14};
+  const std::vector<std::uint64_t> second{20, 21, 22};
+  ASSERT_EQ(ring.try_enqueue_bulk(first), 5u);
+  ASSERT_EQ(ring.try_enqueue_bulk(second), 3u);
+  ASSERT_TRUE(ring.try_enqueue(30));
+
+  std::vector<std::uint64_t> got;
+  EXPECT_EQ(take_run(ring, &got), 5u) << "one claim takes the whole run";
+  EXPECT_EQ(got, first);
+  EXPECT_EQ(ring.approx_size(), 4u);
+  got.clear();
+  EXPECT_EQ(take_run(ring, &got), 3u);
+  EXPECT_EQ(got, second);
+  got.clear();
+  EXPECT_EQ(take_run(ring, &got), 1u);
+  EXPECT_EQ(got, std::vector<std::uint64_t>{30});
+  EXPECT_EQ(take_run(ring, &got), 0u);
+  EXPECT_EQ(ring.approx_size(), 0u);
+
+  // Every visited cell went back to the producers: a whole lap, wrapping
+  // past the end of the cell array, goes in and comes out as one run.
+  std::vector<std::uint64_t> lap(16);
+  std::iota(lap.begin(), lap.end(), 100);
+  EXPECT_EQ(ring.try_enqueue_bulk(lap), 16u);
+  got.clear();
+  EXPECT_EQ(take_run(ring, &got), 16u);
+  EXPECT_EQ(got, lap);
+}
+
+TEST(Ring, RunLongerThanTheFreeCellsGoesInAsPublishedPrefixes) {
+  // 3 of 8 cells hold one-value runs, so a 10-value run goes in as a
+  // 5-value prefix, published whole: one claim takes all 5. The other 5 go
+  // in as the next prefix once the cells are free.
+  Ring<std::uint64_t> ring{8};
+  for (std::uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_enqueue(i));
+  std::vector<std::uint64_t> run(10);
+  std::iota(run.begin(), run.end(), 3);
+  std::span<const std::uint64_t> rest(run);
+  EXPECT_EQ(ring.try_enqueue_bulk(rest), 5u);
+  rest = rest.subspan(5);
+  EXPECT_EQ(ring.try_enqueue_bulk(rest), 0u) << "a full ring takes nothing";
+
+  std::vector<std::uint64_t> got;
+  std::vector<std::size_t> claims;
+  for (std::size_t n = 0; (n = take_run(ring, &got)) != 0;) {
+    claims.push_back(n);
+  }
+  EXPECT_EQ(claims, (std::vector<std::size_t>{1, 1, 1, 5}));
+  EXPECT_EQ(ring.try_enqueue_bulk(rest), 5u);
+  claims.clear();
+  for (std::size_t n = 0; (n = take_run(ring, &got)) != 0;) {
+    claims.push_back(n);
+  }
+  EXPECT_EQ(claims, std::vector<std::size_t>{5});
+  std::vector<std::uint64_t> want(13);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(ring.claimed(), 13u);
+}
+
+TEST(Ring, MixedRunsFromFourProducersReachThreeConsumersWhole) {
+  // 4 producers submit runs of 1..300 values into a 64-cell ring, so most
+  // runs go in as several published prefixes, while 3 consumers compete
+  // for them. Every value arrives exactly once, each claim holds
+  // consecutive values of one producer, and each consumer sees every
+  // producer's values in that producer's order.
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kConsumers = 3;
+  constexpr std::uint64_t kPerProducer = 30'000;
+  Ring<std::uint64_t> ring{64};
+  std::atomic<std::uint64_t> consumed{0};
+  std::vector<std::vector<std::uint64_t>> received(kConsumers);
+  std::vector<std::uint64_t> split_claims(kConsumers, 0);
+  std::vector<std::thread> threads;
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&ring, p] {
+      std::vector<std::uint64_t> run;
+      std::uint64_t i = 0;
+      for (std::uint64_t k = 0; i < kPerProducer; ++k) {
+        const std::uint64_t len =
+            std::min(1 + (k * 53 + p * 29) % 300, kPerProducer - i);
+        run.resize(len);
+        std::iota(run.begin(), run.end(), p * kPerProducer + i);
+        std::span<const std::uint64_t> rest(run);
+        while (!rest.empty()) {
+          const std::size_t n = ring.try_enqueue_bulk(rest);
+          if (n == 0) std::this_thread::yield();
+          rest = rest.subspan(n);
+        }
+        i += len;
+      }
+    });
+  }
+  for (std::uint64_t c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&ring, &consumed, &received, &split_claims, c] {
+      std::vector<std::uint64_t> claim;
+      while (consumed.load(std::memory_order_relaxed) <
+             kProducers * kPerProducer) {
+        claim.clear();
+        const std::size_t n = take_run(ring, &claim);
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        for (std::size_t i = 1; i < n; ++i) {
+          if (claim[i] != claim[0] + i ||
+              claim[i] / kPerProducer != claim[0] / kPerProducer) {
+            ++split_claims[c];
+          }
+        }
+        received[c].insert(received[c].end(), claim.begin(), claim.end());
+        consumed.fetch_add(n, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<std::uint64_t> all;
+  for (std::uint64_t c = 0; c < kConsumers; ++c) {
+    EXPECT_EQ(split_claims[c], 0u) << "consumer " << c;
+    std::vector<std::uint64_t> last(kProducers, 0);
+    std::vector<bool> seen(kProducers, false);
+    for (const std::uint64_t v : received[c]) {
+      const std::uint64_t p = v / kPerProducer;
+      ASSERT_TRUE(!seen[p] || v > last[p]) << "producer order broken";
+      seen[p] = true;
+      last[p] = v;
+    }
+    all.insert(all.end(), received[c].begin(), received[c].end());
+  }
+  ASSERT_EQ(all.size(), kProducers * kPerProducer);
+  std::sort(all.begin(), all.end());
+  for (std::uint64_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
+  EXPECT_EQ(ring.approx_size(), 0u);
+  EXPECT_EQ(ring.claimed(), kProducers * kPerProducer);
+}
+
+TEST(Ring, CapacityAboveTheMaximumIsRefusedBeforeAllocating) {
+  // Above 2^63 the power of two a capacity rounds up to does not exist,
+  // and 2^40 cells would not fit in memory; every capacity above the
+  // maximum is refused before the cells are allocated.
+  using U64Ring = Ring<std::uint64_t>;
+  EXPECT_THROW(U64Ring{U64Ring::kMaxCapacity + 1}, std::invalid_argument);
+  EXPECT_THROW(U64Ring{(std::size_t{1} << 63) + 1}, std::invalid_argument);
+  EXPECT_THROW(U64Ring{std::numeric_limits<std::size_t>::max()},
+               std::invalid_argument);
+  EXPECT_THROW(ReceiptStore{std::size_t{1} << 40}, std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,17 @@ TEST(ServeReplay, ProducerCountClampsToCellCount) {
   EXPECT_EQ(serve.stats.rejected, 0u);
   EXPECT_EQ(serve.stats.ingested,
             std::uint64_t{300} * kCycles + 3u * kCycles);
+}
+
+TEST(ServeReplay, RefusesThreadCountsAndStoreCapacityAboveTheirBounds) {
+  // On the caller's thread, before any producer or consumer starts.
+  EXPECT_THROW((void)run_replay(replay_config(kMaxThreads + 1, 2)),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_replay(replay_config(2, kMaxThreads + 1)),
+               std::invalid_argument);
+  ReplayConfig cfg = replay_config(2, 2);
+  cfg.store_capacity = ReceiptStore::kMaxCapacity + 1;
+  EXPECT_THROW((void)run_replay(cfg), std::invalid_argument);
 }
 
 TEST(ServeReplay, ClockGivesOneLatencySamplePerIngestedRecord) {

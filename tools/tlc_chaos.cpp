@@ -8,13 +8,19 @@
 //
 //   tlc_chaos --plans 200 --jobs 4
 //   tlc_chaos --plans 50 --seed 7 --out chaos_report.json
+//
+// --plans and --seed take decimal digits only; a sign, a suffix or a value
+// out of range (plans 1 to INT_MAX, seeds below 2^64) exits 2 with usage.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "exp/sweep.hpp"
 #include "fault/chaos.hpp"
+#include "parse_decimal.hpp"
 
 using namespace tlc;
 
@@ -52,6 +58,19 @@ bool parse_flag(const char* name, int argc, char** argv, int* i,
   return false;
 }
 
+/// The whole of `value` as a decimal integer in [min, max]; exits 2 with
+/// usage otherwise.
+template <class T>
+T parse_number(const std::string& value, const char* flag, T min, T max) {
+  const std::optional<T> n = tools::parse_decimal(value.c_str(), min, max);
+  if (!n) {
+    std::fprintf(stderr, "tlc_chaos: bad value for %s: '%s'\n", flag,
+                 value.c_str());
+    usage(2);
+  }
+  return *n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,9 +84,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--no-attacks") == 0) {
       options.wire_attacks = false;
     } else if (parse_flag("--plans", argc, argv, &i, &value)) {
-      options.plans = std::atoi(value.c_str());
+      options.plans = parse_number(value, "--plans", 1,
+                                   std::numeric_limits<int>::max());
     } else if (parse_flag("--seed", argc, argv, &i, &value)) {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      options.seed = parse_number<std::uint64_t>(
+          value, "--seed", 0, std::numeric_limits<std::uint64_t>::max());
     } else if (parse_flag("--out", argc, argv, &i, &value)) {
       out_path = value;
     } else {
@@ -75,11 +96,6 @@ int main(int argc, char** argv) {
       usage(2);
     }
   }
-  if (options.plans <= 0) {
-    std::fprintf(stderr, "--plans must be positive\n");
-    return 2;
-  }
-
   const fault::ChaosReport report = fault::run_chaos(options);
   const std::string json = report.to_json();
 

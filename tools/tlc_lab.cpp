@@ -12,13 +12,12 @@
 // count or seed that is not a whole decimal integer in range, a negative
 // --bg, --dip, --clock-spread or --handover, a cycle length under 1 ns, or
 // a time too long for the simulated clock.
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include <algorithm>
@@ -30,6 +29,7 @@
 #include "exp/scenario.hpp"
 #include "net/packet.hpp"
 #include "obs/span.hpp"
+#include "parse_decimal.hpp"
 
 using namespace tlc;
 using namespace tlc::exp;
@@ -99,16 +99,9 @@ double parse_double(const std::string& value, const char* flag,
 /// The whole of `value` as a decimal integer in [min, max].
 template <class T>
 T parse_integer(const std::string& value, const char* flag, T min, T max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(value[0])) == 0 ||
-      *end != '\0' || errno == ERANGE ||
-      n < static_cast<unsigned long long>(min) ||
-      n > static_cast<unsigned long long>(max)) {
-    bad_value(value, flag);
-  }
-  return static_cast<T>(n);
+  const std::optional<T> n = tools::parse_decimal(value.c_str(), min, max);
+  if (!n) bad_value(value, flag);
+  return *n;
 }
 
 }  // namespace

@@ -14,20 +14,22 @@
 // Knobs: --devices N, --cycles N, --devices-per-cell N, --seed N,
 // --producers N, --consumers N, --store-capacity N, --loss-weight F.
 // An unknown option, a value that does not parse, zero devices or cycles,
-// or a loss weight outside [0, 1] (or NaN) exits 2 with usage.
-#include <cctype>
-#include <cerrno>
+// a loss weight outside [0, 1] (or NaN), more than serve::kMaxThreads
+// (256) producers or consumers, or a store capacity above
+// serve::ReceiptStore::kMaxCapacity (2^24) exits 2 with usage.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "charging/data_plan.hpp"
 #include "exp/fleet.hpp"
+#include "parse_decimal.hpp"
 #include "serve/replay.hpp"
 
 using namespace tlc;
@@ -40,23 +42,24 @@ namespace {
                "[--cycles N] [--seed N]\n"
                "                 [--producers N] [--consumers N] "
                "[--store-capacity N] [--loss-weight C]\n"
-               "  C is the plan's loss weight, in [0, 1] (default 0.5)\n");
+               "  C is the plan's loss weight, in [0, 1] (default 0.5)\n"
+               "  at most %zu producers and consumers each, and a store "
+               "capacity of at most %zu\n",
+               serve::kMaxThreads, serve::ReceiptStore::kMaxCapacity);
   std::exit(2);
 }
 
-/// Sets *out to the whole of `v` as an unsigned integer that fits T;
-/// exits 2 with usage otherwise.
+/// Sets *out to the whole of `v` as an unsigned integer no larger than
+/// `max`; exits 2 with usage otherwise.
 template <class T>
-void parse_count(const char* flag, const char* v, T* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(v[0])) == 0 || *end != '\0' ||
-      errno == ERANGE || n > std::numeric_limits<T>::max()) {
+void parse_count(const char* flag, const char* v, T* out,
+                 T max = std::numeric_limits<T>::max()) {
+  const std::optional<T> n = tools::parse_decimal(v, T{0}, max);
+  if (!n) {
     std::fprintf(stderr, "tlc_serve: bad value for %s: '%s'\n", flag, v);
     usage();
   }
-  *out = static_cast<T>(n);
+  *out = *n;
 }
 
 /// The scenario both paths run, and the serving topology of the replay.
@@ -73,17 +76,18 @@ serve::ReplayConfig parse_options(int argc, char** argv) {
       if (i + 1 == argc) usage();
       return argv[++i];
     };
-    const auto count = [&](const char* flag, auto* out) {
+    const auto count = [&](const char* flag, auto* out, auto... max) {
       const char* v = want(flag);
-      if (v != nullptr) parse_count(flag, v, out);
+      if (v != nullptr) parse_count(flag, v, out, max...);
       return v != nullptr;
     };
     if (count("--devices", &cfg.devices) ||
         count("--devices-per-cell", &cfg.devices_per_cell) ||
         count("--cycles", &cfg.cycles) || count("--seed", &cfg.seed) ||
-        count("--producers", &cfg.producers) ||
-        count("--consumers", &cfg.consumers) ||
-        count("--store-capacity", &cfg.store_capacity)) {
+        count("--producers", &cfg.producers, serve::kMaxThreads) ||
+        count("--consumers", &cfg.consumers, serve::kMaxThreads) ||
+        count("--store-capacity", &cfg.store_capacity,
+              serve::ReceiptStore::kMaxCapacity)) {
       continue;
     }
     if (const char* v = want("--loss-weight")) {

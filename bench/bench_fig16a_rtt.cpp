@@ -132,7 +132,7 @@ int main() {
               "control plane and negotiation is off-path.\n");
 
   // Machine-readable percentiles for regression tracking, in the same
-  // shape as BENCH_sched.json / BENCH_sweep.json.
+  // shape as BENCH_sched.json.
   std::FILE* out = std::fopen("BENCH_fig16.json", "w");
   if (out != nullptr) {
     std::fprintf(out, "{\n  \"devices\": [");

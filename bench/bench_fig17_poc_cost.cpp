@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "crypto/sha256.hpp"
@@ -359,10 +360,12 @@ void print_summary() {
   std::printf("%-22s %16.0f\n", "batch k=64", batch64_rate);
   std::printf("batch-64 speedup over per-message: %.1fx\n", speedup);
 
-  // --- machine-readable outputs (CI soft-regression gate + artifacts) ----
+  // --- machine-readable outputs (CI artifacts) ---------------------------
+  const unsigned cpus = std::thread::hardware_concurrency();
   if (std::FILE* out = std::fopen("BENCH_fig17.json", "w")) {
     std::fprintf(out,
                  "{\n"
+                 "  \"cpus\": %u,\n"
                  "  \"negotiate_ms\": %.3f,\n"
                  "  \"verify_ms\": %.4f,\n"
                  "  \"verifier_pocs_per_hour\": %.1f,\n"
@@ -370,7 +373,7 @@ void print_summary() {
                  "  \"cda_bytes\": %zu,\n"
                  "  \"poc_bytes\": %zu\n"
                  "}\n",
-                 negotiate_ms, verify_ms, per_hour, cdr_size, cda_size,
+                 cpus, negotiate_ms, verify_ms, per_hour, cdr_size, cda_size,
                  poc_size);
     std::fclose(out);
     std::printf("wrote BENCH_fig17.json\n");
@@ -380,13 +383,14 @@ void print_summary() {
   if (std::FILE* out = std::fopen("BENCH_poc_batch.json", "w")) {
     std::fprintf(out,
                  "{\n"
+                 "  \"cpus\": %u,\n"
                  "  \"receipts\": %zu,\n"
                  "  \"per_message_pocs_per_sec\": %.1f,\n"
                  "  \"batch1_pocs_per_sec\": %.1f,\n"
                  "  \"batch64_pocs_per_sec\": %.1f,\n"
                  "  \"batch64_speedup\": %.2f\n"
                  "}\n",
-                 pool.size(), per_message_rate, batch1_rate, batch64_rate,
+                 cpus, pool.size(), per_message_rate, batch1_rate, batch64_rate,
                  speedup);
     std::fclose(out);
     std::printf("wrote BENCH_poc_batch.json\n");

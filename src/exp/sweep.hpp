@@ -85,8 +85,8 @@ struct GridOptions {
 /// Canonical byte-exact serialization of a result: every negotiated value,
 /// view, ratio (doubles printed with full precision), and the complete
 /// metrics snapshot. Two runs produce equal fingerprints iff they produced
-/// identical results — this is what the determinism tests and
-/// bench_sweep_throughput compare between serial and parallel execution.
+/// identical results — this is what the determinism tests compare between
+/// serial and parallel execution.
 [[nodiscard]] std::string result_fingerprint(const ScenarioResult& result);
 
 /// Fingerprints of all results joined in submission order.

@@ -1,7 +1,7 @@
 // ServePipeline — the concurrent charging service around the receipt
 // store.
 //
-// Producers (ingest threads, the fleet replay, bench_serve) submit
+// Producers (ingest threads, the fleet replay) submit
 // ExchangeRecords, one run at a time; a pool of consumer threads claims
 // each run whole from the store and *settles* its records in place, in
 // order: the consumer re-derives the TLC bill from the record's own
@@ -13,10 +13,10 @@
 // the cycle-range and delivered ≤ charged checks queue for the OFCS fold
 // that closes the ledger at drain time.
 //
-// Invariant (CI-gated by bench_serve): every submitted record is accounted
-// exactly once — ingested() == settled() + rejected() — and the store
-// drains empty. Every rejected record is counted under the first check it
-// failed, so the per-cause reject counters sum to rejected().
+// Invariant (ctest-gated by test_serve_pipeline): every submitted record is
+// accounted exactly once — ingested() == settled() + rejected() — and the
+// store drains empty. Every rejected record is counted under the first
+// check it failed, so the per-cause reject counters sum to rejected().
 //
 // Concurrency contract:
 //   * submit() may run from any number of producer threads, with no

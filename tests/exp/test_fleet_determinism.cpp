@@ -1,11 +1,12 @@
 // Fleet determinism suite: the cell-range partition must be invisible in
 // the results. One fixed-seed scenario is run at 1, 2, 4, and 8 shards,
-// serial and parallel, and every fingerprint — totals, per-cycle rows,
-// per-device digest, OFCS chain, merged metrics — must be byte-identical,
-// to each other, to pinned goldens, and to the serve-path replay of the
-// same fleet. Golden values also pin the per-device stream derivation
-// (splitmix64 mixing, never `seed + index`), and kernel tests pin the
-// cycle-boundary rule of the range walk.
+// serial and parallel (and a 1M-device fleet at 1, 2 and 4 in parallel),
+// and every fingerprint — totals, per-cycle rows, per-device digest, OFCS
+// chain, merged metrics — must be byte-identical, to each other, to pinned
+// goldens, and to the serve-path replay of the same fleet. Golden values
+// also pin the per-device stream derivation (splitmix64 mixing, never
+// `seed + index`), and kernel tests pin the cycle-boundary rule of the
+// range walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -101,25 +102,38 @@ TEST(FleetDeterminism, MatchesPinnedGoldens) {
 }
 
 TEST(FleetDeterminism, ByteIdenticalAcrossShardCounts) {
-  const FleetConfig base = small_config();
-  std::string reference;
-  std::uint64_t reference_events = 0;
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    FleetConfig cfg = base;
-    cfg.shards = shards;
-    cfg.parallel = true;
-    const FleetResult result = run_fleet(cfg);
-    const std::string fp = fleet_fingerprint(result);
-    if (reference.empty()) {
-      reference = fp;
-      reference_events = result.events;
-      EXPECT_GT(result.charged_dl, 0u);
-      EXPECT_GT(result.gap_dl, 0u);  // loss model active
-    } else {
-      EXPECT_EQ(fp, reference) << "shards=" << shards;
+  // The second input is an operator-size fleet: 1M devices, 2 cycles,
+  // default traffic.
+  FleetConfig million;
+  million.devices = 1'000'000;
+  million.cycles = 2;
+  struct Input {
+    FleetConfig base;
+    std::vector<std::uint32_t> shard_counts;
+  };
+  for (const Input& input :
+       {Input{small_config(), {1, 2, 4, 8}}, Input{million, {1, 2, 4}}}) {
+    std::string reference;
+    std::uint64_t reference_events = 0;
+    for (const std::uint32_t shards : input.shard_counts) {
+      FleetConfig cfg = input.base;
+      cfg.shards = shards;
+      cfg.parallel = true;
+      const FleetResult result = run_fleet(cfg);
+      const std::string fp = fleet_fingerprint(result);
+      SCOPED_TRACE(testing::Message() << "devices=" << cfg.devices
+                                      << " shards=" << shards);
+      if (reference.empty()) {
+        reference = fp;
+        reference_events = result.events;
+        EXPECT_GT(result.charged_dl, 0u);
+        EXPECT_GT(result.gap_dl, 0u);  // loss model active
+      } else {
+        EXPECT_EQ(fp, reference);
+      }
+      // Events are bursts plus cell reports: no per-shard work exists.
+      EXPECT_EQ(result.events, reference_events);
     }
-    // Events are bursts plus cell reports: no per-shard work exists.
-    EXPECT_EQ(result.events, reference_events) << "shards=" << shards;
   }
 }
 

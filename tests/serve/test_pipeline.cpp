@@ -326,9 +326,18 @@ TEST(ServePipeline, ConservationHoldsUnderConcurrentProducers) {
   pipeline.drain();
 
   const PipelineStats& s = pipeline.stats();
+  constexpr std::uint64_t kTampered = kProducers * (kPerProducer / 10);
   EXPECT_EQ(s.ingested, kProducers * kPerProducer);
   EXPECT_EQ(s.ingested, s.settled + s.rejected);
-  EXPECT_EQ(s.rejected, kProducers * (kPerProducer / 10));
+  EXPECT_EQ(s.rejected, kTampered);
+  // The consumers' per-cause tallies merge into a sum that matches the
+  // rejects, and every tampered bill is counted under its own cause.
+  EXPECT_EQ(std::accumulate(s.rejected_by_cause.begin(),
+                            s.rejected_by_cause.end(), std::uint64_t{0}),
+            s.rejected);
+  EXPECT_EQ(s.rejected_by_cause[static_cast<std::size_t>(
+                RejectCause::kTlcBillMismatch)],
+            kTampered);
   EXPECT_TRUE(pipeline.store_empty());
   EXPECT_EQ(pipeline.store_depth(), 0u);
 }

@@ -8,7 +8,9 @@
 # test_serve_alloc (the same hook, counting on every thread, over runs of
 # settlement records submitted to a ServePipeline and settled by its
 # consumers), plus the perf-smoke scheduler microbench, which exercises the
-# 4-ary heap and slot recycling at a small iteration count.
+# 4-ary heap and slot recycling at a small iteration count. The microbench
+# runs in the build dir, so the BENCH_sched.json it writes lands there and
+# leaves the committed baseline alone.
 #
 # Self-configuring: a missing or unconfigured build dir is created from the
 # `default` preset (or a plain configure when a custom dir is given), so the
@@ -33,6 +35,6 @@ cmake --build "$build_dir" -j "$(nproc)" \
 "$build_dir/tests/test_scheduler_alloc"
 "$build_dir/tests/test_trace_alloc"
 "$build_dir/tests/test_serve_alloc"
-"$build_dir/bench/bench_scheduler" --events 20000
+(cd "$build_dir" && bench/bench_scheduler --events 20000)
 
 echo "OK: scheduler hot path, trace recording and serving are allocation-free."

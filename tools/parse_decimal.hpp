@@ -1,8 +1,8 @@
 // The one integer rule of the command-line tools (tlc_lab, tlc_serve,
-// tlc_chaos): a count or a seed is the whole of its argument, written in
-// decimal digits only — no sign, no space, no suffix, no exponent — and
-// lies in the range its flag allows. Each tool reports a failure its own
-// way (all of them exit 2 with usage).
+// tlc_chaos, bench_scheduler): a count or a seed is the whole of its
+// argument, written in decimal digits only — no sign, no space, no suffix,
+// no exponent — and lies in the range its flag allows. Each tool reports a
+// failure its own way (all of them exit 2 with usage).
 #pragma once
 
 #include <cctype>

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioConfig> configs;
   for (double dip_rate : {0.02, 0.04, 0.06, 0.08, 0.10, 0.12}) {
-    for (std::uint64_t seed : {1, 2, 3, 4}) {
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
       ScenarioConfig cfg;
       cfg.app = AppKind::kWebcamUdp;
       cfg.dip_rate_per_s = dip_rate;

@@ -330,7 +330,7 @@ void print_summary() {
       [&] {
         PublicVerifier v{env().edge_keys.public_key(),
                          env().operator_keys.public_key(), env().plan};
-        for (const ByteVec& poc : pool) (void)v.verify(poc);
+        for (const ByteVec& receipt : pool) (void)v.verify(receipt);
       },
       pool.size());
 

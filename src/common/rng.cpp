@@ -79,8 +79,4 @@ double Rng::exponential(double mean) {
 
 Rng Rng::fork() { return Rng{(*this)()}; }
 
-std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t index) {
-  return stream_mix64(stream_mix64(seed) ^ stream_mix64(~index));
-}
-
 }  // namespace tlc

@@ -57,19 +57,30 @@ class Rng {
   return x ^ (x >> 31);
 }
 
+/// stream_seed(seed, index) for a caller that holds
+/// `mixed_seed == stream_mix64(seed)`: one mix per stream instead of two
+/// when many streams share a seed (the fleet recomputes each device's
+/// stream from its id rather than storing it).
+[[nodiscard]] constexpr std::uint64_t stream_seed_mixed(
+    std::uint64_t mixed_seed, std::uint64_t index) {
+  return stream_mix64(mixed_seed ^ stream_mix64(~index));
+}
+
 /// Seed of independent stream `index` derived from `seed`. Both arguments
 /// go through a full stream_mix64 round, so stream 7 of seed 1 and stream 0
 /// of seed 8 are unrelated — never derive stream seeds as `seed + index`
 /// (adjacent seeds would alias entire stream families).
-[[nodiscard]] std::uint64_t stream_seed(std::uint64_t seed,
-                                        std::uint64_t index);
+[[nodiscard]] constexpr std::uint64_t stream_seed(std::uint64_t seed,
+                                                  std::uint64_t index) {
+  return stream_seed_mixed(stream_mix64(seed), index);
+}
 
 /// The k-th output of the splitmix64 sequence seeded `stream`. A
 /// counter-based draw: no generator state to store or walk, so a million
-/// per-device streams cost one u64 each and any draw is O(1) random access
-/// — the property the sharded fleet uses to keep per-device randomness
-/// independent of shard count. Inline: the fleet kernel makes four draws
-/// per burst.
+/// per-device streams cost no memory (the fleet recomputes each seed with
+/// stream_seed_mixed) and any draw is O(1) random access — the property
+/// the sharded fleet uses to keep per-device randomness independent of
+/// shard count. Inline: the fleet kernel makes four draws per burst.
 [[nodiscard]] constexpr std::uint64_t stream_draw(std::uint64_t stream,
                                                   std::uint64_t k) {
   // The state of a splitmix64 generator seeded `stream` before draw k is

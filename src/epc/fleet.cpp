@@ -1,6 +1,8 @@
 #include "epc/fleet.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -10,9 +12,26 @@ namespace {
 /// [0, 1], false for NaN.
 bool unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
 
+/// Whether every time the walk computes fits Duration::rep: the cycle ends
+/// up to the horizon, and a wakeup one gap past it. A gap is
+/// (0.5 + u) · period rounded to a double, never above 1.5 · period
+/// rounded, so that double bounds every gap. Needs a positive period.
+bool horizon_fits(const FleetWalk& walk) {
+  const double max_gap =
+      1.5 * static_cast<double>(walk.traffic.mean_burst_period.count());
+  if (!(max_gap < 0x1p63)) return false;
+  const auto gap = static_cast<Duration::rep>(max_gap);
+  Duration::rep horizon = 0;
+  Duration::rep latest = 0;
+  return !__builtin_mul_overflow(walk.cycle_length.count(),
+                                 Duration::rep{walk.cycles}, &horizon) &&
+         !__builtin_add_overflow(horizon, gap, &latest);
+}
+
 }  // namespace
 
-void check_traffic(const FleetTrafficParams& params, const char* who) {
+void check_walk(const FleetWalk& walk, const char* who) {
+  const FleetTrafficParams& params = walk.traffic;
   const char* bad = nullptr;
   if (!unit_interval(params.base_loss)) {
     bad = "base_loss must be in [0,1]";
@@ -22,6 +41,11 @@ void check_traffic(const FleetTrafficParams& params, const char* who) {
     bad = "handover_loss must be in [0,1]";
   } else if (params.mean_burst_period <= Duration::zero()) {
     bad = "mean_burst_period must be positive";
+  } else if (params.mean_burst_bytes > kMaxMeanBurstBytes) {
+    bad = "mean_burst_bytes must be at most 2^61";
+  } else if (!horizon_fits(walk)) {
+    bad = "cycle_length * cycles + 1.5 * mean_burst_period must fit the "
+          "clock";
   }
   if (bad != nullptr) {
     throw std::invalid_argument{std::string{who} + ": " + bad};
@@ -30,26 +54,19 @@ void check_traffic(const FleetTrafficParams& params, const char* who) {
 
 DeviceFleet::DeviceFleet(std::size_t devices, std::uint32_t devices_per_cell,
                          std::uint64_t seed)
-    : devices_per_cell_(devices_per_cell == 0 ? 1 : devices_per_cell) {
+    : devices_per_cell_(devices_per_cell == 0 ? 1 : devices_per_cell),
+      mixed_seed_(stream_mix64(seed)) {
   cell_count_ = static_cast<std::uint32_t>(
       (devices + devices_per_cell_ - 1) / devices_per_cell_);
   if (cell_count_ == 0) cell_count_ = 1;
-
-  seeds_.resize(devices);
-  for (std::size_t d = 0; d < devices; ++d) {
-    seeds_[d] = stream_seed(seed, d);
-  }
-  bursts_.assign(devices, 0);
-  connected_.assign(devices, 1);
-  reconnects_.assign(devices, 0);
-  cdr_dl_.assign(devices, 0);
-  app_dl_recv_.assign(devices, 0);
-  cdr_ul_.assign(devices, 0);
-  modem_rx_.assign(devices, 0);
-  modem_tx_.assign(devices, 0);
-  billed_legacy_.assign(devices, 0);
-  billed_tlc_.assign(devices, 0);
-  poc_.assign(devices, kFnvBasis);
+  const std::size_t bytes = devices * sizeof(DeviceRow);
+  std::size_t space = bytes + alignof(DeviceRow) - 1;
+  row_storage_.reset(new std::byte[space]);
+  void* first = row_storage_.get();
+  std::align(alignof(DeviceRow), bytes, first, space);
+  auto* rows = static_cast<DeviceRow*>(first);
+  std::uninitialized_value_construct_n(rows, devices);
+  rows_ = std::span<DeviceRow>(rows, devices);
   cell_congestion_.resize(cell_count_);
   for (std::uint32_t c = 0; c < cell_count_; ++c) {
     cell_congestion_[c] = cell_congestion(c);
@@ -67,13 +84,15 @@ double DeviceFleet::cell_congestion(std::uint32_t cell) {
 
 Duration DeviceFleet::initial_offset(FleetDeviceId d,
                                      const FleetTrafficParams& params) const {
-  assert(d < seeds_.size());
-  const double u = stream_unit(seeds_[d], kOffsetDraw);
+  assert(d < rows_.size());
+  const double u = stream_unit(device_stream(d), kOffsetDraw);
   const auto period = static_cast<double>(params.mean_burst_period.count());
   auto offset = Duration{static_cast<Duration::rep>((0.5 + u) * period)};
   if (offset <= Duration::zero()) offset = Duration{1};
   return offset;
 }
+
+void DeviceFleet::open_table() { open_.resize(rows_.size()); }
 
 OfcsFold fold_ofcs(std::span<const CellReport> reports) {
   constexpr double kFlagGapRatio = 0.25;
@@ -166,13 +185,13 @@ std::vector<std::string> SettlementLedger::diff(
 
 std::uint64_t DeviceFleet::digest() const {
   std::uint64_t h = kFnvBasis;
-  for (std::size_t d = 0; d < seeds_.size(); ++d) {
-    h = fnv1a64(h, billed_legacy_[d]);
-    h = fnv1a64(h, billed_tlc_[d]);
-    h = fnv1a64(h, modem_rx_[d]);
-    h = fnv1a64(h, modem_tx_[d]);
-    h = fnv1a64(h, poc_[d]);
-    h = fnv1a64(h, reconnects_[d]);
+  for (const DeviceRow& row : rows_) {
+    h = fnv1a64(h, row.billed_legacy);
+    h = fnv1a64(h, row.billed_tlc);
+    h = fnv1a64(h, row.modem_rx);
+    h = fnv1a64(h, row.modem_tx);
+    h = fnv1a64(h, row.poc);
+    h = fnv1a64(h, row.reconnects);
   }
   return h;
 }

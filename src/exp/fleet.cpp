@@ -54,24 +54,23 @@ std::uint32_t resolve_shards(std::uint32_t requested) {
 
 FleetResult run_fleet(const FleetConfig& config) {
   // Checked on the caller's thread: no range walker may throw from the
-  // charging rule, and the kernel never checks its traffic model.
+  // charging rule, and the kernel never checks its traffic model or
+  // horizon.
   charging::check_loss_weight(config.loss_weight, "run_fleet");
-  epc::check_traffic(config.traffic, "run_fleet");
+  epc::check_walk(config, "run_fleet");
   DeviceFleet fleet(config.devices, config.devices_per_cell, config.seed);
   const std::uint32_t cells = fleet.cells();
   // More shards than cells would leave some shards empty; clamp instead.
   const std::uint32_t shards = std::min(resolve_shards(config.shards), cells);
   const std::uint32_t cells_per_shard = (cells + shards - 1) / shards;
 
-  std::vector<TimePoint> next_burst(fleet.devices());
   std::vector<CellReport> reports(std::size_t{config.cycles} * cells);
   std::vector<RangeSink> sinks(shards,
                                RangeSink{config.cycles, cells, reports});
   const auto walk_shard = [&](std::uint32_t s) {
     const std::uint32_t begin = std::min(s * cells_per_shard, cells);
     epc::walk_cells(fleet, config, begin,
-                    std::min(begin + cells_per_shard, cells), next_burst,
-                    sinks[s]);
+                    std::min(begin + cells_per_shard, cells), sinks[s]);
   };
   if (config.parallel && shards > 1) {
     std::vector<std::jthread> threads;  // joined when the block exits

@@ -11,7 +11,7 @@
 // cell)-indexed slots; after the join the ledgers are summed and closed
 // over the slots, which folds them into the OFCS chain (epc::fold_ofcs).
 //
-// The result — every column, every counter, the OFCS hash chain, the
+// The result — every device row, every counter, the OFCS hash chain, the
 // fleet digest — is byte-identical for any shard count and for serial vs.
 // parallel execution (tests/exp/test_fleet_determinism.cpp pins 1/2/4/8),
 // and to serve::run_replay, which drives the same kernel into the live
@@ -58,7 +58,7 @@ struct FleetResult : epc::SettlementLedger {
   /// A copy of cycle_rows, kept only for tlcbench/.
   std::vector<FleetCycleTotals> cycle_totals;
 
-  /// Order-independent fold of every device's settled columns, read from
+  /// Order-independent fold of every device's settled row, read from
   /// the fleet after the walk (no sink tallies it, so it is not part of
   /// the ledger).
   std::uint64_t digest = 0;
@@ -74,8 +74,8 @@ struct FleetResult : epc::SettlementLedger {
 
 /// Runs the fleet scenario to its horizon and settles every cycle. Throws
 /// std::invalid_argument on the caller's thread unless
-/// charging::valid_loss_weight(config.loss_weight) and config.traffic
-/// passes epc::check_traffic.
+/// charging::valid_loss_weight(config.loss_weight) and config passes
+/// epc::check_walk.
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
 
 /// Canonical one-line fingerprint of everything determinism-relevant in a

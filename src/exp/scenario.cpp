@@ -208,7 +208,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
 
   source->start(end);
-  bed.run_until(drain_end);
+  // Counter checks close the simulated cycles only: none runs in the
+  // drain, whatever the cycle length. Counted in local boundaries, so the
+  // cool-down cycle keeps its check when the operator clock runs ahead.
+  bed.run_until(drain_end, total_cycles);
   if (!bed.obs().trace.close_jsonl()) {
     log_warn("scenario: writing trace file ", config.trace_jsonl_path,
              " failed; the JSONL trace is incomplete");

@@ -193,9 +193,10 @@ void Testbed::control_send_downlink(net::Packet packet) {
   }
 }
 
-void Testbed::schedule_cycle_end_checks(TimePoint until) {
+void Testbed::schedule_cycle_end_checks(TimePoint until,
+                                        std::int64_t last_boundary) {
   const Duration len = config_.plan.cycle_length;
-  for (std::int64_t k = 1;; ++k) {
+  for (std::int64_t k = 1; k <= last_boundary; ++k) {
     const TimePoint local_boundary = kTimeZero + len * k;
     const TimePoint true_boundary =
         config_.operator_clock.true_time(local_boundary);
@@ -209,8 +210,8 @@ void Testbed::schedule_cycle_end_checks(TimePoint until) {
   }
 }
 
-void Testbed::run_until(TimePoint until) {
-  schedule_cycle_end_checks(until);
+void Testbed::run_until(TimePoint until, std::int64_t last_boundary) {
+  schedule_cycle_end_checks(until, last_boundary);
 
   // Periodic sampler attributing disconnected time to true-time cycles.
   std::function<void()> sample = [this, &sample, until] {

@@ -10,7 +10,9 @@
 //              [eNB queue + radio] → device
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -86,8 +88,14 @@ class Testbed {
   }
 
   /// Runs the simulation to `until`, scheduling the operator's cycle-end
-  /// counter checks along the way.
-  void run_until(TimePoint until);
+  /// counter checks along the way: one after each local cycle boundary
+  /// k · cycle_length, for k = 1 … `last_boundary`, that falls at or
+  /// before `until` in true time (by default every boundary up to
+  /// `until`).
+  void run_until(TimePoint until,
+                 std::int64_t last_boundary = kEveryBoundary);
+  static constexpr std::int64_t kEveryBoundary =
+      std::numeric_limits<std::int64_t>::max();
 
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] epc::EdgeDevice& device() { return device_; }
@@ -136,7 +144,7 @@ class Testbed {
  private:
   void note_truth(charging::Direction direction, bool sent, Bytes size,
                   TimePoint now);
-  void schedule_cycle_end_checks(TimePoint until);
+  void schedule_cycle_end_checks(TimePoint until, std::int64_t last_boundary);
 
   TestbedConfig config_;
   obs::Obs obs_;  // before every component that resolves pointers into it

@@ -58,7 +58,7 @@ struct SubmitSink {
 ReplayResult run_replay(const ReplayConfig& config) {
   // Before any producer or consumer thread exists (the pipeline checks
   // the loss weight, consumer count and store capacity the same way).
-  epc::check_traffic(config.traffic, "run_replay");
+  epc::check_walk(config, "run_replay");
   check_thread_count(config.producers, "run_replay");
   epc::DeviceFleet fleet(config.devices, config.devices_per_cell,
                          config.seed);
@@ -74,7 +74,6 @@ ReplayResult run_replay(const ReplayConfig& config) {
   pipe_cfg.clock = config.clock;
   ServePipeline pipeline(pipe_cfg);
 
-  std::vector<TimePoint> next_burst(fleet.devices());
   const std::uint32_t cells_per_producer =
       (cells + static_cast<std::uint32_t>(producers) - 1) /
       static_cast<std::uint32_t>(producers);
@@ -88,8 +87,7 @@ ReplayResult run_replay(const ReplayConfig& config) {
           std::min(cell_begin + cells_per_producer, cells);
       threads.emplace_back([&, cell_begin, cell_end] {
         SubmitSink sink{pipeline, config.devices_per_cell};
-        epc::walk_cells(fleet, config, cell_begin, cell_end, next_burst,
-                        sink);
+        epc::walk_cells(fleet, config, cell_begin, cell_end, sink);
       });
     }
   }

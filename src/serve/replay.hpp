@@ -55,7 +55,7 @@ struct ReplayResult {
 
 /// Throws std::invalid_argument on the caller's thread, before starting any
 /// thread, unless charging::valid_loss_weight(config.loss_weight),
-/// config.traffic passes epc::check_traffic, producers and consumers are
+/// config passes epc::check_walk, producers and consumers are
 /// at most kMaxThreads and store_capacity at most
 /// ReceiptStore::kMaxCapacity.
 [[nodiscard]] ReplayResult run_replay(const ReplayConfig& config);

@@ -1,4 +1,4 @@
-// DeviceFleet SoA tests: column bookkeeping of burst/settle, the
+// DeviceFleet tests: row and cycle-sum bookkeeping of burst/settle, the
 // CDR-vs-CDA charging gap invariant, counter-based draw stability, the
 // FNV-1a fold, and the order-independent digest. SettlementLedger tests:
 // == and diff() see every field, and add / += / close sum to the same

@@ -15,6 +15,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -222,28 +223,73 @@ TEST(FleetDeterminism, InvalidLossWeightThrowsOnCallerThread) {
   }
 }
 
+/// The largest walk check_walk accepts: bursts of 2^61 B on average, and
+/// one cycle whose length plus 1.5 burst periods is exactly the clock's
+/// last nanosecond. 1.5 × 2^61 is exact in a double, so no rounding
+/// slack hides in the bound.
+FleetConfig largest_walk() {
+  FleetConfig cfg;
+  cfg.devices = 6;
+  cfg.devices_per_cell = 3;
+  cfg.shards = 1;
+  cfg.cycles = 1;
+  cfg.traffic.mean_burst_bytes = epc::kMaxMeanBurstBytes;
+  cfg.traffic.mean_burst_period = Duration{std::int64_t{1} << 61};
+  cfg.cycle_length = Duration{std::numeric_limits<Duration::rep>::max() -
+                              3 * (std::int64_t{1} << 60)};
+  // Every loss term at its largest, so a loss fraction nears 3.
+  cfg.traffic.base_loss = 1.0;
+  cfg.traffic.congestion_loss_max = 1.0;
+  cfg.traffic.handover_loss = 1.0;
+  cfg.traffic.handover_every = 1;
+  return cfg;
+}
+
 TEST(FleetDeterminism, InvalidTrafficThrowsOnCallerThread) {
-  // The kernel never checks its traffic model, so both entry points do,
-  // before any walker, producer or consumer thread exists. Each case sets
-  // one field out of range: a negative or NaN loss, a loss above 1, and a
-  // burst period that is not positive.
+  // The kernel never checks its traffic model or horizon, so both entry
+  // points do, before any walker, producer or consumer thread exists.
+  // Each case sets one field out of range: a negative or NaN loss, a loss
+  // above 1, a burst period that is not positive, a mean burst just above
+  // 2^61 B, and a horizon one nanosecond past the clock (cycle length, or
+  // the cycle count, one step too large).
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<epc::FleetTrafficParams> bad;
+  std::vector<FleetConfig> bad;
   for (const double x : {-0.5, 1.5, nan}) {
-    bad.emplace_back().base_loss = x;
-    bad.emplace_back().congestion_loss_max = x;
-    bad.emplace_back().handover_loss = x;
+    bad.emplace_back(small_config()).traffic.base_loss = x;
+    bad.emplace_back(small_config()).traffic.congestion_loss_max = x;
+    bad.emplace_back(small_config()).traffic.handover_loss = x;
   }
-  bad.emplace_back().mean_burst_period = Duration::zero();
-  bad.emplace_back().mean_burst_period = -std::chrono::milliseconds{1};
-  for (const epc::FleetTrafficParams& traffic : bad) {
-    FleetConfig cfg = small_config();
-    cfg.traffic = traffic;
+  bad.emplace_back(small_config()).traffic.mean_burst_period = Duration::zero();
+  bad.emplace_back(small_config()).traffic.mean_burst_period =
+      -std::chrono::milliseconds{1};
+  bad.emplace_back(small_config()).traffic.mean_burst_bytes =
+      epc::kMaxMeanBurstBytes + 1;
+  bad.emplace_back(largest_walk()).cycle_length += Duration{1};
+  bad.emplace_back(largest_walk()).cycles = 2;
+  for (const FleetConfig& cfg : bad) {
     EXPECT_THROW((void)run_fleet(cfg), std::invalid_argument);
     const serve::ReplayConfig rcfg{cfg};
     EXPECT_THROW((void)serve::run_replay(rcfg), std::invalid_argument);
   }
-  EXPECT_NO_THROW(epc::check_traffic(epc::FleetTrafficParams{}, "defaults"));
+  EXPECT_NO_THROW(epc::check_walk(epc::FleetWalk{}, "defaults"));
+  // tlc_serve's largest --cycles at its 1-s cycles.
+  epc::FleetWalk longest;
+  longest.cycles = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_NO_THROW(epc::check_walk(longest, "longest"));
+
+  // The bounds are the ones the kernel needs: at the largest accepted
+  // burst and horizon a walk converts no out-of-range double and overflows
+  // no clock (the ubsan preset fails on either), and both entry points
+  // settle it to the same ledger.
+  const FleetResult batch = run_fleet(largest_walk());
+  EXPECT_GT(batch.bursts, 0u);
+  EXPECT_EQ(batch.delivered_dl, 0u);  // every loss term at 1
+  serve::ReplayConfig rcfg{largest_walk()};
+  rcfg.producers = 1;
+  rcfg.consumers = 1;
+  const serve::ReplayResult live = serve::run_replay(rcfg);
+  EXPECT_EQ(live.stats.diff(batch), std::vector<std::string>{});
+  EXPECT_EQ(live.fleet_digest, batch.digest);
 }
 
 // ------------------------------------------------------ gap accounting ---
@@ -293,27 +339,27 @@ struct RecordingSink {
 };
 
 /// One device, two 100 ms cycles, and a burst period so long that a
-/// device bursts at most once in the whole run.
+/// device bursts at most once in the whole run. Each test sets the
+/// device's wakeup by hand.
 struct OneDeviceWalk {
-  OneDeviceWalk() : fleet(1, 1, 5), next_burst(1) {
+  OneDeviceWalk() : fleet(1, 1, 5) {
     walk.cycles = 2;
     walk.cycle_length = std::chrono::milliseconds{100};
     walk.traffic.mean_burst_period = std::chrono::hours{1};
   }
   void run_cycles() {
     for (std::uint32_t cycle = 0; cycle < walk.cycles; ++cycle) {
-      epc::walk_cell(fleet, walk, cycle, 0, next_burst, sink);
+      epc::walk_cell(fleet, walk, cycle, 0, sink);
     }
   }
   epc::DeviceFleet fleet;
   epc::FleetWalk walk;
-  std::vector<TimePoint> next_burst;
   RecordingSink sink;
 };
 
 TEST(FleetWalk, BurstOnCycleBoundaryIsChargedToNextCycle) {
   OneDeviceWalk w;
-  w.next_burst[0] = w.walk.cycle_end(0);  // exactly on the boundary
+  w.fleet.set_next_burst(0, w.walk.cycle_end(0));  // exactly on the boundary
   w.run_cycles();
   ASSERT_EQ(w.sink.settled_rows.size(), 2u);
   EXPECT_EQ(w.sink.settled_rows[0].bursts, 0u);
@@ -329,7 +375,7 @@ TEST(FleetWalk, BurstOnCycleBoundaryIsChargedToNextCycle) {
 
 TEST(FleetWalk, BurstJustBeforeBoundaryStaysInItsCycle) {
   OneDeviceWalk w;
-  w.next_burst[0] = w.walk.cycle_end(0) - Duration{1};
+  w.fleet.set_next_burst(0, w.walk.cycle_end(0) - Duration{1});
   w.run_cycles();
   ASSERT_EQ(w.sink.settled_rows.size(), 2u);
   EXPECT_EQ(w.sink.settled_rows[0].bursts, 1u);
@@ -338,40 +384,29 @@ TEST(FleetWalk, BurstJustBeforeBoundaryStaysInItsCycle) {
 
 TEST(FleetWalk, BurstAtHorizonNeverRuns) {
   OneDeviceWalk w;
-  w.next_burst[0] = w.walk.horizon();
+  w.fleet.set_next_burst(0, w.walk.horizon());
   w.run_cycles();
   ASSERT_EQ(w.sink.settled_rows.size(), 2u);
   for (const epc::DeviceCycle& row : w.sink.settled_rows) {
     EXPECT_EQ(row.bursts, 0u);
     EXPECT_EQ(row.settled.charged_dl, 0u);
   }
-  EXPECT_EQ(w.next_burst[0], w.walk.horizon());
+  EXPECT_EQ(w.fleet.next_burst(0), w.walk.horizon());
   EXPECT_EQ(w.fleet.modem_rx(0), 0u);
 }
 
-TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
-  // The walk inlines burst and settle_range; a replay of the same loop
-  // through the public per-device calls (as tlcbench's FleetMirror does)
-  // on a twin fleet must emit the same rows, reports and final state.
-  // Three full cells of 7 devices plus a partial cell of 4; dips, radio
-  // loss and handovers all fire.
-  constexpr std::size_t kDevices = 3 * 7 + 4;
-  epc::FleetWalk walk;
-  walk.cycles = 3;
-  walk.cycle_length = std::chrono::milliseconds{100};
-  walk.traffic.mean_burst_period = std::chrono::milliseconds{10};
-  walk.traffic.dip_probability = 0.2;
-  walk.traffic.handover_every = 3;
-  epc::DeviceFleet kernel(kDevices, 7, 77);
-  ASSERT_EQ(kernel.cells(), 4u);
-  std::vector<TimePoint> next_burst(kDevices);
-  RecordingSink sink;
-  epc::walk_cells(kernel, walk, 0, kernel.cells(), next_burst, sink);
-
-  epc::DeviceFleet twin(kDevices, 7, 77);
-  std::vector<TimePoint> next(kDevices);
-  for (epc::FleetDeviceId d = 0; d < kDevices; ++d) {
-    next[d] = kTimeZero + twin.initial_offset(d, walk.traffic);
+/// Replays `walk` through the public per-device calls (initial_offset,
+/// burst, settle_range, the cell counters), as tlcbench's FleetMirror
+/// does, on a fleet of its own, and checks that it emits `sink`'s rows and
+/// reports and ends in `kernel`'s state: every wakeup (the replay keeps
+/// them through set_next_burst), the RRC states and the digest. Returns
+/// the handover bytes and reconnects the replay saw.
+std::pair<std::uint64_t, std::uint64_t> replay_public_calls(
+    const epc::FleetWalk& walk, const epc::DeviceFleet& kernel,
+    const RecordingSink& sink) {
+  epc::DeviceFleet twin(walk.devices, walk.devices_per_cell, walk.seed);
+  for (epc::FleetDeviceId d = 0; d < walk.devices; ++d) {
+    twin.set_next_burst(d, kTimeZero + twin.initial_offset(d, walk.traffic));
   }
   std::size_t row = 0;
   std::size_t report = 0;
@@ -383,19 +418,20 @@ TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
       for (epc::FleetDeviceId d = twin.first_device(cell);
            d < twin.first_device(cell + 1); ++d) {
         epc::DeviceCycle want;
-        while (next[d] < stop) {
+        while (twin.next_burst(d) < stop) {
           const epc::DeviceFleet::BurstOutcome b = twin.burst(d, walk.traffic);
           want.dropped_disconnect += b.dropped_disconnect;
           want.dropped_radio += b.dropped_radio;
           want.dropped_handover += b.dropped_handover;
           want.bursts += 1;
           if (b.reconnected) want.reconnects += 1;
-          next[d] += b.next_gap;
+          twin.set_next_burst(d, twin.next_burst(d) + b.next_gap);
         }
         want.settled = twin.settle_range(d, d + 1, cycle, walk.loss_weight);
         handover_bytes += want.dropped_handover;
         reconnects += want.reconnects;
-        ASSERT_LT(row, sink.settled_rows.size());
+        EXPECT_LT(row, sink.settled_rows.size());
+        if (row >= sink.settled_rows.size()) return {0, 0};
         const epc::DeviceCycle& got = sink.settled_rows[row++];
         EXPECT_EQ(got.device, d);
         EXPECT_EQ(got.cell, cell);
@@ -407,7 +443,8 @@ TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
         EXPECT_EQ(got.bursts, want.bursts);
         EXPECT_EQ(got.reconnects, want.reconnects);
       }
-      ASSERT_LT(report, sink.reports.size());
+      EXPECT_LT(report, sink.reports.size());
+      if (report >= sink.reports.size()) return {0, 0};
       const epc::CellReport& got = sink.reports[report++];
       EXPECT_EQ(got.cycle, cycle);
       EXPECT_EQ(got.cell, cell);
@@ -418,10 +455,62 @@ TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
   }
   EXPECT_EQ(row, sink.settled_rows.size());
   EXPECT_EQ(report, sink.reports.size());
-  EXPECT_EQ(next, next_burst);
-  EXPECT_GT(handover_bytes, 0u);
-  EXPECT_GT(reconnects, 0u);  // dips, then RRC re-establishment
+  for (epc::FleetDeviceId d = 0; d < walk.devices; ++d) {
+    EXPECT_EQ(twin.next_burst(d), kernel.next_burst(d)) << d;
+    EXPECT_EQ(twin.rrc_connected(d), kernel.rrc_connected(d)) << d;
+  }
   EXPECT_EQ(kernel.digest(), twin.digest());
+  return {handover_bytes, reconnects};
+}
+
+TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
+  // The walk runs the loss model and the settle rule on a register copy of
+  // each row; the public per-device calls run the same two on the row in
+  // memory. A replay of every walk below through the public calls must
+  // emit the same rows and reports and end in the same state. Three full
+  // cells of 7 devices plus a partial cell of 4; dips and radio loss fire
+  // in every walk.
+  epc::FleetWalk base;
+  base.devices = 3 * 7 + 4;
+  base.devices_per_cell = 7;
+  base.seed = 77;
+  base.cycles = 3;
+  base.cycle_length = std::chrono::milliseconds{100};
+  base.traffic.mean_burst_period = std::chrono::milliseconds{10};
+  base.traffic.dip_probability = 0.2;
+  base.traffic.handover_every = 3;
+  struct Case {
+    const char* name;
+    epc::FleetWalk walk;
+    bool handover_fires;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"handover every 3", base, true});
+  cases.push_back({"handover every burst", base, true});
+  cases.back().walk.traffic.handover_every = 1;
+  // 6 cycles of 100 ms at one burst per ~1 ms: ~600 bursts per device,
+  // so the default's every-64th handover fires.
+  cases.push_back({"handover every 64", base, true});
+  cases.back().walk.traffic.handover_every = 64;
+  cases.back().walk.cycles = 6;
+  cases.back().walk.traffic.mean_burst_period = std::chrono::milliseconds{1};
+  cases.push_back({"no handover", base, false});
+  cases.back().walk.traffic.handover_every = 0;
+  cases.push_back({"ul_divisor 0", base, true});
+  cases.back().walk.traffic.ul_divisor = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    epc::check_walk(c.walk, "KernelSettlesLikeThePublicCalls");
+    epc::DeviceFleet kernel(c.walk.devices, c.walk.devices_per_cell,
+                            c.walk.seed);
+    ASSERT_EQ(kernel.cells(), 4u);
+    RecordingSink sink;
+    epc::walk_cells(kernel, c.walk, 0, kernel.cells(), sink);
+    const auto [handover_bytes, reconnects] =
+        replay_public_calls(c.walk, kernel, sink);
+    EXPECT_EQ(handover_bytes > 0, c.handover_fires);
+    EXPECT_GT(reconnects, 0u);  // dips, then RRC re-establishment
+  }
 }
 
 // ------------------------------------------------------- shard knobs ---

@@ -135,8 +135,8 @@ TEST(SchedulerAlloc, ScheduleCancelDrainIsAllocationFree) {
 TEST(SchedulerAlloc, FleetCellWalkIsAllocationFree) {
   // The fleet kernel's per-cell loop — burst every device up to the cycle
   // boundary, settle it, report the cell — runs once per (cycle, cell) at
-  // operator scale, so it must not allocate. The fleet columns and the
-  // wakeup vector are sized once up front; the first cycle is the warm-up.
+  // operator scale, so it must not allocate. The fleet's rows (wakeups
+  // included) are sized once up front; the first cycle is the warm-up.
   struct CountingSink {
     std::uint64_t settled_devices = 0;
     std::uint64_t bursts = 0;
@@ -154,14 +154,13 @@ TEST(SchedulerAlloc, FleetCellWalkIsAllocationFree) {
   walk.cycles = 1 + kRounds / 8;
   walk.cycle_length = std::chrono::milliseconds{100};
   walk.traffic.mean_burst_period = std::chrono::milliseconds{10};
-  std::vector<TimePoint> next_burst(fleet.devices());
   for (epc::FleetDeviceId d = 0; d < fleet.devices(); ++d) {
-    next_burst[d] = kTimeZero + fleet.initial_offset(d, walk.traffic);
+    fleet.set_next_burst(d, kTimeZero + fleet.initial_offset(d, walk.traffic));
   }
   CountingSink sink;
   const auto walk_cycle = [&](std::uint32_t cycle) {
     for (std::uint32_t cell = 0; cell < kCells; ++cell) {
-      epc::walk_cell(fleet, walk, cycle, cell, next_burst, sink);
+      epc::walk_cell(fleet, walk, cycle, cell, sink);
     }
   };
   walk_cycle(0);  // warm-up

@@ -8,6 +8,7 @@
 // WebCam-UDP 59.04 → 252, VRidge 80.64 → 982.8.
 #include <cstdio>
 
+#include "cli.hpp"
 #include "common/format.hpp"
 
 #include "exp/metrics.hpp"
@@ -17,7 +18,7 @@ using namespace tlc;
 using namespace tlc::exp;
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs = tools::sweep_jobs(argc, argv, "bench_fig03_congestion_gap");
   std::printf("## Figure 3: record gap per hour vs background traffic "
               "(RSS >= -95 dBm)\n\n");
 
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
       configs.push_back(cfg);
     }
   }
-  const std::vector<ScenarioResult> results = run_scenarios(configs, sweep);
+  const std::vector<ScenarioResult> results = run_scenarios(configs, jobs);
 
   Table table{{"scenario", "bg (Mbps)", "loss", "record gap (MB/hr)",
                "paper @0 / @160"}};

@@ -9,6 +9,7 @@
 // zero), TLC-random sits between it and legacy, legacy has the long tail.
 #include <cstdio>
 
+#include "cli.hpp"
 #include "exp/metrics.hpp"
 #include "exp/sweep.hpp"
 
@@ -16,7 +17,7 @@ using namespace tlc;
 using namespace tlc::exp;
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs = tools::sweep_jobs(argc, argv, "bench_fig12_gap_cdf");
   constexpr AppKind kApps[] = {AppKind::kWebcamRtsp, AppKind::kWebcamUdp,
                                AppKind::kVridge, AppKind::kGaming};
   constexpr char kPanel[] = {'a', 'b', 'c', 'd'};
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < std::size(kApps); ++i) {
     std::printf("## Figure 12%c: %s\n\n", kPanel[i],
                 std::string(to_string(kApps[i])).c_str());
-    const auto results = run_grid(kApps[i], {}, sweep);
+    const auto results = run_grid(kApps[i], {}, jobs);
     for (Scheme scheme :
          {Scheme::kLegacy, Scheme::kTlcRandom, Scheme::kTlcOptimal}) {
       const GapSamples gaps = collect_gaps(results, scheme);

@@ -6,6 +6,7 @@
 // record-error floor, TLC-random in between.
 #include <cstdio>
 
+#include "cli.hpp"
 #include "common/format.hpp"
 
 #include "exp/metrics.hpp"
@@ -15,7 +16,8 @@ using namespace tlc;
 using namespace tlc::exp;
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs =
+      tools::sweep_jobs(argc, argv, "bench_fig13_gap_vs_congestion");
   constexpr AppKind kApps[] = {AppKind::kWebcamRtsp, AppKind::kWebcamUdp,
                                AppKind::kVridge, AppKind::kGaming};
   constexpr char kPanel[] = {'a', 'b', 'c', 'd'};
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const std::vector<ScenarioResult> results = run_scenarios(configs, sweep);
+  const std::vector<ScenarioResult> results = run_scenarios(configs, jobs);
 
   std::size_t slot = 0;
   for (std::size_t i = 0; i < std::size(kApps); ++i) {

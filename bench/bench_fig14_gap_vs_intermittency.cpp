@@ -10,6 +10,7 @@
 
 #include <map>
 
+#include "cli.hpp"
 #include "exp/metrics.hpp"
 #include "exp/sweep.hpp"
 
@@ -17,7 +18,8 @@ using namespace tlc;
 using namespace tlc::exp;
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs =
+      tools::sweep_jobs(argc, argv, "bench_fig14_gap_vs_intermittency");
   std::printf("## Figure 14: gap ratio vs intermittent disconnectivity "
               "(WebCam UDP)\n\n");
 
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
 
   // Aggregation stays in submission order, so bucket contents (and the
   // printed table) are identical to the serial run.
-  for (const ScenarioResult& result : run_scenarios(configs, sweep)) {
+  for (const ScenarioResult& result : run_scenarios(configs, jobs)) {
     for (const auto& c : result.cycles) {
       const int eta_pct =
           static_cast<int>(std::lround(c.disconnect_ratio * 100.0));

@@ -8,6 +8,7 @@
 // guarding against selfish charging.
 #include <cstdio>
 
+#include "cli.hpp"
 #include "common/format.hpp"
 #include "exp/metrics.hpp"
 #include "exp/sweep.hpp"
@@ -16,7 +17,7 @@ using namespace tlc;
 using namespace tlc::exp;
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs = tools::sweep_jobs(argc, argv, "bench_fig15_plan_c_sweep");
   std::printf("## Figure 15: TLC-optimal gap reduction vs plan parameter "
               "c\n\n");
 
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
     // grows. (Uplink is the mirror image — c·loss — so mixing directions
     // would cancel the trend; the paper's heavy-traffic panel is DL too.)
     const std::vector<ScenarioResult> results =
-        run_grid(AppKind::kVridge, opt, sweep);
+        run_grid(AppKind::kVridge, opt, jobs);
 
     const SampleSet mu = collect_gap_reduction(results);
     if (mu.empty()) {

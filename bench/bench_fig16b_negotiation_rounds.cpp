@@ -5,6 +5,7 @@
 // needs 3.5 (WebCam UDP), 2.7 (WebCam RTSP), 4.6 (gaming), 2.7 (VR).
 #include <cstdio>
 
+#include "cli.hpp"
 #include "exp/metrics.hpp"
 #include "exp/sweep.hpp"
 
@@ -12,7 +13,8 @@ using namespace tlc;
 using namespace tlc::exp;
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs =
+      tools::sweep_jobs(argc, argv, "bench_fig16b_negotiation_rounds");
   std::printf("## Figure 16b: negotiation rounds by scheme\n\n");
 
   constexpr AppKind kApps[] = {AppKind::kWebcamUdp, AppKind::kWebcamRtsp,
@@ -24,7 +26,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < std::size(kApps); ++i) {
     GridOptions opt;
     opt.seeds = {1, 2, 3};
-    const auto results = run_grid(kApps[i], opt, sweep);
+    const auto results = run_grid(kApps[i], opt, jobs);
     const SampleSet optimal = collect_rounds(results, Scheme::kTlcOptimal);
     const SampleSet random = collect_rounds(results, Scheme::kTlcRandom);
     table.add_row({std::string(to_string(kApps[i])),

@@ -19,6 +19,7 @@
 // delay its counter checks into the next cycle.
 #include <cstdio>
 
+#include "cli.hpp"
 #include "exp/metrics.hpp"
 #include "exp/sweep.hpp"
 #include "exp/testbed.hpp"
@@ -51,7 +52,7 @@ workloads::Trace duty_cycled_vr(Rng rng, Duration duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs = tools::sweep_jobs(argc, argv, "bench_fig18_record_accuracy");
   std::printf("## Figure 18: tamper-resilient CDR accuracy\n\n");
 
   // Each seed's testbed run is independent: fan the twelve runs across the
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
     std::vector<double> gamma_e;
   };
   std::vector<SeedSamples> per_seed(kSeedRuns);
-  sweep_indexed(kSeedRuns, sweep.jobs, [&per_seed](std::size_t slot) {
+  sweep_indexed(kSeedRuns, jobs, [&per_seed](std::size_t slot) {
     const std::uint64_t seed = slot + 1;
     Rng rng{seed};
     TestbedConfig cfg;
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
     cfg.seed = seed;
     ul_configs.push_back(cfg);
   }
-  for (const ScenarioResult& result : run_scenarios(ul_configs, sweep)) {
+  for (const ScenarioResult& result : run_scenarios(ul_configs, jobs)) {
     for (const auto& c : result.cycles) {
       if (c.truth.sent.count() == 0) continue;
       gamma_ul.add(std::abs(c.edge_view.sent_estimate.as_double() -

@@ -7,21 +7,17 @@
 // the 4-ary heap + slot-recycling scheduler under asan/tsan.
 //
 // Knob: --events N (or --events=N), events per phase, parsed by
-// tools/parse_decimal.hpp; a malformed or missing count or an unknown flag
-// exits 2 with usage.
+// tools/cli.hpp; a malformed or missing count or an unknown flag exits 2
+// with usage.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <optional>
 #include <string>
 #include <thread>
 
-#include "parse_decimal.hpp"
+#include "cli.hpp"
 #include "sim/scheduler.hpp"
 
 using namespace tlc;
@@ -133,46 +129,18 @@ PhaseResult bench_mixed(std::uint64_t total_events) {
   return r;
 }
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: bench_scheduler [--events N]\n"
-               "  N events per phase, in decimal digits (default 4000000; "
-               "fewer than %d runs %d)\n",
-               kBurst, kBurst);
-  std::exit(2);
-}
-
-/// Events per phase from `--events N` / `--events=N`; exits 2 with usage
-/// on anything else.
-std::uint64_t parse_events(int argc, char** argv) {
-  std::uint64_t events = 4'000'000;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (std::strcmp(argv[i], "--events") == 0) {
-      if (i + 1 == argc) usage();
-      v = argv[++i];
-    } else if (std::strncmp(argv[i], "--events=", 9) == 0) {
-      v = argv[i] + 9;
-    } else {
-      std::fprintf(stderr, "bench_scheduler: unknown option '%s'\n", argv[i]);
-      usage();
-    }
-    const std::optional<std::uint64_t> n = tools::parse_decimal(
-        v, std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max());
-    if (!n) {
-      std::fprintf(stderr, "bench_scheduler: bad value for --events: '%s'\n",
-                   v);
-      usage();
-    }
-    events = *n;
-  }
-  return std::max<std::uint64_t>(events, kBurst);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t events = parse_events(argc, argv);
+  std::uint64_t events = 4'000'000;
+  tools::Cli cli{"bench_scheduler",
+                 "usage: bench_scheduler [--events N]\n"
+                 "  N events per phase, in decimal digits (default 4000000; "
+                 "fewer than " + std::to_string(kBurst) + " runs " +
+                     std::to_string(kBurst) + ")\n"};
+  cli.count("--events", &events);
+  cli.parse(argc, argv);
+  events = std::max<std::uint64_t>(events, kBurst);
 
   std::printf("## Scheduler microbench: %llu events per phase\n\n",
               static_cast<unsigned long long>(events));

@@ -11,6 +11,7 @@
 //   Gaming QCI7 : legacy 0.34 / 3.2%, optimal 0.18 / 1.6%, random 0.21 / 1.9%
 #include <cstdio>
 
+#include "cli.hpp"
 #include "common/format.hpp"
 #include "exp/metrics.hpp"
 #include "exp/sweep.hpp"
@@ -19,7 +20,7 @@ using namespace tlc;
 using namespace tlc::exp;
 
 int main(int argc, char** argv) {
-  const SweepOptions sweep = sweep_options_from_cli(argc, argv);
+  const int jobs = tools::sweep_jobs(argc, argv, "bench_table2_average_gap");
   std::printf("## Table 2: average charging gap (c = 0.5)\n\n");
 
   constexpr AppKind kApps[] = {AppKind::kWebcamRtsp, AppKind::kWebcamUdp,
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
                "eps", "random D", "eps", "paper D (leg/opt/rnd)"}};
   double total_reduction_optimal = 0;
   for (std::size_t i = 0; i < std::size(kApps); ++i) {
-    const auto results = run_grid(kApps[i], {}, sweep);
+    const auto results = run_grid(kApps[i], {}, jobs);
     const GapSamples legacy = collect_gaps(results, Scheme::kLegacy);
     const GapSamples optimal = collect_gaps(results, Scheme::kTlcOptimal);
     const GapSamples random = collect_gaps(results, Scheme::kTlcRandom);

@@ -8,8 +8,7 @@ BaseStation::BaseStation(sim::Scheduler& sched, BaseStationConfig config,
     : sched_(sched),
       config_(config),
       device_(device),
-      plan_(plan),
-      operator_clock_(operator_clock),
+      ul_radio_loss_(std::move(plan), operator_clock),
       radio_(config.radio, rng),
       dl_link_(
           sched, config.downlink, &radio_,
@@ -33,9 +32,7 @@ BaseStation::BaseStation(sim::Scheduler& sched, BaseStationConfig config,
                 p.flow != net::kControlFlow) {
               // Granted transmission failed on the air: the scheduler sees
               // this, so the operator can count it toward x̂_e.
-              const std::uint64_t cycle =
-                  plan_.cycle_at(operator_clock_.local_time(at)).index;
-              ul_radio_loss_by_cycle_[cycle] += p.size;
+              ul_radio_loss_.record(at, charging::Direction::kUplink, p.size);
             }
           }) {}
 
@@ -106,8 +103,7 @@ void BaseStation::set_background_load(BitRate downlink, BitRate uplink) {
 }
 
 Bytes BaseStation::observed_uplink_radio_loss(std::uint64_t cycle) const {
-  const auto it = ul_radio_loss_by_cycle_.find(cycle);
-  return it == ul_radio_loss_by_cycle_.end() ? Bytes{0} : it->second;
+  return ul_radio_loss_.usage(cycle).uplink;
 }
 
 void BaseStation::fail_next_counter_checks(std::uint32_t count,

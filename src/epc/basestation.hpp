@@ -148,8 +148,8 @@ class BaseStation {
   sim::Scheduler& sched_;
   BaseStationConfig config_;
   EdgeDevice& device_;
-  charging::DataPlan plan_;
-  sim::NodeClock operator_clock_;
+  /// Uplink radio losses the scheduler observed, by the operator's cycle.
+  charging::CycleAccountant ul_radio_loss_;
   net::RadioModel radio_;
   net::CellLink dl_link_;
   net::CellLink ul_link_;
@@ -172,7 +172,6 @@ class BaseStation {
   std::uint32_t counter_check_faults_armed_ = 0;
   Duration counter_check_retry_ = std::chrono::seconds{5};
   std::uint64_t counter_check_timeouts_ = 0;
-  std::map<std::uint64_t, Bytes> ul_radio_loss_by_cycle_;
   bool started_ = false;
 
   obs::Obs* obs_ = nullptr;

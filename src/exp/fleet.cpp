@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "charging/data_plan.hpp"
+#include "exp/sweep.hpp"
 
 namespace tlc::exp {
 namespace {
@@ -38,30 +38,18 @@ struct alignas(64) RangeSink {
 
 }  // namespace
 
-std::uint32_t resolve_shards(std::uint32_t requested) {
-  if (requested > 0) return requested;
-  // tlc-lint: allow(determinism): operator knob for the cell-range count
-  // only — fleet results are byte-identical at any shard count
-  // (test_fleet_determinism proves it)
-  if (const char* env = std::getenv("TLC_SHARDS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::uint32_t>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 FleetResult run_fleet(const FleetConfig& config) {
   // Checked on the caller's thread: no range walker may throw from the
   // charging rule, and the kernel never checks its traffic model or
-  // horizon.
+  // horizon. resolve_jobs refuses a shard count above the thread ceiling.
   charging::check_loss_weight(config.loss_weight, "run_fleet");
   epc::check_walk(config, "run_fleet");
+  const auto requested =
+      static_cast<std::uint32_t>(resolve_jobs(config.shards));
   DeviceFleet fleet(config.devices, config.devices_per_cell, config.seed);
   const std::uint32_t cells = fleet.cells();
   // More shards than cells would leave some shards empty; clamp instead.
-  const std::uint32_t shards = std::min(resolve_shards(config.shards), cells);
+  const std::uint32_t shards = std::min(requested, cells);
   const std::uint32_t cells_per_shard = (cells + shards - 1) / shards;
 
   std::vector<CellReport> reports(std::size_t{config.cycles} * cells);

@@ -30,8 +30,8 @@ namespace tlc::exp {
 /// The scenario (epc::FleetWalk) plus how run_fleet partitions it.
 struct FleetConfig : epc::FleetWalk {
   /// Number of cell ranges the fleet is split into (clamped to the cell
-  /// count). 0 → resolve_shards(): TLC_SHARDS env, else hardware
-  /// concurrency.
+  /// count), resolved like a sweep's width (exp::resolve_jobs): 0 is every
+  /// core, and more than kMaxThreads throws.
   std::uint32_t shards = 0;
   /// Parallel mode walks each cell range on its own thread; serial mode
   /// walks them in turn on the caller's thread — same results.
@@ -68,14 +68,10 @@ struct FleetResult : epc::SettlementLedger {
   obs::MetricsSnapshot metrics;
 };
 
-/// Effective shard count: `requested` if nonzero, else the TLC_SHARDS
-/// environment knob, else hardware concurrency (min 1).
-[[nodiscard]] std::uint32_t resolve_shards(std::uint32_t requested);
-
 /// Runs the fleet scenario to its horizon and settles every cycle. Throws
-/// std::invalid_argument on the caller's thread unless
-/// charging::valid_loss_weight(config.loss_weight) and config passes
-/// epc::check_walk.
+/// std::invalid_argument on the caller's thread, before any walker starts,
+/// unless charging::valid_loss_weight(config.loss_weight), config passes
+/// epc::check_walk and config.shards is at most kMaxThreads.
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
 
 /// Canonical one-line fingerprint of everything determinism-relevant in a

@@ -248,9 +248,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       // exactly what a settlement would transmit; the frame carries the
       // causal trace id of the batch's first receipt.
       wire::FrameHeader header;
-      header.trace_id =
-          exchange_trace_id(config.seed, WireSettlementConfig{}.device,
-                            batch.head.first_cycle, direction);
+      header.trace_id = exchange_trace_id(config.seed, kTestbedImsi,
+                                          batch.head.first_cycle, direction);
       const ByteVec frame_bytes =
           wire::encode_batch_frame(core::to_batch_frame(batch, header));
       const core::ReceiptBatch received =

@@ -4,15 +4,13 @@
 #include <atomic>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 
 #include "common/rng.hpp"
+#include "common/threads.hpp"
 
 namespace tlc::exp {
 
@@ -24,39 +22,13 @@ std::uint64_t mix_seed(std::uint64_t seed, double background_mbps,
   return h;
 }
 
-int resolve_jobs(int requested) {
-  if (requested > 0) return requested;
-  // tlc-lint: allow(determinism): operator knob for worker-pool width only —
-  // sweep results are byte-identical at any job count (test_sweep proves it)
-  if (const char* env = std::getenv("TLC_JOBS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<int>(v);
+int resolve_jobs(std::int64_t requested) {
+  if (requested > 0) {
+    check_thread_count(static_cast<std::size_t>(requested), "resolve_jobs");
+    return static_cast<int>(requested);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-SweepOptions sweep_options_from_cli(int& argc, char** argv) {
-  SweepOptions opt;
-  int write = 1;
-  for (int read = 1; read < argc; ++read) {
-    const std::string_view arg{argv[read]};
-    const char* value = nullptr;
-    if (arg.rfind("--jobs=", 0) == 0) {
-      value = argv[read] + 7;
-    } else if (arg == "--jobs" && read + 1 < argc) {
-      value = argv[++read];
-    }
-    if (value != nullptr) {
-      const int v = std::atoi(value);
-      if (v > 0) opt.jobs = v;
-      continue;  // consume the flag (and its value form)
-    }
-    argv[write++] = argv[read];
-  }
-  argc = write;
-  return opt;
+  return static_cast<int>(std::clamp<std::size_t>(hw, 1, kMaxThreads));
 }
 
 void sweep_indexed(std::size_t count, int jobs,
@@ -103,9 +75,9 @@ void sweep_indexed(std::size_t count, int jobs,
 }
 
 std::vector<ScenarioResult> run_scenarios(
-    const std::vector<ScenarioConfig>& configs, const SweepOptions& options) {
+    const std::vector<ScenarioConfig>& configs, int jobs) {
   std::vector<ScenarioResult> out(configs.size());
-  sweep_indexed(configs.size(), options.jobs,
+  sweep_indexed(configs.size(), jobs,
                 [&](std::size_t i) { out[i] = run_scenario(configs[i]); });
   return out;
 }
@@ -133,8 +105,8 @@ std::vector<ScenarioConfig> grid_configs(AppKind app, const GridOptions& opt) {
 }
 
 std::vector<ScenarioResult> run_grid(AppKind app, const GridOptions& opt,
-                                     const SweepOptions& sweep) {
-  return run_scenarios(grid_configs(app, opt), sweep);
+                                     int jobs) {
+  return run_scenarios(grid_configs(app, opt), jobs);
 }
 
 namespace {

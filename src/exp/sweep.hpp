@@ -28,39 +28,27 @@ namespace tlc::exp {
                                      double background_mbps,
                                      double dip_rate_per_s);
 
-struct SweepOptions {
-  /// Worker threads. 0 = use the TLC_JOBS environment variable if set,
-  /// else std::thread::hardware_concurrency(). 1 = serial in the calling
-  /// thread (the baseline the determinism tests compare against).
-  int jobs = 0;
-};
-
-/// Resolves a jobs request against TLC_JOBS and the hardware: returns
-/// `requested` when positive, else TLC_JOBS when set and positive, else
-/// hardware_concurrency (minimum 1).
-[[nodiscard]] int resolve_jobs(int requested = 0);
-
-/// Parses and removes `--jobs=N` / `--jobs N` from argv so every bench
-/// binary gets sweep control without its own flag plumbing. Unrecognised
-/// arguments are left in place. Returns options with jobs = 0 (auto) when
-/// the flag is absent.
-[[nodiscard]] SweepOptions sweep_options_from_cli(int& argc, char** argv);
+/// Worker threads for a request: `requested` when positive, else
+/// std::thread::hardware_concurrency() clamped to [1, kMaxThreads]. Throws
+/// std::invalid_argument, before any thread exists, when `requested`
+/// exceeds kMaxThreads (common/threads.hpp).
+[[nodiscard]] int resolve_jobs(std::int64_t requested);
 
 /// Runs `body(i)` for every i in [0, count) across `jobs` workers (resolved
-/// via resolve_jobs; the calling thread is one of them). Workers claim
-/// slots one at a time from a shared atomic cursor, so each slot runs
-/// exactly once and uneven slot costs balance dynamically. The call
-/// returns when all slots finished. The first exception thrown by any
-/// slot is rethrown in the caller after the pool joins; workers stop
-/// claiming slots once one has failed.
+/// via resolve_jobs: 0 is every core, 1 is serial in the calling thread,
+/// the baseline the determinism tests compare against; the calling thread
+/// is one of the workers). Workers claim slots one at a time from a shared
+/// atomic cursor, so each slot runs exactly once and uneven slot costs
+/// balance dynamically. The call returns when all slots finished. The
+/// first exception thrown by any slot is rethrown in the caller after the
+/// pool joins; workers stop claiming slots once one has failed.
 void sweep_indexed(std::size_t count, int jobs,
                    const std::function<void(std::size_t)>& body);
 
 /// Fans the configs out across the worker pool and returns one result per
 /// config, in submission order (out[i] always corresponds to configs[i]).
 [[nodiscard]] std::vector<ScenarioResult> run_scenarios(
-    const std::vector<ScenarioConfig>& configs,
-    const SweepOptions& options = {});
+    const std::vector<ScenarioConfig>& configs, int jobs = 0);
 
 /// The Fig. 12 / Table 2 condition grid: congestion × intermittency × seed,
 /// every simulated cycle settled under all three charging schemes.
@@ -80,7 +68,7 @@ struct GridOptions {
 
 /// grid_configs + run_scenarios.
 [[nodiscard]] std::vector<ScenarioResult> run_grid(
-    AppKind app, const GridOptions& opt = {}, const SweepOptions& sweep = {});
+    AppKind app, const GridOptions& opt = {}, int jobs = 0);
 
 /// Canonical byte-exact serialization of a result: every negotiated value,
 /// view, ratio (doubles printed with full precision), and the complete

@@ -15,7 +15,7 @@ Testbed::Testbed(TestbedConfig config)
       device_(config_.plan, config_.edge_clock),
       server_(config_.plan, config_.edge_clock),
       gateway_(sched_, config_.plan, config_.operator_clock,
-               epc::Imsi::from_number(1113254764805ULL)),
+               epc::Imsi::from_number(kTestbedImsi)),
       bs_(sched_, config_.bs, rng_.fork(), device_, config_.plan,
           config_.operator_clock),
       backhaul_up_(sched_, config_.backhaul,
@@ -67,7 +67,7 @@ Testbed::Testbed(TestbedConfig config)
         if (control_ul_handler_) control_ul_handler_(p, at);
         return;
       }
-      note_truth(charging::Direction::kUplink, /*sent=*/false, p.size, at);
+      truth_received_.record(at, charging::Direction::kUplink, p.size);
       gateway_.on_uplink_from_enb(p, at);
     });
     cell.set_downlink_sink([this](const net::Packet& p, TimePoint at) {
@@ -75,7 +75,7 @@ Testbed::Testbed(TestbedConfig config)
         if (control_dl_handler_) control_dl_handler_(p, at);
         return;
       }
-      note_truth(charging::Direction::kDownlink, /*sent=*/false, p.size, at);
+      truth_received_.record(at, charging::Direction::kDownlink, p.size);
     });
     cell.set_session_callback([this, &cell](bool attached, TimePoint) {
       // Only the serving cell's radio-link state drives the session; a
@@ -139,22 +139,10 @@ Testbed::Testbed(TestbedConfig config)
   }
 }
 
-void Testbed::note_truth(charging::Direction direction, bool sent, Bytes size,
-                         TimePoint now) {
-  auto& table =
-      direction == charging::Direction::kUplink ? truth_ul_ : truth_dl_;
-  TruthCell& cell = table[config_.plan.cycle_at(now).index];
-  if (sent) {
-    cell.sent += size;
-  } else {
-    cell.received += size;
-  }
-}
-
 void Testbed::app_send_uplink(net::Packet packet) {
   const TimePoint now = sched_.now();
   device_.note_app_sent(packet, now);
-  note_truth(charging::Direction::kUplink, /*sent=*/true, packet.size, now);
+  truth_sent_.record(now, charging::Direction::kUplink, packet.size);
   if (handover_) {
     handover_->route_uplink(std::move(packet));
   } else {
@@ -165,7 +153,7 @@ void Testbed::app_send_uplink(net::Packet packet) {
 void Testbed::app_send_downlink(net::Packet packet) {
   const TimePoint now = sched_.now();
   server_.note_sent(packet, now);
-  note_truth(charging::Direction::kDownlink, /*sent=*/true, packet.size, now);
+  truth_sent_.record(now, charging::Direction::kDownlink, packet.size);
   backhaul_down_.enqueue(std::move(packet));
 }
 
@@ -231,16 +219,12 @@ void Testbed::run_until(TimePoint until, std::int64_t last_boundary) {
 
 charging::GroundTruth Testbed::truth(charging::Direction direction,
                                      std::uint64_t cycle) const {
-  const auto& table =
-      direction == charging::Direction::kUplink ? truth_ul_ : truth_dl_;
-  const auto it = table.find(cycle);
   charging::GroundTruth truth;
-  if (it != table.end()) {
-    truth.sent = it->second.sent;
-    // Guard the invariant x̂_o ≤ x̂_e against boundary straddling (a packet
-    // sent at the very end of a cycle can be delivered in the next one).
-    truth.received = std::min(it->second.received, it->second.sent);
-  }
+  truth.sent = truth_sent_.usage(cycle).in(direction);
+  // Guard the invariant x̂_o ≤ x̂_e against boundary straddling (a packet
+  // sent at the very end of a cycle can be delivered in the next one).
+  truth.received =
+      std::min(truth_received_.usage(cycle).in(direction), truth.sent);
   return truth;
 }
 

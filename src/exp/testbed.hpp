@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 
+#include "charging/cycle.hpp"
 #include "charging/usage.hpp"
 #include "epc/basestation.hpp"
 #include "epc/device.hpp"
@@ -30,6 +31,10 @@
 #include "sim/scheduler.hpp"
 
 namespace tlc::exp {
+
+/// The testbed device's IMSI: the gateway's subscriber identity, and the
+/// device identity folded into every settlement's trace id.
+inline constexpr std::uint64_t kTestbedImsi = 1113254764805ULL;
 
 struct TestbedConfig {
   charging::DataPlan plan;
@@ -142,8 +147,6 @@ class Testbed {
   [[nodiscard]] const obs::Obs& obs() const { return obs_; }
 
  private:
-  void note_truth(charging::Direction direction, bool sent, Bytes size,
-                  TimePoint now);
   void schedule_cycle_end_checks(TimePoint until, std::int64_t last_boundary);
 
   TestbedConfig config_;
@@ -162,15 +165,12 @@ class Testbed {
   std::unique_ptr<epc::BaseStation> bs2_;       // mobility target cell
   std::unique_ptr<epc::HandoverController> handover_;
 
-  struct TruthCell {
-    Bytes sent;
-    Bytes received;
-  };
   ControlHandler control_dl_handler_;
   ControlHandler control_ul_handler_;
 
-  std::map<std::uint64_t, TruthCell> truth_ul_;
-  std::map<std::uint64_t, TruthCell> truth_dl_;
+  /// Ground truth by true-time cycle: a default NodeClock reads true time.
+  charging::CycleAccountant truth_sent_{config_.plan, sim::NodeClock{}};
+  charging::CycleAccountant truth_received_{config_.plan, sim::NodeClock{}};
   std::map<std::uint64_t, Duration> disconnected_;
   TimePoint last_disc_sample_ = kTimeZero;
   Duration last_disc_total_ = Duration::zero();

@@ -69,7 +69,7 @@ void WireSettlement::begin_cycle(std::uint64_t cycle) {
   started_ = bed_.scheduler().now();
   current_ = SettlementOutcome{};
   current_.cycle = cycle;
-  current_.trace_id = exchange_trace_id(config_.seed, config_.device, cycle,
+  current_.trace_id = exchange_trace_id(config_.seed, kTestbedImsi, cycle,
                                         config_.direction);
   op_side_ = Side{};
   edge_side_ = Side{};
@@ -90,7 +90,7 @@ void WireSettlement::begin_cycle(std::uint64_t cycle) {
                   ? bed_.edge_view(config_.direction, cycle)
                   : bed_.operator_view(config_.direction, cycle,
                                        config_.dl_source);
-    pc.max_rounds = config_.max_rounds;
+    pc.max_rounds = kMaxRounds;
     pc.obs = obs_;
     pc.exchange = exchange_span_;
     return pc;
@@ -120,18 +120,16 @@ void WireSettlement::send(bool from_operator, core::Message msg) {
       party(from_operator).state() == core::ProtocolState::kNegotiating;
   obs_->metrics.counter("tlc.settle.messages").inc();
 
-  const Duration crypto =
-      from_operator ? config_.op_crypto : config_.edge_crypto;
-  observe_crypto(crypto);
+  observe_crypto(kCryptoTime);
   bed_.scheduler().schedule_after(
-      crypto, [this, from_operator] { transmit(from_operator); });
+      kCryptoTime, [this, from_operator] { transmit(from_operator); });
 }
 
 void WireSettlement::transmit(bool from_operator) {
   if (!active_) return;
   sim::Scheduler& sched = bed_.scheduler();
   const TimePoint now = sched.now();
-  if (now + kLaunchGuard + config_.rto > config_.deadline) {
+  if (now + kLaunchGuard + kRto > config_.deadline) {
     // Too close to the run's end for the packet (and its drop accounting)
     // to resolve: give up on this settlement rather than leave control
     // bytes unaccounted at snapshot time.
@@ -179,7 +177,7 @@ void WireSettlement::transmit(bool from_operator) {
 
   if (tx.expects_reply) {
     tx.rto = sched.schedule_after(
-        config_.rto, [this, from_operator, attempt = tx.attempt] {
+        kRto, [this, from_operator, attempt = tx.attempt] {
           on_rto(from_operator, attempt);
         });
   }
@@ -189,7 +187,7 @@ void WireSettlement::on_rto(bool from_operator, int attempt) {
   if (!active_) return;
   Side& tx = side(from_operator);
   if (tx.attempt != attempt || !tx.expects_reply) return;
-  if (tx.attempt >= config_.max_attempts) {
+  if (tx.attempt >= kMaxAttempts) {
     TLC_TRACE_EVENT(obs_, "tlc.settle", "rto_exhausted",
                     obs::TraceLevel::kWarn,
                     obs::trace_field(exchange_span_),
@@ -223,7 +221,7 @@ void WireSettlement::on_control(bool to_operator, const net::Packet& packet,
     // Duplicate: the peer retransmitted, so our response was lost (or is
     // late). Re-send it — this is what re-delivers a lost PoC, since its
     // sender is terminal and runs no RTO of its own.
-    if (!rx.payload.empty() && rx.attempt < config_.max_attempts) {
+    if (!rx.payload.empty() && rx.attempt < kMaxAttempts) {
       transmit(to_operator);
     }
     return;
@@ -240,11 +238,9 @@ void WireSettlement::on_control(bool to_operator, const net::Packet& packet,
 
   // Model the receiver's verify/decision cost before the party runs.
   rx.pending = std::move(msg);
-  const Duration crypto =
-      to_operator ? config_.op_crypto : config_.edge_crypto;
-  observe_crypto(crypto);
+  observe_crypto(kCryptoTime);
   bed_.scheduler().schedule_after(
-      crypto, [this, to_operator] { process_pending(to_operator); });
+      kCryptoTime, [this, to_operator] { process_pending(to_operator); });
 }
 
 void WireSettlement::process_pending(bool at_operator) {

@@ -39,19 +39,9 @@ struct WireSettlementConfig {
       monitor::OperatorDlSource::kRrcCounterCheck;
   /// Settles cycles 1..cycles, back-to-back in cycle order.
   int cycles = 0;
-  int max_rounds = 64;
-  /// Seeds party nonces/claims and the trace-ID derivation.
+  /// Seeds party nonces/claims and the trace-ID derivation (with the
+  /// testbed's IMSI, kTestbedImsi, as the device identity).
   std::uint64_t seed = 1;
-  /// Device identity folded into the trace ID (the testbed's IMSI).
-  std::uint64_t device = 1113254764805ULL;
-  /// Per-message sign/verify processing time on each side (§7.2 puts the
-  /// crypto share of negotiation time at ~55%).
-  Duration edge_crypto = std::chrono::milliseconds{2};
-  Duration op_crypto = std::chrono::milliseconds{2};
-  /// Retransmission timeout and per-message attempt budget. The RTO must
-  /// exceed one air round trip (~16 ms propagation plus transmission).
-  Duration rto = std::chrono::milliseconds{250};
-  int max_attempts = 8;
   /// Hard stop: no transmission is launched once now + kLaunchGuard would
   /// pass this point, so every control packet resolves (delivery or drop)
   /// before the scenario's metrics snapshot and the charging-gap
@@ -123,6 +113,14 @@ class WireSettlement {
   }
 
  private:
+  static constexpr int kMaxRounds = 64;
+  /// Per-message sign/verify processing time on each side (§7.2 puts the
+  /// crypto share of negotiation time at ~55%).
+  static constexpr Duration kCryptoTime = std::chrono::milliseconds{2};
+  /// Retransmission timeout and per-message attempt budget. The RTO must
+  /// exceed one air round trip (~16 ms propagation plus transmission).
+  static constexpr Duration kRto = std::chrono::milliseconds{250};
+  static constexpr int kMaxAttempts = 8;
   /// Worst-case time for a launched packet to resolve: max_buffer_wait
   /// (3 s) + propagation + transmission, rounded up.
   static constexpr Duration kLaunchGuard = std::chrono::seconds{4};

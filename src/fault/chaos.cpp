@@ -2,10 +2,12 @@
 
 #include <span>
 
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "exp/sweep.hpp"
 #include "fault/injector.hpp"
+#include "obs/json.hpp"
 
 namespace tlc::fault {
 namespace {
@@ -18,17 +20,6 @@ std::string sha256_of(const std::string& s) {
 void hash_update(crypto::Sha256& h, const std::string& s) {
   h.update(std::span<const std::uint8_t>{
       reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-}
-
-std::string hex_digest(crypto::Digest d) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(d.size() * 2);
-  for (const std::uint8_t b : d) {
-    out += kHex[b >> 4];
-    out += kHex[b & 0xF];
-  }
-  return out;
 }
 
 }  // namespace
@@ -47,7 +38,7 @@ std::string ChaosReport::fingerprint() const {
   for (const Violation& v : violations) {
     hash_update(hasher, v.to_json());
   }
-  return hex_digest(hasher.finish());
+  return to_hex(hasher.finish());
 }
 
 std::string ChaosReport::to_json() const {
@@ -69,7 +60,9 @@ std::string ChaosReport::to_json() const {
            o.result_digest + "\",\"attacks\":[";
     for (std::size_t j = 0; j < o.attacks.size(); ++j) {
       if (j != 0) out += ",";
-      out += "{\"attack\":\"" + o.attacks[j].attack + "\",\"rejected\":";
+      out += "{\"attack\":";
+      obs::append_json_string(&out, o.attacks[j].attack);
+      out += ",\"rejected\":";
       out += o.attacks[j].rejected ? "true" : "false";
       out += "}";
     }

@@ -19,7 +19,7 @@ namespace tlc::fault {
 
 struct ChaosOptions {
   int plans = 200;
-  int jobs = 0;  // 0 = resolve via TLC_JOBS / hardware_concurrency
+  int jobs = 0;  // sweep workers (exp::resolve_jobs): 0 = every core
   std::uint64_t seed = 1;
   bool wire_attacks = true;
 };

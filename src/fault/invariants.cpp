@@ -6,22 +6,13 @@
 #include "common/rng.hpp"
 #include "exp/wire_exchange.hpp"
 #include "net/packet.hpp"
+#include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "tlc/negotiation.hpp"
 #include "tlc/strategy.hpp"
 
 namespace tlc::fault {
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 std::string bytes_str(Bytes b) { return std::to_string(b.count()); }
 
@@ -56,7 +47,7 @@ void check_cycle(const FaultPlan& plan, std::uint64_t run_seed,
   // identity rather than recorded, so it equals the trace id tagging this
   // cycle's settlement spans in a JSONL trace of the same run.
   const std::string trace = obs::span_hex(exp::exchange_trace_id(
-      run_seed, exp::WireSettlementConfig{}.device, c.cycle, c.direction));
+      run_seed, exp::kTestbedImsi, c.cycle, c.direction));
 
   // T4: rational vs rational converges immediately (fault magnitudes are
   // bounded so honest views stay within the cross-check tolerance).
@@ -244,10 +235,15 @@ void check_batch_audit(const FaultPlan& plan,
 }  // namespace
 
 std::string Violation::to_json() const {
-  std::string out = "{\"plan\":" + std::to_string(plan_id) +
-                    ",\"invariant\":\"" + json_escape(invariant) +
-                    "\",\"detail\":\"" + json_escape(detail) + "\"";
-  if (!trace.empty()) out += ",\"trace\":\"" + json_escape(trace) + "\"";
+  std::string out =
+      "{\"plan\":" + std::to_string(plan_id) + ",\"invariant\":";
+  obs::append_json_string(&out, invariant);
+  out += ",\"detail\":";
+  obs::append_json_string(&out, detail);
+  if (!trace.empty()) {
+    out += ",\"trace\":";
+    obs::append_json_string(&out, trace);
+  }
   out += "}";
   return out;
 }

@@ -28,26 +28,22 @@ void RrcDownlinkMonitor::on_counter_check(
   const TimePoint midpoint =
       last_report_at_ + (report.at - last_report_at_) / 2;
   last_report_at_ = std::max(last_report_at_, report.at);
-  const std::uint64_t cycle =
-      plan_.cycle_at(clock_.local_time(midpoint)).index;
-  dl_by_cycle_[cycle] += Bytes{dl_delta};
-  ul_by_cycle_[cycle] += Bytes{ul_delta};
+  usage_.record(midpoint, charging::Direction::kDownlink, Bytes{dl_delta});
+  usage_.record(midpoint, charging::Direction::kUplink, Bytes{ul_delta});
   if (m_reports_ != nullptr) m_reports_->inc();
   TLC_TRACE_EVENT_AT(obs_, report.at, "monitor.rrc", "report",
                      obs::TraceLevel::kDebug,
                      obs::field("dl_delta", dl_delta),
                      obs::field("ul_delta", ul_delta),
-                     obs::field("cycle", cycle));
+                     obs::field("cycle", usage_.cycle_index_at(midpoint)));
 }
 
 Bytes RrcDownlinkMonitor::downlink_usage(std::uint64_t cycle) const {
-  const auto it = dl_by_cycle_.find(cycle);
-  return it == dl_by_cycle_.end() ? Bytes{0} : it->second;
+  return usage_.usage(cycle).downlink;
 }
 
 Bytes RrcDownlinkMonitor::uplink_usage(std::uint64_t cycle) const {
-  const auto it = ul_by_cycle_.find(cycle);
-  return it == ul_by_cycle_.end() ? Bytes{0} : it->second;
+  return usage_.usage(cycle).uplink;
 }
 
 }  // namespace tlc::monitor

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "charging/cycle.hpp"
 #include "epc/basestation.hpp"
@@ -25,9 +24,7 @@ namespace tlc::monitor {
 class RrcDownlinkMonitor {
  public:
   RrcDownlinkMonitor(charging::DataPlan plan, sim::NodeClock operator_clock)
-      : plan_(std::move(plan)), clock_(operator_clock) {
-    plan_.validate();
-  }
+      : usage_(std::move(plan), operator_clock) {}
 
   /// Feed from BaseStation::set_counter_check_sink.
   void on_counter_check(const epc::CounterCheckReport& report);
@@ -46,16 +43,14 @@ class RrcDownlinkMonitor {
   void set_observability(obs::Obs* obs);
 
  private:
-  charging::DataPlan plan_;
-  sim::NodeClock clock_;
+  /// Reported deltas by the operator's cycle, uplink and downlink.
+  charging::CycleAccountant usage_;
   obs::Obs* obs_ = nullptr;
   obs::Counter* m_reports_ = nullptr;
   std::uint64_t last_dl_ = 0;
   std::uint64_t last_ul_ = 0;
   TimePoint last_report_at_ = kTimeZero;
   std::uint64_t reports_ = 0;
-  std::map<std::uint64_t, Bytes> dl_by_cycle_;
-  std::map<std::uint64_t, Bytes> ul_by_cycle_;
 };
 
 }  // namespace tlc::monitor

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "charging/usage.hpp"
@@ -67,15 +66,6 @@ epc::DeviceCycle settled_cycle(const ExchangeRecord& rec) {
 }
 
 }  // namespace
-
-void check_thread_count(std::size_t threads, const char* who) {
-  if (threads > kMaxThreads) {
-    throw std::invalid_argument{std::string{who} + ": " +
-                                std::to_string(threads) +
-                                " threads exceed the maximum of " +
-                                std::to_string(kMaxThreads)};
-  }
-}
 
 // The store, constructed first, refuses a capacity above its maximum.
 ServePipeline::ServePipeline(PipelineConfig config)

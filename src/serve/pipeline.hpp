@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/threads.hpp"
 #include "epc/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "serve/record.hpp"
@@ -53,17 +54,9 @@
 
 namespace tlc::serve {
 
-/// The most consumer threads a ServePipeline, and producer threads a
-/// run_replay, will start. Each is an OS thread that spins while idle, so
-/// more than a host has cores only adds contention; both throw
-/// std::invalid_argument above it, before starting any thread.
-inline constexpr std::size_t kMaxThreads = 256;
-
-/// Throws std::invalid_argument naming `who` when `threads` > kMaxThreads.
-void check_thread_count(std::size_t threads, const char* who);
-
 struct PipelineConfig {
-  /// Consumer threads, at most kMaxThreads; 0 runs one.
+  /// Consumer threads, at most kMaxThreads (common/threads.hpp), checked
+  /// before any starts; 0 runs one.
   std::size_t consumers = 2;
   /// Ignored: producers need no registration, so any number may submit.
   std::size_t max_producers = 4;

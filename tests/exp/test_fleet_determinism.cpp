@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/threads.hpp"
 #include "epc/fleet.hpp"
 #include "exp/fleet.hpp"
 #include "serve/replay.hpp"
@@ -515,16 +515,17 @@ TEST(FleetWalk, KernelSettlesLikeThePublicCalls) {
 
 // ------------------------------------------------------- shard knobs ---
 
-TEST(FleetKnobs, ResolveShardsPrecedence) {
-  ASSERT_EQ(unsetenv("TLC_SHARDS"), 0);
-  EXPECT_EQ(resolve_shards(5), 5u);  // explicit request wins
-  EXPECT_GE(resolve_shards(0), 1u);  // falls back to hardware
-  ASSERT_EQ(setenv("TLC_SHARDS", "3", 1), 0);
-  EXPECT_EQ(resolve_shards(0), 3u);  // env knob when no request
-  EXPECT_EQ(resolve_shards(2), 2u);  // request still wins over env
-  ASSERT_EQ(setenv("TLC_SHARDS", "garbage", 1), 0);
-  EXPECT_GE(resolve_shards(0), 1u);  // unparsable env ignored
-  ASSERT_EQ(unsetenv("TLC_SHARDS"), 0);
+// A shard count is a thread count: above the ceiling run_fleet refuses it
+// on the caller's thread, before any walker exists, in either mode (the
+// fleet has two cells, so no more than two walkers could start anyway).
+TEST(FleetKnobs, ShardsAboveThreadCeilingThrow) {
+  FleetConfig cfg = small_config();
+  cfg.devices = 80;
+  cfg.devices_per_cell = 40;
+  cfg.shards = static_cast<std::uint32_t>(kMaxThreads) + 1;
+  EXPECT_THROW((void)run_fleet(cfg), std::invalid_argument);
+  cfg.parallel = false;
+  EXPECT_THROW((void)run_fleet(cfg), std::invalid_argument);
 }
 
 TEST(FleetKnobs, ShardsClampToCellCount) {

@@ -1,16 +1,16 @@
-// Sweep-engine tests: seed mixing, CLI/job resolution, deterministic
+// Sweep-engine tests: seed mixing, job resolution, deterministic
 // parallel fan-out (parallel byte-identical to serial for the Fig. 12
 // grid), and observability isolation between concurrent testbeds.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/threads.hpp"
 #include "exp/sweep.hpp"
 #include "exp/testbed.hpp"
 
@@ -75,37 +75,25 @@ TEST(GridConfigs, CanonicalOrderBackgroundsOutermostSeedsInnermost) {
 
 // ------------------------------------------------------- jobs resolution ---
 
-TEST(ResolveJobs, RequestedWinsOverEnvironment) {
-  ::setenv("TLC_JOBS", "7", 1);
+TEST(ResolveJobs, ExplicitRequestWinsElseEveryCoreUnderTheCeiling) {
   EXPECT_EQ(resolve_jobs(3), 3);
-  EXPECT_EQ(resolve_jobs(0), 7);
-  ::setenv("TLC_JOBS", "not-a-number", 1);
-  EXPECT_GE(resolve_jobs(0), 1);  // falls back to hardware concurrency
-  ::unsetenv("TLC_JOBS");
-  EXPECT_GE(resolve_jobs(0), 1);
+  EXPECT_EQ(resolve_jobs(static_cast<std::int64_t>(kMaxThreads)),
+            static_cast<int>(kMaxThreads));
+  const int hw = resolve_jobs(0);
+  EXPECT_GE(hw, 1);
+  EXPECT_LE(hw, static_cast<int>(kMaxThreads));
+  EXPECT_EQ(resolve_jobs(-1), hw);
 }
 
-TEST(SweepOptions, CliParsingStripsJobsFlag) {
-  const char* raw[] = {"bench", "--foo", "--jobs=3", "bar", nullptr};
-  std::vector<char*> argv;
-  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
-  int argc = 4;
-  const SweepOptions opt = sweep_options_from_cli(argc, argv.data());
-  EXPECT_EQ(opt.jobs, 3);
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[1], "--foo");
-  EXPECT_STREQ(argv[2], "bar");
-}
-
-TEST(SweepOptions, CliParsingTwoTokenForm) {
-  const char* raw[] = {"bench", "--jobs", "5", "tail", nullptr};
-  std::vector<char*> argv;
-  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
-  int argc = 4;
-  const SweepOptions opt = sweep_options_from_cli(argc, argv.data());
-  EXPECT_EQ(opt.jobs, 5);
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], "tail");
+// Only widths refused before any thread exists are tried here.
+TEST(ResolveJobs, AboveTheCeilingThrowsBeforeAnyThreadStarts) {
+  EXPECT_THROW((void)resolve_jobs(static_cast<std::int64_t>(kMaxThreads) + 1),
+               std::invalid_argument);
+  bool called = false;
+  EXPECT_THROW(sweep_indexed(1, static_cast<int>(kMaxThreads) + 1,
+                             [&called](std::size_t) { called = true; }),
+               std::invalid_argument);
+  EXPECT_FALSE(called);
 }
 
 // ------------------------------------------------------------- fan-out ----
@@ -136,8 +124,7 @@ TEST(RunScenarios, ResultsIndexedBySubmissionSlot) {
     cfg.seed = seed;
     configs.push_back(cfg);
   }
-  const std::vector<ScenarioResult> results =
-      run_scenarios(configs, SweepOptions{4});
+  const std::vector<ScenarioResult> results = run_scenarios(configs, 4);
   ASSERT_EQ(results.size(), configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_EQ(results[i].config.seed, configs[i].seed);
@@ -149,9 +136,9 @@ TEST(RunScenarios, ResultsIndexedBySubmissionSlot) {
 // every metric counter) to the serial baseline.
 TEST(SweepDeterminism, ParallelGridByteIdenticalToSerial) {
   const std::string serial =
-      results_fingerprint(run_grid(AppKind::kWebcamUdp, {}, SweepOptions{1}));
+      results_fingerprint(run_grid(AppKind::kWebcamUdp, {}, 1));
   const std::string parallel =
-      results_fingerprint(run_grid(AppKind::kWebcamUdp, {}, SweepOptions{4}));
+      results_fingerprint(run_grid(AppKind::kWebcamUdp, {}, 4));
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
 }

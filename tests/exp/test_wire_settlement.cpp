@@ -64,7 +64,7 @@ TEST(WireSettlement, TraceIdIsDeterministicAndRecomputable) {
     EXPECT_EQ(a.settlements[i].trace_id, b.settlements[i].trace_id);
     // Recomputable after the fact, without the trace (blame attribution).
     EXPECT_EQ(a.settlements[i].trace_id,
-              exchange_trace_id(cfg.seed, 1113254764805ULL,
+              exchange_trace_id(cfg.seed, kTestbedImsi,
                                 a.settlements[i].cycle,
                                 app_direction(cfg.app)));
   }

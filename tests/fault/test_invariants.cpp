@@ -143,8 +143,7 @@ TEST(Invariants, ViolationBlamesTheOffendingExchangeTraceId) {
   const auto violations = check(FaultPlan{}, result);
   ASSERT_TRUE(has_invariant(violations, "t4-rounds"));
   const std::string expected = obs::span_hex(exp::exchange_trace_id(
-      result.config.seed, exp::WireSettlementConfig{}.device, 1,
-      charging::Direction::kUplink));
+      result.config.seed, exp::kTestbedImsi, 1, charging::Direction::kUplink));
   for (const Violation& v : violations) {
     if (v.invariant != "t4-rounds") continue;
     EXPECT_EQ(v.trace, expected);
@@ -165,6 +164,14 @@ TEST(Invariants, WholeRunViolationsCarryNoExchangeTrace) {
     EXPECT_TRUE(v.trace.empty());
     EXPECT_EQ(v.to_json().find("\"trace\""), std::string::npos);
   }
+}
+
+TEST(Invariants, ViolationJsonEscapesItsText) {
+  const Violation v{7, "t2-bound", "quote \" backslash \\ newline \n tab \t",
+                    "00ff"};
+  EXPECT_EQ(v.to_json(),
+            "{\"plan\":7,\"invariant\":\"t2-bound\",\"detail\":\"quote \\\" "
+            "backslash \\\\ newline \\n tab \\t\",\"trace\":\"00ff\"}");
 }
 
 TEST(Invariants, RejectedAttackOutcomesAreClean) {

@@ -48,14 +48,15 @@ std::string read_golden(const std::string& name) {
 }
 
 /// One rule-family fixture: findings match the golden byte-for-byte, and
-/// disabling the rule silences the whole fixture (the rule is live).
+/// disabling the rule silences the whole fixture (the rule is live). The
+/// second run passes its flags in the `--flag=value` form.
 void check_rule_fixture(const std::string& name, const std::string& rule) {
   const RunResult found = run_lint("--root " + fixture(name));
   EXPECT_EQ(found.exit_code, 1) << name << " must have blocking findings";
   EXPECT_EQ(found.out, read_golden(name + ".txt"));
 
   const RunResult off =
-      run_lint("--root " + fixture(name) + " --disable " + rule);
+      run_lint("--root=" + fixture(name) + " --disable=" + rule);
   EXPECT_EQ(off.exit_code, 0)
       << "disabling " << rule << " must silence the " << name << " fixture";
   EXPECT_EQ(off.out, "");

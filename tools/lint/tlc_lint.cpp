@@ -9,7 +9,6 @@
 //
 // Every file is tokenized by the built-in token scanner (lexer.hpp).
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -19,7 +18,9 @@
 #include <tuple>
 #include <vector>
 
+#include "cli.hpp"
 #include "lexer.hpp"
+#include "obs/json.hpp"
 #include "rules.hpp"
 
 namespace fs = std::filesystem;
@@ -34,66 +35,13 @@ struct Options {
   std::vector<std::string> paths;
 };
 
-void usage(std::ostream& os) {
-  os << "usage: tlc_lint [--root DIR] [--json] [--verbose]\n"
-        "                [--disable RULE[,RULE...]] [--list-rules] "
-        "[paths...]\n"
-        "\n"
-        "Scans DIR/src (default) or the given files/directories and reports\n"
-        "`file:line rule message` findings. Exit status 1 when any\n"
-        "non-allowlisted finding remains, 2 on usage errors.\n";
-}
-
-bool parse_args(int argc, char** argv, Options* opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "tlc_lint: " << flag << " needs a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else if (arg == "--list-rules") {
-      for (const std::string& id : tlc_lint::rule_ids()) {
-        std::cout << id << "\n";
-      }
-      std::exit(0);
-    } else if (arg == "--root") {
-      const char* v = value("--root");
-      if (v == nullptr) return false;
-      opt->root = v;
-    } else if (arg == "--json") {
-      opt->json = true;
-    } else if (arg == "--verbose") {
-      opt->verbose = true;
-    } else if (arg == "--disable") {
-      const char* v = value("--disable");
-      if (v == nullptr) return false;
-      std::stringstream ss{std::string(v)};
-      std::string rule;
-      while (std::getline(ss, rule, ',')) {
-        if (rule.empty()) continue;
-        const auto& ids = tlc_lint::rule_ids();
-        if (std::find(ids.begin(), ids.end(), rule) == ids.end()) {
-          std::cerr << "tlc_lint: unknown rule '" << rule
-                    << "' (see --list-rules)\n";
-          return false;
-        }
-        opt->disabled.insert(rule);
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "tlc_lint: unknown option '" << arg << "'\n";
-      return false;
-    } else {
-      opt->paths.push_back(arg);
-    }
-  }
-  return true;
-}
+constexpr const char* kUsage =
+    "usage: tlc_lint [--root DIR] [--json] [--verbose]\n"
+    "                [--disable RULE[,RULE...]] [--list-rules] [paths...]\n"
+    "\n"
+    "Scans DIR/src (default) or the given files/directories and reports\n"
+    "`file:line rule message` findings. Exit status 1 when any\n"
+    "non-allowlisted finding remains, 2 on usage errors.\n";
 
 bool lintable(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -141,27 +89,10 @@ std::string relative_to_root(const fs::path& file, const fs::path& root) {
   return use.generic_string();
 }
 
-std::string json_escape(const std::string& s) {
+/// `s` as a quoted, escaped JSON string.
+std::string quoted(const std::string& s) {
   std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  tlc::obs::append_json_string(&out, s);
   return out;
 }
 
@@ -169,9 +100,30 @@ std::string json_escape(const std::string& s) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, &opt)) {
-    usage(std::cerr);
-    return 2;
+  bool list_rules = false;
+  tlc::tools::Cli cli{"tlc_lint", kUsage};
+  cli.text("--root", &opt.root);
+  cli.flag("--json", [&opt] { opt.json = true; });
+  cli.flag("--verbose", [&opt] { opt.verbose = true; });
+  cli.option("--disable", [&opt](const char* list) {
+    std::stringstream ss{std::string(list)};
+    std::string rule;
+    const auto& ids = tlc_lint::rule_ids();
+    while (std::getline(ss, rule, ',')) {
+      if (rule.empty()) continue;
+      if (std::find(ids.begin(), ids.end(), rule) == ids.end()) return false;
+      opt.disabled.insert(rule);
+    }
+    return true;
+  });
+  cli.flag("--list-rules", [&list_rules] { list_rules = true; });
+  cli.positionals(&opt.paths);
+  cli.parse(argc, argv);
+  if (list_rules) {
+    for (const std::string& id : tlc_lint::rule_ids()) {
+      std::cout << id << "\n";
+    }
+    return 0;
   }
 
   const fs::path root = fs::absolute(opt.root);
@@ -242,15 +194,11 @@ int main(int argc, char** argv) {
               << "  \"blocking\": " << blocking << ",\n  \"findings\": [";
     bool first = true;
     for (const tlc_lint::Finding& f : findings) {
-      std::cout << (first ? "\n" : ",\n")
-                << "    {\"file\": \"" << json_escape(f.file)
-                << "\", \"line\": " << f.line << ", \"rule\": \""
-                << json_escape(f.rule) << "\", \"allowed\": "
-                << (f.allowed ? "true" : "false") << ", \"message\": \""
-                << json_escape(f.message) << "\"";
-      if (f.allowed) {
-        std::cout << ", \"reason\": \"" << json_escape(f.reason) << "\"";
-      }
+      std::cout << (first ? "\n" : ",\n") << "    {\"file\": " << quoted(f.file)
+                << ", \"line\": " << f.line << ", \"rule\": " << quoted(f.rule)
+                << ", \"allowed\": " << (f.allowed ? "true" : "false")
+                << ", \"message\": " << quoted(f.message);
+      if (f.allowed) std::cout << ", \"reason\": " << quoted(f.reason);
       std::cout << "}";
       first = false;
     }

@@ -8,68 +8,52 @@
 //   tlc_lab --app=rtsp --tamper-op=2.0 --dl-source=api
 //   tlc_lab --help
 //
-// A value that does not parse exits 2 with usage: a non-finite number, a
+// Flags go through tools/cli.hpp (`--name=value` or `--name value`). A
+// value that does not parse exits 2 with usage: a non-finite number, a
 // count or seed that is not a whole decimal integer in range, a negative
-// --bg, --dip, --clock-spread or --handover, a cycle length under 1 ns, or
-// a time too long for the simulated clock.
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <optional>
-#include <string>
-
+// --bg, --dip, --clock-spread or --handover, a --c outside [0, 1], a cycle
+// length under 1 ns, or a time too long for the simulated clock.
 #include <algorithm>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <string_view>
 
-#include "charging/data_plan.hpp"
+#include "cli.hpp"
 #include "common/format.hpp"
 #include "common/stats.hpp"
 #include "exp/metrics.hpp"
 #include "exp/scenario.hpp"
 #include "net/packet.hpp"
 #include "obs/span.hpp"
-#include "parse_decimal.hpp"
 
 using namespace tlc;
 using namespace tlc::exp;
 
 namespace {
 
-[[noreturn]] void usage(int code) {
-  std::printf(
-      "tlc_lab — TLC charging-gap scenario explorer\n\n"
-      "options (all optional):\n"
-      "  --app=rtsp|udp|vr|gaming   workload (default udp)\n"
-      "  --bg=<mbps>                background traffic 0..160 (default 0)\n"
-      "  --dip=<rate>               deep-fade onsets per second (default 0)\n"
-      "  --rss=<dbm>                base signal strength (default -92)\n"
-      "  --c=<weight>               plan loss weight in [0,1] (default 0.5)\n"
-      "  --cycles=<n>               measured cycles (default 4)\n"
-      "  --cycle-secs=<s>           cycle length (default 300)\n"
-      "  --seed=<k>                 RNG seed (default 1)\n"
-      "  --clock-spread=<s>         party clock offset spread (default 1.5)\n"
-      "  --tamper-op=<f>            operator CDR inflation factor (default 1)\n"
-      "  --tamper-edge-api=<f>      edge user-space API factor (default 1)\n"
-      "  --dl-source=rrc|api|system operator DL monitor (default rrc)\n"
-      "  --handover=<secs>          seconds between cell handovers (default 0)\n"
-      "  --trace=<file>             stream the structured trace to a JSONL file\n"
-      "  --wire                     run the wire-level CDR→CDA→PoC settlement\n"
-      "                             after the measured window (adds tlc.settle.*\n"
-      "                             metrics; analyse with tlc_trace)\n"
-      "  --metrics                  print the metrics snapshot + gap cross-check\n"
-      "  --help                     this text\n");
-  std::exit(code);
-}
-
-bool parse_flag(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
+constexpr const char* kUsage =
+    "tlc_lab — TLC charging-gap scenario explorer\n\n"
+    "options (all optional; --flag=value and --flag value both work):\n"
+    "  --app=rtsp|udp|vr|gaming   workload (default udp)\n"
+    "  --bg=<mbps>                background traffic 0..160 (default 0)\n"
+    "  --dip=<rate>               deep-fade onsets per second (default 0)\n"
+    "  --rss=<dbm>                base signal strength (default -92)\n"
+    "  --c=<weight>               plan loss weight in [0,1] (default 0.5)\n"
+    "  --cycles=<n>               measured cycles (default 4)\n"
+    "  --cycle-secs=<s>           cycle length (default 300)\n"
+    "  --seed=<k>                 RNG seed (default 1)\n"
+    "  --clock-spread=<s>         party clock offset spread (default 1.5)\n"
+    "  --tamper-op=<f>            operator CDR inflation factor (default 1)\n"
+    "  --tamper-edge-api=<f>      edge user-space API factor (default 1)\n"
+    "  --dl-source=rrc|api|system operator DL monitor (default rrc)\n"
+    "  --handover=<secs>          seconds between cell handovers (default 0)\n"
+    "  --trace=<file>             stream the structured trace to a JSONL file\n"
+    "  --wire                     run the wire-level CDR→CDA→PoC settlement\n"
+    "                             after the measured window (adds tlc.settle.*\n"
+    "                             metrics; analyse with tlc_trace)\n"
+    "  --metrics                  print the metrics snapshot + gap cross-check\n"
+    "  --help                     this text\n";
 
 // Times run on a clock of signed 64-bit nanoseconds (~292 years). A
 // seconds-valued flag stays under a quarter of its range and the run
@@ -77,112 +61,57 @@ bool parse_flag(const char* arg, const char* name, std::string* out) {
 // sum of them, nor the drain after the run, overflows it.
 constexpr double kMaxSecs = to_seconds(Duration::max()) / 4;
 
-[[noreturn]] void bad_value(const std::string& value, const char* flag) {
-  std::fprintf(stderr, "tlc_lab: bad value for %s: '%s'\n", flag,
-               value.c_str());
-  usage(2);
-}
-
-/// The whole of `value` as a finite number in [min, max].
-double parse_double(const std::string& value, const char* flag,
-                    double min = -std::numeric_limits<double>::infinity(),
-                    double max = std::numeric_limits<double>::infinity()) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(v) || v < min ||
-      v > max) {
-    bad_value(value, flag);
-  }
-  return v;
-}
-
-/// The whole of `value` as a decimal integer in [min, max].
-template <class T>
-T parse_integer(const std::string& value, const char* flag, T min, T max) {
-  const std::optional<T> n = tools::parse_decimal(value.c_str(), min, max);
-  if (!n) bad_value(value, flag);
-  return *n;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ScenarioConfig cfg;
   cfg.cycles = 4;
-  std::string cycle_secs = "300";
+  double rss = cfg.base_rss.value();
+  double cycle_secs = 300;
   bool print_metrics = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string value;
-    if (std::strcmp(arg, "--help") == 0) usage(0);
-    if (std::strcmp(arg, "--metrics") == 0) {
-      print_metrics = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--wire") == 0) {
-      cfg.wire_settlement = true;
-      continue;
-    }
-    if (parse_flag(arg, "--app", &value)) {
-      if (value == "rtsp") cfg.app = AppKind::kWebcamRtsp;
-      else if (value == "udp") cfg.app = AppKind::kWebcamUdp;
-      else if (value == "vr") cfg.app = AppKind::kVridge;
-      else if (value == "gaming") cfg.app = AppKind::kGaming;
-      else usage(2);
-    } else if (parse_flag(arg, "--bg", &value)) {
-      cfg.background_mbps = parse_double(value, "--bg", 0.0);
-    } else if (parse_flag(arg, "--dip", &value)) {
-      cfg.dip_rate_per_s = parse_double(value, "--dip", 0.0);
-    } else if (parse_flag(arg, "--rss", &value)) {
-      cfg.base_rss = Dbm{parse_double(value, "--rss")};
-    } else if (parse_flag(arg, "--c", &value)) {
-      cfg.loss_weight = parse_double(value, "--c");
-      if (!charging::valid_loss_weight(cfg.loss_weight)) usage(2);
-    } else if (parse_flag(arg, "--cycles", &value)) {
-      // The run adds a warm-up and a cool-down cycle.
-      cfg.cycles = parse_integer<int>(value, "--cycles", 1,
-                                      std::numeric_limits<int>::max() - 2);
-    } else if (parse_flag(arg, "--cycle-secs", &value)) {
-      cycle_secs = value;
-    } else if (parse_flag(arg, "--seed", &value)) {
-      cfg.seed = parse_integer<std::uint64_t>(
-          value, "--seed", 0, std::numeric_limits<std::uint64_t>::max());
-    } else if (parse_flag(arg, "--clock-spread", &value)) {
-      cfg.clock_offset_spread_s =
-          parse_double(value, "--clock-spread", 0.0, kMaxSecs);
-    } else if (parse_flag(arg, "--tamper-op", &value)) {
-      cfg.operator_cdr_tamper = parse_double(value, "--tamper-op");
-    } else if (parse_flag(arg, "--tamper-edge-api", &value)) {
-      cfg.edge_api_tamper = parse_double(value, "--tamper-edge-api");
-    } else if (parse_flag(arg, "--handover", &value)) {
-      cfg.handover_period_s = parse_double(value, "--handover", 0.0, kMaxSecs);
-    } else if (parse_flag(arg, "--trace", &value)) {
-      cfg.trace_jsonl_path = value;
-    } else if (parse_flag(arg, "--dl-source", &value)) {
-      if (value == "rrc") {
-        cfg.dl_source = monitor::OperatorDlSource::kRrcCounterCheck;
-      } else if (value == "api") {
-        cfg.dl_source = monitor::OperatorDlSource::kDeviceApi;
-      } else if (value == "system") {
-        cfg.dl_source = monitor::OperatorDlSource::kSystemMonitor;
-      } else {
-        usage(2);
-      }
-    } else {
-      std::fprintf(stderr, "tlc_lab: unknown option '%s'\n", arg);
-      usage(2);
-    }
-  }
+  tools::Cli cli{"tlc_lab", kUsage};
+  cli.option("--app", [&cfg](std::string_view v) {
+    if (v == "rtsp") cfg.app = AppKind::kWebcamRtsp;
+    else if (v == "udp") cfg.app = AppKind::kWebcamUdp;
+    else if (v == "vr") cfg.app = AppKind::kVridge;
+    else if (v == "gaming") cfg.app = AppKind::kGaming;
+    else return false;
+    return true;
+  });
+  cli.real("--bg", &cfg.background_mbps, 0.0);
+  cli.real("--dip", &cfg.dip_rate_per_s, 0.0);
+  cli.real("--rss", &rss);
+  cli.real("--c", &cfg.loss_weight, 0.0, 1.0);
+  // The run adds a warm-up and a cool-down cycle.
+  cli.count("--cycles", &cfg.cycles, 1, std::numeric_limits<int>::max() - 2);
+  cli.real("--cycle-secs", &cycle_secs, 0.0);
+  cli.count("--seed", &cfg.seed);
+  cli.real("--clock-spread", &cfg.clock_offset_spread_s, 0.0, kMaxSecs);
+  cli.real("--tamper-op", &cfg.operator_cdr_tamper);
+  cli.real("--tamper-edge-api", &cfg.edge_api_tamper);
+  cli.real("--handover", &cfg.handover_period_s, 0.0, kMaxSecs);
+  cli.text("--trace", &cfg.trace_jsonl_path);
+  cli.option("--dl-source", [&cfg](std::string_view v) {
+    using monitor::OperatorDlSource;
+    if (v == "rrc") cfg.dl_source = OperatorDlSource::kRrcCounterCheck;
+    else if (v == "api") cfg.dl_source = OperatorDlSource::kDeviceApi;
+    else if (v == "system") cfg.dl_source = OperatorDlSource::kSystemMonitor;
+    else return false;
+    return true;
+  });
+  cli.flag("--wire", [&cfg] { cfg.wire_settlement = true; });
+  cli.flag("--metrics", [&print_metrics] { print_metrics = true; });
+  cli.parse(argc, argv);
+
+  cfg.base_rss = Dbm{rss};
   // A cycle lasts at least one clock tick, and the run fits (see kMaxSecs).
-  const double secs = parse_double(cycle_secs, "--cycle-secs", 0.0);
-  if (secs * (cfg.cycles + 2.0) >= 2 * kMaxSecs) {
-    bad_value(cycle_secs, "--cycle-secs");
+  if (cycle_secs * (cfg.cycles + 2.0) >= 2 * kMaxSecs ||
+      from_seconds(cycle_secs) <= Duration::zero()) {
+    cli.fail("bad value for --cycle-secs: a cycle lasts at least 1 ns, and "
+             "the run must fit the simulated clock");
   }
-  cfg.cycle_length = from_seconds(secs);
-  if (cfg.cycle_length <= Duration::zero()) {
-    bad_value(cycle_secs, "--cycle-secs");
-  }
+  cfg.cycle_length = from_seconds(cycle_secs);
 
   std::printf("scenario: %s | bg %.0f Mbps | dips %.2f/s | RSS %.0f dBm | "
               "c=%.2f | %d x %s cycles | seed %llu\n\n",

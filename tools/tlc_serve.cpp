@@ -12,107 +12,51 @@
 // batch-equivalence contract (DESIGN.md §11).
 //
 // Knobs: --devices N, --cycles N, --devices-per-cell N, --seed N,
-// --producers N, --consumers N, --store-capacity N, --loss-weight F.
-// An unknown option, a value that does not parse, zero devices or cycles,
-// a loss weight outside [0, 1] (or NaN), more than serve::kMaxThreads
-// (256) producers or consumers, or a store capacity above
+// --producers N, --consumers N, --store-capacity N, --loss-weight F, each
+// as `--flag value` or `--flag=value` (tools/cli.hpp); --help prints the
+// usage. An unknown option, a value that does not parse, zero devices or
+// cycles, a loss weight outside [0, 1], more than kMaxThreads (256)
+// producers or consumers, or a store capacity above
 // serve::ReceiptStore::kMaxCapacity (2^24) exits 2 with usage.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "charging/data_plan.hpp"
+#include "cli.hpp"
 #include "exp/fleet.hpp"
-#include "parse_decimal.hpp"
 #include "serve/replay.hpp"
 
 using namespace tlc;
 
-namespace {
-
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: tlc_serve [--devices N] [--devices-per-cell N] "
-               "[--cycles N] [--seed N]\n"
-               "                 [--producers N] [--consumers N] "
-               "[--store-capacity N] [--loss-weight C]\n"
-               "  C is the plan's loss weight, in [0, 1] (default 0.5)\n"
-               "  at most %zu producers and consumers each, and a store "
-               "capacity of at most %zu\n",
-               serve::kMaxThreads, serve::ReceiptStore::kMaxCapacity);
-  std::exit(2);
-}
-
-/// Sets *out to the whole of `v` as an unsigned integer no larger than
-/// `max`; exits 2 with usage otherwise.
-template <class T>
-void parse_count(const char* flag, const char* v, T* out,
-                 T max = std::numeric_limits<T>::max()) {
-  const std::optional<T> n = tools::parse_decimal(v, T{0}, max);
-  if (!n) {
-    std::fprintf(stderr, "tlc_serve: bad value for %s: '%s'\n", flag, v);
-    usage();
-  }
-  *out = *n;
-}
-
-/// The scenario both paths run, and the serving topology of the replay.
-serve::ReplayConfig parse_options(int argc, char** argv) {
-  serve::ReplayConfig cfg;
-  cfg.producers = 4;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto want = [&](const char* flag) -> const char* {
-      const std::size_t n = std::strlen(flag);
-      if (std::strncmp(arg, flag, n) != 0) return nullptr;
-      if (arg[n] == '=') return arg + n + 1;
-      if (arg[n] != '\0') return nullptr;
-      if (i + 1 == argc) usage();
-      return argv[++i];
-    };
-    const auto count = [&](const char* flag, auto* out, auto... max) {
-      const char* v = want(flag);
-      if (v != nullptr) parse_count(flag, v, out, max...);
-      return v != nullptr;
-    };
-    if (count("--devices", &cfg.devices) ||
-        count("--devices-per-cell", &cfg.devices_per_cell) ||
-        count("--cycles", &cfg.cycles) || count("--seed", &cfg.seed) ||
-        count("--producers", &cfg.producers, serve::kMaxThreads) ||
-        count("--consumers", &cfg.consumers, serve::kMaxThreads) ||
-        count("--store-capacity", &cfg.store_capacity,
-              serve::ReceiptStore::kMaxCapacity)) {
-      continue;
-    }
-    if (const char* v = want("--loss-weight")) {
-      char* end = nullptr;
-      cfg.loss_weight = std::strtod(v, &end);
-      if (end == v || *end != '\0' ||
-          !charging::valid_loss_weight(cfg.loss_weight)) {
-        usage();
-      }
-      continue;
-    }
-    std::fprintf(stderr, "tlc_serve: unknown option '%s'\n", arg);
-    usage();
-  }
-  if (cfg.devices == 0 || cfg.cycles == 0) {
-    std::fprintf(stderr, "tlc_serve: --devices and --cycles must be > 0\n");
-    usage();
-  }
-  return cfg;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  serve::ReplayConfig serve_cfg = parse_options(argc, argv);
+  // The scenario both paths run, and the serving topology of the replay.
+  serve::ReplayConfig serve_cfg;
+  serve_cfg.producers = 4;
+  tools::Cli cli{
+      "tlc_serve",
+      "usage: tlc_serve [--devices N] [--devices-per-cell N] [--cycles N] "
+      "[--seed N]\n"
+      "                 [--producers N] [--consumers N] [--store-capacity N] "
+      "[--loss-weight C]\n"
+      "  C is the plan's loss weight, in [0, 1] (default 0.5)\n"
+      "  at most " + std::to_string(kMaxThreads) +
+          " producers and consumers each, and a store capacity of at most " +
+          std::to_string(serve::ReceiptStore::kMaxCapacity) + "\n"};
+  cli.count("--devices", &serve_cfg.devices);
+  cli.count("--devices-per-cell", &serve_cfg.devices_per_cell);
+  cli.count("--cycles", &serve_cfg.cycles);
+  cli.count("--seed", &serve_cfg.seed);
+  cli.count("--producers", &serve_cfg.producers, 0, kMaxThreads);
+  cli.count("--consumers", &serve_cfg.consumers, 0, kMaxThreads);
+  cli.count("--store-capacity", &serve_cfg.store_capacity, 0,
+            serve::ReceiptStore::kMaxCapacity);
+  cli.real("--loss-weight", &serve_cfg.loss_weight, 0.0, 1.0);
+  cli.parse(argc, argv);
+  if (serve_cfg.devices == 0 || serve_cfg.cycles == 0) {
+    cli.fail("--devices and --cycles must be > 0");
+  }
   sim::WallClockSource wall_clock;
   serve_cfg.clock = &wall_clock;
 

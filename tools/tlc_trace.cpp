@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -29,28 +28,27 @@
 #include <utility>
 #include <vector>
 
+#include "cli.hpp"
+
 namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-[[noreturn]] void usage(int code) {
-  std::printf(
-      "tlc_trace — causal trace analyzer for TLC testbed JSONL traces\n\n"
-      "usage: tlc_trace [mode] <trace.jsonl | ->\n\n"
-      "modes (default: per-exchange summary):\n"
-      "  --timeline=<trace-hex>  chronological event/span timeline of one\n"
-      "                          exchange (unique id prefix accepted)\n"
-      "  --critical-path         per-exchange latency breakdown: msg\n"
-      "                          in-flight vs queue vs radio vs backhaul\n"
-      "                          vs protocol+crypto wait\n"
-      "  --stalls                lost transmission attempts (unclosed msg\n"
-      "                          spans) and warn/error events\n"
-      "  --folded                flamegraph folded-stack output (self ns)\n"
-      "  --check                 verify 100%% of exchanges reconstruct;\n"
-      "                          exit 1 on any gap\n"
-      "  --help                  this text\n");
-  std::exit(code);
-}
+constexpr const char* kUsage =
+    "tlc_trace — causal trace analyzer for TLC testbed JSONL traces\n\n"
+    "usage: tlc_trace [mode] <trace.jsonl | ->\n\n"
+    "modes (default: per-exchange summary):\n"
+    "  --timeline=<trace-hex>  chronological event/span timeline of one\n"
+    "                          exchange (unique id prefix accepted)\n"
+    "  --critical-path         per-exchange latency breakdown: msg\n"
+    "                          in-flight vs queue vs radio vs backhaul\n"
+    "                          vs protocol+crypto wait\n"
+    "  --stalls                lost transmission attempts (unclosed msg\n"
+    "                          spans) and warn/error events\n"
+    "  --folded                flamegraph folded-stack output (self ns)\n"
+    "  --check                 verify 100% of exchanges reconstruct;\n"
+    "                          exit 1 on any gap\n"
+    "  --help                  this text\n";
 
 // ── minimal JSONL parsing ──────────────────────────────────────────────
 // The trace writer emits flat objects: {"t_ns":..,"seq":..,"level":"..",
@@ -814,36 +812,22 @@ int main(int argc, char** argv) {
                     kCheck };
   Mode mode = Mode::kSummary;
   std::string timeline_trace;
-  std::string path;
+  std::vector<std::string> paths;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0) usage(0);
-    if (std::strncmp(arg, "--timeline=", 11) == 0) {
-      mode = Mode::kTimeline;
-      timeline_trace = arg + 11;
-    } else if (std::strcmp(arg, "--critical-path") == 0) {
-      mode = Mode::kCriticalPath;
-    } else if (std::strcmp(arg, "--stalls") == 0) {
-      mode = Mode::kStalls;
-    } else if (std::strcmp(arg, "--folded") == 0) {
-      mode = Mode::kFolded;
-    } else if (std::strcmp(arg, "--check") == 0) {
-      mode = Mode::kCheck;
-    } else if (arg[0] == '-' && std::strcmp(arg, "-") != 0) {
-      std::fprintf(stderr, "tlc_trace: unknown option '%s'\n", arg);
-      usage(2);
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::fprintf(stderr, "tlc_trace: more than one input file\n");
-      usage(2);
-    }
-  }
-  if (path.empty()) {
-    std::fprintf(stderr, "tlc_trace: no input file\n");
-    usage(2);
-  }
+  tlc::tools::Cli cli{"tlc_trace", kUsage};
+  cli.option("--timeline", [&](const char* id) {
+    mode = Mode::kTimeline;
+    timeline_trace = id;
+    return true;
+  });
+  cli.flag("--critical-path", [&mode] { mode = Mode::kCriticalPath; });
+  cli.flag("--stalls", [&mode] { mode = Mode::kStalls; });
+  cli.flag("--folded", [&mode] { mode = Mode::kFolded; });
+  cli.flag("--check", [&mode] { mode = Mode::kCheck; });
+  cli.positionals(&paths);
+  cli.parse(argc, argv);
+  if (paths.size() != 1) cli.fail("want exactly one input file");
+  const std::string& path = paths.front();
 
   Model model;
   if (path == "-") {

@@ -3,8 +3,28 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace tlc::charging {
+
+void check_tamper_factor(double factor, const char* who) {
+  if (!(std::isfinite(factor) && factor >= 0.0)) {
+    throw std::invalid_argument{std::string{who} +
+                                ": tamper factor must be finite and >= 0"};
+  }
+}
+
+UsageRecord scaled_usage(const UsageRecord& record, double factor) {
+  const auto scale = [factor](Bytes v) {
+    // A product at or past 2^64 (infinity included) has no u64 value.
+    const double x = std::round(v.as_double() * factor);
+    if (!(x < 0x1p64)) return Bytes{std::numeric_limits<std::uint64_t>::max()};
+    return Bytes{static_cast<std::uint64_t>(x)};
+  };
+  return UsageRecord{scale(record.uplink), scale(record.downlink)};
+}
 
 Bytes charged_volume(Bytes claim_e, Bytes claim_o, double loss_weight) {
   check_loss_weight(loss_weight, "charged_volume");

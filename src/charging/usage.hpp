@@ -43,6 +43,17 @@ struct UsageRecord {
   friend bool operator==(const UsageRecord&, const UsageRecord&) = default;
 };
 
+/// Throws std::invalid_argument, prefixed with `who`, unless `factor` is a
+/// reading scale scaled_usage takes: finite and non-negative (NaN fails).
+void check_tamper_factor(double factor, const char* who);
+
+/// `record` as a party that scales its readings by `factor` presents it (a
+/// selfish operator's CDRs, a selfish edge's user-space APIs): each
+/// direction times `factor`, rounded to nearest (halves away from zero)
+/// and saturated at 2^64 − 1. `factor` must pass check_tamper_factor.
+[[nodiscard]] UsageRecord scaled_usage(const UsageRecord& record,
+                                       double factor);
+
 /// Ground truth for one (app, device, direction, cycle): what was really
 /// sent and received. Only the simulator knows this; parties estimate it
 /// through their monitors.

@@ -1,7 +1,5 @@
 #include "epc/device.hpp"
 
-#include <cmath>
-
 namespace tlc::epc {
 
 void EdgeDevice::note_app_sent(const net::Packet& packet, TimePoint now) {
@@ -22,12 +20,12 @@ void EdgeDevice::on_downlink_delivered(const net::Packet& packet,
 }
 
 charging::UsageRecord EdgeDevice::api_usage(std::uint64_t cycle) const {
-  const charging::UsageRecord real = app_usage_.usage(cycle);
-  const auto scale = [this](Bytes v) {
-    return Bytes{static_cast<std::uint64_t>(
-        std::llround(v.as_double() * api_tamper_))};
-  };
-  return charging::UsageRecord{scale(real.uplink), scale(real.downlink)};
+  return charging::scaled_usage(app_usage_.usage(cycle), api_tamper_);
+}
+
+void EdgeDevice::set_api_tamper_factor(double factor) {
+  charging::check_tamper_factor(factor, "EdgeDevice::set_api_tamper_factor");
+  api_tamper_ = factor;
 }
 
 }  // namespace tlc::epc

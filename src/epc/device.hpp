@@ -42,8 +42,9 @@ class EdgeDevice {
   /// --- user-space API reading (tamperable) ---
   [[nodiscard]] charging::UsageRecord api_usage(std::uint64_t cycle) const;
   /// Scale factor a selfish edge applies to user-space readings
-  /// (e.g. 0.7 ⇒ the APIs report only 70% of real usage).
-  void set_api_tamper_factor(double factor) { api_tamper_ = factor; }
+  /// (e.g. 0.7 ⇒ the APIs report only 70% of real usage). Throws
+  /// std::invalid_argument on a negative or non-finite factor.
+  void set_api_tamper_factor(double factor);
 
   /// --- modem hardware counters (cumulative, tamper-resilient) ---
   [[nodiscard]] std::uint64_t modem_rx_bytes() const { return modem_rx_; }

@@ -1,5 +1,7 @@
 #include "epc/fleet.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <memory>
@@ -11,6 +13,22 @@ namespace {
 
 /// [0, 1], false for NaN.
 bool unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
+
+/// Asks the kernel to back the whole 2-MiB pages inside [block, block +
+/// bytes) with transparent huge pages (why: DeviceFleet::row_storage_).
+/// Best effort: where THP is `never`, or the call fails, the block stays
+/// on 4-KiB pages and the run behaves as without it. Blocks under 2 MiB,
+/// and the partial pages at either end, are left alone.
+void advise_huge_pages([[maybe_unused]] void* block,
+                       [[maybe_unused]] std::size_t bytes) {
+#ifdef MADV_HUGEPAGE
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  void* start = block;
+  std::size_t space = bytes;
+  if (std::align(kHugePage, kHugePage, start, space) == nullptr) return;
+  (void)madvise(start, space - space % kHugePage, MADV_HUGEPAGE);
+#endif
+}
 
 /// Whether every time the walk computes fits Duration::rep: the cycle ends
 /// up to the horizon, and a wakeup one gap past it. A gap is
@@ -65,6 +83,7 @@ DeviceFleet::DeviceFleet(std::size_t devices, std::uint32_t devices_per_cell,
   void* first = row_storage_.get();
   std::align(alignof(DeviceRow), bytes, first, space);
   auto* rows = static_cast<DeviceRow*>(first);
+  advise_huge_pages(rows, bytes);
   std::uninitialized_value_construct_n(rows, devices);
   rows_ = std::span<DeviceRow>(rows, devices);
   cell_congestion_.resize(cell_count_);
@@ -184,14 +203,49 @@ std::vector<std::string> SettlementLedger::diff(
 }
 
 std::uint64_t DeviceFleet::digest() const {
-  std::uint64_t h = kFnvBasis;
-  for (const DeviceRow& row : rows_) {
+  // One device's six words, folded into its cell's chain.
+  const auto fold = [](std::uint64_t h, const DeviceRow& row) {
     h = fnv1a64(h, row.billed_legacy);
     h = fnv1a64(h, row.billed_tlc);
     h = fnv1a64(h, row.modem_rx);
     h = fnv1a64(h, row.modem_tx);
     h = fnv1a64(h, row.poc);
     h = fnv1a64(h, row.reconnects);
+    return h;
+  };
+  std::uint64_t h = kFnvBasis;
+  // Full cells four at a time: four independent chains in one loop, so
+  // the multiplies of one overlap those of the others.
+  const auto full_cells =
+      static_cast<std::uint32_t>(rows_.size() / devices_per_cell_);
+  std::uint32_t cell = 0;
+  for (; cell + 4 <= full_cells; cell += 4) {
+    const DeviceRow* r0 = &rows_[first_device(cell)];
+    const DeviceRow* r1 = r0 + devices_per_cell_;
+    const DeviceRow* r2 = r1 + devices_per_cell_;
+    const DeviceRow* r3 = r2 + devices_per_cell_;
+    std::uint64_t h0 = kFnvBasis;
+    std::uint64_t h1 = kFnvBasis;
+    std::uint64_t h2 = kFnvBasis;
+    std::uint64_t h3 = kFnvBasis;
+    for (std::uint32_t i = 0; i < devices_per_cell_; ++i) {
+      h0 = fold(h0, r0[i]);
+      h1 = fold(h1, r1[i]);
+      h2 = fold(h2, r2[i]);
+      h3 = fold(h3, r3[i]);
+    }
+    h = fnv1a64(h, h0);
+    h = fnv1a64(h, h1);
+    h = fnv1a64(h, h2);
+    h = fnv1a64(h, h3);
+  }
+  for (; cell < cell_count_; ++cell) {
+    std::uint64_t chain = kFnvBasis;
+    for (FleetDeviceId d = first_device(cell); d < first_device(cell + 1);
+         ++d) {
+      chain = fold(chain, rows_[d]);
+    }
+    h = fnv1a64(h, chain);
   }
   return h;
 }

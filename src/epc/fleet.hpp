@@ -265,11 +265,16 @@ class DeviceFleet {
     return rows_[d].reconnects;
   }
 
-  /// Order-independent digest of the whole fleet's settled state: a
-  /// device-id-ordered FNV fold over every device's bills, modem octets,
-  /// PoC chain and reconnects. Two runs produce the same digest iff every
-  /// device settled identically — regardless of shard count or thread
-  /// interleaving.
+  /// Digest of the whole fleet's settled state, built from cell chains:
+  /// each cell folds its devices' bills, modem octets, PoC chain and
+  /// reconnects into an FNV chain of its own, from kFnvBasis in device
+  /// order, and the digest folds the cell chains from kFnvBasis in cell
+  /// order. Two fleets have equal digests iff every device settled
+  /// identically (up to hash collisions), whatever the shard count or
+  /// thread interleaving: cells never span walkers, and the fold orders
+  /// are fixed. Full cells fold four at a time, as four independent
+  /// chains, so their multiplies overlap; the value is the same as one at
+  /// a time.
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
@@ -348,7 +353,11 @@ class DeviceFleet {
   // operator new goes through glibc's memalign, whose split-off slack
   // fragments the heap (tlcbench's serve_open_loop, which rebuilds a
   // 100k-device fleet beside its records five times, peaked 10 MB higher
-  // with a std::vector of rows).
+  // with a std::vector of rows). The constructor advises the whole 2-MiB
+  // pages inside the block to be transparent huge pages (madvise
+  // MADV_HUGEPAGE, best effort) before it writes the rows: glibc maps a
+  // block above 32 MiB afresh on every build, and a 1M-device block then
+  // faults in a few hundred times instead of 15,626.
   std::unique_ptr<std::byte[]> row_storage_;
   std::span<DeviceRow> rows_;  // indexed by FleetDeviceId, 64 B each
   // The per-device calls' open cycles, allocated by the first of them.

@@ -1,7 +1,5 @@
 #include "epc/gateway.hpp"
 
-#include <cmath>
-
 namespace tlc::epc {
 
 SpGateway::SpGateway(sim::Scheduler& sched, charging::DataPlan plan,
@@ -123,13 +121,13 @@ charging::UsageRecord SpGateway::usage(std::uint64_t cycle) const {
   return accountant_.usage(cycle);
 }
 
+void SpGateway::set_cdr_tamper_factor(double factor) {
+  charging::check_tamper_factor(factor, "SpGateway::set_cdr_tamper_factor");
+  cdr_tamper_ = factor;
+}
+
 charging::UsageRecord SpGateway::claimed_usage(std::uint64_t cycle) const {
-  const charging::UsageRecord real = usage(cycle);
-  const auto scale = [this](Bytes v) {
-    return Bytes{static_cast<std::uint64_t>(
-        std::llround(v.as_double() * cdr_tamper_))};
-  };
-  return charging::UsageRecord{scale(real.uplink), scale(real.downlink)};
+  return charging::scaled_usage(usage(cycle), cdr_tamper_);
 }
 
 wire::LegacyCdr SpGateway::legacy_cdr(std::uint64_t cycle) const {

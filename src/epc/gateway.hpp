@@ -73,8 +73,9 @@ class SpGateway {
 
   /// A selfish operator can rewrite its CDRs before presenting them
   /// (§3.3: "validated in our carrier-grade LTE core"). Factor > 1 inflates
-  /// the claimed volumes; honest operation leaves it at 1.
-  void set_cdr_tamper_factor(double factor) { cdr_tamper_ = factor; }
+  /// the claimed volumes; honest operation leaves it at 1. Throws
+  /// std::invalid_argument on a negative or non-finite factor.
+  void set_cdr_tamper_factor(double factor);
   /// Usage as this (possibly selfish) operator *claims* it.
   [[nodiscard]] charging::UsageRecord claimed_usage(std::uint64_t cycle) const;
 

@@ -20,6 +20,21 @@ constexpr std::uint64_t kOpRngDomain = 0x6f706572'726e6721ULL;
 
 }  // namespace
 
+// Function-local statics: concurrent sweep workers generate each pair
+// once. Sharing is safe because the signer keeps a context per thread and
+// key (crypto/signer.cpp).
+const crypto::KeyPair& edge_settlement_keys() {
+  static const crypto::KeyPair keys =
+      crypto::KeyPair::generate(crypto::KeyStrength::kRsa1024);
+  return keys;
+}
+
+const crypto::KeyPair& operator_settlement_keys() {
+  static const crypto::KeyPair keys =
+      crypto::KeyPair::generate(crypto::KeyStrength::kRsa1024);
+  return keys;
+}
+
 std::uint64_t exchange_trace_id(std::uint64_t seed, std::uint64_t device,
                                 std::uint64_t cycle,
                                 charging::Direction direction) {
@@ -31,8 +46,6 @@ WireSettlement::WireSettlement(Testbed& bed, WireSettlementConfig config)
     : bed_(bed),
       config_(config),
       obs_(&bed.obs()),
-      edge_keys_(crypto::KeyPair::generate(crypto::KeyStrength::kRsa1024)),
-      op_keys_(crypto::KeyPair::generate(crypto::KeyStrength::kRsa1024)),
       edge_strategy_(core::make_optimal_edge()),
       op_strategy_(core::make_optimal_operator()) {
   bed_.set_control_downlink_handler(
@@ -96,12 +109,12 @@ void WireSettlement::begin_cycle(std::uint64_t cycle) {
     return pc;
   };
   edge_ = std::make_unique<core::ProtocolParty>(
-      make_config(core::PartyRole::kEdgeVendor), *edge_strategy_, edge_keys_,
-      op_keys_.public_key(),
+      make_config(core::PartyRole::kEdgeVendor), *edge_strategy_,
+      edge_keys(), operator_keys().public_key(),
       Rng{stream_mix64(config_.seed ^ kEdgeRngDomain ^ cycle)});
   op_ = std::make_unique<core::ProtocolParty>(
       make_config(core::PartyRole::kCellularOperator), *op_strategy_,
-      op_keys_, edge_keys_.public_key(),
+      operator_keys(), edge_keys().public_key(),
       Rng{stream_mix64(config_.seed ^ kOpRngDomain ^ cycle)});
 
   // The operator opens with its CDR, exactly as the in-memory exchanges do.

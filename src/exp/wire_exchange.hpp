@@ -33,6 +33,14 @@ namespace tlc::exp {
                                               std::uint64_t cycle,
                                               charging::Direction direction);
 
+/// The process's settlement key pair of each role, generated on first use
+/// and shared by every WireSettlement and the chaos sweep's wire attacks:
+/// RSA-1024 generation costs ~13 ms a pair, which a sweep of short
+/// scenarios would otherwise pay twice per scenario. Key bytes never reach
+/// a result, a fingerprint or a trace. Thread-safe.
+[[nodiscard]] const crypto::KeyPair& edge_settlement_keys();
+[[nodiscard]] const crypto::KeyPair& operator_settlement_keys();
+
 struct WireSettlementConfig {
   charging::Direction direction = charging::Direction::kUplink;
   monitor::OperatorDlSource dl_source =
@@ -104,12 +112,13 @@ class WireSettlement {
     return receipts_;
   }
 
-  /// Key material for post-run batch construction and audit.
+  /// Key material for post-run batch construction and audit: the
+  /// process's pair of each role.
   [[nodiscard]] const crypto::KeyPair& edge_keys() const {
-    return edge_keys_;
+    return edge_settlement_keys();
   }
   [[nodiscard]] const crypto::KeyPair& operator_keys() const {
-    return op_keys_;
+    return operator_settlement_keys();
   }
 
  private:
@@ -156,8 +165,6 @@ class WireSettlement {
   WireSettlementConfig config_;
   obs::Obs* obs_;
 
-  crypto::KeyPair edge_keys_;
-  crypto::KeyPair op_keys_;
   core::StrategyPtr edge_strategy_;
   core::StrategyPtr op_strategy_;
 

@@ -6,6 +6,7 @@
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "exp/sweep.hpp"
+#include "exp/wire_exchange.hpp"
 #include "fault/injector.hpp"
 #include "obs/json.hpp"
 
@@ -92,13 +93,10 @@ ChaosReport run_chaos(const ChaosOptions& options) {
       options.plans > 0 ? static_cast<std::size_t>(options.plans) : 0;
   report.outcomes.resize(count);
 
-  // One key pair per role for the whole sweep: RSA generation dwarfs every
-  // other per-plan cost, and OpenSSL EVP_PKEY handles are safe to share
-  // for concurrent sign/verify (each operation builds its own context).
-  const crypto::KeyPair edge_keys =
-      crypto::KeyPair::generate(crypto::KeyStrength::kRsa1024);
-  const crypto::KeyPair operator_keys =
-      crypto::KeyPair::generate(crypto::KeyStrength::kRsa1024);
+  // The wire attacks sign under the process's settlement keys, the pairs
+  // every scenario's WireSettlement already uses.
+  const crypto::KeyPair& edge_keys = exp::edge_settlement_keys();
+  const crypto::KeyPair& operator_keys = exp::operator_settlement_keys();
 
   // Slot-indexed: violations land in per-plan buckets and concatenate in
   // plan order afterwards, so the report never depends on worker timing.

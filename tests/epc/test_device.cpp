@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 namespace tlc::epc {
 namespace {
 
@@ -59,6 +64,25 @@ TEST(EdgeDevice, ApiTamperScalesUserSpaceReadingsOnly) {
   EXPECT_EQ(dev.api_usage(0).downlink, Bytes{600});
   EXPECT_EQ(dev.app_usage(0).downlink, Bytes{1000});  // real app counter
   EXPECT_EQ(dev.modem_rx_bytes(), 1000u);             // hardware
+}
+
+TEST(EdgeDevice, ApiTamperFactorMustBeFiniteAndNonNegative) {
+  EdgeDevice dev{plan_300s(), sim::NodeClock{}};
+  dev.on_downlink_delivered(packet(1000), kTimeZero + seconds{1});
+  for (const double bad : {-1.0, -0.5, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(dev.set_api_tamper_factor(bad), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(dev.api_usage(0), dev.app_usage(0));  // factor still 1
+}
+
+TEST(EdgeDevice, HugeApiTamperFactorSaturates) {
+  EdgeDevice dev{plan_300s(), sim::NodeClock{}};
+  dev.on_downlink_delivered(packet(1000), kTimeZero + seconds{1});
+  dev.set_api_tamper_factor(1e300);
+  EXPECT_EQ(dev.api_usage(0).downlink,
+            Bytes{std::numeric_limits<std::uint64_t>::max()});
+  EXPECT_EQ(dev.api_usage(0).uplink, Bytes{0});
 }
 
 TEST(EdgeDevice, TamperFactorOneIsIdentity) {

@@ -1,11 +1,13 @@
 // DeviceFleet tests: row and cycle-sum bookkeeping of burst/settle, the
 // CDR-vs-CDA charging gap invariant, counter-based draw stability, the
-// FNV-1a fold, and the order-independent digest. SettlementLedger tests:
-// == and diff() see every field, and add / += / close sum to the same
-// ledger in any merge order.
+// FNV-1a fold, the cell-chained digest, and the row block's defaults and
+// huge-page faults. SettlementLedger tests: == and diff() see every field,
+// and add / += / close sum to the same ledger in any merge order.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,6 +154,131 @@ TEST(DeviceFleet, DigestTracksSettledStateExactly) {
   };
   EXPECT_EQ(run(11), run(11));  // reproducible
   EXPECT_NE(run(11), run(12));  // seed-sensitive
+}
+
+/// The digest written out plainly: one FNV chain per cell over its
+/// devices' six words in device order, and the chains folded in cell
+/// order.
+std::uint64_t reference_digest(const DeviceFleet& fleet) {
+  std::uint64_t h = kFnvBasis;
+  for (std::uint32_t cell = 0; cell < fleet.cells(); ++cell) {
+    std::uint64_t chain = kFnvBasis;
+    for (FleetDeviceId d = fleet.first_device(cell);
+         d < fleet.first_device(cell + 1); ++d) {
+      for (const std::uint64_t word :
+           {fleet.billed_legacy(d), fleet.billed_tlc(d), fleet.modem_rx(d),
+            fleet.modem_tx(d), fleet.poc_chain(d),
+            std::uint64_t{fleet.reconnects(d)}}) {
+        chain = fnv1a64(chain, word);
+      }
+    }
+    h = fnv1a64(h, chain);
+  }
+  return h;
+}
+
+struct NullSink {
+  void settled(const DeviceCycle&) {}
+  void report(const CellReport&) {}
+};
+
+/// Two 100-ms cycles of the fleet kernel over every cell, at the default
+/// loss model with a 20-ms burst period.
+void short_walk(DeviceFleet& fleet, std::uint64_t seed) {
+  FleetWalk walk;
+  walk.devices = fleet.devices();
+  walk.devices_per_cell = fleet.devices_per_cell();
+  walk.cycles = 2;
+  walk.cycle_length = std::chrono::milliseconds{100};
+  walk.traffic.mean_burst_period = std::chrono::milliseconds{20};
+  walk.seed = seed;
+  NullSink sink;
+  walk_cells(fleet, walk, 0, fleet.cells(), sink);
+}
+
+TEST(DeviceFleet, DigestFoldsCellChainsInCellOrder) {
+  struct Shape {
+    std::size_t devices;
+    std::uint32_t devices_per_cell;
+  };
+  // 1, 3, 4, 5 and 9 cells: all full, with a partial last cell, and one
+  // device to a cell.
+  for (const Shape shape :
+       {Shape{6, 6}, Shape{18, 6}, Shape{24, 6}, Shape{30, 6}, Shape{54, 6},
+        Shape{5, 6}, Shape{16, 6}, Shape{22, 6}, Shape{27, 6}, Shape{50, 6},
+        Shape{1, 1}, Shape{3, 1}, Shape{4, 1}, Shape{5, 1}, Shape{9, 1}}) {
+    DeviceFleet fleet{shape.devices, shape.devices_per_cell, 31};
+    short_walk(fleet, 31);
+    EXPECT_EQ(fleet.digest(), reference_digest(fleet))
+        << shape.devices << " devices, " << shape.devices_per_cell
+        << " per cell";
+  }
+
+  // One more burst on one device — in each lane of a four-cell group, and
+  // in the remainder cell — changes the digest, and the digest still
+  // equals the plain fold.
+  const FleetTrafficParams p = lossless();
+  DeviceFleet base{15, 3, 17};
+  short_walk(base, 17);
+  for (std::uint32_t cell = 0; cell < 5; ++cell) {
+    DeviceFleet changed{15, 3, 17};
+    short_walk(changed, 17);
+    ASSERT_EQ(changed.digest(), base.digest());
+    changed.burst(changed.first_device(cell) + 1, p);
+    EXPECT_NE(changed.digest(), base.digest()) << "cell " << cell;
+    EXPECT_EQ(changed.digest(), reference_digest(changed)) << "cell " << cell;
+  }
+}
+
+TEST(DeviceFleet, RowsStartAtDefaultsAcrossTheHugePageBoundary) {
+  // 32,768 rows of 64 B fill one 2-MiB page: fleets just under, at and
+  // over it, and one spanning several, start every row at its defaults
+  // whether or not the block took the huge-page advice.
+  for (const std::size_t devices : {32'767u, 32'768u, 32'769u, 100'000u}) {
+    const DeviceFleet fleet{devices, 200, 3};
+    for (FleetDeviceId d = 0; d < devices; ++d) {
+      ASSERT_EQ(fleet.billed_legacy(d), 0u) << devices << " " << d;
+      ASSERT_EQ(fleet.billed_tlc(d), 0u) << devices << " " << d;
+      ASSERT_EQ(fleet.modem_rx(d), 0u) << devices << " " << d;
+      ASSERT_EQ(fleet.modem_tx(d), 0u) << devices << " " << d;
+      ASSERT_EQ(fleet.poc_chain(d), kFnvBasis) << devices << " " << d;
+      ASSERT_EQ(fleet.reconnects(d), 0u) << devices << " " << d;
+      ASSERT_TRUE(fleet.rrc_connected(d)) << devices << " " << d;
+      ASSERT_EQ(fleet.next_burst(d), kTimeZero) << devices << " " << d;
+    }
+  }
+}
+
+/// The host's transparent huge page mode, the bracketed word of
+/// /sys/kernel/mm/transparent_hugepage/enabled ("always", "madvise" or
+/// "never"), or "" if it cannot be read.
+std::string thp_mode() {
+  std::ifstream in{"/sys/kernel/mm/transparent_hugepage/enabled"};
+  std::string line;
+  std::getline(in, line);
+  const std::size_t open = line.find('[');
+  const std::size_t close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return line.substr(open + 1, close - open - 1);
+}
+
+TEST(DeviceFleet, HugePagesCutTheRowBlocksFirstTouchFaults) {
+  // 1M rows are 64 MB: 15,626 first-touch faults on 4-KiB pages, a few
+  // hundred once the block's whole 2-MiB pages take the huge-page advice.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory faults in beside the rows";
+#endif
+  const std::string mode = thp_mode();
+  if (mode != "always" && mode != "madvise") {
+    GTEST_SKIP() << "transparent huge pages: '" << mode << "'";
+  }
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  const DeviceFleet fleet{1'000'000, 200, 5};
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_EQ(fleet.poc_chain(999'999), kFnvBasis);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 1000);
 }
 
 TEST(DeviceFleet, Fnv1a64IsTheByteFold) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace tlc::epc {
@@ -86,6 +90,33 @@ TEST_F(Fixture, SelfishOperatorInflatesClaims) {
   gw.set_cdr_tamper_factor(1.5);
   EXPECT_EQ(gw.claimed_usage(0).downlink, Bytes{1500});
   EXPECT_EQ(gw.usage(0).downlink, Bytes{1000});  // real record unchanged
+}
+
+TEST_F(Fixture, TamperFactorMustBeFiniteAndNonNegative) {
+  gw.set_cdr_tamper_factor(2.0);
+  for (const double bad : {-5.0, -1e-300, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(gw.set_cdr_tamper_factor(bad), std::invalid_argument) << bad;
+  }
+  gw.forward_downlink(packet(1000));
+  EXPECT_EQ(gw.claimed_usage(0).downlink, Bytes{2000});  // factor kept
+  gw.set_cdr_tamper_factor(0.0);
+  EXPECT_EQ(gw.claimed_usage(0).downlink, Bytes{0});
+}
+
+TEST_F(Fixture, HugeTamperFactorSaturatesTheClaim) {
+  // 1000 B × 1e300 has no u64 value: the claim saturates at 2^64 − 1
+  // instead of wrapping, and so does a product just past 2^64.
+  gw.forward_downlink(packet(1000));
+  gw.set_cdr_tamper_factor(1e300);
+  EXPECT_EQ(gw.claimed_usage(0).downlink,
+            Bytes{std::numeric_limits<std::uint64_t>::max()});
+  EXPECT_EQ(gw.claimed_usage(0).uplink, Bytes{0});
+  gw.set_cdr_tamper_factor(0x1p54);  // 1000 · 2^54 ≈ 2^63.97 < 2^64
+  EXPECT_EQ(gw.claimed_usage(0).downlink,
+            Bytes{std::uint64_t{1000} << 54});
+  gw.set_cdr_tamper_factor(0x1p55);  // 1000 · 2^55 ≥ 2^64
+  EXPECT_EQ(gw.claimed_usage(0).downlink,
+            Bytes{std::numeric_limits<std::uint64_t>::max()});
 }
 
 TEST_F(Fixture, LegacyCdrReflectsClaims) {

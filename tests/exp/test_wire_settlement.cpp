@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "crypto/signer.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "net/packet.hpp"
@@ -149,6 +153,34 @@ TEST(WireSettlement, SurvivesHandoverAndRadioDips) {
             m.counter_or_zero("epc.gw.charged_ul_bytes") +
                 m.counter_or_zero("epc.gw.fault.stalled_ul_bytes") +
                 m.counter_or_zero("tlc.settle.ul_delivered_bytes"));
+}
+
+TEST(WireSettlement, EveryScenarioSignsUnderOneKeyPairPerRole) {
+  // RSA generation costs ~13 ms a pair, so the process makes one pair per
+  // role and every settlement, on any thread, signs under it.
+  Testbed bed_a{TestbedConfig{}};
+  Testbed bed_b{TestbedConfig{}};
+  const WireSettlement a{bed_a, WireSettlementConfig{}};
+  crypto::KeyPair b_edge;
+  crypto::KeyPair b_op;
+  std::thread other{[&] {
+    const WireSettlement b{bed_b, WireSettlementConfig{}};
+    b_edge = b.edge_keys();
+    b_op = b.operator_keys();
+  }};
+  other.join();
+  EXPECT_TRUE(a.edge_keys().public_key() == b_edge.public_key());
+  EXPECT_TRUE(a.operator_keys().public_key() == b_op.public_key());
+
+  const std::vector<std::uint8_t> message{'c', 'd', 'r'};
+  const ByteVec edge_sig = crypto::sign(a.edge_keys(), message);
+  const ByteVec op_sig = crypto::sign(a.operator_keys(), message);
+  EXPECT_TRUE(crypto::verify(b_edge.public_key(), message, edge_sig));
+  EXPECT_TRUE(crypto::verify(b_op.public_key(), message, op_sig));
+  // The roles hold different keys.
+  EXPECT_FALSE(a.edge_keys().public_key() == a.operator_keys().public_key());
+  EXPECT_FALSE(crypto::verify(b_op.public_key(), message, edge_sig));
+  EXPECT_FALSE(crypto::verify(b_edge.public_key(), message, op_sig));
 }
 
 }  // namespace

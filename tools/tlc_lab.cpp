@@ -44,8 +44,8 @@ constexpr const char* kUsage =
     "  --cycle-secs=<s>           cycle length (default 300)\n"
     "  --seed=<k>                 RNG seed (default 1)\n"
     "  --clock-spread=<s>         party clock offset spread (default 1.5)\n"
-    "  --tamper-op=<f>            operator CDR inflation factor (default 1)\n"
-    "  --tamper-edge-api=<f>      edge user-space API factor (default 1)\n"
+    "  --tamper-op=<f>            operator CDR factor >= 0 (default 1)\n"
+    "  --tamper-edge-api=<f>      edge user-space API factor >= 0 (default 1)\n"
     "  --dl-source=rrc|api|system operator DL monitor (default rrc)\n"
     "  --handover=<secs>          seconds between cell handovers (default 0)\n"
     "  --trace=<file>             stream the structured trace to a JSONL file\n"
@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   cli.real("--cycle-secs", &cycle_secs, 0.0);
   cli.count("--seed", &cfg.seed);
   cli.real("--clock-spread", &cfg.clock_offset_spread_s, 0.0, kMaxSecs);
-  cli.real("--tamper-op", &cfg.operator_cdr_tamper);
-  cli.real("--tamper-edge-api", &cfg.edge_api_tamper);
+  cli.real("--tamper-op", &cfg.operator_cdr_tamper, 0.0);
+  cli.real("--tamper-edge-api", &cfg.edge_api_tamper, 0.0);
   cli.real("--handover", &cfg.handover_period_s, 0.0, kMaxSecs);
   cli.text("--trace", &cfg.trace_jsonl_path);
   cli.option("--dl-source", [&cfg](std::string_view v) {

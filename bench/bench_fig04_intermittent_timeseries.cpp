@@ -93,6 +93,7 @@ int main() {
   std::printf("detaches: %llu (sessions cut after 5 s RLF, stopping further "
               "charging)\n",
               static_cast<unsigned long long>(
-                  bed.basestation().detach_count()));
+                  bed.obs().metrics.snapshot().counter_or_zero(
+                      "epc.cell0.detaches")));
   return 0;
 }

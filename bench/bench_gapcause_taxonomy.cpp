@@ -113,8 +113,8 @@ Row case_mobility() {
                           sim::NodeClock{}};
   epc::BaseStation cell_b{sched, cell_cfg, Rng{2}, device, plan,
                           sim::NodeClock{}};
-  cell_a.set_observability(&obs, "cell0");
-  cell_b.set_observability(&obs, "cell1");
+  cell_a.set_observability(obs, "cell0");
+  cell_b.set_observability(obs, "cell1");
   cell_a.start();
   cell_b.start();
   epc::SpGateway gateway{sched, plan, sim::NodeClock{},

@@ -36,9 +36,9 @@ BaseStation::BaseStation(sim::Scheduler& sched, BaseStationConfig config,
             }
           }) {}
 
-void BaseStation::set_observability(obs::Obs* obs,
+void BaseStation::set_observability(obs::Obs& obs,
                                     const std::string& cell_name) {
-  obs_ = obs;
+  obs_ = &obs;
   component_ = "epc." + cell_name;
   radio_.set_observability(obs, "radio." + cell_name);
   // Both cells share the link prefixes so per-cause drop counters aggregate
@@ -46,18 +46,11 @@ void BaseStation::set_observability(obs::Obs* obs,
   // downlink path, not of one cell.
   dl_link_.set_observability(obs, "net.dl");
   ul_link_.set_observability(obs, "net.ul");
-  if (obs_ == nullptr) {
-    m_detaches_ = nullptr;
-    m_attaches_ = nullptr;
-    m_counter_checks_ = nullptr;
-    m_counter_check_timeouts_ = nullptr;
-    return;
-  }
-  m_detaches_ = &obs_->metrics.counter(component_ + ".detaches");
-  m_attaches_ = &obs_->metrics.counter(component_ + ".attaches");
-  m_counter_checks_ = &obs_->metrics.counter(component_ + ".counter_checks");
+  m_detaches_ = &obs.metrics.counter(component_ + ".detaches");
+  m_attaches_ = &obs.metrics.counter(component_ + ".attaches");
+  m_counter_checks_ = &obs.metrics.counter(component_ + ".counter_checks");
   m_counter_check_timeouts_ =
-      &obs_->metrics.counter(component_ + ".fault.counter_check_timeouts");
+      &obs.metrics.counter(component_ + ".fault.counter_check_timeouts");
 }
 
 void BaseStation::start() {
@@ -116,7 +109,6 @@ bool BaseStation::trigger_counter_check() {
   if (!attached_) return false;
   if (counter_check_faults_armed_ > 0) {
     --counter_check_faults_armed_;
-    ++counter_check_timeouts_;
     if (m_counter_check_timeouts_ != nullptr) m_counter_check_timeouts_->inc();
     TLC_TRACE_EVENT(obs_, component_, "counter_check_timeout",
                     obs::TraceLevel::kInfo,
@@ -134,7 +126,6 @@ bool BaseStation::trigger_counter_check() {
 }
 
 void BaseStation::perform_counter_check() {
-  ++counter_checks_;
   if (m_counter_checks_ != nullptr) m_counter_checks_->inc();
   CounterCheckReport report;
   report.cumulative_dl_bytes = device_.modem_rx_bytes();
@@ -185,7 +176,6 @@ void BaseStation::poll_radio() {
 }
 
 void BaseStation::detach() {
-  ++detaches_;
   if (m_detaches_ != nullptr) m_detaches_->inc();
   TLC_TRACE_EVENT(obs_, component_, "detach", obs::TraceLevel::kInfo,
                   obs::field("outage_s",

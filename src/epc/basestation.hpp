@@ -89,9 +89,6 @@ class BaseStation {
   /// attribution keeps the delta in the right cycle). Counted in
   /// epc.<cell>.fault.counter_check_timeouts.
   void fail_next_counter_checks(std::uint32_t count, Duration retry_after);
-  [[nodiscard]] std::uint64_t counter_check_timeouts() const {
-    return counter_check_timeouts_;
-  }
 
   /// Fault injection: hook consulted for every packet that survives the
   /// organic loss model on the respective direction (nullptr disables).
@@ -125,18 +122,13 @@ class BaseStation {
   /// transmissions, bucketed by the operator's charging cycle.
   [[nodiscard]] Bytes observed_uplink_radio_loss(std::uint64_t cycle) const;
 
-  [[nodiscard]] std::uint64_t detach_count() const { return detaches_; }
-  [[nodiscard]] std::uint64_t counter_check_count() const {
-    return counter_checks_;
-  }
-
   /// Wires the whole cell: the radio (component "radio.<cell>"), both air
   /// links (shared prefixes "net.dl"/"net.ul" so parallel cells aggregate
   /// into one set of per-cause drop counters), plus per-cell counters
-  /// epc.<cell>.{detaches,attaches,counter_checks}. Trace component
-  /// "epc.<cell>": detach/attach/suspend/resume at info, counter_check at
-  /// debug.
-  void set_observability(obs::Obs* obs, const std::string& cell_name);
+  /// epc.<cell>.{detaches,attaches,counter_checks}, the cell's only tally
+  /// of them. Trace component "epc.<cell>": detach/attach/suspend/resume
+  /// at info, counter_check at debug.
+  void set_observability(obs::Obs& obs, const std::string& cell_name);
 
  private:
   void poll_radio();
@@ -167,11 +159,8 @@ class BaseStation {
   bool in_outage_ = false;
   TimePoint reconnected_since_ = kTimeZero;
   TimePoint last_activity_ = kTimeZero;
-  std::uint64_t detaches_ = 0;
-  std::uint64_t counter_checks_ = 0;
   std::uint32_t counter_check_faults_armed_ = 0;
   Duration counter_check_retry_ = std::chrono::seconds{5};
-  std::uint64_t counter_check_timeouts_ = 0;
   bool started_ = false;
 
   obs::Obs* obs_ = nullptr;

@@ -6,30 +6,17 @@ SpGateway::SpGateway(sim::Scheduler& sched, charging::DataPlan plan,
                      sim::NodeClock operator_clock, Imsi imsi)
     : sched_(sched), accountant_(plan, operator_clock), imsi_(imsi) {}
 
-void SpGateway::set_observability(obs::Obs* obs) {
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    m_charged_ul_packets_ = nullptr;
-    m_charged_ul_bytes_ = nullptr;
-    m_charged_dl_packets_ = nullptr;
-    m_charged_dl_bytes_ = nullptr;
-    m_uncharged_dl_packets_ = nullptr;
-    m_uncharged_dl_bytes_ = nullptr;
-    m_stalled_ul_bytes_ = nullptr;
-    m_stalled_dl_bytes_ = nullptr;
-    return;
-  }
-  m_charged_ul_packets_ = &obs_->metrics.counter("epc.gw.charged_ul_packets");
-  m_charged_ul_bytes_ = &obs_->metrics.counter("epc.gw.charged_ul_bytes");
-  m_charged_dl_packets_ = &obs_->metrics.counter("epc.gw.charged_dl_packets");
-  m_charged_dl_bytes_ = &obs_->metrics.counter("epc.gw.charged_dl_bytes");
+void SpGateway::set_observability(obs::Obs& obs) {
+  obs_ = &obs;
+  m_charged_ul_packets_ = &obs.metrics.counter("epc.gw.charged_ul_packets");
+  m_charged_ul_bytes_ = &obs.metrics.counter("epc.gw.charged_ul_bytes");
+  m_charged_dl_packets_ = &obs.metrics.counter("epc.gw.charged_dl_packets");
+  m_charged_dl_bytes_ = &obs.metrics.counter("epc.gw.charged_dl_bytes");
   m_uncharged_dl_packets_ =
-      &obs_->metrics.counter("epc.gw.uncharged_dl_packets");
-  m_uncharged_dl_bytes_ = &obs_->metrics.counter("epc.gw.uncharged_dl_bytes");
-  m_stalled_ul_bytes_ =
-      &obs_->metrics.counter("epc.gw.fault.stalled_ul_bytes");
-  m_stalled_dl_bytes_ =
-      &obs_->metrics.counter("epc.gw.fault.stalled_dl_bytes");
+      &obs.metrics.counter("epc.gw.uncharged_dl_packets");
+  m_uncharged_dl_bytes_ = &obs.metrics.counter("epc.gw.uncharged_dl_bytes");
+  m_stalled_ul_bytes_ = &obs.metrics.counter("epc.gw.fault.stalled_ul_bytes");
+  m_stalled_dl_bytes_ = &obs.metrics.counter("epc.gw.fault.stalled_dl_bytes");
 }
 
 void SpGateway::set_session_up(bool up) {
@@ -59,7 +46,6 @@ void SpGateway::forward_downlink(net::Packet packet) {
   }
   if (pcrf_ != nullptr) pcrf_->apply(packet);
   if (!session_up_) {
-    uncharged_dl_ += packet.size;
     if (m_uncharged_dl_packets_ != nullptr) {
       m_uncharged_dl_packets_->inc();
       m_uncharged_dl_bytes_->inc(packet.size.count());
@@ -72,7 +58,6 @@ void SpGateway::forward_downlink(net::Packet packet) {
     return;
   }
   if (counter_stalled_) {
-    stalled_dl_ += packet.size;
     if (m_stalled_dl_bytes_ != nullptr) {
       m_stalled_dl_bytes_->inc(packet.size.count());
     }
@@ -99,7 +84,6 @@ void SpGateway::on_uplink_from_enb(const net::Packet& packet, TimePoint at) {
                     obs::field("bytes", packet.size));
   }
   if (counter_stalled_) {
-    stalled_ul_ += packet.size;
     if (m_stalled_ul_bytes_ != nullptr) {
       m_stalled_ul_bytes_->inc(packet.size.count());
     }

@@ -53,14 +53,11 @@ class SpGateway {
 
   /// Fault injection (DESIGN.md §8): while stalled the charging counters
   /// freeze — traffic keeps flowing but is not recorded, modelling a hung
-  /// OFCS/CDR pipeline. Stalled volumes are tracked per direction (and in
-  /// counters epc.gw.fault.stalled_{ul,dl}_bytes) so the invariant checker
-  /// can keep the charged-vs-delivered identity exact under the fault.
+  /// OFCS/CDR pipeline. Stalled volumes are counted per direction in
+  /// epc.gw.fault.stalled_{ul,dl}_bytes so the invariant checker can keep
+  /// the charged-vs-delivered identity exact under the fault.
   void set_counter_stall(bool stalled);
   [[nodiscard]] bool counter_stalled() const { return counter_stalled_; }
-  [[nodiscard]] Bytes stalled_bytes(charging::Direction d) const {
-    return d == charging::Direction::kUplink ? stalled_ul_ : stalled_dl_;
-  }
 
   /// Optional policy function: when set, downlink packets are re-stamped
   /// with their flow's bearer (QCI) before forwarding, so installing a
@@ -82,17 +79,15 @@ class SpGateway {
   /// Standard 4G CDR for the cycle (Trace 1), honouring the tamper factor.
   [[nodiscard]] wire::LegacyCdr legacy_cdr(std::uint64_t cycle) const;
 
-  [[nodiscard]] Bytes uncharged_downlink_drops() const {
-    return uncharged_dl_;
-  }
   [[nodiscard]] const charging::CycleAccountant& accountant() const {
     return accountant_;
   }
 
   /// Counters epc.gw.charged_{ul,dl}_{packets,bytes} and
-  /// epc.gw.uncharged_dl_{packets,bytes}; trace component "epc.gw"
-  /// ("session" at info, per-packet "charge"/"uncharged_drop" at debug).
-  void set_observability(obs::Obs* obs);
+  /// epc.gw.uncharged_dl_{packets,bytes}, the only record of downlink
+  /// dropped while detached; trace component "epc.gw" ("session" at info,
+  /// per-packet "charge"/"uncharged_drop" at debug).
+  void set_observability(obs::Obs& obs);
 
  private:
   sim::Scheduler& sched_;
@@ -105,9 +100,6 @@ class SpGateway {
   bool counter_stalled_ = false;
   const Pcrf* pcrf_ = nullptr;
   double cdr_tamper_ = 1.0;
-  Bytes uncharged_dl_;
-  Bytes stalled_ul_;
-  Bytes stalled_dl_;
   std::uint32_t cdr_seq_ = 1000;
 
   obs::Obs* obs_ = nullptr;

@@ -31,14 +31,12 @@ void HandoverController::start() {
   sched_.schedule_after(config_.period, Loop{this});
 }
 
-void HandoverController::set_observability(obs::Obs* obs) {
-  obs_ = obs;
-  m_handovers_ =
-      obs_ == nullptr ? nullptr : &obs_->metrics.counter("epc.handover.count");
+void HandoverController::set_observability(obs::Obs& obs) {
+  obs_ = &obs;
+  m_handovers_ = &obs.metrics.counter("epc.handover.count");
 }
 
 void HandoverController::execute_handover() {
-  ++handovers_;
   if (m_handovers_ != nullptr) m_handovers_->inc();
   const std::size_t target = (serving_index_ + 1) % cells_.size();
   TLC_TRACE_EVENT(obs_, "epc.handover", "handover", obs::TraceLevel::kInfo,

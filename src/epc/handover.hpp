@@ -42,22 +42,21 @@ class HandoverController {
 
   [[nodiscard]] BaseStation& serving() { return *cells_[serving_index_]; }
   [[nodiscard]] std::size_t serving_index() const { return serving_index_; }
-  [[nodiscard]] std::uint64_t handover_count() const { return handovers_; }
 
   /// Executes one handover to the next cell immediately (also used by the
   /// periodic schedule).
   void execute_handover();
 
-  /// Counter epc.handover.count; trace component "epc.handover", one
-  /// "handover" event per execution (from/to cell indices) at info.
-  void set_observability(obs::Obs* obs);
+  /// Counter epc.handover.count, the controller's only handover tally;
+  /// trace component "epc.handover", one "handover" event per execution
+  /// (from/to cell indices) at info.
+  void set_observability(obs::Obs& obs);
 
  private:
   sim::Scheduler& sched_;
   Config config_;
   std::vector<BaseStation*> cells_;
   std::size_t serving_index_ = 0;
-  std::uint64_t handovers_ = 0;
   bool started_ = false;
 
   obs::Obs* obs_ = nullptr;

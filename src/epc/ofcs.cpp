@@ -7,28 +7,12 @@ Ofcs::Ofcs(charging::DataPlan plan, core::PublicVerifier* verifier)
   plan_.validate();
 }
 
-void Ofcs::set_observability(obs::Obs* obs) {
-  obs_ = obs;
-  if (obs_ == nullptr) {
-    m_legacy_cdrs_ = nullptr;
-    m_pocs_verified_ = nullptr;
-    m_pocs_rejected_ = nullptr;
-    return;
-  }
-  m_legacy_cdrs_ = &obs_->metrics.counter("epc.ofcs.legacy_cdrs");
-  m_pocs_verified_ = &obs_->metrics.counter("epc.ofcs.pocs_verified");
-  m_pocs_rejected_ = &obs_->metrics.counter("epc.ofcs.pocs_rejected");
-}
-
 void Ofcs::ingest_legacy_cdr(std::uint64_t cycle, const wire::LegacyCdr& cdr,
                              charging::Direction billed_direction) {
   const Bytes volume = billed_direction == charging::Direction::kUplink
                            ? cdr.uplink_volume
                            : cdr.downlink_volume;
   cycles_[cycle].legacy = volume;
-  if (m_legacy_cdrs_ != nullptr) m_legacy_cdrs_->inc();
-  TLC_TRACE_EVENT(obs_, "epc.ofcs", "legacy_cdr", obs::TraceLevel::kDebug,
-                  obs::field("cycle", cycle), obs::field("bytes", volume));
   recompute_cumulative();
 }
 
@@ -40,16 +24,7 @@ core::VerifyResult Ofcs::ingest_poc(std::span<const std::uint8_t> poc_bytes) {
   const core::VerifyResult result = verifier_->verify(poc_bytes, &charge);
   if (result == core::VerifyResult::kOk) {
     cycles_[charge.cycle_index].verified = charge.charged;
-    if (m_pocs_verified_ != nullptr) m_pocs_verified_->inc();
-    TLC_TRACE_EVENT(obs_, "epc.ofcs", "poc", obs::TraceLevel::kInfo,
-                    obs::field("result", to_string(result)),
-                    obs::field("cycle", charge.cycle_index),
-                    obs::field("bytes", charge.charged));
     recompute_cumulative();
-  } else {
-    if (m_pocs_rejected_ != nullptr) m_pocs_rejected_->inc();
-    TLC_TRACE_EVENT(obs_, "epc.ofcs", "poc", obs::TraceLevel::kWarn,
-                    obs::field("result", to_string(result)));
   }
   return result;
 }

@@ -19,7 +19,6 @@
 
 #include "charging/data_plan.hpp"
 #include "charging/usage.hpp"
-#include "obs/obs.hpp"
 #include "tlc/verifier.hpp"
 #include "wire/legacy_cdr.hpp"
 
@@ -75,20 +74,11 @@ class Ofcs {
 
   [[nodiscard]] const charging::DataPlan& plan() const { return plan_; }
 
-  /// Counters epc.ofcs.{legacy_cdrs,pocs_verified,pocs_rejected}; trace
-  /// component "epc.ofcs" ("legacy_cdr" at debug, "poc" at info — rejected
-  /// PoCs are traced at warn with the verifier's reason).
-  void set_observability(obs::Obs* obs);
-
  private:
   void recompute_cumulative();
 
   charging::DataPlan plan_;
   core::PublicVerifier* verifier_;
-  obs::Obs* obs_ = nullptr;
-  obs::Counter* m_legacy_cdrs_ = nullptr;
-  obs::Counter* m_pocs_verified_ = nullptr;
-  obs::Counter* m_pocs_rejected_ = nullptr;
   struct CycleBill {
     std::optional<Bytes> legacy;
     std::optional<Bytes> verified;

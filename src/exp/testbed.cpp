@@ -48,13 +48,13 @@ Testbed::Testbed(TestbedConfig config)
   // nothing observability-related is process-global — which is what lets
   // whole testbeds run concurrently on sweep workers without sharing.
   obs_.trace.set_clock([this] { return sched_.now(); });
-  sched_.set_observability(&obs_);
-  gateway_.set_observability(&obs_);
-  rrc_.set_observability(&obs_);
-  backhaul_up_.set_observability(&obs_, "net.backhaul.ul");
-  backhaul_down_.set_observability(&obs_, "net.backhaul.dl");
-  bs_.set_observability(&obs_, "cell0");
-  if (bs2_) bs2_->set_observability(&obs_, "cell1");
+  sched_.set_observability(obs_);
+  gateway_.set_observability(obs_);
+  rrc_.set_observability(obs_);
+  backhaul_up_.set_observability(obs_, "net.backhaul.ul");
+  backhaul_down_.set_observability(obs_, "net.backhaul.dl");
+  bs_.set_observability(obs_, "cell0");
+  if (bs2_) bs2_->set_observability(obs_, "cell1");
 
   const auto wire_cell = [this](epc::BaseStation& cell) {
     cell.set_uplink_sink([this](const net::Packet& p, TimePoint at) {
@@ -134,7 +134,7 @@ Testbed::Testbed(TestbedConfig config)
         epc::HandoverController::Config{config_.handover_period,
                                         config_.handover_interruption},
         std::vector<epc::BaseStation*>{&bs_, bs2_.get()});
-    handover_->set_observability(&obs_);
+    handover_->set_observability(obs_);
     handover_->start();
   }
 }

@@ -88,7 +88,7 @@ void WireSettlement::begin_cycle(std::uint64_t cycle) {
   edge_side_ = Side{};
   in_flight_.clear();
 
-  exchange_span_ = obs_->spans.root_at(
+  exchange_span_ = obs_->spans.root(
       started_, "tlc.settle", "exchange", current_.trace_id,
       {obs::field("cycle", cycle),
        obs::field("direction", charging::to_string(config_.direction))});
@@ -156,7 +156,7 @@ void WireSettlement::transmit(bool from_operator) {
     ++current_.retransmissions;
     obs_->metrics.counter("tlc.settle.retransmissions").inc();
   }
-  tx.msg_span = obs_->spans.child_at(
+  tx.msg_span = obs_->spans.child(
       now, "tlc.settle", "msg", exchange_span_,
       {obs::field("n", tx.msg_index),
        obs::field("dir", from_operator ? "dl" : "ul"),
@@ -221,9 +221,9 @@ void WireSettlement::on_control(bool to_operator, const net::Packet& packet,
   if (!active_ || packet.trace_id != current_.trace_id) return;  // stale
 
   // Close the attempt's transit span with the receiver-side timestamp.
-  obs_->spans.end_at(at, "tlc.settle",
-                     obs::SpanContext{packet.trace_id, packet.span_id},
-                     {obs::field("bytes", packet.size)});
+  obs_->spans.end(at, "tlc.settle",
+                  obs::SpanContext{packet.trace_id, packet.span_id},
+                  {obs::field("bytes", packet.size)});
 
   const wire::Frame frame = wire::decode_frame(frame_bytes);
   core::Message msg = core::decode_message(frame.payload);
@@ -300,11 +300,11 @@ void WireSettlement::finish_cycle() {
   m.counter(current_.completed ? "tlc.settle.exchanges_completed"
                                : "tlc.settle.exchanges_failed")
       .inc();
-  obs_->spans.end_at(sched.now(), "tlc.settle", exchange_span_,
-                     {obs::field("completed", current_.completed),
-                      obs::field("rounds", current_.rounds),
-                      obs::field("messages", current_.messages),
-                      obs::field("retx", current_.retransmissions)});
+  obs_->spans.end(sched.now(), "tlc.settle", exchange_span_,
+                  {obs::field("completed", current_.completed),
+                   obs::field("rounds", current_.rounds),
+                   obs::field("messages", current_.messages),
+                   obs::field("retx", current_.retransmissions)});
   exchange_span_ = {};
   outcomes_.push_back(current_);
   if (current_.completed && op_->poc().has_value()) {

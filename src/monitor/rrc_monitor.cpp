@@ -2,15 +2,13 @@
 
 namespace tlc::monitor {
 
-void RrcDownlinkMonitor::set_observability(obs::Obs* obs) {
-  obs_ = obs;
-  m_reports_ =
-      obs_ == nullptr ? nullptr : &obs_->metrics.counter("monitor.rrc.reports");
+void RrcDownlinkMonitor::set_observability(obs::Obs& obs) {
+  obs_ = &obs;
+  m_reports_ = &obs.metrics.counter("monitor.rrc.reports");
 }
 
 void RrcDownlinkMonitor::on_counter_check(
     const epc::CounterCheckReport& report) {
-  ++reports_;
   // Hardware counters are cumulative and monotonic; guard anyway so a
   // malformed report cannot underflow the deltas.
   const std::uint64_t dl_delta =

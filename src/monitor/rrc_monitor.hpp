@@ -35,12 +35,10 @@ class RrcDownlinkMonitor {
   /// Uplink volume from the same reports (modem TX; informational).
   [[nodiscard]] Bytes uplink_usage(std::uint64_t cycle) const;
 
-  [[nodiscard]] std::uint64_t reports_received() const { return reports_; }
-
-  /// Counter monitor.rrc.reports; trace component "monitor.rrc", one
-  /// "report" event per counter check (dl/ul deltas + attributed cycle) at
-  /// debug.
-  void set_observability(obs::Obs* obs);
+  /// Counter monitor.rrc.reports, the monitor's only report tally; trace
+  /// component "monitor.rrc", one "report" event per counter check (dl/ul
+  /// deltas + attributed cycle) at debug.
+  void set_observability(obs::Obs& obs);
 
  private:
   /// Reported deltas by the operator's cycle, uplink and downlink.
@@ -50,7 +48,6 @@ class RrcDownlinkMonitor {
   std::uint64_t last_dl_ = 0;
   std::uint64_t last_ul_ = 0;
   TimePoint last_report_at_ = kTimeZero;
-  std::uint64_t reports_ = 0;
 };
 
 }  // namespace tlc::monitor

@@ -1,6 +1,7 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <utility>
 
 namespace tlc::net {
@@ -20,6 +21,38 @@ std::uint64_t fnv1a(std::string_view s) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// Records a completed [begin, end] span of a traced packet on one hop —
+/// its queue residency or its transit — as `component`'s span `name`. The
+/// span ID is derived from the packet, the hop's `hop_salt` and the span
+/// kind's `kind_salt`, so call sites need no state between begin and end.
+/// An untraced packet or an unobserved link returns before anything is
+/// built.
+void emit_packet_span(obs::Obs* obs, std::string_view component,
+                      std::uint64_t hop_salt, const Packet& packet,
+                      std::string_view name, std::uint64_t kind_salt,
+                      TimePoint begin, TimePoint end,
+                      std::initializer_list<obs::TraceArg> end_fields) {
+#if TLC_TRACE_ENABLED
+  if (obs == nullptr || packet.trace_id == 0) return;
+  const obs::SpanContext parent{packet.trace_id, packet.span_id};
+  const std::uint64_t span_id =
+      obs::derive_span_id(packet.trace_id, packet.id ^ hop_salt, kind_salt);
+  const obs::SpanContext span =
+      obs->spans.child_with_id(begin, component, name, parent, span_id);
+  obs->spans.end(end, component, span, end_fields);
+#else
+  static_cast<void>(obs);
+  static_cast<void>(component);
+  static_cast<void>(hop_salt);
+  static_cast<void>(packet);
+  static_cast<void>(name);
+  static_cast<void>(kind_salt);
+  static_cast<void>(begin);
+  static_cast<void>(end);
+  static_cast<void>(end_fields);
+#endif
 }
 
 }  // namespace
@@ -49,62 +82,27 @@ void CellLink::enqueue(Packet packet) {
   maybe_start_service();
 }
 
-void CellLink::set_observability(obs::Obs* obs, std::string prefix) {
-  obs_ = obs;
+void CellLink::set_observability(obs::Obs& obs, std::string prefix) {
+  obs_ = &obs;
   component_ = std::move(prefix);
-  if (obs_ == nullptr) {
-    m_delivered_packets_ = nullptr;
-    m_delivered_bytes_ = nullptr;
-    m_drop_packets_.fill(nullptr);
-    m_drop_bytes_.fill(nullptr);
-    m_queue_depth_ = nullptr;
-    m_queued_bytes_ = nullptr;
-    m_fault_dup_packets_ = nullptr;
-    m_fault_dup_bytes_ = nullptr;
-    m_queue_wait_ = nullptr;
-    comp_salt_ = 0;
-    return;
-  }
   comp_salt_ = fnv1a(component_);
   m_delivered_packets_ =
-      &obs_->metrics.counter(component_ + ".delivered_packets");
-  m_delivered_bytes_ = &obs_->metrics.counter(component_ + ".delivered_bytes");
+      &obs.metrics.counter(component_ + ".delivered_packets");
+  m_delivered_bytes_ = &obs.metrics.counter(component_ + ".delivered_bytes");
   for (std::size_t i = 0; i < kDropCauseCount; ++i) {
     const char* cause = to_string(static_cast<DropCause>(i));
-    m_drop_packets_[i] = &obs_->metrics.counter(component_ + ".drop." + cause +
-                                                "_packets");
+    m_drop_packets_[i] =
+        &obs.metrics.counter(component_ + ".drop." + cause + "_packets");
     m_drop_bytes_[i] =
-        &obs_->metrics.counter(component_ + ".drop." + cause + "_bytes");
+        &obs.metrics.counter(component_ + ".drop." + cause + "_bytes");
   }
-  m_queue_depth_ = &obs_->metrics.gauge(component_ + ".queue_depth");
-  m_queued_bytes_ = &obs_->metrics.gauge(component_ + ".queued_bytes");
+  m_queue_depth_ = &obs.metrics.gauge(component_ + ".queue_depth");
+  m_queued_bytes_ = &obs.metrics.gauge(component_ + ".queued_bytes");
   m_fault_dup_packets_ =
-      &obs_->metrics.counter(component_ + ".fault.duplicated_packets");
+      &obs.metrics.counter(component_ + ".fault.duplicated_packets");
   m_fault_dup_bytes_ =
-      &obs_->metrics.counter(component_ + ".fault.duplicated_bytes");
-  m_queue_wait_ = &obs_->metrics.log_histogram(component_ + ".queue_wait_ns");
-}
-
-void CellLink::emit_packet_span(
-    const Packet& packet, std::string_view name, std::uint64_t salt,
-    TimePoint begin, TimePoint end,
-    std::initializer_list<obs::TraceArg> end_fields) {
-#if TLC_TRACE_ENABLED
-  if (obs_ == nullptr || packet.trace_id == 0) return;
-  const obs::SpanContext parent{packet.trace_id, packet.span_id};
-  const std::uint64_t span_id = obs::derive_span_id(
-      packet.trace_id, packet.id ^ comp_salt_, salt);
-  const obs::SpanContext span = obs_->spans.child_with_id_at(
-      begin, component_, name, parent, span_id);
-  obs_->spans.end_at(end, component_, span, end_fields);
-#else
-  static_cast<void>(packet);
-  static_cast<void>(name);
-  static_cast<void>(salt);
-  static_cast<void>(begin);
-  static_cast<void>(end);
-  static_cast<void>(end_fields);
-#endif
+      &obs.metrics.counter(component_ + ".fault.duplicated_bytes");
+  m_queue_wait_ = &obs.metrics.log_histogram(component_ + ".queue_wait_ns");
 }
 
 void CellLink::note_queue_gauges() {
@@ -166,8 +164,9 @@ void CellLink::service_head() {
   // Age out packets that waited through too long an outage.
   if (now - head->enqueued > config_.max_buffer_wait) {
     auto entry = queue_.pop();
-    emit_packet_span(entry->packet, "queue", kQueueSpanSalt, entry->enqueued,
-                     now, {obs::field("outcome", "buffer-timeout")});
+    emit_packet_span(obs_, component_, comp_salt_, entry->packet, "queue",
+                     kQueueSpanSalt, entry->enqueued, now,
+                     {obs::field("outcome", "buffer-timeout")});
     report_drop(entry->packet, DropCause::kBufferTimeout);
     note_queue_gauges();
     schedule_service(Duration::zero());
@@ -184,8 +183,8 @@ void CellLink::service_head() {
   if (m_queue_wait_ != nullptr) {
     m_queue_wait_->observe_duration(now - entry->enqueued);
   }
-  emit_packet_span(entry->packet, "queue", kQueueSpanSalt, entry->enqueued,
-                   now, {});
+  emit_packet_span(obs_, component_, comp_salt_, entry->packet, "queue",
+                   kQueueSpanSalt, entry->enqueued, now, {});
   const Duration tx_time =
       residual_capacity(entry->packet.qci).transmission_time(entry->packet.size);
   sched_.schedule_after(
@@ -227,12 +226,11 @@ void CellLink::complete_transmission(QciQueue::Entry entry,
   }
 
   if (lost) {
-    emit_packet_span(entry.packet, "transit", kTransitSpanSalt, started, now,
+    emit_packet_span(obs_, component_, comp_salt_, entry.packet, "transit",
+                     kTransitSpanSalt, started, now,
                      {obs::field("outcome", to_string(cause))});
     report_drop(entry.packet, cause);
   } else {
-    ++stats_.delivered_packets;
-    stats_.delivered_bytes += entry.packet.size;
     if (m_delivered_packets_ != nullptr) {
       m_delivered_packets_->inc();
       m_delivered_bytes_->inc(entry.packet.size.count());
@@ -242,8 +240,9 @@ void CellLink::complete_transmission(QciQueue::Entry entry,
                     obs::field("flow", entry.packet.flow),
                     obs::field("qci", static_cast<int>(entry.packet.qci)));
     const TimePoint arrival = now + config_.propagation_delay + fault.delay;
-    emit_packet_span(entry.packet, "transit", kTransitSpanSalt, started,
-                     arrival, {obs::field("bytes", entry.packet.size)});
+    emit_packet_span(obs_, component_, comp_salt_, entry.packet, "transit",
+                     kTransitSpanSalt, started, arrival,
+                     {obs::field("bytes", entry.packet.size)});
     sched_.schedule_at(arrival, [this, p = entry.packet, arrival] {
       deliver_(p, arrival);
     });
@@ -279,9 +278,6 @@ void CellLink::complete_transmission(QciQueue::Entry entry,
 }
 
 void CellLink::report_drop(const Packet& packet, DropCause cause) {
-  ++stats_.dropped_packets;
-  stats_.dropped_bytes += packet.size;
-  ++stats_.drops_by_cause[cause];
   const auto cause_index = static_cast<std::size_t>(cause);
   if (m_drop_packets_[cause_index] != nullptr) {
     m_drop_packets_[cause_index]->inc();
@@ -315,38 +311,24 @@ void WiredLink::enqueue(Packet packet) {
   const Duration tx_time = config_.capacity.transmission_time(packet.size);
   pipe_free_at_ = start + tx_time;
   const TimePoint arrival = pipe_free_at_ + config_.latency;
-  ++stats_.delivered_packets;
-  stats_.delivered_bytes += packet.size;
   if (m_delivered_packets_ != nullptr) {
     m_delivered_packets_->inc();
     m_delivered_bytes_->inc(packet.size.count());
   }
-#if TLC_TRACE_ENABLED
-  if (obs_ != nullptr && packet.trace_id != 0) {
-    const obs::SpanContext parent{packet.trace_id, packet.span_id};
-    const obs::SpanContext span = obs_->spans.child_with_id_at(
-        start, component_, "transit", parent,
-        obs::derive_span_id(packet.trace_id, packet.id ^ comp_salt_, 2));
-    obs_->spans.end_at(arrival, component_, span,
-                       {obs::field("bytes", packet.size)});
-  }
-#endif
+  emit_packet_span(obs_, component_, comp_salt_, packet, "transit",
+                   kTransitSpanSalt, start, arrival,
+                   {obs::field("bytes", packet.size)});
   sched_.schedule_at(arrival,
                      [this, p = std::move(packet), arrival] { deliver_(p, arrival); });
 }
 
-void WiredLink::set_observability(obs::Obs* obs, std::string_view prefix) {
-  obs_ = obs;
+void WiredLink::set_observability(obs::Obs& obs, std::string_view prefix) {
+  obs_ = &obs;
   component_ = std::string{prefix};
-  comp_salt_ = component_.empty() ? 0 : fnv1a(component_);
-  if (obs == nullptr) {
-    m_delivered_packets_ = nullptr;
-    m_delivered_bytes_ = nullptr;
-    return;
-  }
-  const std::string p{prefix};
-  m_delivered_packets_ = &obs->metrics.counter(p + ".delivered_packets");
-  m_delivered_bytes_ = &obs->metrics.counter(p + ".delivered_bytes");
+  comp_salt_ = fnv1a(component_);
+  m_delivered_packets_ =
+      &obs.metrics.counter(component_ + ".delivered_packets");
+  m_delivered_bytes_ = &obs.metrics.counter(component_ + ".delivered_bytes");
 }
 
 }  // namespace tlc::net

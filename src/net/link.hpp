@@ -14,7 +14,6 @@
 
 #include <array>
 #include <functional>
-#include <initializer_list>
 #include <optional>
 #include <string>
 
@@ -25,14 +24,6 @@
 #include "sim/scheduler.hpp"
 
 namespace tlc::net {
-
-struct LinkStats {
-  std::uint64_t delivered_packets = 0;
-  Bytes delivered_bytes;
-  std::uint64_t dropped_packets = 0;
-  Bytes dropped_bytes;
-  std::map<DropCause, std::uint64_t> drops_by_cause;
-};
 
 class CellLink {
  public:
@@ -89,19 +80,19 @@ class CellLink {
   /// preempt it and see the full capacity — the reason the paper's QCI 7
   /// gaming bearer stays nearly gap-free under congestion (Fig. 12d).
   [[nodiscard]] BitRate residual_capacity(Qci qci = Qci::kQci9) const;
-  [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] Bytes queued_bytes() const { return queue_.used(); }
 
   /// Attach a metrics/trace domain under `prefix` (e.g. "net.dl"):
-  /// counters <prefix>.delivered_{packets,bytes}, per-cause
-  /// <prefix>.drop.<cause>_{packets,bytes}, gauge <prefix>.queue_depth,
-  /// log histogram <prefix>.queue_wait_ns; trace component <prefix>
-  /// ("drop" at info, "deliver" at debug). Traced packets (trace_id != 0)
-  /// additionally get "queue" and "transit" spans with deterministic
-  /// derived span IDs. Links of parallel cells may share a prefix — their
-  /// counters aggregate.
-  void set_observability(obs::Obs* obs, std::string prefix);
+  /// counters <prefix>.delivered_{packets,bytes} and per-cause
+  /// <prefix>.drop.<cause>_{packets,bytes} — the link's only delivery and
+  /// drop tally — gauge <prefix>.queue_depth, log histogram
+  /// <prefix>.queue_wait_ns; trace component <prefix> ("drop" at info,
+  /// "deliver" at debug). Traced packets (trace_id != 0) additionally get
+  /// "queue" and "transit" spans with deterministic derived span IDs.
+  /// Links of parallel cells may share a prefix — their counters
+  /// aggregate.
+  void set_observability(obs::Obs& obs, std::string prefix);
 
   /// Attach (or detach with nullptr) a fault-injection hook consulted for
   /// every packet that survived the air. Injected drops are accounted as
@@ -124,12 +115,6 @@ class CellLink {
   void complete_transmission(QciQueue::Entry entry, TimePoint started);
   void report_drop(const Packet& packet, DropCause cause);
   void note_queue_gauges();
-  /// Emits a completed [begin, end] span for a traced packet's queue
-  /// residency or link transit, with a derived (stateless) span ID. An
-  /// untraced packet returns before anything is built.
-  void emit_packet_span(const Packet& packet, std::string_view name,
-                        std::uint64_t salt, TimePoint begin, TimePoint end,
-                        std::initializer_list<obs::TraceArg> end_fields);
 
   sim::Scheduler& sched_;
   Config config_;
@@ -143,7 +128,6 @@ class CellLink {
   bool blocked_ = false;
   DropCause blocked_cause_ = DropCause::kDetached;
   LinkFaultHook* fault_hook_ = nullptr;
-  LinkStats stats_;
 
   obs::Obs* obs_ = nullptr;
   std::string component_;
@@ -172,17 +156,15 @@ class WiredLink {
 
   void enqueue(Packet packet);
 
-  [[nodiscard]] const LinkStats& stats() const { return stats_; }
-
-  /// Counters <prefix>.delivered_{packets,bytes} (wired links never drop).
-  void set_observability(obs::Obs* obs, std::string_view prefix);
+  /// Counters <prefix>.delivered_{packets,bytes} (wired links never drop);
+  /// traced packets get a "transit" span, as on a CellLink.
+  void set_observability(obs::Obs& obs, std::string_view prefix);
 
  private:
   sim::Scheduler& sched_;
   Config config_;
   CellLink::DeliverFn deliver_;
   TimePoint pipe_free_at_ = kTimeZero;
-  LinkStats stats_;
   obs::Obs* obs_ = nullptr;
   std::string component_;
   std::uint64_t comp_salt_ = 0;

@@ -86,11 +86,10 @@ void RadioModel::advance_slot() {
   }
 }
 
-void RadioModel::set_observability(obs::Obs* obs, std::string prefix) {
-  obs_ = obs;
+void RadioModel::set_observability(obs::Obs& obs, std::string prefix) {
+  obs_ = &obs;
   component_ = std::move(prefix);
-  m_outages_ =
-      obs_ == nullptr ? nullptr : &obs_->metrics.counter(component_ + ".outages");
+  m_outages_ = &obs.metrics.counter(component_ + ".outages");
 }
 
 bool RadioModel::transmission_lost(TimePoint t) {

@@ -74,7 +74,7 @@ class RadioModel {
 
   /// Counter <prefix>.outages plus trace events outage_begin/outage_end
   /// (component <prefix>), stamped with the slot boundary time.
-  void set_observability(obs::Obs* obs, std::string prefix);
+  void set_observability(obs::Obs& obs, std::string prefix);
 
  private:
   void advance_slot();

@@ -43,8 +43,7 @@ std::string span_hex(std::uint64_t id) {
   return out;
 }
 
-TLC_HOT SpanContext Tracer::begin(bool use_clock, TimePoint t,
-                                  std::string_view component,
+TLC_HOT SpanContext Tracer::begin(TimePoint t, std::string_view component,
                                   std::string_view name,
                                   std::uint64_t trace_id,
                                   std::uint64_t parent_span,
@@ -52,98 +51,50 @@ TLC_HOT SpanContext Tracer::begin(bool use_clock, TimePoint t,
                                   std::span<const TraceArg> fields) {
   if (sink_ == nullptr || trace_id == 0) return {};
   const SpanContext ctx{trace_id, span_id};
-  if (sink_->enabled(component, TraceLevel::kInfo)) {
-    TraceArg ids[4];
-    std::size_t n = 0;
-    ids[n++] = trace_field(ctx);
-    ids[n++] = span_field(ctx);
-    if (parent_span != 0) ids[n++] = id_field("parent", parent_span);
-    ids[n++] = field("name", name);
-    sink_->record(use_clock ? sink_->now() : t, component, "span_begin",
-                  TraceLevel::kInfo, {ids, n}, fields);
-  }
+  TraceArg ids[4];
+  std::size_t n = 0;
+  ids[n++] = trace_field(ctx);
+  ids[n++] = span_field(ctx);
+  if (parent_span != 0) ids[n++] = id_field("parent", parent_span);
+  ids[n++] = field("name", name);
+  sink_->record(t, component, "span_begin", TraceLevel::kInfo, {ids, n},
+                fields);
   return ctx;
 }
 
-SpanContext Tracer::root(std::string_view component, std::string_view name,
-                         std::uint64_t trace_id,
+SpanContext Tracer::root(TimePoint t, std::string_view component,
+                         std::string_view name, std::uint64_t trace_id,
                          std::initializer_list<TraceArg> fields) {
-  return begin(/*use_clock=*/true, kTimeZero, component, name, trace_id,
-               /*parent_span=*/0,
+  return begin(t, component, name, trace_id, /*parent_span=*/0,
                never_zero(stream_mix64(kAllocDomain ^ trace_id ^ ++next_)),
                fields);
 }
 
-SpanContext Tracer::root_at(TimePoint t, std::string_view component,
-                            std::string_view name, std::uint64_t trace_id,
-                            std::initializer_list<TraceArg> fields) {
-  return begin(/*use_clock=*/false, t, component, name, trace_id,
-               /*parent_span=*/0,
-               never_zero(stream_mix64(kAllocDomain ^ trace_id ^ ++next_)),
-               fields);
-}
-
-SpanContext Tracer::child(std::string_view component, std::string_view name,
-                          const SpanContext& parent,
+SpanContext Tracer::child(TimePoint t, std::string_view component,
+                          std::string_view name, const SpanContext& parent,
                           std::initializer_list<TraceArg> fields) {
   if (!parent.valid()) return {};
-  return begin(/*use_clock=*/true, kTimeZero, component, name,
-               parent.trace_id, parent.span_id,
+  return begin(t, component, name, parent.trace_id, parent.span_id,
                never_zero(
                    stream_mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
                fields);
 }
 
-SpanContext Tracer::child_at(TimePoint t, std::string_view component,
-                             std::string_view name, const SpanContext& parent,
-                             std::initializer_list<TraceArg> fields) {
-  if (!parent.valid()) return {};
-  return begin(/*use_clock=*/false, t, component, name, parent.trace_id,
-               parent.span_id,
-               never_zero(
-                   stream_mix64(kAllocDomain ^ parent.trace_id ^ ++next_)),
-               fields);
-}
-
-SpanContext Tracer::child_with_id(std::string_view component,
-                                  std::string_view name,
-                                  const SpanContext& parent,
-                                  std::uint64_t span_id,
-                                  std::initializer_list<TraceArg> fields) {
-  if (!parent.valid()) return {};
-  return begin(/*use_clock=*/true, kTimeZero, component, name,
-               parent.trace_id, parent.span_id, never_zero(span_id), fields);
-}
-
-TLC_HOT SpanContext Tracer::child_with_id_at(
+TLC_HOT SpanContext Tracer::child_with_id(
     TimePoint t, std::string_view component, std::string_view name,
     const SpanContext& parent, std::uint64_t span_id,
     std::initializer_list<TraceArg> fields) {
   if (!parent.valid()) return {};
-  return begin(/*use_clock=*/false, t, component, name, parent.trace_id,
-               parent.span_id, never_zero(span_id), fields);
+  return begin(t, component, name, parent.trace_id, parent.span_id,
+               never_zero(span_id), fields);
 }
 
-void Tracer::end(std::string_view component, const SpanContext& span,
-                 std::initializer_list<TraceArg> fields) {
-  end_common(/*use_clock=*/true, kTimeZero, component, span, fields);
-}
-
-TLC_HOT void Tracer::end_at(TimePoint t, std::string_view component,
-                            const SpanContext& span,
-                            std::initializer_list<TraceArg> fields) {
-  end_common(/*use_clock=*/false, t, component, span, fields);
-}
-
-TLC_HOT void Tracer::end_common(bool use_clock, TimePoint t,
-                                std::string_view component,
-                                const SpanContext& span,
-                                std::span<const TraceArg> fields) {
+TLC_HOT void Tracer::end(TimePoint t, std::string_view component,
+                         const SpanContext& span,
+                         std::initializer_list<TraceArg> fields) {
   if (sink_ == nullptr || !span.valid()) return;
-  if (!sink_->enabled(component, TraceLevel::kInfo)) return;
   const TraceArg ids[] = {trace_field(span), span_field(span)};
-  sink_->record(use_clock ? sink_->now() : t, component, "span_end",
-                TraceLevel::kInfo, ids, fields);
+  sink_->record(t, component, "span_end", TraceLevel::kInfo, ids, fields);
 }
 
 }  // namespace tlc::obs

@@ -1,5 +1,5 @@
-// Causal spans over the trace sink: deterministic trace IDs, parent-child
-// span events, and the macros that compile them out under TLC_TRACE=OFF.
+// Causal spans over the trace sink: deterministic trace IDs and
+// parent-child span events.
 //
 // A *trace* is one charging exchange end-to-end (UE→BS→gateway→BS→UE); a
 // *span* is one timed segment of it (a protocol round, a queue residency, a
@@ -68,8 +68,13 @@ struct SpanContext {
 /// Emits span_begin / span_end events into a TraceSink. Owned by Obs as
 /// `spans`, next to the sink it writes through; all methods are no-ops on
 /// an invalid parent context or a null sink, so untraced packets cost one
-/// branch. The id fields and the caller's `fields` reach the sink as two
-/// argument lists; nothing is copied or formatted in between.
+/// branch. Each call takes the event's simulated time `t` from its caller,
+/// which knows it (a packet's arrival, a receiver-side timestamp) even
+/// where the scheduler clock has not reached it. The id fields and the
+/// caller's `fields` reach
+/// the sink as two argument lists; nothing is copied or formatted in
+/// between. Packet-path call sites compile their spans out under
+/// TLC_TRACE=OFF; settlement spans are recorded in both builds.
 class Tracer {
  public:
   Tracer() = default;
@@ -77,112 +82,35 @@ class Tracer {
 
   /// Opens the root span of a new trace. `trace_id` comes from
   /// derive_trace_id; the root's parent is 0.
-  SpanContext root(std::string_view component, std::string_view name,
-                   std::uint64_t trace_id,
+  SpanContext root(TimePoint t, std::string_view component,
+                   std::string_view name, std::uint64_t trace_id,
                    std::initializer_list<TraceArg> fields = {});
-  SpanContext root_at(TimePoint t, std::string_view component,
-                      std::string_view name, std::uint64_t trace_id,
-                      std::initializer_list<TraceArg> fields = {});
 
   /// Opens a child span under `parent` with a freshly allocated span ID.
-  SpanContext child(std::string_view component, std::string_view name,
-                    const SpanContext& parent,
+  SpanContext child(TimePoint t, std::string_view component,
+                    std::string_view name, const SpanContext& parent,
                     std::initializer_list<TraceArg> fields = {});
-  SpanContext child_at(TimePoint t, std::string_view component,
-                       std::string_view name, const SpanContext& parent,
-                       std::initializer_list<TraceArg> fields = {});
 
   /// Opens a child span whose ID the caller derived (derive_span_id), for
   /// stateless begin/end pairs split across call sites.
-  SpanContext child_with_id(std::string_view component, std::string_view name,
-                            const SpanContext& parent, std::uint64_t span_id,
+  SpanContext child_with_id(TimePoint t, std::string_view component,
+                            std::string_view name, const SpanContext& parent,
+                            std::uint64_t span_id,
                             std::initializer_list<TraceArg> fields = {});
-  SpanContext child_with_id_at(TimePoint t, std::string_view component,
-                               std::string_view name,
-                               const SpanContext& parent,
-                               std::uint64_t span_id,
-                               std::initializer_list<TraceArg> fields = {});
 
   /// Closes `span` (root or child). Extra fields land on the span_end
   /// event — duration is reconstructed from the two timestamps.
-  void end(std::string_view component, const SpanContext& span,
+  void end(TimePoint t, std::string_view component, const SpanContext& span,
            std::initializer_list<TraceArg> fields = {});
-  void end_at(TimePoint t, std::string_view component,
-              const SpanContext& span,
-              std::initializer_list<TraceArg> fields = {});
-
-  [[nodiscard]] TraceSink* sink() const { return sink_; }
-
-  /// no-op targets for the TLC_TRACE=OFF macro forms: every argument stays
-  /// type-checked and formally used inside an unreachable branch.
-  static SpanContext noop_begin(std::string_view /*component*/,
-                                std::string_view /*name*/,
-                                const SpanContext& /*parent*/,
-                                std::initializer_list<TraceArg> /*fields*/) {
-    return {};
-  }
-  static void noop_end(std::string_view /*component*/,
-                       const SpanContext& /*span*/,
-                       std::initializer_list<TraceArg> /*fields*/) {}
 
  private:
-  SpanContext begin(bool use_clock, TimePoint t, std::string_view component,
+  SpanContext begin(TimePoint t, std::string_view component,
                     std::string_view name, std::uint64_t trace_id,
                     std::uint64_t parent_span, std::uint64_t span_id,
                     std::span<const TraceArg> fields);
-  void end_common(bool use_clock, TimePoint t, std::string_view component,
-                  const SpanContext& span, std::span<const TraceArg> fields);
 
   TraceSink* sink_ = nullptr;
   std::uint64_t next_ = 0;  // allocator for child()/root() span IDs
 };
 
 }  // namespace tlc::obs
-
-// Span macros, mirroring TLC_TRACE_EVENT: `obs_ptr` is a nullable
-// tlc::obs::Obs*. The *_BEGIN forms are expressions yielding a
-// SpanContext ({} when the obs pointer is null or tracing is compiled
-// out); *_END is a statement. Under TLC_TRACE=OFF everything folds to a
-// constant while keeping the arguments compiled and "used".
-#if TLC_TRACE_ENABLED
-#define TLC_SPAN_ROOT(obs_ptr, component, name, trace_id, ...)             \
-  ([&]() -> ::tlc::obs::SpanContext {                                      \
-    auto* tlc_obs_ = (obs_ptr);                                            \
-    if (tlc_obs_ == nullptr) return {};                                    \
-    return tlc_obs_->spans.root((component), (name), (trace_id),           \
-                                {__VA_ARGS__});                            \
-  }())
-#define TLC_SPAN_CHILD(obs_ptr, component, name, parent, ...)              \
-  ([&]() -> ::tlc::obs::SpanContext {                                      \
-    auto* tlc_obs_ = (obs_ptr);                                            \
-    if (tlc_obs_ == nullptr) return {};                                    \
-    return tlc_obs_->spans.child((component), (name), (parent),            \
-                                 {__VA_ARGS__});                           \
-  }())
-#define TLC_SPAN_END(obs_ptr, component, span, ...)                        \
-  do {                                                                     \
-    auto* tlc_obs_ = (obs_ptr);                                            \
-    if (tlc_obs_ != nullptr) {                                             \
-      tlc_obs_->spans.end((component), (span), {__VA_ARGS__});             \
-    }                                                                      \
-  } while (0)
-#else
-#define TLC_SPAN_ROOT(obs_ptr, component, name, trace_id, ...)             \
-  ((obs_ptr) == nullptr || true                                            \
-       ? ::tlc::obs::SpanContext{}                                         \
-       : ::tlc::obs::Tracer::noop_begin(                                   \
-             (component), (name),                                          \
-             ::tlc::obs::SpanContext{(trace_id), 0}, {__VA_ARGS__}))
-#define TLC_SPAN_CHILD(obs_ptr, component, name, parent, ...)              \
-  ((obs_ptr) == nullptr || true                                            \
-       ? ::tlc::obs::SpanContext{}                                         \
-       : ::tlc::obs::Tracer::noop_begin((component), (name), (parent),     \
-                                        {__VA_ARGS__}))
-#define TLC_SPAN_END(obs_ptr, component, span, ...)                        \
-  do {                                                                     \
-    if (false) {                                                           \
-      static_cast<void>(obs_ptr);                                          \
-      ::tlc::obs::Tracer::noop_end((component), (span), {__VA_ARGS__});    \
-    }                                                                      \
-  } while (0)
-#endif

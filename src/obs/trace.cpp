@@ -74,7 +74,6 @@ TLC_HOT void TraceSink::emit(std::string_view component,
                              std::string_view event,
                              std::initializer_list<TraceArg> fields,
                              TraceLevel level) {
-  if (!enabled(component, level)) return;
   record(now(), component, event, level, {fields.begin(), fields.size()});
 }
 
@@ -89,7 +88,6 @@ TLC_HOT void TraceSink::record(TimePoint t, std::string_view component,
                                std::string_view event, TraceLevel level,
                                std::span<const TraceArg> head,
                                std::span<const TraceArg> tail) {
-  if (!enabled(component, level)) return;
   Slot& slot = next_slot();
   slot.seq = next_seq_++;
   slot.sim_time = t;

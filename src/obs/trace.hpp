@@ -15,8 +15,8 @@
 // rendered and streamed as one JSON object per line (the opt-in cold path
 // behind `tlc_lab --trace`).
 //
-// Emission is filterable by component prefix and level; the `enabled()`
-// pre-check lets callers skip building arguments for suppressed events.
+// The sink records every event it is handed: the level is data on the
+// event, not a filter, and readers select by component prefix on read.
 //
 // Determinism: events carry the simulated time (from a registered clock or
 // an explicit timestamp) plus a monotonically increasing sequence number
@@ -25,7 +25,7 @@
 //
 // The TLC_TRACE_EVENT macros compile to no-ops when the build sets
 // -DTLC_TRACE_ENABLED=0 (CMake option TLC_TRACE=OFF), removing even the
-// enabled() check from packet paths.
+// null-Obs check from packet paths.
 #pragma once
 
 #include <cstdint>
@@ -156,7 +156,6 @@ class TraceSink {
  public:
   struct Config {
     std::size_t ring_capacity = 4096;
-    TraceLevel min_level = TraceLevel::kDebug;
   };
 
   TraceSink();
@@ -175,15 +174,6 @@ class TraceSink {
     return clock_ ? clock_() : kTimeZero;
   }
 
-  void set_min_level(TraceLevel level) { config_.min_level = level; }
-  [[nodiscard]] TraceLevel min_level() const { return config_.min_level; }
-
-  /// Keep only events whose component starts with one of `prefixes`
-  /// (empty list = keep everything).
-  void set_component_filter(std::vector<std::string> prefixes) {
-    component_prefixes_ = std::move(prefixes);
-  }
-
   /// Attaches a JSONL output file (truncates), closing any previous one
   /// without reporting on it. Returns false when the file cannot be opened.
   bool open_jsonl(const std::string& path);
@@ -191,19 +181,7 @@ class TraceSink {
   /// the file on disk is not the whole trace. True when none is attached.
   [[nodiscard]] bool close_jsonl();
 
-  /// Cheap pre-check: would an event for (component, level) be recorded?
-  [[nodiscard]] bool enabled(std::string_view component,
-                             TraceLevel level) const {
-    if (level < config_.min_level) return false;
-    if (component_prefixes_.empty()) return true;
-    for (const std::string& prefix : component_prefixes_) {
-      if (component.substr(0, prefix.size()) == prefix) return true;
-    }
-    return false;
-  }
-
-  /// Records an event stamped with the registered clock. Suppressed events
-  /// (level/component filter) are dropped before the clock is read.
+  /// Records an event stamped with the registered clock.
   void emit(std::string_view component, std::string_view event,
             std::initializer_list<TraceArg> fields = {},
             TraceLevel level = TraceLevel::kInfo);
@@ -217,8 +195,7 @@ class TraceSink {
 
   /// The record path under emit/emit_at, for callers holding two argument
   /// lists (the span layer: its id fields, then the caller's fields). The
-  /// event's fields are `head` followed by `tail`; suppressed events are
-  /// dropped.
+  /// event's fields are `head` followed by `tail`.
   void record(TimePoint t, std::string_view component, std::string_view event,
               TraceLevel level, std::span<const TraceArg> head,
               std::span<const TraceArg> tail = {});
@@ -278,7 +255,6 @@ class TraceSink {
 
   Config config_;
   std::function<TimePoint()> clock_;
-  std::vector<std::string> component_prefixes_;
   std::vector<Slot> ring_;  // grows to ring_capacity, then circular
   std::size_t head_ = 0;    // next write slot once ring is full
   std::uint64_t emitted_ = 0;
@@ -295,14 +271,13 @@ class TraceSink {
 #endif
 
 // TLC_TRACE_EVENT(obs, "net.dl", "drop", kInfo, field("cause", ...), ...)
-// `obs` is a nullable tlc::obs::Obs*. Fields are only evaluated when the
-// sink accepts the (component, level) pair.
+// `obs` is a nullable tlc::obs::Obs*. Fields are only evaluated when it is
+// non-null.
 #if TLC_TRACE_ENABLED
 #define TLC_TRACE_EVENT(obs_ptr, component, event_name, trace_level, ...)    \
   do {                                                                       \
     auto* tlc_obs_ = (obs_ptr);                                              \
-    if (tlc_obs_ != nullptr &&                                               \
-        tlc_obs_->trace.enabled((component), (trace_level))) {               \
+    if (tlc_obs_ != nullptr) {                                               \
       tlc_obs_->trace.emit((component), (event_name), {__VA_ARGS__},         \
                            (trace_level));                                   \
     }                                                                        \
@@ -311,8 +286,7 @@ class TraceSink {
                            trace_level, ...)                                 \
   do {                                                                       \
     auto* tlc_obs_ = (obs_ptr);                                              \
-    if (tlc_obs_ != nullptr &&                                               \
-        tlc_obs_->trace.enabled((component), (trace_level))) {               \
+    if (tlc_obs_ != nullptr) {                                               \
       tlc_obs_->trace.emit_at((when), (component), (event_name),             \
                               {__VA_ARGS__}, (trace_level));                 \
     }                                                                        \

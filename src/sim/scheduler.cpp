@@ -82,9 +82,7 @@ TLC_HOT EventId Scheduler::schedule_at(TimePoint when, InlineCallback fn) {
   heap_.push_back(HeapEntry{when, next_seq_++, index});
   sift_up(heap_.size() - 1);
   ++live_;
-  ++scheduled_;
   if (m_scheduled_ != nullptr) m_scheduled_->inc();
-  if (heap_.size() > max_depth_) max_depth_ = heap_.size();
   note_depth();
   return make_id(index, slot.generation);
 }
@@ -109,7 +107,6 @@ TLC_HOT void Scheduler::cancel(EventId id) {
                     // tombstone discarded when it reaches the front
   slot.engaged = false;
   --live_;
-  ++cancelled_count_;
   if (m_cancelled_ != nullptr) m_cancelled_->inc();
 }
 
@@ -131,7 +128,6 @@ TLC_HOT bool Scheduler::step() {
     release_slot(top.slot);
     --live_;
     now_ = top.when;
-    ++dispatched_;
     if (m_dispatched_ != nullptr) m_dispatched_->inc();
     note_depth();
     fn();
@@ -157,18 +153,11 @@ std::uint64_t Scheduler::run() {
   return dispatched;
 }
 
-void Scheduler::set_observability(obs::Obs* obs) {
-  if (obs == nullptr) {
-    m_scheduled_ = nullptr;
-    m_dispatched_ = nullptr;
-    m_cancelled_ = nullptr;
-    m_depth_ = nullptr;
-    return;
-  }
-  m_scheduled_ = &obs->metrics.counter("sim.sched.scheduled");
-  m_dispatched_ = &obs->metrics.counter("sim.sched.dispatched");
-  m_cancelled_ = &obs->metrics.counter("sim.sched.cancelled");
-  m_depth_ = &obs->metrics.gauge("sim.sched.queue_depth");
+void Scheduler::set_observability(obs::Obs& obs) {
+  m_scheduled_ = &obs.metrics.counter("sim.sched.scheduled");
+  m_dispatched_ = &obs.metrics.counter("sim.sched.dispatched");
+  m_cancelled_ = &obs.metrics.counter("sim.sched.cancelled");
+  m_depth_ = &obs.metrics.gauge("sim.sched.queue_depth");
 }
 
 void Scheduler::note_depth() {

@@ -71,25 +71,18 @@ class Scheduler {
   /// entries awaiting lazy removal). O(1).
   [[nodiscard]] std::size_t pending_events() const { return live_; }
 
-  /// Lifetime stats (monotonic over the scheduler's life).
-  [[nodiscard]] std::uint64_t events_scheduled() const { return scheduled_; }
-  [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
-  /// Cancel requests that actually killed a pending event (each distinct
-  /// EventId counted once; stale ids never match their slot's generation).
-  [[nodiscard]] std::uint64_t events_cancelled() const {
-    return cancelled_count_;
-  }
-  [[nodiscard]] std::size_t max_queue_depth() const { return max_depth_; }
   /// Cancelled tombstones still parked in the heap awaiting lazy removal;
   /// bounded by the heap size by construction (testing hook).
   [[nodiscard]] std::size_t cancelled_backlog() const {
     return heap_.size() - live_;
   }
 
-  /// Attach a metrics/trace domain: counters sim.sched.{scheduled,
-  /// dispatched,cancelled} and gauge sim.sched.queue_depth. Pass nullptr
-  /// to detach. The Obs must outlive the scheduler (or be detached first).
-  void set_observability(obs::Obs* obs);
+  /// Attach a metrics domain, the scheduler's only lifetime tally:
+  /// counters sim.sched.{scheduled,dispatched,cancelled} (a cancel counts
+  /// only when it kills a pending event, so each EventId counts once) and
+  /// gauge sim.sched.queue_depth, whose max is the peak heap size,
+  /// tombstones included. The Obs must outlive the scheduler.
+  void set_observability(obs::Obs& obs);
 
  private:
   /// Heap entries are deliberately tiny (24 B): a 4-ary sift touches up to
@@ -119,10 +112,6 @@ class Scheduler {
 
   TimePoint now_ = kTimeZero;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t scheduled_ = 0;
-  std::uint64_t dispatched_ = 0;
-  std::uint64_t cancelled_count_ = 0;
-  std::size_t max_depth_ = 0;
   std::size_t live_ = 0;  // engaged slots = exactly pending_events()
   std::vector<HeapEntry> heap_;           // 4-ary implicit min-heap
   std::vector<Slot> slots_;               // callback storage, slot-indexed

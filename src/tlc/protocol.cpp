@@ -123,11 +123,9 @@ std::optional<Message> ProtocolParty::fail(ProtocolError error) {
 }
 
 Message ProtocolParty::track(Message msg) {
-  const std::size_t size = encode_message(msg).size();
-  sent_sizes_.push_back(size);
   if (m_msgs_sent_ != nullptr) {
     m_msgs_sent_->inc();
-    m_wire_bytes_sent_->inc(size);
+    m_wire_bytes_sent_->inc(encode_message(msg).size());
   }
   return msg;
 }

@@ -13,7 +13,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "charging/data_plan.hpp"
 #include "obs/obs.hpp"
@@ -87,10 +86,6 @@ class ProtocolParty {
   [[nodiscard]] Bytes charged() const { return charged_; }
   /// The stored Proof-of-Charging (receipt); set when done.
   [[nodiscard]] const std::optional<PocMsg>& poc() const { return poc_; }
-  /// Wire sizes of every message this party sent (for the Fig. 17 table).
-  [[nodiscard]] const std::vector<std::size_t>& sent_sizes() const {
-    return sent_sizes_;
-  }
 
  private:
   [[nodiscard]] CdrMsg make_cdr();
@@ -102,6 +97,8 @@ class ProtocolParty {
   [[nodiscard]] Bytes next_own_claim();
   void tighten_bounds(Bytes a, Bytes b);
   std::optional<Message> fail(ProtocolError error);
+  /// Counts a sent message; encodes it for its wire size only when an Obs
+  /// is attached.
   Message track(Message msg);
   /// Single choke point for state changes: updates state_ and emits the
   /// per-transition trace event plus terminal-state counters.
@@ -126,7 +123,6 @@ class ProtocolParty {
   ByteVec last_sent_cda_;
   Bytes charged_;
   std::optional<PocMsg> poc_;
-  std::vector<std::size_t> sent_sizes_;
 
   std::string component_;
   obs::Counter* m_msgs_sent_ = nullptr;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
 namespace tlc::epc {
@@ -34,6 +35,7 @@ BaseStationConfig good_radio_config() {
 
 struct Fixture : ::testing::Test {
   sim::Scheduler sched;
+  obs::Obs obs;
   EdgeDevice device{plan_300s(), sim::NodeClock{}};
   std::vector<net::Packet> ul_out;
   std::vector<CounterCheckReport> reports;
@@ -50,8 +52,13 @@ struct Fixture : ::testing::Test {
     bs->set_session_callback([this](bool attached, TimePoint) {
       session_events.push_back(attached);
     });
+    bs->set_observability(obs, "cell0");
     bs->start();
     return bs;
+  }
+
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    return obs.metrics.snapshot().counter_or_zero(name);
   }
 };
 
@@ -76,7 +83,7 @@ TEST_F(Fixture, StaysAttachedWithGoodRadio) {
   auto bs = make_bs(good_radio_config());
   sched.run_until(kTimeZero + seconds{30});
   EXPECT_TRUE(bs->attached());
-  EXPECT_EQ(bs->detach_count(), 0u);
+  EXPECT_EQ(counter("epc.cell0.detaches"), 0u);
   EXPECT_TRUE(session_events.empty());
 }
 
@@ -89,7 +96,7 @@ TEST_F(Fixture, DetachesAfterFiveSecondsOfDisconnect) {
   EXPECT_TRUE(bs->attached());  // not yet
   sched.run_until(kTimeZero + seconds{6});
   EXPECT_FALSE(bs->attached());
-  EXPECT_EQ(bs->detach_count(), 1u);
+  EXPECT_EQ(counter("epc.cell0.detaches"), 1u);
   ASSERT_EQ(session_events.size(), 1u);
   EXPECT_FALSE(session_events[0]);
 }
@@ -127,7 +134,7 @@ TEST_F(Fixture, TriggeredCounterCheckReportsCumulativeCounters) {
   EXPECT_TRUE(bs->trigger_counter_check());
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].cumulative_dl_bytes, 250u);
-  EXPECT_EQ(bs->counter_check_count(), 1u);
+  EXPECT_EQ(counter("epc.cell0.counter_checks"), 1u);
 }
 
 TEST_F(Fixture, CounterCheckFailsWhenDetached) {
@@ -159,9 +166,7 @@ TEST_F(Fixture, ModemQueueLossIsNotObservable) {
   for (std::uint64_t i = 0; i < 20; ++i) bs->send_uplink(packet(i, 1'000));
   sched.run_until(kTimeZero + seconds{1});
   EXPECT_EQ(bs->observed_uplink_radio_loss(0), Bytes{0});
-  EXPECT_GT(bs->uplink().stats().drops_by_cause.count(
-                net::DropCause::kQueueOverflow),
-            0u);
+  EXPECT_GT(counter("net.ul.drop.queue-overflow_packets"), 0u);
 }
 
 TEST_F(Fixture, BackgroundLoadSetsBothDirections) {

@@ -133,9 +133,11 @@ TEST_F(Fixture, PeriodicHandoversRun) {
   cfg.period = seconds{5};
   cfg.interruption = milliseconds{50};
   HandoverController ho{sched, cfg, {cell_a.get(), cell_b.get()}};
+  obs::Obs obs;
+  ho.set_observability(obs);
   ho.start();
   sched.run_until(kTimeZero + seconds{21});
-  EXPECT_EQ(ho.handover_count(), 4u);
+  EXPECT_EQ(obs.metrics.snapshot().counter_or_zero("epc.handover.count"), 4u);
   EXPECT_EQ(ho.serving_index(), 0u);  // even count → back on cell 0
 }
 

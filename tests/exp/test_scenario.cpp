@@ -288,6 +288,25 @@ TEST(Scenario, TraceJsonlMatchesGolden) {
   }
 }
 
+// Pins the registry's bytes across versions for the same scenario: the
+// determinism tests only compare a run against another run of the same
+// build, so a counter that moved the same way on both sides would pass.
+TEST(Scenario, MetricsJsonMatchesGolden) {
+  ScenarioConfig cfg = quick(AppKind::kWebcamUdp);
+  cfg.dip_rate_per_s = 0.05;
+  cfg.wire_settlement = true;
+  cfg.poc_batch_size = 64;
+  const std::string json = run_scenario(cfg).metrics.to_json();
+  const std::string digest = to_hex(crypto::sha256(
+      {reinterpret_cast<const std::uint8_t*>(json.data()), json.size()}));
+  // TLC_TRACE=OFF compiles out trace events only: both builds count the
+  // same, so one golden holds for both.
+  EXPECT_EQ(digest,
+            "52547d5ab983eaa0673812a7e3bd3046"
+            "777d3100be37595b4c59e5d4543ff69c")
+      << json;
+}
+
 TEST(Scenario, ToMbPerHrNormalization) {
   ScenarioResult r;
   r.config.cycle_length = std::chrono::seconds{300};

@@ -147,7 +147,7 @@ TEST(SweepDeterminism, ParallelGridByteIdenticalToSerial) {
 
 // Two testbeds running concurrently must never cross-count: each bed's
 // metrics registry is instance-scoped, so its sim.sched.dispatched counter
-// equals its own scheduler's lifetime total, not a process-wide sum.
+// equals what its own scheduler's run dispatched, not a process-wide sum.
 TEST(SweepIsolation, ConcurrentTestbedsKeepSeparateRegistries) {
   struct BedRun {
     int fired = 0;
@@ -164,10 +164,11 @@ TEST(SweepIsolation, ConcurrentTestbedsKeepSeparateRegistries) {
       bed.scheduler().schedule_after(Duration{i + 1},
                                      [&out] { ++out.fired; });
     }
-    bed.scheduler().run_until(kTimeZero + std::chrono::seconds{1});
+    // Nothing dispatches before this run, so it returns the lifetime total.
+    out.scheduler_total =
+        bed.scheduler().run_until(kTimeZero + std::chrono::seconds{1});
     out.counter =
         bed.obs().metrics.snapshot().counter_or_zero("sim.sched.dispatched");
-    out.scheduler_total = bed.scheduler().events_dispatched();
   };
   BedRun a;
   BedRun b;

@@ -157,7 +157,9 @@ TEST(Testbed, DetachStopsChargingDownlink) {
   EXPECT_EQ(truth.received, Bytes{0});
   // ~5 s of the 28 s stream was charged before the detach.
   EXPECT_LT(bed.gateway().usage(0).downlink, Bytes{100'000});
-  EXPECT_GT(bed.gateway().uncharged_downlink_drops().count(), 0u);
+  EXPECT_GT(bed.obs().metrics.snapshot().counter_or_zero(
+                "epc.gw.uncharged_dl_bytes"),
+            0u);
   EXPECT_FALSE(bed.basestation().attached());
 }
 
@@ -212,7 +214,8 @@ TEST(Testbed, MobilityProducesHandoverLoss) {
         [&bed, i] { bed.app_send_downlink(packet(i)); });
   }
   bed.run_until(kTimeZero + seconds{30});
-  EXPECT_GE(bed.handover()->handover_count(), 8u);
+  EXPECT_GE(
+      bed.obs().metrics.snapshot().counter_or_zero("epc.handover.count"), 8u);
   const auto truth = bed.truth(charging::Direction::kDownlink, 0);
   // Charged everything; delivered less; the shortfall is mobility loss.
   EXPECT_EQ(bed.gateway().usage(0).downlink, truth.sent);
@@ -256,7 +259,8 @@ TEST(Testbed, CycleEndCounterChecksHappen) {
   }
   bed.run_until(kTimeZero + seconds{610});
   // Two cycle boundaries inside the run → at least two cycle-end checks.
-  EXPECT_GE(bed.rrc_monitor().reports_received(), 2u);
+  EXPECT_GE(
+      bed.obs().metrics.snapshot().counter_or_zero("monitor.rrc.reports"), 2u);
   const Bytes total =
       bed.rrc_monitor().downlink_usage(0) + bed.rrc_monitor().downlink_usage(1) +
       bed.rrc_monitor().downlink_usage(2);

@@ -40,6 +40,8 @@ TEST(LinkFaultInjector, BurstDropsOnlyInsideWindow) {
   Sink sink;
   net::CellLink link{sched, net::CellLink::Config{}, nullptr,
                      sink.deliver_fn(), sink.drop_fn()};
+  obs::Obs obs;
+  link.set_observability(obs, "net.dl");
   LinkFaultInjector injector{
       LinkFaultInjector::Config{BurstDrop{1.0, 1.0, 1.0}, std::nullopt,
                                 std::nullopt},
@@ -58,9 +60,9 @@ TEST(LinkFaultInjector, BurstDropsOnlyInsideWindow) {
   EXPECT_EQ(sink.dropped[0].second, net::DropCause::kFaultInjected);
   ASSERT_EQ(sink.delivered.size(), 2u);
   EXPECT_EQ(injector.dropped(), 1u);
-  EXPECT_EQ(link.stats().delivered_packets, 2u);
-  EXPECT_EQ(link.stats().drops_by_cause.at(net::DropCause::kFaultInjected),
-            1u);
+  const obs::MetricsSnapshot snap = obs.metrics.snapshot();
+  EXPECT_EQ(snap.counter_or_zero("net.dl.delivered_packets"), 2u);
+  EXPECT_EQ(snap.counter_or_zero("net.dl.drop.fault-injected_packets"), 1u);
 }
 
 TEST(LinkFaultInjector, DuplicationBudgetIsBounded) {
@@ -68,6 +70,8 @@ TEST(LinkFaultInjector, DuplicationBudgetIsBounded) {
   Sink sink;
   net::CellLink link{sched, net::CellLink::Config{}, nullptr,
                      sink.deliver_fn(), sink.drop_fn()};
+  obs::Obs obs;
+  link.set_observability(obs, "net.dl");
   LinkFaultInjector injector{
       LinkFaultInjector::Config{std::nullopt, Duplication{0.0, 2, 2},
                                 std::nullopt},
@@ -81,7 +85,8 @@ TEST(LinkFaultInjector, DuplicationBudgetIsBounded) {
   // delivered_* counts originals only (the gap identity is stated over
   // originals).
   EXPECT_EQ(sink.delivered.size(), 8u);
-  EXPECT_EQ(link.stats().delivered_packets, 4u);
+  EXPECT_EQ(obs.metrics.snapshot().counter_or_zero("net.dl.delivered_packets"),
+            4u);
   EXPECT_EQ(injector.duplicated(), 2u);
   EXPECT_TRUE(sink.dropped.empty());
 }

@@ -79,9 +79,11 @@ TEST(RrcMonitor, UnreportedCycleIsZero) {
 
 TEST(RrcMonitor, CountsReports) {
   RrcDownlinkMonitor mon{plan_300s(), sim::NodeClock{}};
+  obs::Obs obs;
+  mon.set_observability(obs);
   mon.on_counter_check(report(1, 0, 1));
   mon.on_counter_check(report(2, 0, 2));
-  EXPECT_EQ(mon.reports_received(), 2u);
+  EXPECT_EQ(obs.metrics.snapshot().counter_or_zero("monitor.rrc.reports"), 2u);
 }
 
 TEST(RrcMonitor, DetachDelaysReportingButConservesTotal) {

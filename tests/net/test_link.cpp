@@ -49,12 +49,15 @@ TEST(CellLink, DeliversWithoutRadio) {
   Sink sink;
   CellLink link{sched, CellLink::Config{}, nullptr, sink.deliver_fn(),
                 sink.drop_fn()};
+  obs::Obs obs;
+  link.set_observability(obs, "net.dl");
   link.enqueue(make_packet(1, 1000));
   sched.run();
   ASSERT_EQ(sink.delivered.size(), 1u);
   EXPECT_EQ(sink.delivered[0].id, 1u);
   EXPECT_TRUE(sink.dropped.empty());
-  EXPECT_EQ(link.stats().delivered_packets, 1u);
+  EXPECT_EQ(obs.metrics.snapshot().counter_or_zero("net.dl.delivered_packets"),
+            1u);
 }
 
 TEST(CellLink, TransmissionTimePacesDelivery) {
@@ -221,13 +224,15 @@ TEST(CellLink, StatsTrackCauses) {
   Sink sink;
   CellLink link{sched, CellLink::Config{}, nullptr, sink.deliver_fn(),
                 sink.drop_fn()};
+  obs::Obs obs;
+  link.set_observability(obs, "net.dl");
   link.set_blocked(true, DropCause::kDetached);
   link.enqueue(make_packet(1, 500));
   link.enqueue(make_packet(2, 500));
-  const LinkStats& stats = link.stats();
-  EXPECT_EQ(stats.dropped_packets, 2u);
-  EXPECT_EQ(stats.dropped_bytes, Bytes{1000});
-  EXPECT_EQ(stats.drops_by_cause.at(DropCause::kDetached), 2u);
+  const obs::MetricsSnapshot snap = obs.metrics.snapshot();
+  EXPECT_EQ(snap.counter_or_zero("net.dl.drop.detached_packets"), 2u);
+  EXPECT_EQ(snap.counter_or_zero("net.dl.drop.detached_bytes"), 1000u);
+  EXPECT_EQ(snap.counter_or_zero("net.dl.drop.queue-overflow_packets"), 0u);
 }
 
 TEST(WiredLink, DeliversWithLatency) {

@@ -45,15 +45,17 @@ TEST(SpanIds, HexIsSixteenLowercaseChars) {
 TEST(Tracer, RootAndChildEmitLinkedEvents) {
   Obs obs;
   const std::uint64_t trace = derive_trace_id(1, 2, 3, 0);
-  const SpanContext root = obs.spans.root("tlc.exchange", "exchange", trace);
+  const SpanContext root =
+      obs.spans.root(kTimeZero, "tlc.exchange", "exchange", trace);
   ASSERT_TRUE(root.valid());
   EXPECT_EQ(root.trace_id, trace);
-  const SpanContext child = obs.spans.child("tlc.round", "round0", root);
+  const SpanContext child =
+      obs.spans.child(kTimeZero, "tlc.round", "round0", root);
   ASSERT_TRUE(child.valid());
   EXPECT_EQ(child.trace_id, trace);
   EXPECT_NE(child.span_id, root.span_id);
-  obs.spans.end("tlc.round", child);
-  obs.spans.end("tlc.exchange", root);
+  obs.spans.end(kTimeZero, "tlc.round", child);
+  obs.spans.end(kTimeZero, "tlc.exchange", root);
 
   const auto events = obs.trace.events();
   ASSERT_EQ(events.size(), 4u);
@@ -76,67 +78,24 @@ TEST(Tracer, InvalidParentMakesChildrenNoOps) {
   Obs obs;
   const SpanContext none;
   EXPECT_FALSE(none.valid());
-  const SpanContext child = obs.spans.child("c", "x", none);
+  const SpanContext child = obs.spans.child(kTimeZero, "c", "x", none);
   EXPECT_FALSE(child.valid());
-  obs.spans.end("c", child);
+  obs.spans.end(kTimeZero, "c", child);
   EXPECT_EQ(obs.trace.events().size(), 0u);
 }
 
 TEST(Tracer, ChildWithDerivedIdIsStable) {
   Obs obs;
   const std::uint64_t trace = derive_trace_id(9, 9, 9, 1);
-  const SpanContext root = obs.spans.root("a", "r", trace);
+  const SpanContext root = obs.spans.root(kTimeZero, "a", "r", trace);
   const std::uint64_t want = derive_span_id(trace, 42, 1);
   const SpanContext child =
-      obs.spans.child_with_id("a.q", "queue", root, want);
+      obs.spans.child_with_id(kTimeZero, "a.q", "queue", root, want);
   EXPECT_EQ(child.span_id, want);
-  obs.spans.end_at(kTimeZero + std::chrono::microseconds{5}, "a.q", child);
+  obs.spans.end(kTimeZero + std::chrono::microseconds{5}, "a.q", child);
   const auto events = obs.trace.events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[2].sim_time - kTimeZero, std::chrono::microseconds{5});
-}
-
-TEST(Tracer, RespectsComponentFilter) {
-  Obs obs;
-  obs.trace.set_component_filter({"net."});
-  const std::uint64_t trace = derive_trace_id(1, 1, 1, 1);
-  const SpanContext root = obs.spans.root("tlc.exchange", "e", trace);
-  // Span context is still valid (propagation continues) even though the
-  // begin event itself was filtered out.
-  EXPECT_TRUE(root.valid());
-  const SpanContext child = obs.spans.child("net.dl", "transit", root);
-  obs.spans.end("net.dl", child);
-  obs.spans.end("tlc.exchange", root);
-  const auto events = obs.trace.events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].component, "net.dl");
-  EXPECT_EQ(events[1].component, "net.dl");
-}
-
-TEST(Tracer, MacrosHandleNullObs) {
-  Obs* obs = nullptr;
-  const SpanContext root = TLC_SPAN_ROOT(obs, "c", "r", 123u);
-  EXPECT_FALSE(root.valid());
-  const SpanContext child = TLC_SPAN_CHILD(obs, "c", "k", root);
-  EXPECT_FALSE(child.valid());
-  TLC_SPAN_END(obs, "c", child);  // must not crash
-}
-
-TEST(Tracer, MacrosEmitThroughObs) {
-  Obs obs;
-  const std::uint64_t trace = derive_trace_id(4, 4, 4, 0);
-  const SpanContext root =
-      TLC_SPAN_ROOT(&obs, "c", "r", trace, field("k", 1));
-  const SpanContext child = TLC_SPAN_CHILD(&obs, "c.s", "kid", root);
-  TLC_SPAN_END(&obs, "c.s", child, field("bytes", Bytes{10}));
-  TLC_SPAN_END(&obs, "c", root);
-#if TLC_TRACE_ENABLED
-  EXPECT_TRUE(root.valid());
-  EXPECT_EQ(obs.trace.events().size(), 4u);
-#else
-  EXPECT_FALSE(root.valid());
-  EXPECT_EQ(obs.trace.events().size(), 0u);
-#endif
 }
 
 }  // namespace

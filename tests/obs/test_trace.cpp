@@ -1,5 +1,5 @@
-// Unit tests for the structured trace sink: ring wraparound, level and
-// component filtering, JSONL output, and deterministic ordering when the
+// Unit tests for the structured trace sink: ring wraparound, prefix
+// queries on read, JSONL output, and deterministic ordering when the
 // scheduler dispatches events at identical timestamps.
 #include "obs/trace.hpp"
 
@@ -59,31 +59,6 @@ TEST(TraceSink, TailRendersOnlyTheNewestEvents) {
   EXPECT_EQ(last_two[1].to_jsonl(), sink.events().back().to_jsonl());
   EXPECT_EQ(sink.tail(100).size(), 4u);  // capped at what the ring holds
   EXPECT_TRUE(TraceSink{}.tail(64).empty());
-}
-
-TEST(TraceSink, MinLevelSuppressesBelow) {
-  TraceSink sink;
-  sink.set_min_level(TraceLevel::kWarn);
-  EXPECT_FALSE(sink.enabled("x", TraceLevel::kDebug));
-  EXPECT_FALSE(sink.enabled("x", TraceLevel::kInfo));
-  EXPECT_TRUE(sink.enabled("x", TraceLevel::kWarn));
-  sink.emit("x", "quiet", {}, TraceLevel::kInfo);
-  sink.emit("x", "loud", {}, TraceLevel::kError);
-  const auto events = sink.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].event, "loud");
-}
-
-TEST(TraceSink, ComponentPrefixFilter) {
-  TraceSink sink;
-  sink.set_component_filter({"net.", "epc.gw"});
-  EXPECT_TRUE(sink.enabled("net.dl", TraceLevel::kInfo));
-  EXPECT_TRUE(sink.enabled("epc.gw", TraceLevel::kInfo));
-  EXPECT_FALSE(sink.enabled("epc.cell0", TraceLevel::kInfo));
-  sink.emit("net.dl", "keep");
-  sink.emit("epc.cell0", "drop");
-  ASSERT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.events()[0].event, "keep");
 }
 
 TEST(TraceSink, EventsQueryFiltersByPrefix) {

@@ -101,10 +101,10 @@ class TraceAllocTest : public ::testing::Test {
   /// `parent` (trace id 0) is what every app packet hands it.
   void packet_span(const SpanContext& parent) {
     now_ += std::chrono::microseconds{10};
-    const SpanContext span = tracer_.child_with_id_at(
+    const SpanContext span = tracer_.child_with_id(
         now_, "net.ul", "transit", parent, derive_span_id(7, 42, 2));
-    tracer_.end_at(now_ + std::chrono::microseconds{5}, "net.ul", span,
-                   {field("bytes", Bytes{1400})});
+    tracer_.end(now_ + std::chrono::microseconds{5}, "net.ul", span,
+                {field("bytes", Bytes{1400})});
   }
 
   TimePoint now_ = kTimeZero;

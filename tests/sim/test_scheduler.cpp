@@ -144,31 +144,43 @@ TEST(Scheduler, SameTimeAsNowIsAllowed) {
 }
 
 TEST(Scheduler, LifetimeStats) {
+  obs::Obs obs;
   Scheduler s;
+  s.set_observability(obs);
+  const auto counter = [&obs](const char* name) {
+    return obs.metrics.snapshot().counter_or_zero(name);
+  };
+  const auto peak_depth = [&obs] {
+    return obs.metrics.snapshot().gauges.at("sim.sched.queue_depth").max;
+  };
   const EventId a = s.schedule_after(seconds{1}, [] {});
   s.schedule_after(seconds{2}, [] {});
   s.schedule_after(seconds{3}, [] {});
-  EXPECT_EQ(s.events_scheduled(), 3u);
-  EXPECT_EQ(s.max_queue_depth(), 3u);
+  EXPECT_EQ(counter("sim.sched.scheduled"), 3u);
+  EXPECT_DOUBLE_EQ(peak_depth(), 3.0);
   s.cancel(a);
   s.cancel(a);  // double-cancel counts once
-  EXPECT_EQ(s.events_cancelled(), 1u);
+  EXPECT_EQ(counter("sim.sched.cancelled"), 1u);
   s.run();
-  EXPECT_EQ(s.events_dispatched(), 2u);  // cancelled event not dispatched
-  EXPECT_EQ(s.max_queue_depth(), 3u);
+  // The cancelled event is not dispatched.
+  EXPECT_EQ(counter("sim.sched.dispatched"), 2u);
+  EXPECT_DOUBLE_EQ(peak_depth(), 3.0);
 }
 
 TEST(Scheduler, CancelledBacklogStaysBounded) {
   // Cancel-after-fire ids must not accumulate forever: the cancelled set
   // is compacted against the event queue whenever it outgrows it.
+  obs::Obs obs;
   Scheduler s;
+  s.set_observability(obs);
   std::vector<EventId> ids;
   for (int i = 0; i < 1000; ++i) {
     ids.push_back(s.schedule_after(seconds{1}, [] {}));
   }
   for (const EventId id : ids) s.cancel(id);
   s.run();
-  EXPECT_EQ(s.events_dispatched(), 0u);
+  EXPECT_EQ(obs.metrics.snapshot().counter_or_zero("sim.sched.dispatched"),
+            0u);
   EXPECT_EQ(s.cancelled_backlog(), 0u);  // erased as the queue drained
   // Cancelling ids that fired (or never existed) long ago compacts against
   // the now-empty queue instead of accumulating.
@@ -180,7 +192,7 @@ TEST(Scheduler, CancelledBacklogStaysBounded) {
 TEST(Scheduler, ObservabilityCountersTrackActivity) {
   obs::Obs obs;
   Scheduler s;
-  s.set_observability(&obs);
+  s.set_observability(obs);
   const EventId a = s.schedule_after(seconds{1}, [] {});
   s.schedule_after(seconds{2}, [] {});
   s.cancel(a);

@@ -5,6 +5,8 @@
 // size, a schedule→dispatch cycle with packet-path-sized captures (and a
 // schedule→cancel→drain cycle) must perform exactly zero allocations —
 // the property the InlineCallback + slot-recycling design exists to hold.
+// The scheduler runs with an obs::Obs attached, as in every testbed, so
+// the registry counters and the queue-depth gauge are on the measured path.
 // The fleet kernel's per-cell loop (epc::walk_cell) is held to the same
 // bar. tools/check_alloc_free.sh runs this binary in the default build.
 #include <gtest/gtest.h>
@@ -70,8 +72,14 @@ class AllocationWindow {
 constexpr int kBurst = 64;
 constexpr int kRounds = 200;
 
+std::uint64_t counter(const obs::Obs& obs, const char* name) {
+  return obs.metrics.snapshot().counter_or_zero(name);
+}
+
 TEST(SchedulerAlloc, SteadyStateScheduleDispatchIsAllocationFree) {
+  obs::Obs obs;
   Scheduler s;
+  s.set_observability(obs);
   std::uint64_t sink = 0;
   // Warm-up: grow heap, slot pool, and free list past the steady-state
   // working set (these are one-time capacity allocations, not per-event).
@@ -95,13 +103,15 @@ TEST(SchedulerAlloc, SteadyStateScheduleDispatchIsAllocationFree) {
     observed = window.count();
   }
   EXPECT_EQ(observed, 0u) << "schedule->dispatch allocated on the hot path";
-  EXPECT_EQ(s.events_dispatched(),
+  EXPECT_EQ(counter(obs, "sim.sched.dispatched"),
             static_cast<std::uint64_t>(8 * kBurst + kRounds * kBurst));
   EXPECT_NE(sink, 0u);
 }
 
 TEST(SchedulerAlloc, ScheduleCancelDrainIsAllocationFree) {
+  obs::Obs obs;
   Scheduler s;
+  s.set_observability(obs);
   std::uint64_t sink = 0;
   std::vector<EventId> ids;
   ids.reserve(kBurst);
@@ -127,7 +137,7 @@ TEST(SchedulerAlloc, ScheduleCancelDrainIsAllocationFree) {
     observed = window.count();
   }
   EXPECT_EQ(observed, 0u) << "schedule->cancel->drain allocated";
-  EXPECT_EQ(s.events_cancelled(),
+  EXPECT_EQ(counter(obs, "sim.sched.cancelled"),
             static_cast<std::uint64_t>(kRounds * kBurst / 2));
   EXPECT_EQ(s.pending_events(), 0u);
 }

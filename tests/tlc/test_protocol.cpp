@@ -208,15 +208,31 @@ TEST_F(ProtocolTest, StartTwiceThrows) {
 TEST_F(ProtocolTest, SentSizesTracked) {
   const auto es = make_optimal_edge();
   const auto os = make_optimal_operator();
-  ProtocolParty edge{edge_config(kTruth), *es, edge_keys(),
+  obs::Obs edge_obs;
+  obs::Obs op_obs;
+  ProtocolParty edge{edge_config(kTruth, &edge_obs), *es, edge_keys(),
                      operator_keys().public_key(), Rng{1}};
-  ProtocolParty op{operator_config(kTruth), *os, operator_keys(),
+  ProtocolParty op{operator_config(kTruth, &op_obs), *os, operator_keys(),
                    edge_keys().public_key(), Rng{2}};
-  run_exchange(op, edge);
-  ASSERT_EQ(op.sent_sizes().size(), 2u);    // CDR + PoC
-  ASSERT_EQ(edge.sent_sizes().size(), 1u);  // CDA
-  EXPECT_GT(edge.sent_sizes()[0], op.sent_sizes()[0]);  // CDA > CDR
-  EXPECT_GT(op.sent_sizes()[1], edge.sent_sizes()[0]);  // PoC > CDA
+  const Message cdr = op.start();
+  const auto cda = edge.on_message(cdr);
+  ASSERT_TRUE(cda.has_value());
+  const auto poc = op.on_message(*cda);
+  ASSERT_TRUE(poc.has_value());
+  EXPECT_FALSE(edge.on_message(*poc).has_value());
+  const std::size_t cdr_size = encode_message(cdr).size();
+  const std::size_t cda_size = encode_message(*cda).size();
+  const std::size_t poc_size = encode_message(*poc).size();
+  EXPECT_GT(cda_size, cdr_size);  // the CDA embeds the CDR
+  EXPECT_GT(poc_size, cda_size);  // the PoC embeds the CDA
+  // Each party's registry holds what it sent: CDR + PoC, and the CDA.
+  const obs::MetricsSnapshot op_m = op_obs.metrics.snapshot();
+  const obs::MetricsSnapshot edge_m = edge_obs.metrics.snapshot();
+  EXPECT_EQ(op_m.counter_or_zero("tlc.protocol.msgs_sent"), 2u);
+  EXPECT_EQ(op_m.counter_or_zero("tlc.protocol.wire_bytes_sent"),
+            cdr_size + poc_size);
+  EXPECT_EQ(edge_m.counter_or_zero("tlc.protocol.msgs_sent"), 1u);
+  EXPECT_EQ(edge_m.counter_or_zero("tlc.protocol.wire_bytes_sent"), cda_size);
 }
 
 TEST_F(ProtocolTest, RequiresKeys) {

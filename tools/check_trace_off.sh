@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
-# CI-style check: the TLC_TRACE=OFF build (trace + span macros compiled to
-# no-ops) must stay warning-clean with the full warning set promoted to
-# errors. The no-op macros still "use" every argument inside an
-# `if (false)` block, so a field expression that only exists for tracing
-# cannot regress into an unused-variable warning when tracing is compiled
-# out. The paper-figure benches in bench/ are built and held to the same
-# bar (ON explicitly, so a build directory configured without them turns
-# them on).
+# CI-style check: the TLC_TRACE=OFF build (trace macros and packet-path
+# spans compiled to no-ops) must stay warning-clean with the full warning
+# set promoted to errors. The no-op macros still "use" every argument
+# inside an `if (false)` block, so a field expression that only exists for
+# tracing cannot regress into an unused-variable warning when tracing is
+# compiled out. The paper-figure benches in bench/ are built and held to
+# the same bar (ON explicitly, so a build directory configured without
+# them turns them on).
 set -eu
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -406,28 +406,25 @@ void rule_hot_path(const std::vector<const Token*>& ct,
 
 // ------------------------------------------------------ rule: span-pairing
 
-/// True when ct[i] is the method name of a Tracer begin call
-/// (`<expr>.spans.<name>(` or via ->). The macros TLC_SPAN_ROOT /
-/// TLC_SPAN_CHILD are matched directly by name.
-bool is_tracer_begin(const std::vector<const Token*>& ct, std::size_t i) {
-  static const std::set<std::string> kBegin = {
-      "root", "root_at", "child", "child_at", "child_with_id",
-      "child_with_id_at"};
-  const Token& t = *ct[i];
-  if (t.kind != Kind::kIdentifier) return false;
-  if (t.text == "TLC_SPAN_ROOT" || t.text == "TLC_SPAN_CHILD") return true;
-  if (kBegin.count(t.text) == 0) return false;
+/// True when ct[i] is the method name of a call on a Tracer
+/// (`<expr>.spans.<name>(` or via ->).
+bool is_tracer_call(const std::vector<const Token*>& ct, std::size_t i) {
   return i >= 2 && (is_punct(*ct[i - 1], ".") || is_punct(*ct[i - 1], "->")) &&
          is_ident(*ct[i - 2], "spans");
 }
 
+bool is_tracer_begin(const std::vector<const Token*>& ct, std::size_t i) {
+  static const std::set<std::string> kBegin = {"root", "child",
+                                               "child_with_id"};
+  const Token& t = *ct[i];
+  return t.kind == Kind::kIdentifier && kBegin.count(t.text) > 0 &&
+         is_tracer_call(ct, i);
+}
+
 bool is_tracer_end(const std::vector<const Token*>& ct, std::size_t i) {
   const Token& t = *ct[i];
-  if (t.kind != Kind::kIdentifier) return false;
-  if (t.text == "TLC_SPAN_END") return true;
-  if (t.text != "end" && t.text != "end_at") return false;
-  return i >= 2 && (is_punct(*ct[i - 1], ".") || is_punct(*ct[i - 1], "->")) &&
-         is_ident(*ct[i - 2], "spans");
+  return t.kind == Kind::kIdentifier && t.text == "end" &&
+         is_tracer_call(ct, i);
 }
 
 /// If the begin at `i` initializes a local declaration

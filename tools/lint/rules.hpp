@@ -5,11 +5,11 @@
 //   hot-path-alloc — no operator new / std::function / throw inside
 //                    functions annotated TLC_HOT (src/common/hot.hpp).
 //   span-pairing   — a locally-declared span (auto/SpanContext var holding
-//                    the result of Tracer::root*/child* or TLC_SPAN_ROOT/
-//                    TLC_SPAN_CHILD) must be ended in the same function, and
-//                    no `return` may occur between the begin and the first
-//                    end. Member-stored spans (cross-callback lifetimes) are
-//                    exempt by construction: only declarations are tracked.
+//                    the result of Tracer::root/child/child_with_id) must be
+//                    ended in the same function, and no `return` may occur
+//                    between the begin and the first end. Member-stored
+//                    spans (cross-callback lifetimes) are exempt by
+//                    construction: only declarations are tracked.
 //   wire-bounds    — src/wire/ outside the checked Reader/Writer in codec.*
 //                    may not use memcpy/memmove/reinterpret_cast or raw
 //                    pointer arithmetic on .data().

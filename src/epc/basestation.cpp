@@ -90,11 +90,6 @@ void BaseStation::send_uplink(net::Packet packet) {
   ul_link_.enqueue(std::move(packet));
 }
 
-void BaseStation::set_background_load(BitRate downlink, BitRate uplink) {
-  dl_link_.set_background_load(downlink);
-  ul_link_.set_background_load(uplink);
-}
-
 Bytes BaseStation::observed_uplink_radio_loss(std::uint64_t cycle) const {
   return ul_radio_loss_.usage(cycle).uplink;
 }

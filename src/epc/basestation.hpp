@@ -115,8 +115,6 @@ class BaseStation {
   [[nodiscard]] net::RadioModel& radio() { return radio_; }
   [[nodiscard]] const net::CellLink& downlink() const { return dl_link_; }
   [[nodiscard]] const net::CellLink& uplink() const { return ul_link_; }
-  /// Background (competing) load on each direction of the cell.
-  void set_background_load(BitRate downlink, BitRate uplink);
 
   /// Radio-loss bytes the eNodeB scheduler observed on granted uplink
   /// transmissions, bucketed by the operator's charging cycle.

@@ -50,10 +50,6 @@ void SpGateway::forward_downlink(net::Packet packet) {
       m_uncharged_dl_packets_->inc();
       m_uncharged_dl_bytes_->inc(packet.size.count());
     }
-    TLC_TRACE_EVENT(obs_, "epc.gw", "uncharged_drop",
-                    obs::TraceLevel::kDebug,
-                    obs::field("bytes", packet.size),
-                    obs::field("flow", packet.flow));
     if (uncharged_drop_) uncharged_drop_(packet, now);
     return;
   }
@@ -67,10 +63,6 @@ void SpGateway::forward_downlink(net::Packet packet) {
       m_charged_dl_packets_->inc();
       m_charged_dl_bytes_->inc(packet.size.count());
     }
-    TLC_TRACE_EVENT(obs_, "epc.gw", "charge", obs::TraceLevel::kDebug,
-                    obs::field("direction", "downlink"),
-                    obs::field("bytes", packet.size),
-                    obs::field("flow", packet.flow));
   }
   if (dl_forward_) dl_forward_(std::move(packet));
 }
@@ -93,10 +85,6 @@ void SpGateway::on_uplink_from_enb(const net::Packet& packet, TimePoint at) {
       m_charged_ul_packets_->inc();
       m_charged_ul_bytes_->inc(packet.size.count());
     }
-    TLC_TRACE_EVENT(obs_, "epc.gw", "charge", obs::TraceLevel::kDebug,
-                    obs::field("direction", "uplink"),
-                    obs::field("bytes", packet.size),
-                    obs::field("flow", packet.flow));
   }
   if (ul_forward_) ul_forward_(packet);
 }

@@ -85,8 +85,8 @@ class SpGateway {
 
   /// Counters epc.gw.charged_{ul,dl}_{packets,bytes} and
   /// epc.gw.uncharged_dl_{packets,bytes}, the only record of downlink
-  /// dropped while detached; trace component "epc.gw" ("session" at info,
-  /// per-packet "charge"/"uncharged_drop" at debug).
+  /// dropped while detached; trace component "epc.gw" ("session" and
+  /// "counter_stall" at info, and a "process" event per traced packet).
   void set_observability(obs::Obs& obs);
 
  private:

@@ -1,10 +1,10 @@
 // Policy and Charging Rules Function (PCRF in 4G, PCF in 5G — §2.1).
 //
-// Holds per-flow policy rules: which bearer (QCI) a flow rides and what
-// latency SLA applies to it. The Tencent gaming-acceleration use case
-// (§2.2) is exactly a PCRF interaction: the game's API call installs a
-// rule binding its control flow to the QCI 7 bearer. The gateway consults
-// the PCRF when forwarding, so rules take effect mid-stream.
+// Holds per-flow policy rules: which bearer (QCI) a flow rides. The
+// Tencent gaming-acceleration use case (§2.2) is exactly a PCRF
+// interaction: the game's API call installs a rule binding its control
+// flow to the QCI 7 bearer. The gateway consults the PCRF when
+// forwarding, so rules take effect mid-stream.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +18,6 @@ namespace tlc::epc {
 struct PolicyRule {
   net::FlowId flow = 0;
   net::Qci qci = net::Qci::kQci9;
-  /// Latency SLA for the flow (0 = none); consumed by the SLA middlebox.
-  Duration sla_budget = Duration::zero();
 };
 
 class Pcrf {
@@ -38,7 +36,7 @@ class Pcrf {
   [[nodiscard]] PolicyRule rule_for(net::FlowId flow) const {
     const auto it = rules_.find(flow);
     if (it != rules_.end()) return it->second;
-    return PolicyRule{flow, net::Qci::kQci9, Duration::zero()};
+    return PolicyRule{flow, net::Qci::kQci9};
   }
 
   /// Stamps the packet's bearer per the installed rules.

@@ -6,8 +6,9 @@
 // frame dropped here has already been billed.
 //
 // The drop rule estimates a packet's delivery latency from the downstream
-// cell queue's backlog (queued bytes / residual rate) and discards packets
-// that would arrive older than the SLA budget.
+// cell queue's backlog (queued bytes / link capacity) and discards packets
+// that would arrive older than the SLA budget. The box keeps no tally of
+// its own: its drop callback is the only record of what it discarded.
 #pragma once
 
 #include <functional>
@@ -44,13 +45,10 @@ class SlaMiddlebox {
     const bool policed = net::priority(packet.qci) >=
                          net::priority(net::Qci::kQci9);
     if (policed && config_.latency_budget > Duration::zero()) {
-      const Duration backlog_delay =
-          downstream_.residual_capacity(packet.qci)
-              .transmission_time(downstream_.queued_bytes());
+      const Duration backlog_delay = downstream_.capacity().transmission_time(
+          downstream_.queued_bytes());
       const Duration age = sched_.now() - packet.created;
       if (age + backlog_delay > config_.latency_budget) {
-        ++dropped_;
-        dropped_bytes_ += packet.size;
         if (drop_) drop_(packet, net::DropCause::kSlaViolation, sched_.now());
         return;
       }
@@ -58,17 +56,12 @@ class SlaMiddlebox {
     forward_(std::move(packet));
   }
 
-  [[nodiscard]] std::uint64_t dropped_packets() const { return dropped_; }
-  [[nodiscard]] Bytes dropped_bytes() const { return dropped_bytes_; }
-
  private:
   sim::Scheduler& sched_;
   Config config_;
   const net::CellLink& downstream_;
   ForwardFn forward_;
   DropFn drop_;
-  std::uint64_t dropped_ = 0;
-  Bytes dropped_bytes_;
 };
 
 }  // namespace tlc::epc

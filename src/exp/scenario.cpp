@@ -124,11 +124,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       from_seconds(run_rng.uniform(-config.clock_offset_spread_s,
                                    config.clock_offset_spread_s)),
       run_rng.uniform(-5.0, 5.0)};
-  // The background load goes to a separate device (as in the paper), so it
-  // does not share this bearer's queue; its effect is the air-contention
-  // loss already folded into the link configs above.
-  tb.background_downlink = BitRate{0};
-  tb.background_uplink = BitRate{0};
   if (config.handover_period_s > 0.0) {
     tb.handover_period = from_seconds(config.handover_period_s);
   }
@@ -144,10 +139,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   bed.gateway().set_cdr_tamper_factor(config.operator_cdr_tamper);
   if (config.app == AppKind::kGaming) {
     // The §2.2 acceleration API: the game vendor's PCRF rule binds its
-    // control flow to the QCI 7 bearer (100 ms budget per TS 23.203).
-    bed.pcrf().install_rule({workloads::GamingConfig::king_of_glory().flow,
-                             net::Qci::kQci7,
-                             std::chrono::milliseconds{100}});
+    // control flow to the QCI 7 bearer.
+    bed.pcrf().install_rule(
+        {workloads::GamingConfig::king_of_glory().flow, net::Qci::kQci7});
   }
 
   // Wire the application workload. One warm-up cycle before the measured
@@ -268,7 +262,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
     result.batch_audit = summary;
   }
-  for (const obs::TraceEvent& ev : bed.obs().trace.tail(64)) {
+  for (const obs::TraceEvent& ev : bed.obs().trace.events()) {
     result.trace_tail.push_back(ev.to_jsonl());
   }
   result.measured_app_mbps =
@@ -278,8 +272,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   const core::NegotiationConfig ncfg{config.loss_weight, 64};
   const auto edge_optimal = core::make_optimal_edge();
   const auto op_optimal = core::make_optimal_operator();
-  const auto edge_random = core::make_random_edge(config.random_spread);
-  const auto op_random = core::make_random_operator(config.random_spread);
+  // TLC-random: each round a naive party claims uniformly within 50% of
+  // its truthful value.
+  constexpr double kRandomSpread = 0.5;
+  const auto edge_random = core::make_random_edge(kRandomSpread);
+  const auto op_random = core::make_random_operator(kRandomSpread);
 
   for (std::uint64_t cycle = 1;
        cycle <= static_cast<std::uint64_t>(config.cycles); ++cycle) {

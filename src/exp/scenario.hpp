@@ -51,8 +51,6 @@ struct ScenarioConfig {
   /// Tamper knobs for the selfish-behaviour experiments.
   double edge_api_tamper = 1.0;
   double operator_cdr_tamper = 1.0;
-  /// TLC-random claim spread.
-  double random_spread = 0.5;
   /// When non-empty, the testbed's structured trace is streamed to this
   /// JSONL file for the whole run (identical seeds → identical bytes).
   std::string trace_jsonl_path;

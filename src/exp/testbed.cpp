@@ -107,27 +107,18 @@ Testbed::Testbed(TestbedConfig config)
           bs_.send_downlink(std::move(p));
         }
       },
-      [this, sla_drop_packets, sla_drop_bytes](
-          const net::Packet& p, net::DropCause cause, TimePoint) {
+      [sla_drop_packets, sla_drop_bytes](const net::Packet& p,
+                                         net::DropCause, TimePoint) {
         sla_drop_packets->inc();
         sla_drop_bytes->inc(p.size.count());
-        TLC_TRACE_EVENT(&obs_, "net.dl", "drop", obs::TraceLevel::kInfo,
-                        obs::field("cause", to_string(cause)),
-                        obs::field("bytes", p.size),
-                        obs::field("flow", p.flow),
-                        obs::field("qci", static_cast<int>(p.qci)));
       });
   gateway_.set_pcrf(&pcrf_);
   gateway_.set_downlink_forward(
       [this](net::Packet p) { sla_box_->process(std::move(p)); });
   gateway_.set_uplink_forward(
       [this](net::Packet p) { backhaul_up_.enqueue(std::move(p)); });
-  bs_.set_background_load(config_.background_downlink,
-                          config_.background_uplink);
   bs_.start();
   if (bs2_) {
-    bs2_->set_background_load(config_.background_downlink,
-                              config_.background_uplink);
     bs2_->start();
     handover_ = std::make_unique<epc::HandoverController>(
         sched_,

@@ -42,9 +42,6 @@ struct TestbedConfig {
   net::WiredLink::Config backhaul;  // server ↔ core Ethernet
   sim::NodeClock edge_clock;
   sim::NodeClock operator_clock;
-  /// Downlink/uplink competing load on the cell (analytic background).
-  BitRate background_downlink;
-  BitRate background_uplink;
   /// The operator triggers a cycle-end RRC COUNTER CHECK within this delay
   /// after its local cycle boundary (OFCS polling granularity). This delay
   /// is the dominant source of the operator's downlink record error
@@ -121,9 +118,6 @@ class Testbed {
   [[nodiscard]] monitor::RrcDownlinkMonitor& rrc_monitor() { return rrc_; }
   /// Policy rules applied by the gateway (install QCI rules here).
   [[nodiscard]] epc::Pcrf& pcrf() { return pcrf_; }
-  [[nodiscard]] const epc::SlaMiddlebox& sla_middlebox() const {
-    return *sla_box_;
-  }
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
 
   /// Ground truth (true-time bucketing, app flows only).

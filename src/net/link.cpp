@@ -34,7 +34,6 @@ void emit_packet_span(obs::Obs* obs, std::string_view component,
                       std::string_view name, std::uint64_t kind_salt,
                       TimePoint begin, TimePoint end,
                       std::initializer_list<obs::TraceArg> end_fields) {
-#if TLC_TRACE_ENABLED
   if (obs == nullptr || packet.trace_id == 0) return;
   const obs::SpanContext parent{packet.trace_id, packet.span_id};
   const std::uint64_t span_id =
@@ -42,17 +41,6 @@ void emit_packet_span(obs::Obs* obs, std::string_view component,
   const obs::SpanContext span =
       obs->spans.child_with_id(begin, component, name, parent, span_id);
   obs->spans.end(end, component, span, end_fields);
-#else
-  static_cast<void>(obs);
-  static_cast<void>(component);
-  static_cast<void>(hop_salt);
-  static_cast<void>(packet);
-  static_cast<void>(name);
-  static_cast<void>(kind_salt);
-  static_cast<void>(begin);
-  static_cast<void>(end);
-  static_cast<void>(end_fields);
-#endif
 }
 
 }  // namespace
@@ -112,8 +100,6 @@ void CellLink::note_queue_gauges() {
   }
 }
 
-void CellLink::set_background_load(BitRate load) { background_ = load; }
-
 void CellLink::set_blocked(bool blocked, DropCause cause) {
   blocked_ = blocked;
   blocked_cause_ = cause;
@@ -124,17 +110,6 @@ void CellLink::flush(DropCause cause) {
     report_drop(entry.packet, cause);
   }
   note_queue_gauges();
-}
-
-BitRate CellLink::residual_capacity(Qci qci) const {
-  const auto nominal = static_cast<double>(config_.capacity.bps());
-  if (priority(qci) < priority(Qci::kQci9)) {
-    return config_.capacity;  // preempts best-effort background
-  }
-  const auto bg = static_cast<double>(background_.bps());
-  const double floor = nominal * config_.residual_floor;
-  return BitRate{
-      static_cast<std::uint64_t>(std::max(floor, nominal - bg))};
 }
 
 void CellLink::maybe_start_service() {
@@ -186,7 +161,7 @@ void CellLink::service_head() {
   emit_packet_span(obs_, component_, comp_salt_, entry->packet, "queue",
                    kQueueSpanSalt, entry->enqueued, now, {});
   const Duration tx_time =
-      residual_capacity(entry->packet.qci).transmission_time(entry->packet.size);
+      config_.capacity.transmission_time(entry->packet.size);
   sched_.schedule_after(
       tx_time, [this, e = std::move(*entry), started = now]() mutable {
         complete_transmission(std::move(e), started);
@@ -235,10 +210,6 @@ void CellLink::complete_transmission(QciQueue::Entry entry,
       m_delivered_packets_->inc();
       m_delivered_bytes_->inc(entry.packet.size.count());
     }
-    TLC_TRACE_EVENT(obs_, component_, "deliver", obs::TraceLevel::kDebug,
-                    obs::field("bytes", entry.packet.size),
-                    obs::field("flow", entry.packet.flow),
-                    obs::field("qci", static_cast<int>(entry.packet.qci)));
     const TimePoint arrival = now + config_.propagation_delay + fault.delay;
     emit_packet_span(obs_, component_, comp_salt_, entry.packet, "transit",
                      kTransitSpanSalt, started, arrival,
@@ -256,10 +227,6 @@ void CellLink::complete_transmission(QciQueue::Entry entry,
         m_fault_dup_packets_->inc();
         m_fault_dup_bytes_->inc(entry.packet.size.count());
       }
-      TLC_TRACE_EVENT(obs_, component_, "fault_duplicate",
-                      obs::TraceLevel::kInfo,
-                      obs::field("bytes", entry.packet.size),
-                      obs::field("flow", entry.packet.flow));
       const TimePoint copy_at =
           arrival + std::chrono::microseconds{1} * static_cast<int>(i + 1);
       sched_.schedule_at(copy_at, [this, p = entry.packet, copy_at] {
@@ -287,12 +254,6 @@ void CellLink::report_drop(const Packet& packet, DropCause cause) {
     const obs::SpanContext ctx{packet.trace_id, packet.span_id};
     TLC_TRACE_EVENT(obs_, component_, "drop", obs::TraceLevel::kInfo,
                     obs::trace_field(ctx), obs::span_field(ctx),
-                    obs::field("cause", to_string(cause)),
-                    obs::field("bytes", packet.size),
-                    obs::field("flow", packet.flow),
-                    obs::field("qci", static_cast<int>(packet.qci)));
-  } else {
-    TLC_TRACE_EVENT(obs_, component_, "drop", obs::TraceLevel::kInfo,
                     obs::field("cause", to_string(cause)),
                     obs::field("bytes", packet.size),
                     obs::field("flow", packet.flow),

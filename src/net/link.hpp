@@ -1,12 +1,13 @@
 // Simulated links.
 //
 // CellLink models one direction of the air interface: a QCI priority queue
-// drained at the link's *residual* capacity (nominal capacity minus the
-// competing background load), with the attached RadioModel deciding, per
-// transmission, whether the packet survives the air. During a coverage
-// outage the head of the queue stalls — the eNodeB buffering the paper
-// observes in Fig. 4 — until the radio returns, the packet ages out, or the
-// owner (BaseStation) flushes the queue on detach.
+// drained at the link's capacity, with the attached RadioModel deciding,
+// per transmission, whether the packet survives the air. Competing cell
+// load is modelled as air contention (Config::congestion_loss), not as
+// lost capacity. During a coverage outage the head of the queue stalls —
+// the eNodeB buffering the paper observes in Fig. 4 — until the radio
+// returns, the packet ages out, or the owner (BaseStation) flushes the
+// queue on detach.
 //
 // WiredLink models the lossless 1 Gbps Ethernet between the edge server and
 // the core: fixed latency, no queueing of interest.
@@ -33,9 +34,6 @@ class CellLink {
     Duration propagation_delay = std::chrono::milliseconds{5};
     /// Longest a packet may wait in the buffer (outage survival window).
     Duration max_buffer_wait = std::chrono::seconds{3};
-    /// Floor on residual capacity as a fraction of nominal (scheduler never
-    /// starves a bearer entirely).
-    double residual_floor = 0.02;
     /// Per-transmission loss probability from air-interface contention
     /// under heavy cell load (the paper's iperf background ran to a
     /// *separate* phone, so it congests the air, not this bearer's queue).
@@ -57,11 +55,6 @@ class CellLink {
   /// drops (evictions or rejection) through the drop callback.
   void enqueue(Packet packet);
 
-  /// Competing traffic sharing this direction of the cell; reduces the
-  /// residual service rate available to this queue.
-  void set_background_load(BitRate load);
-  [[nodiscard]] BitRate background_load() const { return background_; }
-
   /// Load-dependent air-contention loss probability.
   [[nodiscard]] double congestion_loss() const {
     return config_.congestion_loss;
@@ -75,11 +68,8 @@ class CellLink {
   /// Drops everything currently queued (detach flush).
   void flush(DropCause cause);
 
-  /// Service rate available to a packet of the given class. Background
-  /// load rides the best-effort bearer (QCI 9), so higher-priority classes
-  /// preempt it and see the full capacity — the reason the paper's QCI 7
-  /// gaming bearer stays nearly gap-free under congestion (Fig. 12d).
-  [[nodiscard]] BitRate residual_capacity(Qci qci = Qci::kQci9) const;
+  /// The rate the queue drains at.
+  [[nodiscard]] BitRate capacity() const { return config_.capacity; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] Bytes queued_bytes() const { return queue_.used(); }
 
@@ -87,11 +77,11 @@ class CellLink {
   /// counters <prefix>.delivered_{packets,bytes} and per-cause
   /// <prefix>.drop.<cause>_{packets,bytes} — the link's only delivery and
   /// drop tally — gauge <prefix>.queue_depth, log histogram
-  /// <prefix>.queue_wait_ns; trace component <prefix> ("drop" at info,
-  /// "deliver" at debug). Traced packets (trace_id != 0) additionally get
-  /// "queue" and "transit" spans with deterministic derived span IDs.
-  /// Links of parallel cells may share a prefix — their counters
-  /// aggregate.
+  /// <prefix>.queue_wait_ns. Only traced packets (trace_id != 0) reach the
+  /// trace, under component <prefix>: "queue" and "transit" spans with
+  /// deterministic derived span IDs, and a "drop" event (info) tagged with
+  /// the packet's trace and span ids. Links of parallel cells may share a
+  /// prefix — their counters aggregate.
   void set_observability(obs::Obs& obs, std::string prefix);
 
   /// Attach (or detach with nullptr) a fault-injection hook consulted for
@@ -122,7 +112,6 @@ class CellLink {
   DeliverFn deliver_;
   DropFn drop_;
   QciQueue queue_;
-  BitRate background_;
   bool busy_ = false;
   bool service_pending_ = false;  // a service_head() wakeup is scheduled
   bool blocked_ = false;

@@ -71,10 +71,8 @@ struct SpanContext {
 /// branch. Each call takes the event's simulated time `t` from its caller,
 /// which knows it (a packet's arrival, a receiver-side timestamp) even
 /// where the scheduler clock has not reached it. The id fields and the
-/// caller's `fields` reach
-/// the sink as two argument lists; nothing is copied or formatted in
-/// between. Packet-path call sites compile their spans out under
-/// TLC_TRACE=OFF; settlement spans are recorded in both builds.
+/// caller's `fields` reach the sink as two argument lists; nothing is
+/// copied or formatted in between.
 class Tracer {
  public:
   Tracer() = default;

@@ -46,13 +46,6 @@ std::string TraceEvent::to_jsonl() const {
   return out;
 }
 
-TraceSink::TraceSink() : TraceSink(Config{}) {}
-
-TraceSink::TraceSink(Config config) : config_(config) {
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
-  ring_.reserve(config_.ring_capacity);
-}
-
 TraceSink::~TraceSink() { static_cast<void>(close_jsonl()); }
 
 bool TraceSink::open_jsonl(const std::string& path) {
@@ -88,8 +81,8 @@ TLC_HOT void TraceSink::record(TimePoint t, std::string_view component,
                                std::string_view event, TraceLevel level,
                                std::span<const TraceArg> head,
                                std::span<const TraceArg> tail) {
-  Slot& slot = next_slot();
-  slot.seq = next_seq_++;
+  Slot& slot = ring_[emitted_ % kRingSlots];
+  slot.seq = emitted_;
   slot.sim_time = t;
   slot.level = level;
   slot.component_len = static_cast<std::uint32_t>(component.size());
@@ -127,14 +120,6 @@ TLC_HOT void TraceSink::record(TimePoint t, std::string_view component,
   }
   ++emitted_;
   if (jsonl_ != nullptr) stream(slot);
-}
-
-TLC_HOT TraceSink::Slot& TraceSink::next_slot() {
-  if (ring_.size() < config_.ring_capacity) return ring_.emplace_back();
-  Slot& slot = ring_[head_];
-  if (++head_ == config_.ring_capacity) head_ = 0;
-  ++overwritten_;
-  return slot;
 }
 
 // The JSONL stream formats at emit time, off the record path: it only runs
@@ -195,21 +180,12 @@ void TraceSink::render(const Slot& slot, TraceEvent* out) {
 std::vector<TraceEvent> TraceSink::events(
     std::string_view component_prefix) const {
   std::vector<TraceEvent> out;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const Slot& slot = slot_at(i);
+  for (std::uint64_t seq = overwritten(); seq < emitted_; ++seq) {
+    const Slot& slot = ring_[seq % kRingSlots];
     if (slot.component().substr(0, component_prefix.size()) ==
         component_prefix) {
       render(slot, &out.emplace_back());
     }
-  }
-  return out;
-}
-
-std::vector<TraceEvent> TraceSink::tail(std::size_t n) const {
-  const std::size_t keep = std::min(n, ring_.size());
-  std::vector<TraceEvent> out(keep);
-  for (std::size_t i = 0; i < keep; ++i) {
-    render(slot_at(ring_.size() - keep + i), &out[i]);
   }
   return out;
 }

@@ -4,17 +4,22 @@
 // `field(key, value)` returns a TraceArg — a key view plus one typed value
 // (unsigned, signed, double, bool, string view, or a 64-bit trace/span id)
 // — and emit() copies the event's arguments into the next slot of a
-// fixed-capacity ring (oldest entries overwritten). Slot storage is reused,
+// fixed 64-slot ring (oldest entries overwritten). Slot storage is reused,
 // so once the ring has wrapped, recording an event allocates nothing. A
 // TraceArg's views are valid only for the call they are passed to: it is
 // never stored, and the sink copies whatever it keeps.
 //
-// The read side renders: events(), tail() and TraceEvent::to_jsonl() turn
-// slots into TraceEvents with pre-formatted values. A JSONL file, when
+// The read side renders: events() and TraceEvent::to_jsonl() turn slots
+// into TraceEvents with pre-formatted values. The ring holds the run's
+// last 64 events, the tail a scenario result carries. A JSONL file, when
 // attached, is the one place that formats at emit time — each event is
 // rendered and streamed as one JSON object per line (the opt-in cold path
 // behind `tlc_lab --trace`).
 //
+// What reaches the sink is a traced exchange (spans, and events tagged
+// with a span's ids) and state changes (outages, attach/detach, handover,
+// counter checks, sessions, stalls, protocol states). An untraced packet
+// is recorded only by the registry counters its call site increments.
 // The sink records every event it is handed: the level is data on the
 // event, not a filter, and readers select by component prefix on read.
 //
@@ -22,12 +27,9 @@
 // an explicit timestamp) plus a monotonically increasing sequence number
 // that reflects emission order, so two runs of a deterministic simulation
 // produce byte-identical traces — including under scheduler timestamp ties.
-//
-// The TLC_TRACE_EVENT macros compile to no-ops when the build sets
-// -DTLC_TRACE_ENABLED=0 (CMake option TLC_TRACE=OFF), removing even the
-// null-Obs check from packet paths.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -154,12 +156,10 @@ struct TraceEvent {
 
 class TraceSink {
  public:
-  struct Config {
-    std::size_t ring_capacity = 4096;
-  };
+  /// Events the ring keeps: the tail a run's readers take from it.
+  static constexpr std::size_t kRingSlots = 64;
 
-  TraceSink();
-  explicit TraceSink(Config config);
+  TraceSink() = default;
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
   ~TraceSink();
@@ -205,19 +205,10 @@ class TraceSink {
   [[nodiscard]] std::vector<TraceEvent> events(
       std::string_view component_prefix = {}) const;
 
-  /// The newest `n` ring events (all of them when fewer), oldest → newest.
-  [[nodiscard]] std::vector<TraceEvent> tail(std::size_t n) const;
-
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
-  [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
-  [[nodiscard]] std::size_t capacity() const { return config_.ring_capacity; }
-
-  /// Target of the disabled-build trace macros: keeps every argument
-  /// type-checked and formally "used" inside an unreachable branch, so a
-  /// TLC_TRACE=OFF build stays warning-clean without #ifdef at call sites.
-  static void noop(std::string_view /*component*/, std::string_view /*event*/,
-                   std::initializer_list<TraceArg> /*fields*/,
-                   TraceLevel /*level*/) {}
+  [[nodiscard]] std::uint64_t overwritten() const {
+    return emitted_ > kRingSlots ? emitted_ - kRingSlots : 0;
+  }
 
  private:
   /// One recorded argument. Its key, and then a string value, sit in the
@@ -245,35 +236,21 @@ class TraceSink {
     }
   };
 
-  Slot& next_slot();
   void stream(const Slot& slot);
   static void render(const Slot& slot, TraceEvent* out);
-  /// Logical ring position `i` (0 = oldest) → slot.
-  [[nodiscard]] const Slot& slot_at(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
 
-  Config config_;
   std::function<TimePoint()> clock_;
-  std::vector<Slot> ring_;  // grows to ring_capacity, then circular
-  std::size_t head_ = 0;    // next write slot once ring is full
-  std::uint64_t emitted_ = 0;
-  std::uint64_t overwritten_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::array<Slot, kRingSlots> ring_;  // event `seq` sits in slot seq % 64
+  std::uint64_t emitted_ = 0;          // also the next event's seq
   std::FILE* jsonl_ = nullptr;
   bool jsonl_failed_ = false;  // a write to jsonl_ came up short
 };
 
 }  // namespace tlc::obs
 
-#ifndef TLC_TRACE_ENABLED
-#define TLC_TRACE_ENABLED 1
-#endif
-
 // TLC_TRACE_EVENT(obs, "net.dl", "drop", kInfo, field("cause", ...), ...)
 // `obs` is a nullable tlc::obs::Obs*. Fields are only evaluated when it is
 // non-null.
-#if TLC_TRACE_ENABLED
 #define TLC_TRACE_EVENT(obs_ptr, component, event_name, trace_level, ...)    \
   do {                                                                       \
     auto* tlc_obs_ = (obs_ptr);                                              \
@@ -291,23 +268,3 @@ class TraceSink {
                               {__VA_ARGS__}, (trace_level));                 \
     }                                                                        \
   } while (0)
-#else
-#define TLC_TRACE_EVENT(obs_ptr, component, event_name, trace_level, ...)  \
-  do {                                                                     \
-    if (false) {                                                           \
-      static_cast<void>(obs_ptr);                                          \
-      ::tlc::obs::TraceSink::noop((component), (event_name), {__VA_ARGS__},\
-                                  (trace_level));                          \
-    }                                                                      \
-  } while (0)
-#define TLC_TRACE_EVENT_AT(obs_ptr, when, component, event_name,           \
-                           trace_level, ...)                               \
-  do {                                                                     \
-    if (false) {                                                           \
-      static_cast<void>(obs_ptr);                                          \
-      static_cast<void>(when);                                             \
-      ::tlc::obs::TraceSink::noop((component), (event_name), {__VA_ARGS__},\
-                                  (trace_level));                          \
-    }                                                                      \
-  } while (0)
-#endif

@@ -169,12 +169,5 @@ TEST_F(Fixture, ModemQueueLossIsNotObservable) {
   EXPECT_GT(counter("net.ul.drop.queue-overflow_packets"), 0u);
 }
 
-TEST_F(Fixture, BackgroundLoadSetsBothDirections) {
-  auto bs = make_bs(good_radio_config());
-  bs->set_background_load(BitRate::from_mbps(100), BitRate::from_mbps(10));
-  EXPECT_EQ(bs->downlink().background_load().mbps(), 100.0);
-  EXPECT_EQ(bs->uplink().background_load().mbps(), 10.0);
-}
-
 }  // namespace
 }  // namespace tlc::epc

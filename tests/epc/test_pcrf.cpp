@@ -8,7 +8,6 @@
 namespace tlc::epc {
 namespace {
 
-using std::chrono::milliseconds;
 using std::chrono::seconds;
 
 net::Packet packet(net::FlowId flow, std::uint64_t size = 1'000) {
@@ -23,22 +22,20 @@ TEST(Pcrf, DefaultIsBestEffort) {
   EXPECT_FALSE(pcrf.has_rule(7));
   const PolicyRule rule = pcrf.rule_for(7);
   EXPECT_EQ(rule.qci, net::Qci::kQci9);
-  EXPECT_EQ(rule.sla_budget, Duration::zero());
 }
 
 TEST(Pcrf, InstallAndApply) {
   Pcrf pcrf;
-  pcrf.install_rule({20, net::Qci::kQci7, milliseconds{100}});
+  pcrf.install_rule({20, net::Qci::kQci7});
   EXPECT_TRUE(pcrf.has_rule(20));
   net::Packet p = packet(20);
   pcrf.apply(p);
   EXPECT_EQ(p.qci, net::Qci::kQci7);
-  EXPECT_EQ(pcrf.rule_for(20).sla_budget, milliseconds{100});
 }
 
 TEST(Pcrf, ApplyLeavesOtherFlowsOnDefaultBearer) {
   Pcrf pcrf;
-  pcrf.install_rule({20, net::Qci::kQci7, {}});
+  pcrf.install_rule({20, net::Qci::kQci7});
   net::Packet other = packet(21);
   other.qci = net::Qci::kQci3;  // whatever the app asked for
   pcrf.apply(other);
@@ -47,8 +44,8 @@ TEST(Pcrf, ApplyLeavesOtherFlowsOnDefaultBearer) {
 
 TEST(Pcrf, ReplaceAndRemove) {
   Pcrf pcrf;
-  pcrf.install_rule({5, net::Qci::kQci7, {}});
-  pcrf.install_rule({5, net::Qci::kQci3, {}});
+  pcrf.install_rule({5, net::Qci::kQci7});
+  pcrf.install_rule({5, net::Qci::kQci3});
   EXPECT_EQ(pcrf.rule_count(), 1u);
   EXPECT_EQ(pcrf.rule_for(5).qci, net::Qci::kQci3);
   pcrf.remove_rule(5);
@@ -61,7 +58,7 @@ TEST(Pcrf, GatewayAppliesRulesOnForward) {
   plan.cycle_length = seconds{300};
   SpGateway gw{sched, plan, sim::NodeClock{}, Imsi::from_number(1)};
   Pcrf pcrf;
-  pcrf.install_rule({20, net::Qci::kQci7, {}});
+  pcrf.install_rule({20, net::Qci::kQci7});
   gw.set_pcrf(&pcrf);
   std::vector<net::Packet> forwarded;
   gw.set_downlink_forward(
@@ -86,7 +83,7 @@ TEST(Pcrf, MidStreamRuleInstallUpgradesFlow) {
   gw.set_downlink_forward(
       [&seen](net::Packet p) { seen.push_back(p.qci); });
   gw.forward_downlink(packet(20));
-  pcrf.install_rule({20, net::Qci::kQci7, {}});
+  pcrf.install_rule({20, net::Qci::kQci7});
   gw.forward_downlink(packet(20));
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], net::Qci::kQci9);
@@ -113,7 +110,7 @@ TEST(Pcrf, UpgradedFlowSurvivesCongestionLoss) {
                      },
                      nullptr};
   Pcrf pcrf;
-  pcrf.install_rule({20, net::Qci::kQci7, {}});
+  pcrf.install_rule({20, net::Qci::kQci7});
   for (int i = 0; i < 20; ++i) {
     net::Packet accelerated = packet(20);
     pcrf.apply(accelerated);

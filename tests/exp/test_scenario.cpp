@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hex.hpp"
@@ -25,6 +26,23 @@ ScenarioConfig quick(AppKind app) {
   cfg.cycle_length = std::chrono::seconds{120};
   cfg.seed = 17;
   return cfg;
+}
+
+/// The whole of a file a run streamed its trace to; the file is removed.
+std::string take_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::stringstream buf;
+  buf << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+  return buf.str();
+}
+
+std::vector<std::string> split_lines(const std::string& stream) {
+  std::vector<std::string> lines;
+  std::istringstream split{stream};
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  return lines;
 }
 
 double mean_gap_legacy(const ScenarioResult& r) {
@@ -226,17 +244,10 @@ TEST(Scenario, TraceJsonlIsDeterministicForSameSeed) {
   const auto trace_of = [](const std::string& path) {
     ScenarioConfig cfg = quick(AppKind::kWebcamUdp);
     cfg.dip_rate_per_s = 0.05;
-    // Settlement spans are direct Tracer calls, so they reach the stream in
-    // the TLC_TRACE=OFF build too, where every packet-path event compiles
-    // out: the non-empty check below holds in both builds.
     cfg.wire_settlement = true;
     cfg.trace_jsonl_path = path;
     (void)run_scenario(cfg);
-    std::ifstream in{path};
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::remove(path.c_str());
-    return buf.str();
+    return take_file(path);
   };
   const std::string a = trace_of(::testing::TempDir() + "scenario_a.jsonl");
   const std::string b = trace_of(::testing::TempDir() + "scenario_b.jsonl");
@@ -256,30 +267,15 @@ TEST(Scenario, TraceJsonlMatchesGolden) {
   cfg.trace_jsonl_path = ::testing::TempDir() + "scenario_golden.jsonl";
   const ScenarioResult result = run_scenario(cfg);
 
-  std::ifstream in{cfg.trace_jsonl_path, std::ios::binary};
-  std::stringstream buf;
-  buf << in.rdbuf();
-  in.close();
-  std::remove(cfg.trace_jsonl_path.c_str());
-  const std::string stream = buf.str();
-  std::vector<std::string> lines;
-  std::istringstream split{stream};
-  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  const std::string stream = take_file(cfg.trace_jsonl_path);
+  const std::vector<std::string> lines = split_lines(stream);
   const std::string digest = to_hex(crypto::sha256(
       {reinterpret_cast<const std::uint8_t*>(stream.data()), stream.size()}));
 
-#if TLC_TRACE_ENABLED
-  EXPECT_EQ(lines.size(), 153918u);
+  EXPECT_EQ(lines.size(), 236u);
   EXPECT_EQ(digest,
-            "93d736230acfc3becec547b93b35b520"
-            "b81c432c1a11cf656b8455fa474335a3");
-#else
-  // Only the settlement spans survive: packet-path events compile out.
-  EXPECT_EQ(lines.size(), 16u);
-  EXPECT_EQ(digest,
-            "69f8f4b62800b47dda4474ad4bf3ce29"
-            "a66ab9ca9531f6a5ca97927a17ff9eca");
-#endif
+            "9c3b2ac583a1a8b4ec8b407f2121fd04"
+            "c813edafe44602131bf4e0157089a823");
 
   ASSERT_EQ(result.trace_tail.size(), std::min<std::size_t>(lines.size(), 64));
   const std::size_t first = lines.size() - result.trace_tail.size();
@@ -299,12 +295,58 @@ TEST(Scenario, MetricsJsonMatchesGolden) {
   const std::string json = run_scenario(cfg).metrics.to_json();
   const std::string digest = to_hex(crypto::sha256(
       {reinterpret_cast<const std::uint8_t*>(json.data()), json.size()}));
-  // TLC_TRACE=OFF compiles out trace events only: both builds count the
-  // same, so one golden holds for both.
   EXPECT_EQ(digest,
             "52547d5ab983eaa0673812a7e3bd3046"
             "777d3100be37595b4c59e5d4543ff69c")
       << json;
+}
+
+// An untraced packet is recorded once, by the registry counter its call
+// site increments: the trace holds traced exchanges and state changes.
+TEST(Scenario, UntracedPacketsLeaveNoTraceEvents) {
+  ScenarioConfig cfg = quick(AppKind::kWebcamUdp);
+  cfg.dip_rate_per_s = 0.05;
+  cfg.trace_jsonl_path = ::testing::TempDir() + "scenario_untraced.jsonl";
+  const ScenarioResult untraced = run_scenario(cfg);
+  const std::vector<std::string> lines =
+      split_lines(take_file(cfg.trace_jsonl_path));
+  EXPECT_FALSE(lines.empty());  // the state changes
+  std::uint64_t ul_dropped = 0;
+  for (std::size_t i = 1; i < net::kDropCauseCount; ++i) {
+    ul_dropped += untraced.metrics.counter_or_zero(
+        std::string{"net.ul.drop."} +
+        net::to_string(static_cast<net::DropCause>(i)) + "_packets");
+  }
+  EXPECT_GT(untraced.metrics.counter_or_zero("net.ul.delivered_packets"), 0u);
+  EXPECT_GT(ul_dropped, 0u);
+  const auto has = [](const std::string& line, std::string_view text) {
+    return line.find(text) != std::string::npos;
+  };
+  std::size_t packet_lines = 0;
+  std::string first;
+  for (const std::string& line : lines) {
+    if (has(line, "\"component\":\"net.") ||
+        has(line, "\"component\":\"epc.gw\",\"event\":\"charge\"") ||
+        has(line, "\"event\":\"uncharged_drop\"")) {
+      if (packet_lines++ == 0) first = line;
+    }
+  }
+  EXPECT_EQ(packet_lines, 0u) << "first: " << first;
+
+  // Settlement traffic is traced: its packets reach the trace, each event
+  // tagged with its exchange.
+  cfg.wire_settlement = true;
+  (void)run_scenario(cfg);
+  std::size_t net_lines = 0;
+  std::size_t untagged = 0;
+  for (const std::string& line : split_lines(take_file(cfg.trace_jsonl_path))) {
+    if (!has(line, "\"component\":\"net.")) continue;
+    ++net_lines;
+    if (has(line, "\"trace\":\"")) continue;
+    if (untagged++ == 0) first = line;
+  }
+  EXPECT_GT(net_lines, 0u);
+  EXPECT_EQ(untagged, 0u) << "first: " << first;
 }
 
 TEST(Scenario, ToMbPerHrNormalization) {

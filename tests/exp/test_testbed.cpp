@@ -176,7 +176,9 @@ TEST(Testbed, SlaMiddleboxDropsChargedTraffic) {
         [&bed, i] { bed.app_send_downlink(packet(i, 1400)); });
   }
   bed.run_until(kTimeZero + seconds{30});
-  EXPECT_GT(bed.sla_middlebox().dropped_packets(), 0u);
+  EXPECT_GT(bed.obs().metrics.snapshot().counter_or_zero(
+                "net.dl.drop.sla-violation_packets"),
+            0u);
   const auto truth = bed.truth(charging::Direction::kDownlink, 0);
   EXPECT_EQ(bed.gateway().usage(0).downlink, truth.sent);  // all charged
   EXPECT_LT(truth.received, truth.sent);
@@ -187,7 +189,7 @@ TEST(Testbed, PcrfRuleExemptsFlowFromSla) {
   cfg.sla_budget = std::chrono::milliseconds{120};
   cfg.bs.downlink.capacity = BitRate::from_mbps(1.0);
   Testbed bed{cfg};
-  bed.pcrf().install_rule({55, net::Qci::kQci7, {}});
+  bed.pcrf().install_rule({55, net::Qci::kQci7});
   for (std::uint64_t i = 0; i < 300; ++i) {
     bed.scheduler().schedule_at(
         kTimeZero + std::chrono::milliseconds{i * 5 + 1000}, [&bed, i] {
@@ -197,9 +199,11 @@ TEST(Testbed, PcrfRuleExemptsFlowFromSla) {
         });
   }
   bed.run_until(kTimeZero + seconds{30});
-  // QCI 7 sees the full (uncontended) service-rate estimate and rides a
+  // The SLA box polices best-effort traffic only, and QCI 7 rides a
   // protected queue: no SLA drops for the accelerated flow.
-  EXPECT_EQ(bed.sla_middlebox().dropped_packets(), 0u);
+  EXPECT_EQ(bed.obs().metrics.snapshot().counter_or_zero(
+                "net.dl.drop.sla-violation_packets"),
+            0u);
 }
 
 TEST(Testbed, MobilityProducesHandoverLoss) {

@@ -123,7 +123,6 @@ TEST(WireSettlement, SettlementPutsMetricsAndSpansInTheTrace) {
             6u);
   EXPECT_FALSE(r.trace_tail.empty());
   EXPECT_LE(r.trace_tail.size(), 64u);
-#if TLC_TRACE_ENABLED
   // The causal tail of the run is the settlement itself: exchange spans
   // tagged with the derived trace id must appear.
   const std::string hex = obs::span_hex(r.settlements.back().trace_id);
@@ -132,7 +131,6 @@ TEST(WireSettlement, SettlementPutsMetricsAndSpansInTheTrace) {
     if (line.find(hex) != std::string::npos) tagged = true;
   }
   EXPECT_TRUE(tagged);
-#endif
 }
 
 TEST(WireSettlement, SurvivesHandoverAndRadioDips) {

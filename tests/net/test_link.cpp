@@ -100,37 +100,6 @@ TEST(CellLink, ServesBackToBack) {
   EXPECT_EQ(sched.now(), kTimeZero + seconds{1});  // 4 × 0.25 s serialized
 }
 
-TEST(CellLink, BackgroundLoadReducesResidual) {
-  CellLink::Config cfg;
-  cfg.capacity = BitRate::from_mbps(100.0);
-  sim::Scheduler sched;
-  CellLink link{sched, cfg, nullptr, nullptr, nullptr};
-  EXPECT_EQ(link.residual_capacity().bps(), 100'000'000u);
-  link.set_background_load(BitRate::from_mbps(60.0));
-  EXPECT_EQ(link.residual_capacity().bps(), 40'000'000u);
-}
-
-TEST(CellLink, ResidualFloorPreventsStarvation) {
-  CellLink::Config cfg;
-  cfg.capacity = BitRate::from_mbps(100.0);
-  cfg.residual_floor = 0.05;
-  sim::Scheduler sched;
-  CellLink link{sched, cfg, nullptr, nullptr, nullptr};
-  link.set_background_load(BitRate::from_mbps(500.0));
-  EXPECT_EQ(link.residual_capacity().bps(), 5'000'000u);
-}
-
-TEST(CellLink, PriorityClassPreemptsBackground) {
-  CellLink::Config cfg;
-  cfg.capacity = BitRate::from_mbps(100.0);
-  sim::Scheduler sched;
-  CellLink link{sched, cfg, nullptr, nullptr, nullptr};
-  link.set_background_load(BitRate::from_mbps(90.0));
-  EXPECT_EQ(link.residual_capacity(Qci::kQci9).bps(), 10'000'000u);
-  EXPECT_EQ(link.residual_capacity(Qci::kQci7).bps(), 100'000'000u);
-  EXPECT_EQ(link.residual_capacity(Qci::kQci3).bps(), 100'000'000u);
-}
-
 TEST(CellLink, OverflowDropsWhenBufferFull) {
   sim::Scheduler sched;
   Sink sink;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -31,34 +32,25 @@ TEST(TraceSink, RecordsEventsWithFields) {
 }
 
 TEST(TraceSink, RingOverwritesOldestBeyondCapacity) {
-  TraceSink sink{TraceSink::Config{/*ring_capacity=*/4}};
-  for (int i = 0; i < 10; ++i) {
-    sink.emit("c", "e" + std::to_string(i));
+  static_assert(TraceSink::kRingSlots == 64);
+  TraceSink sink;
+  for (std::uint64_t i = 0; i < 70; ++i) {
+    sink.emit("c", "e" + std::to_string(i), {field("i", i)});
+    EXPECT_EQ(sink.events().size(), std::min<std::uint64_t>(i + 1, 64))
+        << "after e" << i;
   }
-  EXPECT_EQ(sink.emitted(), 10u);
+  EXPECT_EQ(sink.emitted(), 70u);
   EXPECT_EQ(sink.overwritten(), 6u);
   const auto events = sink.events();
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), 64u);
   // Oldest → newest, with the first six overwritten.
   EXPECT_EQ(events[0].event, "e6");
-  EXPECT_EQ(events[3].event, "e9");
+  EXPECT_EQ(events[63].event, "e69");
+  EXPECT_EQ(events[63].fields[0].value, "69");
   // Sequence numbers reflect global emission order, not ring position.
   EXPECT_EQ(events[0].seq, 6u);
-  EXPECT_EQ(events[3].seq, 9u);
-}
-
-TEST(TraceSink, TailRendersOnlyTheNewestEvents) {
-  TraceSink sink{TraceSink::Config{/*ring_capacity=*/4}};
-  for (int i = 0; i < 10; ++i) {
-    sink.emit("c", "e" + std::to_string(i), {field("i", i)});
-  }
-  const auto last_two = sink.tail(2);
-  ASSERT_EQ(last_two.size(), 2u);
-  EXPECT_EQ(last_two[0].event, "e8");
-  EXPECT_EQ(last_two[1].event, "e9");
-  EXPECT_EQ(last_two[1].to_jsonl(), sink.events().back().to_jsonl());
-  EXPECT_EQ(sink.tail(100).size(), 4u);  // capped at what the ring holds
-  EXPECT_TRUE(TraceSink{}.tail(64).empty());
+  EXPECT_EQ(events[63].seq, 69u);
+  EXPECT_TRUE(TraceSink{}.events().empty());
 }
 
 TEST(TraceSink, EventsQueryFiltersByPrefix) {

@@ -2,12 +2,12 @@
 // wrapped.
 //
 // A global operator-new hook counts heap allocations while armed. After a
-// warm-up that wraps a small ring with every shape below — so each slot's
-// reused storage has grown to its working size — recording the packet
-// path's event shapes must perform exactly zero allocations: the typed
-// arguments are copied into the slot, and nothing is formatted until the
-// trace is read. tools/check_alloc_free.sh runs this binary in the default
-// build.
+// warm-up that wraps the 64-slot ring with every shape below — so each
+// slot's reused storage has grown to its working size — recording the
+// shapes a run records must perform exactly zero allocations: a traced
+// packet's events and span pairs, and a state change. The typed arguments
+// are copied into the slot, and nothing is formatted until the trace is
+// read. tools/check_alloc_free.sh runs this binary in the default build.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,29 +63,33 @@ class AllocationWindow {
   }
 };
 
-constexpr std::size_t kRing = 16;
+constexpr std::size_t kRing = TraceSink::kRingSlots;
 constexpr int kEmits = 1000;
 
-/// A sink with a small ring and a registered clock, and a Tracer over it.
-/// Every shape is recorded kRing times before any test measures, so the
-/// ring has wrapped and every slot has held every shape.
+/// A sink with a registered clock, and a Tracer over it. Every shape is
+/// recorded kRing times before any test measures, so the ring has wrapped
+/// and every slot has held every shape.
 class TraceAllocTest : public ::testing::Test {
  protected:
-  TraceAllocTest() : sink_{TraceSink::Config{kRing}}, tracer_{&sink_} {
+  TraceAllocTest() : tracer_{&sink_} {
     sink_.set_clock([this] { return now_; });
-    for (std::size_t i = 0; i < kRing; ++i) charge();
+    for (std::size_t i = 0; i < kRing; ++i) process();
     for (std::size_t i = 0; i < kRing; ++i) drop();
     for (std::size_t i = 0; i < kRing; ++i) packet_span(traced_);
     for (std::size_t i = 0; i < kRing; ++i) packet_span(SpanContext{});
+    for (std::size_t i = 0; i < kRing; ++i) detach();
   }
 
-  /// epc.gw "charge" (debug): a string, Bytes and a flow number.
-  void charge() {
-    sink_.emit("epc.gw", "charge",
-               {field("direction", "uplink"), field("bytes", Bytes{1400}),
-                field("flow", std::uint32_t{7})},
-               TraceLevel::kDebug);
+  /// epc.gw "process" of a traced packet: trace and span ids, a string and
+  /// Bytes.
+  void process() {
+    sink_.emit("epc.gw", "process",
+               {trace_field(traced_), span_field(traced_),
+                field("direction", "uplink"), field("bytes", Bytes{1400})});
   }
+
+  /// A cell's "detach", a state change: one double field.
+  void detach() { sink_.emit("epc.cell0", "detach", {field("outage_s", 5.2)}); }
 
   /// net.ul "drop" of a traced packet: trace and span ids, cause, bytes,
   /// flow and qci.
@@ -113,23 +117,38 @@ class TraceAllocTest : public ::testing::Test {
   const SpanContext traced_{derive_trace_id(1, 2, 3, 0), 0x5eed};
 };
 
-TEST_F(TraceAllocTest, ChargeEventIsAllocationFree) {
+TEST_F(TraceAllocTest, ProcessEventIsAllocationFree) {
   const std::uint64_t before = sink_.emitted();
   std::uint64_t observed = 0;
   {
     AllocationWindow window;
-    for (int i = 0; i < kEmits; ++i) charge();
+    for (int i = 0; i < kEmits; ++i) process();
     observed = window.count();
   }
-  EXPECT_EQ(observed, 0u) << "epc.gw charge allocated after the ring wrapped";
+  EXPECT_EQ(observed, 0u) << "epc.gw process allocated after the ring wrapped";
   EXPECT_EQ(sink_.emitted() - before, static_cast<std::uint64_t>(kEmits));
   EXPECT_GT(sink_.overwritten(), 0u);
   EXPECT_EQ(sink_.events().back().to_jsonl(),
             "{\"t_ns\":" + std::to_string((now_ - kTimeZero).count()) +
                 ",\"seq\":" + std::to_string(sink_.emitted() - 1) +
-                ",\"level\":\"debug\",\"component\":\"epc.gw\","
-                "\"event\":\"charge\",\"direction\":\"uplink\","
-                "\"bytes\":1400,\"flow\":7}");
+                ",\"level\":\"info\",\"component\":\"epc.gw\","
+                "\"event\":\"process\",\"trace\":\"" +
+                span_hex(traced_.trace_id) + "\",\"span\":\"" +
+                span_hex(traced_.span_id) +
+                "\",\"direction\":\"uplink\",\"bytes\":1400}");
+}
+
+TEST_F(TraceAllocTest, StateEventIsAllocationFree) {
+  const std::uint64_t before = sink_.emitted();
+  std::uint64_t observed = 0;
+  {
+    AllocationWindow window;
+    for (int i = 0; i < kEmits; ++i) detach();
+    observed = window.count();
+  }
+  EXPECT_EQ(observed, 0u) << "a state event allocated after the ring wrapped";
+  EXPECT_EQ(sink_.emitted() - before, static_cast<std::uint64_t>(kEmits));
+  EXPECT_EQ(sink_.events().back().event, "detach");
 }
 
 TEST_F(TraceAllocTest, DropEventWithSpanIdsIsAllocationFree) {

@@ -28,8 +28,6 @@ class ProtocolObsTest : public ProtocolFixture {
   }
 };
 
-#if TLC_TRACE_ENABLED
-
 TEST_F(ProtocolObsTest, CleanExchangeEmitsOneStateEventPerTransition) {
   obs::Obs obs;
   const auto edge_strategy = make_optimal_edge();
@@ -95,9 +93,6 @@ TEST_F(ProtocolObsTest, ReplayedSequenceFailureIsVisibleInTrace) {
   EXPECT_EQ(snap.counter_or_zero("tlc.protocol.exchanges_done"), 0u);
 }
 
-#endif  // TLC_TRACE_ENABLED
-
-// Metrics work regardless of whether tracing is compiled in.
 TEST_F(ProtocolObsTest, MetricsAccumulateAcrossExchanges) {
   obs::Obs obs;
   const auto edge_strategy = make_optimal_edge();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <vector>
 
 namespace tlc::workloads {
@@ -22,28 +23,37 @@ struct Capture {
   }
 };
 
-class VideoRateSweep
-    : public ::testing::TestWithParam<
-          std::pair<VideoStreamConfig, double>> {};
+/// One paper rate. gtest_discover_tests names each case by the printed
+/// parameter; PrintTo prints `name`, so the ctest ID is
+/// `.../webcam_rtsp`, not the config's raw bytes (padding included).
+struct PaperRate {
+  const char* name;
+  VideoStreamConfig config;
+  double expected_mbps;
+};
+
+void PrintTo(const PaperRate& rate, std::ostream* os) { *os << rate.name; }
+
+class VideoRateSweep : public ::testing::TestWithParam<PaperRate> {};
 
 TEST_P(VideoRateSweep, LongRunRateMatchesConfig) {
-  const auto [config, expected_mbps] = GetParam();
+  const PaperRate& rate = GetParam();
   sim::Scheduler sched;
   Capture cap;
-  VideoStreamSource src{sched, config, Rng{1}, cap.fn()};
+  VideoStreamSource src{sched, rate.config, Rng{1}, cap.fn()};
   src.start(kTimeZero + seconds{120});
   sched.run();
   const double mbps = cap.total().as_double() * 8.0 / 120.0 / 1e6;
-  EXPECT_NEAR(mbps, expected_mbps, expected_mbps * 0.08);
+  EXPECT_NEAR(mbps, rate.expected_mbps, rate.expected_mbps * 0.08);
   EXPECT_EQ(src.bytes_emitted(), cap.total());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PaperRates, VideoRateSweep,
     ::testing::Values(
-        std::pair{VideoStreamConfig::webcam_rtsp(), 0.77},
-        std::pair{VideoStreamConfig::webcam_udp(), 1.73},
-        std::pair{VideoStreamConfig::vridge_gvsp(), 9.0}));
+        PaperRate{"webcam_rtsp", VideoStreamConfig::webcam_rtsp(), 0.77},
+        PaperRate{"webcam_udp", VideoStreamConfig::webcam_udp(), 1.73},
+        PaperRate{"vridge_gvsp", VideoStreamConfig::vridge_gvsp(), 9.0}));
 
 TEST(VideoStream, FrameCadenceMatchesFps) {
   sim::Scheduler sched;

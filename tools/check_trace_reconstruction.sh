@@ -26,10 +26,20 @@ cmp "$tmp/a.jsonl" "$tmp/b.jsonl" || {
   exit 1
 }
 
-# Full reconstruction (exits non-zero on any gap). In a TLC_TRACE=OFF
-# build the trace has no packet-path spans; --check reports that and
-# passes vacuously, which is the correct behaviour for that build.
-"$trace_tool" --check "$tmp/a.jsonl"
+# Full reconstruction (exits non-zero on any gap). A --wire run always
+# settles, so a pass must name at least one reconstructed exchange: a
+# trace without exchange spans fails here instead of passing vacuously.
+"$trace_tool" --check "$tmp/a.jsonl" >"$tmp/check.txt" || {
+  cat "$tmp/check.txt"
+  exit 1
+}
+cat "$tmp/check.txt"
+exchanges="$(sed -n 's|^OK: reconstructed \([0-9]*\)/\1 exchange.*|\1|p' \
+             "$tmp/check.txt")"
+if [ -z "$exchanges" ] || [ "$exchanges" -lt 1 ]; then
+  echo "FAIL: tlc_trace --check reconstructed no exchange" >&2
+  exit 1
+fi
 
 # Every analysis mode must be byte-deterministic across identical traces.
 for mode in "" "--critical-path" "--stalls" "--folded"; do
@@ -43,12 +53,14 @@ for mode in "" "--critical-path" "--stalls" "--folded"; do
 done
 
 # The timeline mode resolves abbreviated trace ids; smoke it on the first
-# exchange when the build traces spans at all.
+# exchange.
 first_trace="$(sed -n 's/.*"name":"exchange".*"trace":"\([0-9a-f]*\)".*/\1/p;
                s/.*"trace":"\([0-9a-f]*\)".*"name":"exchange".*/\1/p' \
                "$tmp/a.jsonl" | head -n 1)"
-if [ -n "$first_trace" ]; then
-  "$trace_tool" --timeline="$first_trace" "$tmp/a.jsonl" >/dev/null
+if [ -z "$first_trace" ]; then
+  echo "FAIL: no exchange span to smoke --timeline on" >&2
+  exit 1
 fi
+"$trace_tool" --timeline="$first_trace" "$tmp/a.jsonl" >/dev/null
 
 echo "OK: trace byte-deterministic; tlc_trace reconstructed all exchanges."

@@ -475,8 +475,8 @@ int run_summary(const Model& m) {
               m.events.size(), m.spans.size(), m.trace_order.size(),
               roots.size());
   if (roots.empty()) {
-    std::printf("no exchange spans found (trace built with TLC_TRACE=OFF, "
-                "or wire settlement not enabled?)\n");
+    std::printf("no exchange spans found (a run without --wire settles "
+                "nothing)\n");
     return 0;
   }
   std::printf("%-16s %5s %4s %12s %10s %5s %5s %6s %5s  %s\n", "trace",
@@ -791,8 +791,8 @@ int run_check(const Model& m) {
     return 1;
   }
   if (roots.empty()) {
-    std::printf("OK: no exchange spans in trace (TLC_TRACE=OFF build or "
-                "settlement disabled); nothing to reconstruct\n");
+    std::printf("OK: no exchange spans in trace (a run without --wire "
+                "settles nothing); nothing to reconstruct\n");
     return 0;
   }
   std::size_t lost = 0;

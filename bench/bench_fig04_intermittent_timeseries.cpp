@@ -62,9 +62,10 @@ int main() {
     last_rx = rx;
     const double charged = bed.gateway().usage(0).downlink.as_double();
     s.gap_mb = (charged - static_cast<double>(rx)) / 1e6;
-    s.rss_dbm = bed.basestation().radio().state_at(now).rss.value();
-    s.connected = bed.basestation().radio().state_at(now).connected;
-    s.attached = bed.basestation().attached();
+    epc::BaseStation& cell = bed.serving_cell();
+    s.rss_dbm = cell.radio().state_at(now).rss.value();
+    s.connected = cell.radio().state_at(now).connected;
+    s.attached = cell.attached();
     samples.push_back(s);
     if (now + std::chrono::seconds{1} <= end) {
       bed.scheduler().schedule_after(std::chrono::seconds{1}, sampler);

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "common/format.hpp"
-#include "epc/handover.hpp"
 #include "epc/sla_middlebox.hpp"
 #include "exp/metrics.hpp"
 #include "exp/testbed.hpp"
@@ -100,52 +99,11 @@ Row case_congestion() {
 
 Row case_mobility() {
   // Two cells + periodic handovers; gateway charges, handovers discard.
-  sim::Scheduler sched;
-  obs::Obs obs;
-  charging::DataPlan plan;
-  plan.cycle_length = std::chrono::seconds{300};
-  epc::EdgeDevice device{plan, sim::NodeClock{}};
-  epc::BaseStationConfig cell_cfg;
-  cell_cfg.radio.base_rss = Dbm{-85.0};
-  cell_cfg.radio.shadow_sigma_db = 0.0;
-  cell_cfg.radio.baseline_loss = 0.0;
-  epc::BaseStation cell_a{sched, cell_cfg, Rng{1}, device, plan,
-                          sim::NodeClock{}};
-  epc::BaseStation cell_b{sched, cell_cfg, Rng{2}, device, plan,
-                          sim::NodeClock{}};
-  cell_a.set_observability(obs, "cell0");
-  cell_b.set_observability(obs, "cell1");
-  cell_a.start();
-  cell_b.start();
-  epc::SpGateway gateway{sched, plan, sim::NodeClock{},
-                         epc::Imsi::from_number(7)};
-  epc::HandoverController::Config ho_cfg;
-  ho_cfg.period = std::chrono::seconds{3};
-  ho_cfg.interruption = std::chrono::milliseconds{150};
-  epc::HandoverController ho{sched, ho_cfg, {&cell_a, &cell_b}};
-  gateway.set_downlink_forward(
-      [&ho](net::Packet p) { ho.route_downlink(std::move(p)); });
-  ho.start();
-
-  workloads::VideoStreamConfig stream =
-      workloads::VideoStreamConfig::webcam_udp();
-  stream.direction = charging::Direction::kDownlink;
-  workloads::VideoStreamSource source{
-      sched, stream,
-      Rng{3}, [&gateway](net::Packet p) {
-        gateway.forward_downlink(std::move(p));
-      }};
-  source.start(kTimeZero + kRun);
-  sched.run_until(kTimeZero + kRun + std::chrono::seconds{5});
-
-  const double attributed =
-      static_cast<double>(obs.metrics.snapshot().counter_or_zero(
-          "net.dl.drop.handover_bytes")) /
-      1e6;
-  return Row{"2. link-layer mobility",
-             gateway.usage(0).downlink.as_double() / 1e6,
-             static_cast<double>(device.modem_rx_bytes()) / 1e6,
-             to_string(net::DropCause::kHandover), attributed};
+  TestbedConfig cfg = clean_base();
+  cfg.handover_period = std::chrono::seconds{3};
+  cfg.handover_interruption = std::chrono::milliseconds{150};
+  return run_testbed_case("2. link-layer mobility", cfg,
+                          net::DropCause::kHandover);
 }
 
 Row case_retransmission() {

@@ -17,9 +17,7 @@ BaseStation::BaseStation(sim::Scheduler& sched, BaseStationConfig config,
             device_.on_downlink_delivered(p, at);
             if (downlink_sink_) downlink_sink_(p, at);
           },
-          [this](const net::Packet& p, net::DropCause cause, TimePoint at) {
-            if (dl_drop_observer_) dl_drop_observer_(p, cause, at);
-          }),
+          nullptr),
       ul_link_(
           sched, config.uplink, &radio_,
           [this](const net::Packet& p, TimePoint at) {
@@ -94,29 +92,24 @@ Bytes BaseStation::observed_uplink_radio_loss(std::uint64_t cycle) const {
   return ul_radio_loss_.usage(cycle).uplink;
 }
 
-void BaseStation::fail_next_counter_checks(std::uint32_t count,
-                                           Duration retry_after) {
-  counter_check_faults_armed_ += count;
-  counter_check_retry_ = retry_after;
-}
-
 bool BaseStation::trigger_counter_check() {
   if (!attached_) return false;
-  if (counter_check_faults_armed_ > 0) {
-    --counter_check_faults_armed_;
-    if (m_counter_check_timeouts_ != nullptr) m_counter_check_timeouts_->inc();
-    TLC_TRACE_EVENT(obs_, component_, "counter_check_timeout",
-                    obs::TraceLevel::kInfo,
-                    obs::field("retry_s", to_seconds(counter_check_retry_)));
-    // The OFCS notices the missing response and re-polls after a bounded
-    // back-off; the retry itself may hit a detached device, in which case
-    // the report is simply late by one more idle-release.
-    sched_.schedule_after(counter_check_retry_, [this] {
-      if (attached_) perform_counter_check();
-    });
-    return false;
-  }
   perform_counter_check();
+  return true;
+}
+
+bool BaseStation::time_out_counter_check(Duration retry_after) {
+  if (!attached_) return false;
+  if (m_counter_check_timeouts_ != nullptr) m_counter_check_timeouts_->inc();
+  TLC_TRACE_EVENT(obs_, component_, "counter_check_timeout",
+                  obs::TraceLevel::kInfo,
+                  obs::field("retry_s", to_seconds(retry_after)));
+  // The OFCS notices the missing response and re-polls after a bounded
+  // back-off; the retry itself may hit a detached device, in which case
+  // the report is simply late by one more idle-release.
+  sched_.schedule_after(retry_after, [this] {
+    if (attached_) perform_counter_check();
+  });
   return true;
 }
 

@@ -54,7 +54,6 @@ class BaseStation {
   using CounterCheckFn = std::function<void(const CounterCheckReport&)>;
   using UplinkSinkFn = std::function<void(const net::Packet&, TimePoint)>;
   using SessionFn = std::function<void(bool attached, TimePoint)>;
-  using DropFn = net::CellLink::DropFn;
 
   BaseStation(sim::Scheduler& sched, BaseStationConfig config, Rng rng,
               EdgeDevice& device, charging::DataPlan plan,
@@ -74,8 +73,6 @@ class BaseStation {
   void set_counter_check_sink(CounterCheckFn fn) {
     counter_check_sink_ = std::move(fn);
   }
-  /// Observer for every lost downlink packet (ground-truth bookkeeping).
-  void set_downlink_drop_observer(DropFn fn) { dl_drop_observer_ = std::move(fn); }
   /// Downlink deliveries (→ device + ground truth).
   void set_downlink_sink(UplinkSinkFn fn) { downlink_sink_ = std::move(fn); }
 
@@ -83,12 +80,13 @@ class BaseStation {
   /// Returns false when the device is unreachable (detached).
   bool trigger_counter_check();
 
-  /// Fault injection (DESIGN.md §8): the next `count` operator-triggered
-  /// counter checks time out — no report reaches the monitor immediately —
-  /// and the OFCS retry fires `retry_after` later (bounded, so midpoint
-  /// attribution keeps the delta in the right cycle). Counted in
-  /// epc.<cell>.fault.counter_check_timeouts.
-  void fail_next_counter_checks(std::uint32_t count, Duration retry_after);
+  /// Fault injection (DESIGN.md §8): an operator-triggered counter check
+  /// that times out — no report reaches the monitor now — and the OFCS
+  /// retry fires `retry_after` later (bounded, so midpoint attribution
+  /// keeps the delta in the right cycle). Counted in
+  /// epc.<cell>.fault.counter_check_timeouts. Returns false, and times
+  /// nothing out, when the device is unreachable (detached).
+  bool time_out_counter_check(Duration retry_after);
 
   /// Fault injection: hook consulted for every packet that survives the
   /// organic loss model on the respective direction (nullptr disables).
@@ -148,7 +146,6 @@ class BaseStation {
   UplinkSinkFn downlink_sink_;
   SessionFn session_cb_;
   CounterCheckFn counter_check_sink_;
-  DropFn dl_drop_observer_;
 
   bool attached_ = true;
   bool rrc_connected_ = true;
@@ -157,8 +154,6 @@ class BaseStation {
   bool in_outage_ = false;
   TimePoint reconnected_since_ = kTimeZero;
   TimePoint last_activity_ = kTimeZero;
-  std::uint32_t counter_check_faults_armed_ = 0;
-  Duration counter_check_retry_ = std::chrono::seconds{5};
   bool started_ = false;
 
   obs::Obs* obs_ = nullptr;

@@ -50,7 +50,6 @@ void SpGateway::forward_downlink(net::Packet packet) {
       m_uncharged_dl_packets_->inc();
       m_uncharged_dl_bytes_->inc(packet.size.count());
     }
-    if (uncharged_drop_) uncharged_drop_(packet, now);
     return;
   }
   if (counter_stalled_) {

@@ -28,7 +28,6 @@ namespace tlc::epc {
 class SpGateway {
  public:
   using ForwardFn = std::function<void(net::Packet)>;
-  using DropFn = std::function<void(const net::Packet&, TimePoint)>;
 
   SpGateway(sim::Scheduler& sched, charging::DataPlan plan,
             sim::NodeClock operator_clock, Imsi imsi);
@@ -42,10 +41,6 @@ class SpGateway {
 
   void set_downlink_forward(ForwardFn fn) { dl_forward_ = std::move(fn); }
   void set_uplink_forward(ForwardFn fn) { ul_forward_ = std::move(fn); }
-  /// Observer for downlink traffic dropped uncharged while detached.
-  void set_uncharged_drop_observer(DropFn fn) {
-    uncharged_drop_ = std::move(fn);
-  }
 
   /// Session state driven by the base station's attach/detach events.
   void set_session_up(bool up);
@@ -95,7 +90,6 @@ class SpGateway {
   Imsi imsi_;
   ForwardFn dl_forward_;
   ForwardFn ul_forward_;
-  DropFn uncharged_drop_;
   bool session_up_ = true;
   bool counter_stalled_ = false;
   const Pcrf* pcrf_ = nullptr;

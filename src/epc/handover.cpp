@@ -56,12 +56,4 @@ void HandoverController::execute_handover() {
   });
 }
 
-void HandoverController::route_downlink(net::Packet packet) {
-  cells_[serving_index_]->send_downlink(std::move(packet));
-}
-
-void HandoverController::route_uplink(net::Packet packet) {
-  cells_[serving_index_]->send_uplink(std::move(packet));
-}
-
 }  // namespace tlc::epc

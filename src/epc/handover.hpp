@@ -6,11 +6,10 @@
 // while the gateway keeps charging — the mobility-induced charging gap the
 // measurement studies [10] report.
 //
-// The controller owns the serving-cell decision; the gateway and the
-// device route their traffic through it instead of a fixed BaseStation.
+// The controller owns the serving-cell decision; the testbed sends the
+// gateway's and the device's traffic through serving().
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "epc/basestation.hpp"
@@ -34,12 +33,9 @@ class HandoverController {
 
   void start();
 
-  /// Routes traffic via the current serving cell. During the interruption
-  /// window both cells are suspended, so routed packets drop with
+  /// The cell traffic goes through. During the interruption window every
+  /// cell is suspended, so packets sent through it drop with
   /// DropCause::kHandover — charged (downlink) but never delivered.
-  void route_downlink(net::Packet packet);
-  void route_uplink(net::Packet packet);
-
   [[nodiscard]] BaseStation& serving() { return *cells_[serving_index_]; }
   [[nodiscard]] std::size_t serving_index() const { return serving_index_; }
 

@@ -1,6 +1,7 @@
 #include "exp/testbed.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace tlc::exp {
 namespace {
@@ -16,8 +17,6 @@ Testbed::Testbed(TestbedConfig config)
       server_(config_.plan, config_.edge_clock),
       gateway_(sched_, config_.plan, config_.operator_clock,
                epc::Imsi::from_number(kTestbedImsi)),
-      bs_(sched_, config_.bs, rng_.fork(), device_, config_.plan,
-          config_.operator_clock),
       backhaul_up_(sched_, config_.backhaul,
                    [this](const net::Packet& p, TimePoint at) {
                      server_.on_uplink_delivered(p, at);
@@ -29,14 +28,14 @@ Testbed::Testbed(TestbedConfig config)
       rrc_(config_.plan, config_.operator_clock) {
   config_.plan.validate();
 
-  // Mobility: instantiate the target cell before wiring, so both cells
-  // share the same sinks.
-  if (config_.handover_period > Duration::zero()) {
-    bs2_ = std::make_unique<epc::BaseStation>(sched_, config_.bs,
-                                              rng_.fork(), device_,
-                                              config_.plan,
-                                              config_.operator_clock);
+  // One cell, or two under mobility: the device hands over between them.
+  const std::size_t cell_count =
+      config_.handover_period > Duration::zero() ? 2 : 1;
+  for (std::size_t i = 0; i < cell_count; ++i) {
+    cells_.emplace_back(sched_, config_.bs, rng_.fork(), device_,
+                        config_.plan, config_.operator_clock);
   }
+  last_disc_total_.assign(cell_count, Duration::zero());
 
   // A scenario pushes hundreds of thousands of events; one up-front
   // reservation keeps the heap's early growth off the packet path.
@@ -53,10 +52,11 @@ Testbed::Testbed(TestbedConfig config)
   rrc_.set_observability(obs_);
   backhaul_up_.set_observability(obs_, "net.backhaul.ul");
   backhaul_down_.set_observability(obs_, "net.backhaul.dl");
-  bs_.set_observability(obs_, "cell0");
-  if (bs2_) bs2_->set_observability(obs_, "cell1");
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    cells_[i].set_observability(obs_, "cell" + std::to_string(i));
+  }
 
-  const auto wire_cell = [this](epc::BaseStation& cell) {
+  for (epc::BaseStation& cell : cells_) {
     cell.set_uplink_sink([this](const net::Packet& p, TimePoint at) {
       if (p.flow == net::kControlFlow) {
         // Zero-rated settlement signaling: delivered over the air (so it
@@ -86,45 +86,23 @@ Testbed::Testbed(TestbedConfig config)
         [this](const epc::CounterCheckReport& report) {
           rrc_.on_counter_check(report);
         });
-  };
-  wire_cell(bs_);
-  if (bs2_) wire_cell(*bs2_);
-  // Downlink chain behind the charging point: gateway → SLA middlebox →
-  // base station. Anything the middlebox drops was already charged. The
-  // middlebox's drops are funnelled into the shared net.dl drop counters
-  // so the charging-gap identity (charged − delivered = Σ per-cause drops)
-  // covers every post-charge loss point.
-  obs::Counter* const sla_drop_packets =
-      &obs_.metrics.counter("net.dl.drop.sla-violation_packets");
-  obs::Counter* const sla_drop_bytes =
-      &obs_.metrics.counter("net.dl.drop.sla-violation_bytes");
-  sla_box_ = std::make_unique<epc::SlaMiddlebox>(
-      sched_, epc::SlaMiddlebox::Config{config_.sla_budget}, bs_.downlink(),
-      [this](net::Packet p) {
-        if (handover_) {
-          handover_->route_downlink(std::move(p));
-        } else {
-          bs_.send_downlink(std::move(p));
-        }
-      },
-      [sla_drop_packets, sla_drop_bytes](const net::Packet& p,
-                                         net::DropCause, TimePoint) {
-        sla_drop_packets->inc();
-        sla_drop_bytes->inc(p.size.count());
-      });
+  }
   gateway_.set_pcrf(&pcrf_);
   gateway_.set_downlink_forward(
-      [this](net::Packet p) { sla_box_->process(std::move(p)); });
+      [this](net::Packet p) { serving_cell().send_downlink(std::move(p)); });
   gateway_.set_uplink_forward(
       [this](net::Packet p) { backhaul_up_.enqueue(std::move(p)); });
-  bs_.start();
-  if (bs2_) {
-    bs2_->start();
+  std::vector<epc::BaseStation*> cell_ptrs;
+  for (epc::BaseStation& cell : cells_) {
+    cell.start();
+    cell_ptrs.push_back(&cell);
+  }
+  if (cells_.size() > 1) {
     handover_ = std::make_unique<epc::HandoverController>(
         sched_,
         epc::HandoverController::Config{config_.handover_period,
                                         config_.handover_interruption},
-        std::vector<epc::BaseStation*>{&bs_, bs2_.get()});
+        std::move(cell_ptrs));
     handover_->set_observability(obs_);
     handover_->start();
   }
@@ -134,11 +112,7 @@ void Testbed::app_send_uplink(net::Packet packet) {
   const TimePoint now = sched_.now();
   device_.note_app_sent(packet, now);
   truth_sent_.record(now, charging::Direction::kUplink, packet.size);
-  if (handover_) {
-    handover_->route_uplink(std::move(packet));
-  } else {
-    bs_.send_uplink(std::move(packet));
-  }
+  serving_cell().send_uplink(std::move(packet));
 }
 
 void Testbed::app_send_downlink(net::Packet packet) {
@@ -152,24 +126,22 @@ void Testbed::control_send_uplink(net::Packet packet) {
   // Bypasses app/ground-truth accounting on purpose: settlement signaling
   // is not application traffic. It still rides the real modem queue and
   // radio, so its delivery is subject to every §3.1 loss cause.
-  if (handover_) {
-    handover_->route_uplink(std::move(packet));
-  } else {
-    bs_.send_uplink(std::move(packet));
-  }
+  serving_cell().send_uplink(std::move(packet));
 }
 
 void Testbed::control_send_downlink(net::Packet packet) {
   // Injected behind the gateway's charge point (the operator originates it
-  // in its own core) and past the SLA middlebox, straight onto the eNB
-  // downlink. Every injected byte lands in net.dl.{delivered,drop.*} but
-  // is never charged; this counter balances the downlink gap identity.
+  // in its own core), straight onto the eNB downlink. Every injected byte
+  // lands in net.dl.{delivered,drop.*} but is never charged; this counter
+  // balances the downlink gap identity.
   obs_.metrics.counter("tlc.settle.dl_sent_bytes").inc(packet.size.count());
-  if (handover_) {
-    handover_->route_downlink(std::move(packet));
-  } else {
-    bs_.send_downlink(std::move(packet));
-  }
+  serving_cell().send_downlink(std::move(packet));
+}
+
+void Testbed::fail_next_counter_checks(std::uint32_t count,
+                                       Duration retry_after) {
+  counter_check_faults_ += count;
+  counter_check_retry_ = retry_after;
 }
 
 void Testbed::schedule_cycle_end_checks(TimePoint until,
@@ -184,7 +156,12 @@ void Testbed::schedule_cycle_end_checks(TimePoint until,
     const Duration jitter = from_seconds(
         rng_.uniform(0.0, to_seconds(config_.counter_check_jitter_max)));
     sched_.schedule_at(true_boundary + jitter, [this] {
-      serving_cell().trigger_counter_check();
+      epc::BaseStation& cell = serving_cell();
+      if (counter_check_faults_ == 0) {
+        cell.trigger_counter_check();
+      } else if (cell.time_out_counter_check(counter_check_retry_)) {
+        --counter_check_faults_;
+      }
     });
   }
 }
@@ -192,13 +169,16 @@ void Testbed::schedule_cycle_end_checks(TimePoint until,
 void Testbed::run_until(TimePoint until, std::int64_t last_boundary) {
   schedule_cycle_end_checks(until, last_boundary);
 
-  // Periodic sampler attributing disconnected time to true-time cycles.
+  // Periodic sampler attributing the serving cell's outage since the last
+  // sample to the true-time cycle.
   std::function<void()> sample = [this, &sample, until] {
     const TimePoint now = sched_.now();
-    const Duration total = bs_.radio().disconnected_time();
-    disconnected_[config_.plan.cycle_at(now).index] +=
-        total - last_disc_total_;
-    last_disc_total_ = total;
+    Duration& outage = disconnected_[config_.plan.cycle_at(now).index];
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      const Duration total = cells_[i].radio().disconnected_time();
+      if (&cells_[i] == &serving_cell()) outage += total - last_disc_total_[i];
+      last_disc_total_[i] = total;
+    }
     if (now + kDisconnectSample <= until) {
       sched_.schedule_after(kDisconnectSample, sample);
     }
@@ -227,8 +207,12 @@ core::LocalView Testbed::edge_view(charging::Direction direction,
 core::LocalView Testbed::operator_view(
     charging::Direction direction, std::uint64_t cycle,
     monitor::OperatorDlSource dl_source) const {
-  return monitor::operator_view(gateway_, rrc_, bs_, device_, direction,
-                                cycle, dl_source);
+  Bytes observed_ul_loss;
+  for (const epc::BaseStation& cell : cells_) {
+    observed_ul_loss += cell.observed_uplink_radio_loss(cycle);
+  }
+  return monitor::operator_view(gateway_, rrc_, observed_ul_loss, device_,
+                                direction, cycle, dl_source);
 }
 
 double Testbed::disconnect_ratio(std::uint64_t cycle) const {

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "charging/cycle.hpp"
 #include "charging/usage.hpp"
@@ -24,7 +26,6 @@
 #include "epc/handover.hpp"
 #include "epc/pcrf.hpp"
 #include "epc/server.hpp"
-#include "epc/sla_middlebox.hpp"
 #include "monitor/rrc_monitor.hpp"
 #include "monitor/views.hpp"
 #include "obs/obs.hpp"
@@ -47,9 +48,6 @@ struct TestbedConfig {
   /// is the dominant source of the operator's downlink record error
   /// (Fig. 18): ~2 s on a 300 s cycle ≈ up to ~1.5% misattribution.
   Duration counter_check_jitter_max = std::chrono::seconds{2};
-  /// Latency budget for the operator's SLA middlebox on the downlink
-  /// (§3.1 cause 5); zero disables it. Drops happen AFTER charging.
-  Duration sla_budget = Duration::zero();
   /// Mobility: when positive, a second cell is instantiated and the
   /// device hands over between the two at this period (§3.1 cause 2);
   /// zero keeps the single static cell.
@@ -103,18 +101,18 @@ class Testbed {
   [[nodiscard]] epc::EdgeDevice& device() { return device_; }
   [[nodiscard]] epc::EdgeServerNode& server() { return server_; }
   [[nodiscard]] epc::SpGateway& gateway() { return gateway_; }
-  [[nodiscard]] epc::BaseStation& basestation() { return bs_; }
+  /// Every cell, in build order: one, or two under mobility. Fault hooks
+  /// attach to each — the device roams between them.
+  [[nodiscard]] std::deque<epc::BaseStation>& cells() { return cells_; }
+  /// The cell serving the device: the one place that picks a cell. Every
+  /// send goes through it.
+  [[nodiscard]] epc::BaseStation& serving_cell() {
+    return handover_ ? handover_->serving() : cells_.front();
+  }
   /// Non-null only when mobility is configured (handover_period > 0).
   [[nodiscard]] epc::HandoverController* handover() {
     return handover_.get();
   }
-  /// The cell currently serving the device.
-  [[nodiscard]] epc::BaseStation& serving_cell() {
-    return handover_ ? handover_->serving() : bs_;
-  }
-  /// The mobility target cell; non-null only when handover is configured.
-  /// Fault hooks must attach to both cells — the device roams between them.
-  [[nodiscard]] epc::BaseStation* second_cell() { return bs2_.get(); }
   [[nodiscard]] monitor::RrcDownlinkMonitor& rrc_monitor() { return rrc_; }
   /// Policy rules applied by the gateway (install QCI rules here).
   [[nodiscard]] epc::Pcrf& pcrf() { return pcrf_; }
@@ -132,8 +130,15 @@ class Testbed {
       monitor::OperatorDlSource dl_source =
           monitor::OperatorDlSource::kRrcCounterCheck) const;
 
-  /// Fraction of `cycle` the device spent disconnected (the paper's η).
+  /// Fraction of `cycle` the device spent disconnected (the paper's η):
+  /// the outage of whichever cell served it, sampled once a second.
   [[nodiscard]] double disconnect_ratio(std::uint64_t cycle) const;
+
+  /// Fault injection (DESIGN.md §8): the next `count` cycle-end counter
+  /// checks that reach the device time out, whichever cell serves it, and
+  /// the OFCS retries each `retry_after` later. A check that finds the
+  /// device detached spends none of them.
+  void fail_next_counter_checks(std::uint32_t count, Duration retry_after);
 
   /// The testbed-wide metrics registry + trace sink. Every component is
   /// wired at construction; the trace clock is the scheduler's sim time.
@@ -150,14 +155,14 @@ class Testbed {
   epc::EdgeDevice device_;
   epc::EdgeServerNode server_;
   epc::SpGateway gateway_;
-  epc::BaseStation bs_;
+  std::deque<epc::BaseStation> cells_;  // a deque never moves a cell
   net::WiredLink backhaul_up_;    // gateway → server
   net::WiredLink backhaul_down_;  // server → gateway
   monitor::RrcDownlinkMonitor rrc_;
   epc::Pcrf pcrf_;
-  std::unique_ptr<epc::SlaMiddlebox> sla_box_;  // behind the gateway
-  std::unique_ptr<epc::BaseStation> bs2_;       // mobility target cell
   std::unique_ptr<epc::HandoverController> handover_;
+  std::uint32_t counter_check_faults_ = 0;
+  Duration counter_check_retry_ = Duration::zero();
 
   ControlHandler control_dl_handler_;
   ControlHandler control_ul_handler_;
@@ -166,8 +171,7 @@ class Testbed {
   charging::CycleAccountant truth_sent_{config_.plan, sim::NodeClock{}};
   charging::CycleAccountant truth_received_{config_.plan, sim::NodeClock{}};
   std::map<std::uint64_t, Duration> disconnected_;
-  TimePoint last_disc_sample_ = kTimeZero;
-  Duration last_disc_total_ = Duration::zero();
+  std::vector<Duration> last_disc_total_;  // per cell, at the last sample
 };
 
 }  // namespace tlc::exp

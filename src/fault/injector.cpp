@@ -63,9 +63,8 @@ void FaultSession::attach(exp::Testbed& bed) {
         LinkFaultInjector::Config{plan_.dl_burst_drop, plan_.dl_duplication,
                                   plan_.dl_reorder},
         rng.fork());
-    bed.basestation().set_downlink_fault_hook(dl_injector_.get());
-    if (bed.second_cell() != nullptr) {
-      bed.second_cell()->set_downlink_fault_hook(dl_injector_.get());
+    for (epc::BaseStation& cell : bed.cells()) {
+      cell.set_downlink_fault_hook(dl_injector_.get());
     }
   }
   if (plan_.ul_burst_drop) {
@@ -73,9 +72,8 @@ void FaultSession::attach(exp::Testbed& bed) {
         LinkFaultInjector::Config{plan_.ul_burst_drop, std::nullopt,
                                   std::nullopt},
         rng.fork());
-    bed.basestation().set_uplink_fault_hook(ul_injector_.get());
-    if (bed.second_cell() != nullptr) {
-      bed.second_cell()->set_uplink_fault_hook(ul_injector_.get());
+    for (epc::BaseStation& cell : bed.cells()) {
+      cell.set_uplink_fault_hook(ul_injector_.get());
     }
   }
 
@@ -90,14 +88,9 @@ void FaultSession::attach(exp::Testbed& bed) {
   }
 
   if (plan_.counter_check_timeout) {
-    const Duration retry =
-        from_seconds(plan_.counter_check_timeout->retry_after_s);
-    bed.basestation().fail_next_counter_checks(
-        plan_.counter_check_timeout->count, retry);
-    if (bed.second_cell() != nullptr) {
-      bed.second_cell()->fail_next_counter_checks(
-          plan_.counter_check_timeout->count, retry);
-    }
+    bed.fail_next_counter_checks(
+        plan_.counter_check_timeout->count,
+        from_seconds(plan_.counter_check_timeout->retry_after_s));
   }
 
   if (plan_.handover_kill && bed.handover() != nullptr) {

@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "exp/wire_exchange.hpp"
-#include "net/packet.hpp"
 #include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "tlc/negotiation.hpp"
@@ -134,46 +133,18 @@ void check_cycle(const FaultPlan& plan, std::uint64_t run_seed,
 void check_gap_identity(const FaultPlan& plan,
                         const obs::MetricsSnapshot& m,
                         std::vector<Violation>& out) {
-  // Downlink: charged before the radio leg, so every charged byte is
-  // either delivered, still frozen in the stall ledger, or attributed to
-  // exactly one drop cause. Duplicates live in their own counters and
-  // never inflate delivered_*.
-  const std::uint64_t charged_dl = m.counter_or_zero("epc.gw.charged_dl_bytes");
-  const std::uint64_t stalled_dl =
-      m.counter_or_zero("epc.gw.fault.stalled_dl_bytes");
-  // Zero-rated settlement signaling traverses the same links uncharged;
-  // its injected (DL) / delivered (UL) volume balances the identities.
-  const std::uint64_t settle_dl = m.counter_or_zero("tlc.settle.dl_sent_bytes");
-  const std::uint64_t delivered_dl = m.counter_or_zero("net.dl.delivered_bytes");
-  std::uint64_t drops_dl = 0;
-  for (std::size_t i = 1; i < net::kDropCauseCount; ++i) {
-    drops_dl += m.counter_or_zero(
-        std::string{"net.dl.drop."} +
-        net::to_string(static_cast<net::DropCause>(i)) + "_bytes");
-  }
-  if (charged_dl + stalled_dl + settle_dl != delivered_dl + drops_dl) {
-    add(out, plan.id, "gap-identity-dl",
-        "charged " + std::to_string(charged_dl) + " + stalled " +
-            std::to_string(stalled_dl) + " + settle " +
-            std::to_string(settle_dl) + " != delivered " +
-            std::to_string(delivered_dl) + " + drops " +
-            std::to_string(drops_dl));
-  }
-
-  // Uplink: charged after the radio leg — every byte delivered over the
-  // air reaches the gateway and is either charged or frozen.
-  const std::uint64_t charged_ul = m.counter_or_zero("epc.gw.charged_ul_bytes");
-  const std::uint64_t stalled_ul =
-      m.counter_or_zero("epc.gw.fault.stalled_ul_bytes");
-  const std::uint64_t delivered_ul = m.counter_or_zero("net.ul.delivered_bytes");
-  const std::uint64_t settle_ul =
-      m.counter_or_zero("tlc.settle.ul_delivered_bytes");
-  if (delivered_ul != charged_ul + stalled_ul + settle_ul) {
-    add(out, plan.id, "gap-identity-ul",
-        "delivered " + std::to_string(delivered_ul) + " != charged " +
-            std::to_string(charged_ul) + " + stalled " +
-            std::to_string(stalled_ul) + " + settle " +
-            std::to_string(settle_ul));
+  for (const charging::Direction d :
+       {charging::Direction::kDownlink, charging::Direction::kUplink}) {
+    const GapIdentity g = gap_identity(m, d);
+    if (g.residual() == 0) continue;
+    add(out, plan.id,
+        d == charging::Direction::kDownlink ? "gap-identity-dl"
+                                            : "gap-identity-ul",
+        "charged " + std::to_string(g.charged) + " + stalled " +
+            std::to_string(g.stalled) + " + settle " +
+            std::to_string(g.settlement) + " != delivered " +
+            std::to_string(g.delivered) + " + drops " +
+            std::to_string(g.dropped()));
   }
 }
 
@@ -233,6 +204,39 @@ void check_batch_audit(const FaultPlan& plan,
 }
 
 }  // namespace
+
+std::uint64_t GapIdentity::dropped() const {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t bytes : drops) sum += bytes;
+  return sum;
+}
+
+std::int64_t GapIdentity::residual() const {
+  return static_cast<std::int64_t>(charged + stalled + settlement) -
+         static_cast<std::int64_t>(delivered + dropped());
+}
+
+GapIdentity gap_identity(const obs::MetricsSnapshot& m,
+                         charging::Direction direction) {
+  const bool dl = direction == charging::Direction::kDownlink;
+  GapIdentity g;
+  g.charged = m.counter_or_zero(dl ? "epc.gw.charged_dl_bytes"
+                                   : "epc.gw.charged_ul_bytes");
+  g.stalled = m.counter_or_zero(dl ? "epc.gw.fault.stalled_dl_bytes"
+                                   : "epc.gw.fault.stalled_ul_bytes");
+  g.settlement = m.counter_or_zero(dl ? "tlc.settle.dl_sent_bytes"
+                                      : "tlc.settle.ul_delivered_bytes");
+  g.delivered = m.counter_or_zero(dl ? "net.dl.delivered_bytes"
+                                     : "net.ul.delivered_bytes");
+  if (dl) {
+    for (std::size_t i = 1; i < net::kDropCauseCount; ++i) {
+      g.drops[i] = m.counter_or_zero(
+          std::string{"net.dl.drop."} +
+          net::to_string(static_cast<net::DropCause>(i)) + "_bytes");
+    }
+  }
+  return g;
+}
 
 std::string Violation::to_json() const {
   std::string out =

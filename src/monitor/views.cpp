@@ -19,7 +19,7 @@ core::LocalView edge_view(const epc::EdgeDevice& device,
 
 core::LocalView operator_view(const epc::SpGateway& gateway,
                               const RrcDownlinkMonitor& rrc,
-                              const epc::BaseStation& bs,
+                              Bytes observed_ul_loss,
                               const epc::EdgeDevice& device,
                               charging::Direction direction,
                               std::uint64_t cycle,
@@ -30,7 +30,7 @@ core::LocalView operator_view(const epc::SpGateway& gateway,
     view.received_estimate = received;
     // The eNodeB scheduler saw some granted transmissions fail; losses in
     // the device's modem queue remain invisible to the operator.
-    view.sent_estimate = received + bs.observed_uplink_radio_loss(cycle);
+    view.sent_estimate = received + observed_ul_loss;
   } else {
     view.sent_estimate = gateway.claimed_usage(cycle).downlink;
     switch (dl_source) {

@@ -12,7 +12,6 @@
 //                                                  the §5.4 strawman)
 #pragma once
 
-#include "epc/basestation.hpp"
 #include "epc/device.hpp"
 #include "epc/gateway.hpp"
 #include "epc/server.hpp"
@@ -36,10 +35,12 @@ enum class OperatorDlSource {
                                         charging::Direction direction,
                                         std::uint64_t cycle);
 
-/// Cellular operator's view for (direction, cycle).
+/// Cellular operator's view for (direction, cycle). `observed_ul_loss` is
+/// the uplink radio loss the eNodeB schedulers observed in `cycle`, summed
+/// over every cell that served the device.
 [[nodiscard]] core::LocalView operator_view(
     const epc::SpGateway& gateway, const RrcDownlinkMonitor& rrc,
-    const epc::BaseStation& bs, const epc::EdgeDevice& device,
+    Bytes observed_ul_loss, const epc::EdgeDevice& device,
     charging::Direction direction, std::uint64_t cycle,
     OperatorDlSource dl_source = OperatorDlSource::kRrcCounterCheck);
 

@@ -51,7 +51,13 @@ TraceSink::~TraceSink() { static_cast<void>(close_jsonl()); }
 bool TraceSink::open_jsonl(const std::string& path) {
   static_cast<void>(close_jsonl());
   jsonl_ = std::fopen(path.c_str(), "w");
-  return jsonl_ != nullptr;
+  if (jsonl_ == nullptr) return false;
+  // The file starts with what the ring still holds: events recorded before
+  // the open (a testbed's construction) are not lost to the stream.
+  for (std::uint64_t seq = overwritten(); seq < emitted_; ++seq) {
+    stream(ring_[seq % kRingSlots]);
+  }
+  return true;
 }
 
 bool TraceSink::close_jsonl() {

@@ -175,7 +175,9 @@ class TraceSink {
   }
 
   /// Attaches a JSONL output file (truncates), closing any previous one
-  /// without reporting on it. Returns false when the file cannot be opened.
+  /// without reporting on it, and first writes the events the ring still
+  /// holds: a file opened before the 65th event starts at seq 0. Returns
+  /// false when the file cannot be opened.
   bool open_jsonl(const std::string& path);
   /// Detaches the JSONL file. False when a write to it or its close failed:
   /// the file on disk is not the whole trace. True when none is attached.

@@ -32,10 +32,10 @@ net::Packet packet(std::uint64_t id, std::uint64_t size = 1000) {
 
 struct Fixture : ::testing::Test {
   sim::Scheduler sched;
+  obs::Obs obs;
   EdgeDevice device{plan_300s(), sim::NodeClock{}};
   std::unique_ptr<BaseStation> cell_a;
   std::unique_ptr<BaseStation> cell_b;
-  std::uint64_t handover_drops = 0;
   std::uint64_t delivered = 0;
 
   void SetUp() override {
@@ -45,15 +45,19 @@ struct Fixture : ::testing::Test {
     cell_b = std::make_unique<BaseStation>(sched, clean_cell(), Rng{2},
                                            device, plan_300s(),
                                            sim::NodeClock{});
+    cell_a->set_observability(obs, "cell0");
+    cell_b->set_observability(obs, "cell1");
     for (BaseStation* cell : {cell_a.get(), cell_b.get()}) {
-      cell->set_downlink_drop_observer(
-          [this](const net::Packet&, net::DropCause cause, TimePoint) {
-            if (cause == net::DropCause::kHandover) ++handover_drops;
-          });
       cell->set_downlink_sink(
           [this](const net::Packet&, TimePoint) { ++delivered; });
       cell->start();
     }
+  }
+
+  /// Downlink packets every cell dropped for a handover.
+  [[nodiscard]] std::uint64_t handover_drops() const {
+    return obs.metrics.snapshot().counter_or_zero(
+        "net.dl.drop.handover_packets");
   }
 };
 
@@ -75,10 +79,10 @@ TEST_F(Fixture, StartsOnCellZeroWithOthersSuspended) {
 TEST_F(Fixture, DeliversThroughServingCell) {
   HandoverController ho{sched, HandoverController::Config{},
                         {cell_a.get(), cell_b.get()}};
-  ho.route_downlink(packet(1));
+  ho.serving().send_downlink(packet(1));
   sched.run_until(kTimeZero + seconds{1});
   EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(handover_drops, 0u);
+  EXPECT_EQ(handover_drops(), 0u);
 }
 
 TEST_F(Fixture, HandoverSwitchesServingCell) {
@@ -92,7 +96,7 @@ TEST_F(Fixture, HandoverSwitchesServingCell) {
   sched.run_until(kTimeZero + milliseconds{200});
   EXPECT_FALSE(cell_b->suspended());
   // Traffic flows again through the new cell.
-  ho.route_downlink(packet(1));
+  ho.serving().send_downlink(packet(1));
   sched.run_until(kTimeZero + seconds{1});
   EXPECT_EQ(delivered, 1u);
 }
@@ -101,10 +105,10 @@ TEST_F(Fixture, TrafficDuringInterruptionIsLost) {
   HandoverController ho{sched, HandoverController::Config{},
                         {cell_a.get(), cell_b.get()}};
   ho.execute_handover();
-  ho.route_downlink(packet(1));  // lands in the interruption window
-  ho.route_downlink(packet(2));
+  ho.serving().send_downlink(packet(1));  // lands in the interruption window
+  ho.serving().send_downlink(packet(2));
   sched.run_until(kTimeZero + seconds{1});
-  EXPECT_EQ(handover_drops, 2u);
+  EXPECT_EQ(handover_drops(), 2u);
   EXPECT_EQ(delivered, 0u);
 }
 
@@ -114,18 +118,14 @@ TEST_F(Fixture, BufferedDataAtSourceCellIsDiscarded) {
   slow.downlink.capacity = BitRate::from_kbps(8);  // 1 KB/s
   auto slow_cell = std::make_unique<BaseStation>(
       sched, slow, Rng{3}, device, plan_300s(), sim::NodeClock{});
-  std::uint64_t drops = 0;
-  slow_cell->set_downlink_drop_observer(
-      [&drops](const net::Packet&, net::DropCause cause, TimePoint) {
-        if (cause == net::DropCause::kHandover) ++drops;
-      });
+  slow_cell->set_observability(obs, "cell2");
   slow_cell->start();
 
   HandoverController ho{sched, HandoverController::Config{},
                         {slow_cell.get(), cell_b.get()}};
-  for (std::uint64_t i = 0; i < 5; ++i) ho.route_downlink(packet(i));
+  for (std::uint64_t i = 0; i < 5; ++i) ho.serving().send_downlink(packet(i));
   ho.execute_handover();  // flushes the source queue: no X2 forwarding
-  EXPECT_GE(drops, 4u);
+  EXPECT_GE(handover_drops(), 4u);
 }
 
 TEST_F(Fixture, PeriodicHandoversRun) {
@@ -133,7 +133,6 @@ TEST_F(Fixture, PeriodicHandoversRun) {
   cfg.period = seconds{5};
   cfg.interruption = milliseconds{50};
   HandoverController ho{sched, cfg, {cell_a.get(), cell_b.get()}};
-  obs::Obs obs;
   ho.set_observability(obs);
   ho.start();
   sched.run_until(kTimeZero + seconds{21});
@@ -167,13 +166,13 @@ TEST_F(Fixture, MobilityCreatesChargingGap) {
     sched.schedule_at(kTimeZero + milliseconds{i * 50},
                       [&ho, &sent, i] {
                         sent += Bytes{1000};
-                        ho.route_downlink(packet(i));
+                        ho.serving().send_downlink(packet(i));
                       });
   }
   sched.run_until(kTimeZero + seconds{12});
-  EXPECT_GT(handover_drops, 0u);
+  EXPECT_GT(handover_drops(), 0u);
   EXPECT_LT(delivered, 200u);
-  EXPECT_EQ(delivered + handover_drops, 200u);  // conservation
+  EXPECT_EQ(delivered + handover_drops(), 200u);  // conservation
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "common/hex.hpp"
 #include "crypto/sha256.hpp"
+#include "fault/invariants.hpp"
 #include "net/packet.hpp"
 
 namespace tlc::exp {
@@ -218,26 +219,16 @@ TEST(Scenario, MetricsSnapshotPopulated) {
 
 TEST(Scenario, DownlinkGapDecomposesByDropCause) {
   // The gateway charges DL bytes before the radio leg, so on a lossy,
-  // handover-heavy run: charged − delivered == Σ per-cause drop bytes
-  // (all post-charge drops are attributed; residual would mean traffic
-  // still queued at run end, which the cool-down drains).
+  // handover-heavy run every charged byte is delivered or attributed to
+  // one drop cause (a residual would mean traffic still queued at run
+  // end, which the cool-down drains).
   ScenarioConfig cfg = quick(AppKind::kVridge);
   cfg.dip_rate_per_s = 0.05;
   cfg.handover_period_s = 5.0;
-  const auto result = run_scenario(cfg);
-  const std::uint64_t charged =
-      result.metrics.counter_or_zero("epc.gw.charged_dl_bytes");
-  const std::uint64_t delivered =
-      result.metrics.counter_or_zero("net.dl.delivered_bytes");
-  ASSERT_GE(charged, delivered);
-  std::uint64_t drop_sum = 0;
-  for (std::size_t i = 1; i < net::kDropCauseCount; ++i) {
-    drop_sum += result.metrics.counter_or_zero(
-        std::string{"net.dl.drop."} +
-        net::to_string(static_cast<net::DropCause>(i)) + "_bytes");
-  }
-  EXPECT_GT(drop_sum, 0u);  // the scenario really is lossy
-  EXPECT_EQ(charged - delivered, drop_sum);
+  const fault::GapIdentity dl = fault::gap_identity(
+      run_scenario(cfg).metrics, charging::Direction::kDownlink);
+  EXPECT_GT(dl.dropped(), 0u);  // the scenario really is lossy
+  EXPECT_EQ(dl.residual(), 0);
 }
 
 TEST(Scenario, TraceJsonlIsDeterministicForSameSeed) {
@@ -282,6 +273,26 @@ TEST(Scenario, TraceJsonlMatchesGolden) {
   for (std::size_t i = 0; i < result.trace_tail.size(); ++i) {
     EXPECT_EQ(result.trace_tail[i], lines[first + i]) << "tail line " << i;
   }
+}
+
+// The stream opens with what was recorded before the file was: a handover
+// testbed's construction suspends cell 1 and resumes cell 0.
+TEST(Scenario, HandoverTraceOpensWithTheCellsInitialState) {
+  ScenarioConfig cfg = quick(AppKind::kWebcamUdp);
+  cfg.cycles = 1;
+  cfg.cycle_length = std::chrono::seconds{10};
+  cfg.handover_period_s = 5.0;
+  cfg.trace_jsonl_path = ::testing::TempDir() + "scenario_handover.jsonl";
+  (void)run_scenario(cfg);
+  const std::vector<std::string> lines =
+      split_lines(take_file(cfg.trace_jsonl_path));
+  ASSERT_GE(lines.size(), 2u);
+  EXPECT_EQ(lines[0],
+            "{\"t_ns\":0,\"seq\":0,\"level\":\"info\",\"component\":"
+            "\"epc.cell1\",\"event\":\"suspend\",\"cause\":\"handover\"}");
+  EXPECT_EQ(lines[1],
+            "{\"t_ns\":0,\"seq\":1,\"level\":\"info\",\"component\":"
+            "\"epc.cell0\",\"event\":\"resume\"}");
 }
 
 // Pins the registry's bytes across versions for the same scenario: the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 namespace tlc::exp {
 namespace {
 
@@ -160,50 +163,7 @@ TEST(Testbed, DetachStopsChargingDownlink) {
   EXPECT_GT(bed.obs().metrics.snapshot().counter_or_zero(
                 "epc.gw.uncharged_dl_bytes"),
             0u);
-  EXPECT_FALSE(bed.basestation().attached());
-}
-
-TEST(Testbed, SlaMiddleboxDropsChargedTraffic) {
-  // §3.1 cause 5 inside the full testbed: the middlebox sits behind the
-  // charging gateway, so its drops are charged-but-undelivered.
-  TestbedConfig cfg = clean_config();
-  cfg.sla_budget = std::chrono::milliseconds{120};
-  cfg.bs.downlink.capacity = BitRate::from_mbps(1.0);  // backlog builds
-  Testbed bed{cfg};
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    bed.scheduler().schedule_at(
-        kTimeZero + std::chrono::milliseconds{i * 5 + 1000},
-        [&bed, i] { bed.app_send_downlink(packet(i, 1400)); });
-  }
-  bed.run_until(kTimeZero + seconds{30});
-  EXPECT_GT(bed.obs().metrics.snapshot().counter_or_zero(
-                "net.dl.drop.sla-violation_packets"),
-            0u);
-  const auto truth = bed.truth(charging::Direction::kDownlink, 0);
-  EXPECT_EQ(bed.gateway().usage(0).downlink, truth.sent);  // all charged
-  EXPECT_LT(truth.received, truth.sent);
-}
-
-TEST(Testbed, PcrfRuleExemptsFlowFromSla) {
-  TestbedConfig cfg = clean_config();
-  cfg.sla_budget = std::chrono::milliseconds{120};
-  cfg.bs.downlink.capacity = BitRate::from_mbps(1.0);
-  Testbed bed{cfg};
-  bed.pcrf().install_rule({55, net::Qci::kQci7});
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    bed.scheduler().schedule_at(
-        kTimeZero + std::chrono::milliseconds{i * 5 + 1000}, [&bed, i] {
-          net::Packet p = packet(i, 1400);
-          p.flow = 55;
-          bed.app_send_downlink(std::move(p));
-        });
-  }
-  bed.run_until(kTimeZero + seconds{30});
-  // The SLA box polices best-effort traffic only, and QCI 7 rides a
-  // protected queue: no SLA drops for the accelerated flow.
-  EXPECT_EQ(bed.obs().metrics.snapshot().counter_or_zero(
-                "net.dl.drop.sla-violation_packets"),
-            0u);
+  EXPECT_FALSE(bed.serving_cell().attached());
 }
 
 TEST(Testbed, MobilityProducesHandoverLoss) {
@@ -230,7 +190,66 @@ TEST(Testbed, MobilityProducesHandoverLoss) {
 TEST(Testbed, StaticDeviceHasNoHandoverController) {
   Testbed bed{clean_config()};
   EXPECT_EQ(bed.handover(), nullptr);
-  EXPECT_EQ(&bed.serving_cell(), &bed.basestation());
+  ASSERT_EQ(bed.cells().size(), 1u);
+  EXPECT_EQ(&bed.serving_cell(), &bed.cells().front());
+}
+
+TEST(Testbed, OperatorUplinkViewCountsEveryCell) {
+  // Each cell's eNodeB observes the failed grants of the time it served
+  // the device: the operator's sent estimate adds up every cell's.
+  TestbedConfig cfg = clean_config();
+  cfg.plan.cycle_length = seconds{60};
+  cfg.bs.radio.baseline_loss = 0.05;
+  cfg.handover_period = seconds{5};
+  Testbed bed{cfg};
+  for (std::uint64_t i = 0; i < 1800; ++i) {
+    bed.scheduler().schedule_at(
+        kTimeZero + std::chrono::milliseconds{i * 100},
+        [&bed, i] { bed.app_send_uplink(packet(i)); });
+  }
+  bed.run_until(kTimeZero + seconds{185});
+  ASSERT_EQ(bed.cells().size(), 2u);
+  for (std::uint64_t cycle = 0; cycle < 3; ++cycle) {
+    const Bytes cell0 = bed.cells()[0].observed_uplink_radio_loss(cycle);
+    const Bytes cell1 = bed.cells()[1].observed_uplink_radio_loss(cycle);
+    EXPECT_GT(cell1, Bytes{0}) << "cycle " << cycle;
+    const auto view = bed.operator_view(charging::Direction::kUplink, cycle);
+    EXPECT_EQ((view.sent_estimate - view.received_estimate).count(),
+              (cell0 + cell1).count())
+        << "cycle " << cycle;
+  }
+}
+
+TEST(Testbed, DisconnectRatioFollowsTheServingCell) {
+  // One handover per cycle: cell 0 serves the even cycles, cell 1 the odd
+  // ones, and η reads the outage of the cell that served.
+  TestbedConfig cfg = clean_config();
+  cfg.plan.cycle_length = seconds{60};
+  cfg.bs.radio.dip_rate_per_s = 0.08;
+  cfg.bs.radio.dip_depth_db = 50.0;
+  cfg.handover_period = seconds{60};
+  cfg.seed = 11;
+  Testbed bed{cfg};
+  // Each cell's cumulative outage at every cycle boundary.
+  std::vector<std::array<Duration, 2>> at_boundary;
+  const auto record = [&bed, &at_boundary] {
+    at_boundary.push_back({bed.cells()[0].radio().disconnected_time(),
+                           bed.cells()[1].radio().disconnected_time()});
+  };
+  for (int k = 0; k <= 4; ++k) {
+    bed.scheduler().schedule_at(kTimeZero + seconds{60} * k, record);
+  }
+  bed.run_until(kTimeZero + seconds{240});
+  ASSERT_EQ(at_boundary.size(), 5u);
+  for (std::size_t cycle = 0; cycle < 4; ++cycle) {
+    const std::size_t serving = cycle % 2;
+    const Duration outage =
+        at_boundary[cycle + 1][serving] - at_boundary[cycle][serving];
+    // The sampler reads once a second, so a cycle's window may be off by
+    // one sample at its ends.
+    EXPECT_NEAR(bed.disconnect_ratio(cycle) * 60.0, to_seconds(outage), 1.0)
+        << "cycle " << cycle;
+  }
 }
 
 TEST(Testbed, MobilityRecordsStayConsistentForNegotiation) {

@@ -13,7 +13,7 @@
 #include "crypto/signer.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
-#include "net/packet.hpp"
+#include "fault/invariants.hpp"
 
 namespace tlc::exp {
 namespace {
@@ -28,14 +28,13 @@ ScenarioConfig small_config(std::uint64_t seed = 7) {
   return cfg;
 }
 
-std::uint64_t drops_for(const obs::MetricsSnapshot& m, const char* prefix) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 1; i < net::kDropCauseCount; ++i) {
-    total += m.counter_or_zero(std::string{prefix} + ".drop." +
-                               net::to_string(static_cast<net::DropCause>(i)) +
-                               "_bytes");
+/// Both directions' charging-gap identities hold, with residual 0.
+void expect_gap_identities_hold(const obs::MetricsSnapshot& m) {
+  for (const auto d :
+       {charging::Direction::kDownlink, charging::Direction::kUplink}) {
+    EXPECT_EQ(fault::gap_identity(m, d).residual(), 0)
+        << (d == charging::Direction::kDownlink ? "downlink" : "uplink");
   }
-  return total;
 }
 
 TEST(WireSettlement, SettlesEveryMeasuredCycle) {
@@ -83,17 +82,7 @@ TEST(WireSettlement, GapIdentitiesHoldWithControlTraffic) {
   EXPECT_GT(m.counter_or_zero("tlc.settle.dl_sent_bytes"), 0u);
   EXPECT_GT(m.counter_or_zero("tlc.settle.ul_delivered_bytes"), 0u);
 
-  // Downlink: charged + stalled + settle-injected = delivered + drops.
-  EXPECT_EQ(m.counter_or_zero("epc.gw.charged_dl_bytes") +
-                m.counter_or_zero("epc.gw.fault.stalled_dl_bytes") +
-                m.counter_or_zero("tlc.settle.dl_sent_bytes"),
-            m.counter_or_zero("net.dl.delivered_bytes") +
-                drops_for(m, "net.dl"));
-  // Uplink: delivered = charged + stalled + settle-delivered.
-  EXPECT_EQ(m.counter_or_zero("net.ul.delivered_bytes"),
-            m.counter_or_zero("epc.gw.charged_ul_bytes") +
-                m.counter_or_zero("epc.gw.fault.stalled_ul_bytes") +
-                m.counter_or_zero("tlc.settle.ul_delivered_bytes"));
+  expect_gap_identities_hold(m);
 }
 
 TEST(WireSettlement, DoesNotPerturbAppCycleOutcomes) {
@@ -141,16 +130,7 @@ TEST(WireSettlement, SurvivesHandoverAndRadioDips) {
   // Outcomes exist for every cycle the deadline allowed; completion is not
   // guaranteed under outages, but accounting must stay exact.
   EXPECT_LE(r.settlements.size(), 2u);
-  const obs::MetricsSnapshot& m = r.metrics;
-  EXPECT_EQ(m.counter_or_zero("epc.gw.charged_dl_bytes") +
-                m.counter_or_zero("epc.gw.fault.stalled_dl_bytes") +
-                m.counter_or_zero("tlc.settle.dl_sent_bytes"),
-            m.counter_or_zero("net.dl.delivered_bytes") +
-                drops_for(m, "net.dl"));
-  EXPECT_EQ(m.counter_or_zero("net.ul.delivered_bytes"),
-            m.counter_or_zero("epc.gw.charged_ul_bytes") +
-                m.counter_or_zero("epc.gw.fault.stalled_ul_bytes") +
-                m.counter_or_zero("tlc.settle.ul_delivered_bytes"));
+  expect_gap_identities_hold(r.metrics);
 }
 
 TEST(WireSettlement, EveryScenarioSignsUnderOneKeyPairPerRole) {

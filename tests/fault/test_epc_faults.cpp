@@ -67,6 +67,26 @@ TEST(EpcFaults, CounterCheckTimeoutRetriesAndStaysInvariant) {
   EXPECT_TRUE(violations.empty()) << violations_str(violations);
 }
 
+TEST(EpcFaults, CounterCheckBudgetIsTheOperatorsNotEachCells) {
+  // One handover per cycle: the cycle-end checks alternate cells, and the
+  // plan's one timeout still times out one check.
+  FaultPlan plan = base_plan();
+  plan.cycle_length_s = 60.0;
+  plan.handover_period_s = 60.0;
+  plan.counter_check_timeout = CounterCheckTimeout{1, 2.0};
+  FaultSession session{plan};
+  const exp::ScenarioResult result = run_plan(session);
+
+  EXPECT_EQ(result.metrics.counter_or_zero(
+                "epc.cell0.fault.counter_check_timeouts") +
+                result.metrics.counter_or_zero(
+                    "epc.cell1.fault.counter_check_timeouts"),
+            1u);
+
+  const auto violations = check(plan, result);
+  EXPECT_TRUE(violations.empty()) << violations_str(violations);
+}
+
 TEST(EpcFaults, HandoverKillForcesOneExtraHandover) {
   FaultPlan plan = base_plan();
   plan.handover_period_s = 30.0;

@@ -27,15 +27,6 @@ struct Fixture : ::testing::Test {
   epc::EdgeServerNode server{plan_300s(), sim::NodeClock{}};
   epc::SpGateway gateway{sched, plan_300s(), sim::NodeClock{},
                          epc::Imsi::from_number(1)};
-  epc::BaseStationConfig bs_cfg = [] {
-    epc::BaseStationConfig cfg;
-    cfg.radio.base_rss = Dbm{-80.0};
-    cfg.radio.shadow_sigma_db = 0.0;
-    cfg.radio.baseline_loss = 0.0;
-    return cfg;
-  }();
-  epc::BaseStation bs{sched, bs_cfg, Rng{1}, device, plan_300s(),
-                      sim::NodeClock{}};
   RrcDownlinkMonitor rrc{plan_300s(), sim::NodeClock{}};
 
   void populate_uplink() {
@@ -78,16 +69,17 @@ TEST_F(Fixture, EdgeDownlinkView) {
 TEST_F(Fixture, OperatorUplinkView) {
   populate_uplink();
   const core::LocalView view = operator_view(
-      gateway, rrc, bs, device, charging::Direction::kUplink, 0);
+      gateway, rrc, Bytes{60}, device, charging::Direction::kUplink, 0);
   EXPECT_EQ(view.received_estimate, Bytes{900});  // gateway exact
-  // No eNB-observed loss in this fixture → sent estimate = received.
-  EXPECT_EQ(view.sent_estimate, Bytes{900});
+  // Gateway RX + the 60 B the eNB observed; the modem-queue loss stays
+  // invisible to the operator.
+  EXPECT_EQ(view.sent_estimate, Bytes{960});
 }
 
 TEST_F(Fixture, OperatorDownlinkViewRrc) {
   populate_downlink();
   const core::LocalView view = operator_view(
-      gateway, rrc, bs, device, charging::Direction::kDownlink, 0,
+      gateway, rrc, Bytes{0}, device, charging::Direction::kDownlink, 0,
       OperatorDlSource::kRrcCounterCheck);
   EXPECT_EQ(view.sent_estimate, Bytes{2000});      // gateway charged count
   EXPECT_EQ(view.received_estimate, Bytes{1800});  // RRC modem counters
@@ -97,11 +89,11 @@ TEST_F(Fixture, OperatorDownlinkViewApiIsTamperable) {
   populate_downlink();
   device.set_api_tamper_factor(0.5);
   const core::LocalView api = operator_view(
-      gateway, rrc, bs, device, charging::Direction::kDownlink, 0,
+      gateway, rrc, Bytes{0}, device, charging::Direction::kDownlink, 0,
       OperatorDlSource::kDeviceApi);
   EXPECT_EQ(api.received_estimate, Bytes{900});  // halved by the edge
   const core::LocalView rrc_view = operator_view(
-      gateway, rrc, bs, device, charging::Direction::kDownlink, 0,
+      gateway, rrc, Bytes{0}, device, charging::Direction::kDownlink, 0,
       OperatorDlSource::kRrcCounterCheck);
   EXPECT_EQ(rrc_view.received_estimate, Bytes{1800});  // immune
 }
@@ -110,7 +102,7 @@ TEST_F(Fixture, OperatorDownlinkViewSystemMonitorIsExact) {
   populate_downlink();
   device.set_api_tamper_factor(0.5);  // irrelevant to root inspection
   const core::LocalView view = operator_view(
-      gateway, rrc, bs, device, charging::Direction::kDownlink, 0,
+      gateway, rrc, Bytes{0}, device, charging::Direction::kDownlink, 0,
       OperatorDlSource::kSystemMonitor);
   EXPECT_EQ(view.received_estimate, Bytes{1800});
 }
@@ -119,7 +111,7 @@ TEST_F(Fixture, OperatorCdrTamperPropagatesToViews) {
   populate_downlink();
   gateway.set_cdr_tamper_factor(2.0);
   const core::LocalView view = operator_view(
-      gateway, rrc, bs, device, charging::Direction::kDownlink, 0);
+      gateway, rrc, Bytes{0}, device, charging::Direction::kDownlink, 0);
   EXPECT_EQ(view.sent_estimate, Bytes{4000});  // the inflated claim basis
 }
 
@@ -129,7 +121,7 @@ TEST_F(Fixture, EmptyCycleYieldsZeroViews) {
   EXPECT_EQ(edge.sent_estimate, Bytes{0});
   EXPECT_EQ(edge.received_estimate, Bytes{0});
   const core::LocalView op = operator_view(
-      gateway, rrc, bs, device, charging::Direction::kDownlink, 7);
+      gateway, rrc, Bytes{0}, device, charging::Direction::kDownlink, 7);
   EXPECT_EQ(op.sent_estimate, Bytes{0});
   EXPECT_EQ(op.received_estimate, Bytes{0});
 }

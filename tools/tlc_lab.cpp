@@ -24,6 +24,7 @@
 #include "common/stats.hpp"
 #include "exp/metrics.hpp"
 #include "exp/scenario.hpp"
+#include "fault/invariants.hpp"
 #include "net/packet.hpp"
 #include "obs/span.hpp"
 
@@ -183,35 +184,31 @@ int main(int argc, char** argv) {
     result.metrics.print(stdout);
 
     // Cross-check: the downlink charging gap decomposed by drop cause.
-    // Every byte the gateway charged was either delivered over the air or
-    // dropped after the charging point — the per-cause counters must sum
-    // to charged − delivered (residual 0 once cool-down drains the queue).
-    const std::uint64_t charged =
-        result.metrics.counter_or_zero("epc.gw.charged_dl_bytes");
-    const std::uint64_t delivered =
-        result.metrics.counter_or_zero("net.dl.delivered_bytes");
-    const std::uint64_t gap = charged - std::min(charged, delivered);
-    std::printf("\n── downlink charging-gap decomposition ──\n");
-    std::printf("%-28s %12llu\n", "charged (gateway)",
-                static_cast<unsigned long long>(charged));
-    std::printf("%-28s %12llu\n", "delivered (air interface)",
-                static_cast<unsigned long long>(delivered));
-    std::printf("%-28s %12llu\n", "gap (charged - delivered)",
-                static_cast<unsigned long long>(gap));
-    std::uint64_t drop_sum = 0;
-    for (std::size_t i = 1; i < net::kDropCauseCount; ++i) {
-      const auto cause = static_cast<net::DropCause>(i);
-      const std::uint64_t bytes = result.metrics.counter_or_zero(
-          std::string{"net.dl.drop."} + net::to_string(cause) + "_bytes");
-      if (bytes == 0) continue;
-      drop_sum += bytes;
-      std::printf("  drop: %-21s %12llu\n", net::to_string(cause),
+    // Every byte the gateway charged, let through stalled, or injected as
+    // settlement signaling was either delivered over the air or dropped
+    // for one cause (residual 0 once cool-down drains the queue).
+    const fault::GapIdentity g =
+        fault::gap_identity(result.metrics, charging::Direction::kDownlink);
+    const auto row = [](const char* label, std::uint64_t bytes) {
+      std::printf("%-28s %12llu\n", label,
                   static_cast<unsigned long long>(bytes));
+    };
+    std::printf("\n── downlink charging-gap decomposition ──\n");
+    row("charged (gateway)", g.charged);
+    row("stalled (frozen counters)", g.stalled);
+    row("settlement (zero-rated)", g.settlement);
+    row("delivered (air interface)", g.delivered);
+    row("gap (charged - delivered)",
+        g.charged - std::min(g.charged, g.delivered));
+    for (std::size_t i = 1; i < net::kDropCauseCount; ++i) {
+      if (g.drops[i] == 0) continue;
+      std::printf("  drop: %-21s %12llu\n",
+                  net::to_string(static_cast<net::DropCause>(i)),
+                  static_cast<unsigned long long>(g.drops[i]));
     }
-    std::printf("%-28s %12llu\n", "sum of per-cause drops",
-                static_cast<unsigned long long>(drop_sum));
+    row("sum of per-cause drops", g.dropped());
     std::printf("%-28s %12lld  (in-flight/queued at end)\n", "residual",
-                static_cast<long long>(gap) - static_cast<long long>(drop_sum));
+                static_cast<long long>(g.residual()));
   }
   return 0;
 }

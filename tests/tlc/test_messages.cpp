@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
+#include "crypto/sha256.hpp"
 #include "tlc/protocol_fixture.hpp"
 #include "wire/codec.hpp"
 
@@ -169,6 +171,71 @@ TEST_F(MessagesTest, GenericDecodeDispatchesOnType) {
 TEST_F(MessagesTest, EncodeMessageMatchesDirectEncode) {
   const CdrMsg m = sample_cdr();
   EXPECT_EQ(encode_message(Message{m}), m.encode());
+}
+
+// Pins each message's wire bytes across versions: the round-trip and
+// signature tests above would still pass if encode and the signed image
+// changed the same way on both sides. RSA keys are generated per run, so
+// a fixed 128-byte stand-in takes the signature's place.
+TEST_F(MessagesTest, EncodingsMatchGolden) {
+  ByteVec signature(128);
+  for (std::size_t i = 0; i < signature.size(); ++i) {
+    signature[i] = static_cast<std::uint8_t>(0xA5 ^ i);
+  }
+  Nonce nonce_edge{};
+  Nonce nonce_operator{};
+  for (std::size_t i = 0; i < nonce_edge.size(); ++i) {
+    nonce_edge[i] = static_cast<std::uint8_t>(i);
+    nonce_operator[i] = static_cast<std::uint8_t>(0xF0 + i);
+  }
+
+  CdrMsg cdr;
+  cdr.plan = PlanEcho::from(plan(), cycle());
+  cdr.sender = PartyRole::kCellularOperator;
+  cdr.direction = charging::Direction::kDownlink;
+  cdr.seq = 3;
+  cdr.round = 2;
+  cdr.nonce = nonce_operator;
+  cdr.claim = Bytes{778'500'000};
+  cdr.signature = signature;
+
+  CdaMsg cda;
+  cda.plan = cdr.plan;
+  cda.sender = PartyRole::kEdgeVendor;
+  cda.direction = charging::Direction::kDownlink;
+  cda.seq = 2;
+  cda.round = 2;
+  cda.nonce = nonce_edge;
+  cda.claim = Bytes{720'000'000};
+  cda.peer_cdr = cdr.encode();
+  cda.signature = signature;
+
+  PocMsg poc;
+  poc.plan = cdr.plan;
+  poc.sender = PartyRole::kCellularOperator;
+  poc.seq = 4;
+  poc.round = 2;
+  poc.charged = Bytes{749'250'000};
+  poc.peer_cda = cda.encode();
+  poc.signature = signature;
+  poc.nonce_edge = nonce_edge;
+  poc.nonce_operator = nonce_operator;
+
+  const auto digest = [](const ByteVec& bytes) {
+    return to_hex(crypto::sha256(bytes));
+  };
+  const ByteVec cdr_bytes = cdr.encode();
+  const ByteVec cda_bytes = cda.encode();
+  const ByteVec poc_bytes = poc.encode();
+  EXPECT_EQ(cdr_bytes.size(), 202u);
+  EXPECT_EQ(cda_bytes.size(), 408u);
+  EXPECT_EQ(poc_bytes.size(), 629u);
+  EXPECT_EQ(digest(cdr_bytes),
+            "4c472c2e584c5c76a8265f39fd4e0d968e07e1f5e4fac6227d27ce06fe9603c9");
+  EXPECT_EQ(digest(cda_bytes),
+            "a7b4c6acfbf573e96fcf2e8a71543661239b12c4518eaa9be6e82609c3cc2bf3");
+  EXPECT_EQ(digest(poc_bytes),
+            "618e896aa3598516f711524db8d047ccda48d081fae71e7757eb18e4c9306d0b");
 }
 
 TEST_F(MessagesTest, WireSizesComparableToPaper) {

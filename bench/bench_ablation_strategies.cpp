@@ -69,8 +69,7 @@ int main() {
       const int kTrials = 40;
       for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
         Rng rng{seed};
-        const auto out = negotiate(*edge, truth, *op, truth,
-                                   NegotiationConfig{0.5, 64}, rng);
+        const auto out = negotiate(*edge, truth, *op, truth, 0.5, rng);
         if (!out.converged) continue;
         ++converged;
         rounds.add(out.rounds);

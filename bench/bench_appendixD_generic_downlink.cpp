@@ -55,9 +55,8 @@ int main() {
       edge_view.sent_estimate =
           Bytes{static_cast<std::uint64_t>(server_sent)};
       Rng rng{cyc.cycle};
-      const auto out =
-          core::negotiate(*edge_strategy, edge_view, *op_strategy,
-                          cyc.op_view, core::NegotiationConfig{c, 64}, rng);
+      const auto out = core::negotiate(*edge_strategy, edge_view,
+                                       *op_strategy, cyc.op_view, c, rng);
       if (!out.converged) {
         within = false;
         continue;

@@ -146,7 +146,9 @@ void BaseStation::poll_radio() {
       attach();
     }
     // RRC inactivity release: counter check, then release the connection.
-    if (attached_ && rrc_connected_ &&
+    // A suspended cell cannot reach the device, so it neither queries the
+    // modem nor releases anything.
+    if (attached_ && !suspended_ && rrc_connected_ &&
         now - last_activity_ >= config_.rrc_idle_timeout) {
       perform_counter_check();
       rrc_connected_ = false;
@@ -174,7 +176,6 @@ void BaseStation::detach() {
   dl_link_.set_blocked(true, net::DropCause::kDetached);
   ul_link_.flush(net::DropCause::kDetached);
   ul_link_.set_blocked(true, net::DropCause::kDetached);
-  if (session_cb_) session_cb_(false, sched_.now());
 }
 
 void BaseStation::attach() {
@@ -186,7 +187,6 @@ void BaseStation::attach() {
     dl_link_.set_blocked(false);
     ul_link_.set_blocked(false);
   }
-  if (session_cb_) session_cb_(true, sched_.now());
 }
 
 void BaseStation::suspend(net::DropCause cause) {

@@ -53,7 +53,6 @@ class BaseStation {
  public:
   using CounterCheckFn = std::function<void(const CounterCheckReport&)>;
   using UplinkSinkFn = std::function<void(const net::Packet&, TimePoint)>;
-  using SessionFn = std::function<void(bool attached, TimePoint)>;
 
   BaseStation(sim::Scheduler& sched, BaseStationConfig config, Rng rng,
               EdgeDevice& device, charging::DataPlan plan,
@@ -67,8 +66,6 @@ class BaseStation {
 
   /// Uplink packets that survive the air are handed here (→ gateway).
   void set_uplink_sink(UplinkSinkFn fn) { uplink_sink_ = std::move(fn); }
-  /// Attach/detach notifications (→ gateway session state).
-  void set_session_callback(SessionFn fn) { session_cb_ = std::move(fn); }
   /// Counter-check reports (→ operator's RRC downlink monitor).
   void set_counter_check_sink(CounterCheckFn fn) {
     counter_check_sink_ = std::move(fn);
@@ -144,7 +141,6 @@ class BaseStation {
 
   UplinkSinkFn uplink_sink_;
   UplinkSinkFn downlink_sink_;
-  SessionFn session_cb_;
   CounterCheckFn counter_check_sink_;
 
   bool attached_ = true;

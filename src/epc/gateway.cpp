@@ -19,14 +19,6 @@ void SpGateway::set_observability(obs::Obs& obs) {
   m_stalled_dl_bytes_ = &obs.metrics.counter("epc.gw.fault.stalled_dl_bytes");
 }
 
-void SpGateway::set_session_up(bool up) {
-  if (up != session_up_) {
-    TLC_TRACE_EVENT(obs_, "epc.gw", "session", obs::TraceLevel::kInfo,
-                    obs::field("up", up));
-  }
-  session_up_ = up;
-}
-
 void SpGateway::set_counter_stall(bool stalled) {
   if (stalled != counter_stalled_) {
     TLC_TRACE_EVENT(obs_, "epc.gw", "counter_stall", obs::TraceLevel::kInfo,
@@ -35,7 +27,7 @@ void SpGateway::set_counter_stall(bool stalled) {
   counter_stalled_ = stalled;
 }
 
-void SpGateway::forward_downlink(net::Packet packet) {
+void SpGateway::forward_downlink(net::Packet packet, bool session_up) {
   const TimePoint now = sched_.now();
   if (packet.trace_id != 0) {
     const obs::SpanContext ctx{packet.trace_id, packet.span_id};
@@ -45,7 +37,7 @@ void SpGateway::forward_downlink(net::Packet packet) {
                     obs::field("bytes", packet.size));
   }
   if (pcrf_ != nullptr) pcrf_->apply(packet);
-  if (!session_up_) {
+  if (!session_up) {
     if (m_uncharged_dl_packets_ != nullptr) {
       m_uncharged_dl_packets_->inc();
       m_uncharged_dl_bytes_->inc(packet.size.count());

@@ -10,7 +10,9 @@
 //
 // When the device is detached (radio-link failure, §3.2) the session is
 // down: arriving downlink traffic is dropped *uncharged*, which is how the
-// paper's LTE core "prevents larger gaps" after the 5 s detach timer.
+// paper's LTE core "prevents larger gaps" after the 5 s detach timer. The
+// gateway keeps no copy of that state: its caller passes the serving
+// cell's attachment with each downlink packet.
 #pragma once
 
 #include <functional>
@@ -32,19 +34,16 @@ class SpGateway {
   SpGateway(sim::Scheduler& sched, charging::DataPlan plan,
             sim::NodeClock operator_clock, Imsi imsi);
 
-  /// Downlink: server → gateway. Charged (if the session is up), then
-  /// forwarded toward the base station.
-  void forward_downlink(net::Packet packet);
+  /// Downlink: server → gateway. Charged and forwarded toward the base
+  /// station while `session_up` (the serving cell has the device
+  /// attached); otherwise dropped uncharged.
+  void forward_downlink(net::Packet packet, bool session_up);
 
   /// Uplink: base station → gateway. Charged, then forwarded to the server.
   void on_uplink_from_enb(const net::Packet& packet, TimePoint at);
 
   void set_downlink_forward(ForwardFn fn) { dl_forward_ = std::move(fn); }
   void set_uplink_forward(ForwardFn fn) { ul_forward_ = std::move(fn); }
-
-  /// Session state driven by the base station's attach/detach events.
-  void set_session_up(bool up);
-  [[nodiscard]] bool session_up() const { return session_up_; }
 
   /// Fault injection (DESIGN.md §8): while stalled the charging counters
   /// freeze — traffic keeps flowing but is not recorded, modelling a hung
@@ -80,8 +79,8 @@ class SpGateway {
 
   /// Counters epc.gw.charged_{ul,dl}_{packets,bytes} and
   /// epc.gw.uncharged_dl_{packets,bytes}, the only record of downlink
-  /// dropped while detached; trace component "epc.gw" ("session" and
-  /// "counter_stall" at info, and a "process" event per traced packet).
+  /// dropped while detached; trace component "epc.gw" ("counter_stall" at
+  /// info, and a "process" event per traced packet).
   void set_observability(obs::Obs& obs);
 
  private:
@@ -90,7 +89,6 @@ class SpGateway {
   Imsi imsi_;
   ForwardFn dl_forward_;
   ForwardFn ul_forward_;
-  bool session_up_ = true;
   bool counter_stalled_ = false;
   const Pcrf* pcrf_ = nullptr;
   double cdr_tamper_ = 1.0;

@@ -269,7 +269,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       source->bytes_emitted().as_double() * 8.0 /
       to_seconds(end - kTimeZero) / 1e6;
 
-  const core::NegotiationConfig ncfg{config.loss_weight, 64};
   const auto edge_optimal = core::make_optimal_edge();
   const auto op_optimal = core::make_optimal_operator();
   // TLC-random: each round a naive party claims uniformly within 50% of
@@ -292,9 +291,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 
     Rng nrng = run_rng.fork();
     out.optimal = core::negotiate(*edge_optimal, out.edge_view, *op_optimal,
-                                  out.op_view, ncfg, nrng);
+                                  out.op_view, config.loss_weight, nrng);
     out.random = core::negotiate(*edge_random, out.edge_view, *op_random,
-                                 out.op_view, ncfg, nrng);
+                                 out.op_view, config.loss_weight, nrng);
     result.cycles.push_back(out);
   }
   return result;

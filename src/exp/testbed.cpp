@@ -23,7 +23,7 @@ Testbed::Testbed(TestbedConfig config)
                    }),
       backhaul_down_(sched_, config_.backhaul,
                      [this](const net::Packet& p, TimePoint) {
-                       gateway_.forward_downlink(p);
+                       gateway_.forward_downlink(p, serving_cell().attached());
                      }),
       rrc_(config_.plan, config_.operator_clock) {
   config_.plan.validate();
@@ -76,11 +76,6 @@ Testbed::Testbed(TestbedConfig config)
         return;
       }
       truth_received_.record(at, charging::Direction::kDownlink, p.size);
-    });
-    cell.set_session_callback([this, &cell](bool attached, TimePoint) {
-      // Only the serving cell's radio-link state drives the session; a
-      // suspended neighbour's fade must not cut charging.
-      if (&cell == &serving_cell()) gateway_.set_session_up(attached);
     });
     cell.set_counter_check_sink(
         [this](const epc::CounterCheckReport& report) {

@@ -103,7 +103,6 @@ void WireSettlement::begin_cycle(std::uint64_t cycle) {
                   ? bed_.edge_view(config_.direction, cycle)
                   : bed_.operator_view(config_.direction, cycle,
                                        config_.dl_source);
-    pc.max_rounds = kMaxRounds;
     pc.obs = obs_;
     pc.exchange = exchange_span_;
     return pc;

@@ -122,7 +122,6 @@ class WireSettlement {
   }
 
  private:
-  static constexpr int kMaxRounds = 64;
   /// Per-message sign/verify processing time on each side (§7.2 puts the
   /// crypto share of negotiation time at ~55%).
   static constexpr Duration kCryptoTime = std::chrono::milliseconds{2};

@@ -104,9 +104,8 @@ void check_cycle(const FaultPlan& plan, std::uint64_t run_seed,
       make_style(plan.exchange.op, core::PartyRole::kCellularOperator,
                  plan.exchange.op_factor);
   Rng nrng{stream_mix64(plan.seed ^ (c.cycle * 0x9e3779b97f4a7c15ULL))};
-  const core::NegotiationConfig ncfg{0.5, 64};
   const core::NegotiationOutcome adv = core::negotiate(
-      *edge_strategy, c.edge_view, *op_strategy, c.op_view, ncfg, nrng);
+      *edge_strategy, c.edge_view, *op_strategy, c.op_view, 0.5, nrng);
   if (adv.converged) {
     if (plan.exchange.op == ClaimStyle::kOptimal &&
         adv.charged + slack_op < c.op_view.received_estimate) {

@@ -1,6 +1,6 @@
 #include "tlc/messages.hpp"
 
-#include <stdexcept>
+#include <type_traits>
 
 #include "wire/codec.hpp"
 
@@ -73,6 +73,84 @@ charging::Direction read_direction(wire::Reader& r) {
   return static_cast<charging::Direction>(v);
 }
 
+/// The claim a CDR or CDA carries, after its header: both messages sign
+/// and send the same seven fields in this order.
+template <typename Claim>
+void write_claim(wire::Writer& w, const Claim& m) {
+  write_plan(w, m.plan);
+  w.u8(static_cast<std::uint8_t>(m.sender));
+  w.u8(static_cast<std::uint8_t>(m.direction));
+  w.u32(m.seq);
+  w.u32(m.round);
+  write_nonce(w, m.nonce);
+  w.u64(m.claim.count());
+}
+
+template <typename Claim>
+void read_claim(wire::Reader& r, Claim& m) {
+  m.plan = read_plan(r);
+  m.sender = read_role(r);
+  m.direction = read_direction(r);
+  m.seq = r.u32();
+  m.round = r.u32();
+  m.nonce = read_nonce(r);
+  m.claim = Bytes{r.u64()};
+}
+
+void expect_type(wire::Reader& r, MessageType type, const char* what) {
+  if (read_header(r) != type) throw wire::DecodeError{what};
+}
+
+/// The image each message's signature covers: every field but the
+/// signature itself (and, for a PoC, the nonces appended in clear).
+void write_signable(wire::Writer& w, const CdrMsg& m) {
+  write_header(w, MessageType::kCdr);
+  write_claim(w, m);
+}
+
+void write_signable(wire::Writer& w, const CdaMsg& m) {
+  write_header(w, MessageType::kCda);
+  write_claim(w, m);
+  w.bytes(m.peer_cdr);
+}
+
+void write_signable(wire::Writer& w, const PocMsg& m) {
+  write_header(w, MessageType::kPoc);
+  write_plan(w, m.plan);
+  w.u8(static_cast<std::uint8_t>(m.sender));
+  w.u32(m.seq);
+  w.u32(m.round);
+  w.u64(m.charged.count());
+  w.bytes(m.peer_cda);
+}
+
+template <typename Msg>
+ByteVec encode_signed(const Msg& m) {
+  wire::Writer& w = scratch_writer();
+  write_signable(w, m);
+  w.bytes(m.signature);
+  if constexpr (std::is_same_v<Msg, PocMsg>) {
+    write_nonce(w, m.nonce_edge);
+    write_nonce(w, m.nonce_operator);
+  }
+  return w.buffer();
+}
+
+template <typename Msg>
+ByteVec signature_of(const Msg& m, const crypto::KeyPair& key) {
+  wire::Writer& w = scratch_writer();
+  write_signable(w, m);
+  return crypto::sign(key, w.buffer());
+}
+
+template <typename Msg>
+bool signature_holds(const Msg& m, const crypto::PublicKey& key) {
+  if (m.signature.empty()) return false;
+  wire::Writer& w = scratch_writer();
+  write_signable(w, m);
+  return crypto::verify(key, w.buffer(), m.signature);
+}
+
 }  // namespace
 
 Nonce make_nonce(Rng& rng) {
@@ -97,142 +175,54 @@ PlanEcho PlanEcho::from(const charging::DataPlan& plan,
   return echo;
 }
 
-// ---------------------------------------------------------------- CdrMsg
-
-namespace {
-void write_cdr_signable(wire::Writer& w, const CdrMsg& m) {
-  write_header(w, MessageType::kCdr);
-  write_plan(w, m.plan);
-  w.u8(static_cast<std::uint8_t>(m.sender));
-  w.u8(static_cast<std::uint8_t>(m.direction));
-  w.u32(m.seq);
-  w.u32(m.round);
-  write_nonce(w, m.nonce);
-  w.u64(m.claim.count());
+ByteVec CdrMsg::encode() const { return encode_signed(*this); }
+void CdrMsg::sign(const crypto::KeyPair& key) {
+  signature = signature_of(*this, key);
 }
-}  // namespace
+bool CdrMsg::verify(const crypto::PublicKey& key) const {
+  return signature_holds(*this, key);
+}
 
-ByteVec CdrMsg::encode() const {
-  wire::Writer& w = scratch_writer();
-  write_cdr_signable(w, *this);
-  w.bytes(signature);
-  return w.buffer();
+ByteVec CdaMsg::encode() const { return encode_signed(*this); }
+void CdaMsg::sign(const crypto::KeyPair& key) {
+  signature = signature_of(*this, key);
+}
+bool CdaMsg::verify(const crypto::PublicKey& key) const {
+  return signature_holds(*this, key);
+}
+
+ByteVec PocMsg::encode() const { return encode_signed(*this); }
+void PocMsg::sign(const crypto::KeyPair& key) {
+  signature = signature_of(*this, key);
+}
+bool PocMsg::verify(const crypto::PublicKey& key) const {
+  return signature_holds(*this, key);
 }
 
 CdrMsg CdrMsg::decode(std::span<const std::uint8_t> data) {
   wire::Reader r{data};
-  if (read_header(r) != MessageType::kCdr) {
-    throw wire::DecodeError{"not a CDR"};
-  }
+  expect_type(r, MessageType::kCdr, "not a CDR");
   CdrMsg m;
-  m.plan = read_plan(r);
-  m.sender = read_role(r);
-  m.direction = read_direction(r);
-  m.seq = r.u32();
-  m.round = r.u32();
-  m.nonce = read_nonce(r);
-  m.claim = Bytes{r.u64()};
+  read_claim(r, m);
   m.signature = r.bytes();
   r.expect_end();
   return m;
 }
 
-void CdrMsg::sign(const crypto::KeyPair& key) {
-  wire::Writer& w = scratch_writer();
-  write_cdr_signable(w, *this);
-  signature = crypto::sign(key, w.buffer());
-}
-
-bool CdrMsg::verify(const crypto::PublicKey& key) const {
-  if (signature.empty()) return false;
-  wire::Writer& w = scratch_writer();
-  write_cdr_signable(w, *this);
-  return crypto::verify(key, w.buffer(), signature);
-}
-
-// ---------------------------------------------------------------- CdaMsg
-
-namespace {
-void write_cda_signable(wire::Writer& w, const CdaMsg& m) {
-  write_header(w, MessageType::kCda);
-  write_plan(w, m.plan);
-  w.u8(static_cast<std::uint8_t>(m.sender));
-  w.u8(static_cast<std::uint8_t>(m.direction));
-  w.u32(m.seq);
-  w.u32(m.round);
-  write_nonce(w, m.nonce);
-  w.u64(m.claim.count());
-  w.bytes(m.peer_cdr);
-}
-}  // namespace
-
-ByteVec CdaMsg::encode() const {
-  wire::Writer& w = scratch_writer();
-  write_cda_signable(w, *this);
-  w.bytes(signature);
-  return w.buffer();
-}
-
 CdaMsg CdaMsg::decode(std::span<const std::uint8_t> data) {
   wire::Reader r{data};
-  if (read_header(r) != MessageType::kCda) {
-    throw wire::DecodeError{"not a CDA"};
-  }
+  expect_type(r, MessageType::kCda, "not a CDA");
   CdaMsg m;
-  m.plan = read_plan(r);
-  m.sender = read_role(r);
-  m.direction = read_direction(r);
-  m.seq = r.u32();
-  m.round = r.u32();
-  m.nonce = read_nonce(r);
-  m.claim = Bytes{r.u64()};
+  read_claim(r, m);
   m.peer_cdr = r.bytes();
   m.signature = r.bytes();
   r.expect_end();
   return m;
 }
 
-void CdaMsg::sign(const crypto::KeyPair& key) {
-  wire::Writer& w = scratch_writer();
-  write_cda_signable(w, *this);
-  signature = crypto::sign(key, w.buffer());
-}
-
-bool CdaMsg::verify(const crypto::PublicKey& key) const {
-  if (signature.empty()) return false;
-  wire::Writer& w = scratch_writer();
-  write_cda_signable(w, *this);
-  return crypto::verify(key, w.buffer(), signature);
-}
-
-// ---------------------------------------------------------------- PocMsg
-
-namespace {
-void write_poc_signable(wire::Writer& w, const PocMsg& m) {
-  write_header(w, MessageType::kPoc);
-  write_plan(w, m.plan);
-  w.u8(static_cast<std::uint8_t>(m.sender));
-  w.u32(m.seq);
-  w.u32(m.round);
-  w.u64(m.charged.count());
-  w.bytes(m.peer_cda);
-}
-}  // namespace
-
-ByteVec PocMsg::encode() const {
-  wire::Writer& w = scratch_writer();
-  write_poc_signable(w, *this);
-  w.bytes(signature);
-  write_nonce(w, nonce_edge);
-  write_nonce(w, nonce_operator);
-  return w.buffer();
-}
-
 PocMsg PocMsg::decode(std::span<const std::uint8_t> data) {
   wire::Reader r{data};
-  if (read_header(r) != MessageType::kPoc) {
-    throw wire::DecodeError{"not a PoC"};
-  }
+  expect_type(r, MessageType::kPoc, "not a PoC");
   PocMsg m;
   m.plan = read_plan(r);
   m.sender = read_role(r);
@@ -245,19 +235,6 @@ PocMsg PocMsg::decode(std::span<const std::uint8_t> data) {
   m.nonce_operator = read_nonce(r);
   r.expect_end();
   return m;
-}
-
-void PocMsg::sign(const crypto::KeyPair& key) {
-  wire::Writer& w = scratch_writer();
-  write_poc_signable(w, *this);
-  signature = crypto::sign(key, w.buffer());
-}
-
-bool PocMsg::verify(const crypto::PublicKey& key) const {
-  if (signature.empty()) return false;
-  wire::Writer& w = scratch_writer();
-  write_poc_signable(w, *this);
-  return crypto::verify(key, w.buffer(), signature);
 }
 
 // ---------------------------------------------------------------- variant

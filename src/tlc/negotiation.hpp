@@ -15,10 +15,9 @@
 
 namespace tlc::core {
 
-struct NegotiationConfig {
-  double loss_weight = 0.5;  // the plan's c
-  int max_rounds = 64;       // safety net against misbehaving strategies
-};
+/// Round budget of every negotiation, value-level or signed: a safety net
+/// against misbehaving strategies.
+inline constexpr int kMaxRounds = 64;
 
 struct NegotiationOutcome {
   bool converged = false;
@@ -28,13 +27,13 @@ struct NegotiationOutcome {
   Bytes operator_claim;  // final x_o
 };
 
-/// Runs Algorithm 1 between two strategies over their local views.
-/// `rng` drives any stochastic strategy (TLC-random).
+/// Runs Algorithm 1 between two strategies over their local views under a
+/// plan with loss weight `loss_weight` (the plan's c). `rng` drives any
+/// stochastic strategy (TLC-random).
 [[nodiscard]] NegotiationOutcome negotiate(const Strategy& edge,
                                            const LocalView& edge_view,
                                            const Strategy& op,
                                            const LocalView& op_view,
-                                           const NegotiationConfig& config,
-                                           Rng& rng);
+                                           double loss_weight, Rng& rng);
 
 }  // namespace tlc::core

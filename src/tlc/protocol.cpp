@@ -1,7 +1,7 @@
 #include "tlc/protocol.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "charging/usage.hpp"
 #include "wire/codec.hpp"
@@ -105,15 +105,13 @@ void ProtocolParty::transition(ProtocolState to) {
 }
 
 Bytes ProtocolParty::next_own_claim() {
-  Bytes claim = strategy_.claim(config_.view, bounds_, round_, rng_);
-  if (strategy_.obeys_bounds()) claim = bounds_.clamp(claim);
-  own_claim_ = claim;
-  return claim;
+  own_claim_ = strategy_.bounded_claim(config_.view, bounds_, round_, rng_);
+  return own_claim_;
 }
 
-void ProtocolParty::tighten_bounds(Bytes a, Bytes b) {
-  bounds_.lower = std::min(a, b);
-  bounds_.upper = std::max(a, b);
+bool ProtocolParty::next_round(Bytes own_claim, Bytes peer_claim) {
+  bounds_.tighten(own_claim, peer_claim);
+  return ++round_ <= kMaxRounds;
 }
 
 std::optional<Message> ProtocolParty::fail(ProtocolError error) {
@@ -218,34 +216,23 @@ std::optional<Message> ProtocolParty::handle_cdr(const CdrMsg& msg) {
   if (msg.seq <= last_peer_seq_) return fail(ProtocolError::kReplayedSequence);
   last_peer_seq_ = msg.seq;
 
+  // A CDR while negotiating means the peer rejected our last claim and is
+  // re-claiming: a new round begins, its window tightened by our rejected
+  // claim and the peer's re-claim (Algorithm 1 line 12 — the constraint is
+  // "visible to both" sides), so our subsequent claims ratchet toward
+  // agreement instead of resampling the same range.
   if (state_ == ProtocolState::kIdle) {
     round_ = 1;
     transition(ProtocolState::kNegotiating);
-  } else {
-    // A CDR while negotiating means the peer rejected our last claim and
-    // is re-claiming: a new round begins. Tighten our bounds with our
-    // rejected claim and the peer's re-claim (Algorithm 1 line 12 — the
-    // constraint is "visible to both" sides), so our subsequent claims
-    // ratchet toward agreement instead of resampling the same range.
-    tighten_bounds(own_claim_, msg.claim);
-    ++round_;
-    if (round_ > config_.max_rounds) {
-      return fail(ProtocolError::kExceededMaxRounds);
-    }
+  } else if (!next_round(own_claim_, msg.claim)) {
+    return fail(ProtocolError::kExceededMaxRounds);
   }
 
-  // Evaluate the peer's claim: bounds compliance plus local cross-check.
-  const bool out_of_bounds = !bounds_.contains(msg.claim);
-  const bool rejected =
-      out_of_bounds || strategy_.reject_peer(msg.claim, config_.view);
-  if (!rejected) {
+  if (!strategy_.rejects(msg.claim, config_.view, bounds_)) {
     return track(Message{make_cda(msg)});
   }
   // Reject: tighten bounds using both claims of this round and re-claim.
-  const Bytes my_claim = next_own_claim();
-  tighten_bounds(my_claim, msg.claim);
-  ++round_;
-  if (round_ > config_.max_rounds) {
+  if (!next_round(next_own_claim(), msg.claim)) {
     return fail(ProtocolError::kExceededMaxRounds);
   }
   return track(Message{make_cdr()});
@@ -269,10 +256,7 @@ std::optional<Message> ProtocolParty::handle_cda(const CdaMsg& msg) {
     return fail(ProtocolError::kEmbeddedMismatch);
   }
 
-  const bool out_of_bounds = !bounds_.contains(msg.claim);
-  const bool rejected =
-      out_of_bounds || strategy_.reject_peer(msg.claim, config_.view);
-  if (!rejected) {
+  if (!strategy_.rejects(msg.claim, config_.view, bounds_)) {
     const Bytes charged = charging::charged_volume(
         own_claim_, msg.claim, config_.plan.loss_weight);
     PocMsg poc = make_poc(msg, charged);
@@ -281,9 +265,7 @@ std::optional<Message> ProtocolParty::handle_cda(const CdaMsg& msg) {
     transition(ProtocolState::kDone);
     return track(Message{std::move(poc)});
   }
-  tighten_bounds(own_claim_, msg.claim);
-  ++round_;
-  if (round_ > config_.max_rounds) {
+  if (!next_round(own_claim_, msg.claim)) {
     return fail(ProtocolError::kExceededMaxRounds);
   }
   return track(Message{make_cdr()});

@@ -52,7 +52,6 @@ class ProtocolParty {
     charging::ChargingCycle cycle;
     charging::Direction direction = charging::Direction::kUplink;
     LocalView view;
-    int max_rounds = 64;
     /// Optional observability. Both parties may share one Obs: counters
     /// tlc.protocol.{msgs_sent,wire_bytes_sent,wire_bytes_received,
     /// exchanges_done,exchanges_failed,error.<name>} aggregate across
@@ -94,8 +93,11 @@ class ProtocolParty {
   [[nodiscard]] std::optional<Message> handle_cdr(const CdrMsg& msg);
   [[nodiscard]] std::optional<Message> handle_cda(const CdaMsg& msg);
   [[nodiscard]] std::optional<Message> handle_poc(const PocMsg& msg);
+  /// Draws this party's claim for the current round and records it.
   [[nodiscard]] Bytes next_own_claim();
-  void tighten_bounds(Bytes a, Bytes b);
+  /// After a rejection: tightens the window to the round's two claims and
+  /// begins the next round; false once that exceeds kMaxRounds.
+  [[nodiscard]] bool next_round(Bytes own_claim, Bytes peer_claim);
   std::optional<Message> fail(ProtocolError error);
   /// Counts a sent message; encodes it for its wire size only when an Obs
   /// is attached.

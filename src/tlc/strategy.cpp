@@ -4,194 +4,121 @@
 #include <cmath>
 
 namespace tlc::core {
+
+Bytes Strategy::bounded_claim(const LocalView& view, const ClaimBounds& bounds,
+                              int round, Rng& rng) const {
+  const Bytes wanted = claim(view, bounds, round, rng);
+  return obeys_bounds() ? bounds.clamp(wanted) : wanted;
+}
+
+bool Strategy::rejects(Bytes peer_claim, const LocalView& view,
+                       const ClaimBounds& bounds) const {
+  return !bounds.contains(peer_claim) || reject_peer(peer_claim, view);
+}
+
+bool Strategy::reject_peer(Bytes peer_claim, const LocalView& view) const {
+  if (role_ == PartyRole::kCellularOperator) {
+    // x_e < x̂_o: the edge under-claims below even the delivered data.
+    return peer_claim + tol_.slack_for(view.received_estimate) <
+           view.received_estimate;
+  }
+  // x_o > x̂_e: the operator charges data that was never sent.
+  return peer_claim > view.sent_estimate + tol_.slack_for(view.sent_estimate);
+}
+
 namespace {
 
-/// Operator-side cross-check: reject an edge claim x_e below the volume the
-/// operator knows was received (x_e < x̂_o would mean the edge under-claims
-/// below even the delivered data).
-bool operator_rejects(Bytes edge_claim, const LocalView& view,
-                      const CrossCheckTolerance& tol) {
-  const Bytes slack = tol.slack_for(view.received_estimate);
-  return edge_claim + slack < view.received_estimate;
+/// What the party's own records say: the edge's sent volume, the
+/// operator's received volume.
+Bytes truthful(PartyRole role, const LocalView& view) {
+  return role == PartyRole::kEdgeVendor ? view.sent_estimate
+                                        : view.received_estimate;
 }
 
-/// Edge-side cross-check: reject an operator claim x_o above the volume the
-/// edge knows was sent (x_o > x̂_e would mean charging data never sent).
-bool edge_rejects(Bytes operator_claim, const LocalView& view,
-                  const CrossCheckTolerance& tol) {
-  const Bytes slack = tol.slack_for(view.sent_estimate);
-  return operator_claim > view.sent_estimate + slack;
-}
-
-class HonestEdge final : public Strategy {
+class Honest final : public Strategy {
  public:
-  explicit HonestEdge(CrossCheckTolerance tol) : tol_(tol) {}
+  using Strategy::Strategy;
   Bytes claim(const LocalView& view, const ClaimBounds&, int, Rng&)
       const override {
-    return view.sent_estimate;
+    return truthful(role(), view);
   }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    return edge_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override { return "honest-edge"; }
-
- private:
-  CrossCheckTolerance tol_;
 };
 
-class HonestOperator final : public Strategy {
+class Optimal final : public Strategy {
  public:
-  explicit HonestOperator(CrossCheckTolerance tol) : tol_(tol) {}
-  Bytes claim(const LocalView& view, const ClaimBounds&, int, Rng&)
-      const override {
-    return view.received_estimate;
-  }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    return operator_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override { return "honest-operator"; }
-
- private:
-  CrossCheckTolerance tol_;
-};
-
-class OptimalEdge final : public Strategy {
- public:
-  explicit OptimalEdge(CrossCheckTolerance tol) : tol_(tol) {}
+  using Strategy::Strategy;
   Bytes claim(const LocalView& view, const ClaimBounds& bounds, int round,
               Rng&) const override {
     // Minimax (Theorem 3): the edge's worst case is minimized by claiming
-    // its best estimate of the received volume x̂_o.
-    const Bytes base = std::min(view.received_estimate, view.sent_estimate);
+    // its best estimate of the received volume x̂_o; the operator's
+    // maximin claim is its estimate of the sent volume x̂_e.
+    const bool edge = role() == PartyRole::kEdgeVendor;
+    const Bytes base =
+        edge ? std::min(view.received_estimate, view.sent_estimate)
+             : std::max(view.sent_estimate, view.received_estimate);
     if (round <= 1) return base;
     // A rejection happened: Algorithm 1 re-claims inside the tightened
-    // window. Concede toward the midpoint (never above what we sent) so
-    // the window halves every round and the negotiation terminates even
-    // against a peer with inflated records.
+    // window. Concede toward the midpoint — the edge never above what it
+    // sent, the operator never below what it received — so the window
+    // halves every round and the negotiation terminates even against a
+    // peer with inflated records.
     const Bytes mid = bounds.lower + Bytes{(bounds.upper - bounds.lower)
                                                .count() /
                                            2};
-    return std::min(std::max(base, mid), view.sent_estimate);
+    return edge ? std::min(std::max(base, mid), view.sent_estimate)
+                : std::max(std::min(base, mid), view.received_estimate);
   }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    return edge_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override { return "optimal-edge"; }
-
- private:
-  CrossCheckTolerance tol_;
 };
 
-class OptimalOperator final : public Strategy {
+class Random final : public Strategy {
  public:
-  explicit OptimalOperator(CrossCheckTolerance tol) : tol_(tol) {}
-  Bytes claim(const LocalView& view, const ClaimBounds& bounds, int round,
-              Rng&) const override {
-    // Maximin: claim the estimate of the sent volume x̂_e.
-    const Bytes base = std::max(view.sent_estimate, view.received_estimate);
-    if (round <= 1) return base;
-    // Concede downward toward the midpoint after a rejection (but never
-    // below the volume we know was received).
-    const Bytes mid = bounds.lower + Bytes{(bounds.upper - bounds.lower)
-                                               .count() /
-                                           2};
-    return std::max(std::min(base, mid), view.received_estimate);
-  }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    return operator_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override { return "optimal-operator"; }
-
- private:
-  CrossCheckTolerance tol_;
-};
-
-class RandomEdge final : public Strategy {
- public:
-  RandomEdge(double spread, CrossCheckTolerance tol)
-      : spread_(spread), tol_(tol) {}
+  Random(PartyRole role, double spread, CrossCheckTolerance tol)
+      : Strategy(role, tol), spread_(spread) {}
   Bytes claim(const LocalView& view, const ClaimBounds& bounds, int,
               Rng& rng) const override {
-    // Under-claim: uniform below x̂_e. The draw range starts at
-    // x̂_e·(1−spread) and shrinks as rejections raise the lower bound
-    // (Algorithm 1, line 12), which is what makes the naive selfish
-    // process converge in a handful of rounds (Fig. 16b).
-    const double hi = view.sent_estimate.as_double();
-    const double floor = std::max(hi * (1.0 - spread_),
-                                  bounds.lower.as_double());
-    const double lo = std::min(floor, hi);
+    double lo = view.received_estimate.as_double();
+    double hi = view.sent_estimate.as_double();
+    if (role() == PartyRole::kEdgeVendor) {
+      // Under-claim: uniform below x̂_e. The draw range starts at
+      // x̂_e·(1−spread) and shrinks as rejections raise the lower bound
+      // (Algorithm 1, line 12), which is what makes the naive selfish
+      // process converge in a handful of rounds (Fig. 16b).
+      lo = std::min(std::max(hi * (1.0 - spread_), bounds.lower.as_double()),
+                    hi);
+    } else {
+      // Over-claim: uniform above x̂_o, shrinking from above as rejections
+      // lower the upper bound.
+      hi = std::max(std::min(lo * (1.0 + spread_), bounds.upper.as_double()),
+                    lo);
+    }
+    // The draw may leave the window on its far side; the claim never does.
     const Bytes draw{static_cast<std::uint64_t>(rng.uniform(lo, hi))};
     return bounds.clamp(draw);
   }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    return edge_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override { return "random-edge"; }
 
  private:
   double spread_;
-  CrossCheckTolerance tol_;
 };
 
-class RandomOperator final : public Strategy {
- public:
-  RandomOperator(double spread, CrossCheckTolerance tol)
-      : spread_(spread), tol_(tol) {}
-  Bytes claim(const LocalView& view, const ClaimBounds& bounds, int,
-              Rng& rng) const override {
-    // Over-claim: uniform above x̂_o, shrinking from above as rejections
-    // lower the upper bound.
-    const double lo = view.received_estimate.as_double();
-    double ceil = lo * (1.0 + spread_);
-    if (bounds.upper.as_double() < ceil) ceil = bounds.upper.as_double();
-    const double hi = std::max(ceil, lo);
-    const Bytes draw{static_cast<std::uint64_t>(rng.uniform(lo, hi))};
-    return bounds.clamp(draw);
-  }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    return operator_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override { return "random-operator"; }
-
- private:
-  double spread_;
-  CrossCheckTolerance tol_;
-};
-
+// Keeps the role's cross-check: a rational selfish party still rejects
+// peer claims its own records disprove (that is what protects it).
 class Greedy final : public Strategy {
  public:
   Greedy(PartyRole role, double factor, CrossCheckTolerance tol)
-      : role_(role), factor_(factor), tol_(tol) {}
-  Bytes claim(const LocalView& view, const ClaimBounds& bounds, int,
+      : Strategy(role, tol), factor_(factor) {}
+  Bytes claim(const LocalView& view, const ClaimBounds&, int,
               Rng&) const override {
-    const Bytes truthful = role_ == PartyRole::kEdgeVendor
-                               ? view.sent_estimate
-                               : view.received_estimate;
-    const Bytes scaled{static_cast<std::uint64_t>(
-        std::llround(truthful.as_double() * factor_))};
-    return bounds.clamp(scaled);
-  }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    // Keeps the honest cross-check: a rational selfish party still rejects
-    // peer claims its own records disprove (that is what protects it).
-    return role_ == PartyRole::kEdgeVendor
-               ? edge_rejects(peer_claim, view, tol_)
-               : operator_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override {
-    return role_ == PartyRole::kEdgeVendor ? "greedy-edge" : "greedy-operator";
+    return Bytes{static_cast<std::uint64_t>(
+        std::llround(truthful(role(), view).as_double() * factor_))};
   }
 
  private:
-  PartyRole role_;
   double factor_;
-  CrossCheckTolerance tol_;
 };
 
 class Oscillating final : public Strategy {
  public:
-  Oscillating(PartyRole role, CrossCheckTolerance tol)
-      : role_(role), tol_(tol) {}
+  using Strategy::Strategy;
   Bytes claim(const LocalView& view, const ClaimBounds& bounds, int round,
               Rng&) const override {
     // Bounce between the window's ends. On the first round the window is
@@ -205,55 +132,42 @@ class Oscillating final : public Strategy {
     return (round % 2 == 0) ? std::max(low, std::min(high, bounds.upper))
                             : std::min(high, std::max(low, bounds.lower));
   }
-  bool reject_peer(Bytes peer_claim, const LocalView& view) const override {
-    return role_ == PartyRole::kEdgeVendor
-               ? edge_rejects(peer_claim, view, tol_)
-               : operator_rejects(peer_claim, view, tol_);
-  }
-  std::string_view name() const override {
-    return role_ == PartyRole::kEdgeVendor ? "oscillating-edge"
-                                           : "oscillating-operator";
-  }
-
- private:
-  PartyRole role_;
-  CrossCheckTolerance tol_;
 };
 
 class Stubborn final : public Strategy {
  public:
-  Stubborn(Bytes fixed, CrossCheckTolerance tol) : fixed_(fixed), tol_(tol) {}
+  // It never cross-checks, so the role handed to the base is never read.
+  Stubborn(Bytes fixed, CrossCheckTolerance tol)
+      : Strategy(PartyRole::kEdgeVendor, tol), fixed_(fixed) {}
   Bytes claim(const LocalView&, const ClaimBounds&, int, Rng&) const override {
     return fixed_;
   }
   bool reject_peer(Bytes, const LocalView&) const override { return false; }
   bool obeys_bounds() const override { return false; }
-  std::string_view name() const override { return "stubborn"; }
 
  private:
   Bytes fixed_;
-  CrossCheckTolerance tol_;
 };
 
 }  // namespace
 
 StrategyPtr make_honest_edge(CrossCheckTolerance tol) {
-  return std::make_unique<HonestEdge>(tol);
+  return std::make_unique<Honest>(PartyRole::kEdgeVendor, tol);
 }
 StrategyPtr make_honest_operator(CrossCheckTolerance tol) {
-  return std::make_unique<HonestOperator>(tol);
+  return std::make_unique<Honest>(PartyRole::kCellularOperator, tol);
 }
 StrategyPtr make_optimal_edge(CrossCheckTolerance tol) {
-  return std::make_unique<OptimalEdge>(tol);
+  return std::make_unique<Optimal>(PartyRole::kEdgeVendor, tol);
 }
 StrategyPtr make_optimal_operator(CrossCheckTolerance tol) {
-  return std::make_unique<OptimalOperator>(tol);
+  return std::make_unique<Optimal>(PartyRole::kCellularOperator, tol);
 }
 StrategyPtr make_random_edge(double spread, CrossCheckTolerance tol) {
-  return std::make_unique<RandomEdge>(spread, tol);
+  return std::make_unique<Random>(PartyRole::kEdgeVendor, spread, tol);
 }
 StrategyPtr make_random_operator(double spread, CrossCheckTolerance tol) {
-  return std::make_unique<RandomOperator>(spread, tol);
+  return std::make_unique<Random>(PartyRole::kCellularOperator, spread, tol);
 }
 StrategyPtr make_stubborn(Bytes fixed_claim, CrossCheckTolerance tol) {
   return std::make_unique<Stubborn>(fixed_claim, tol);

@@ -1,12 +1,14 @@
 // Negotiation strategies (§5.1–§5.2).
 //
-// A strategy decides (a) the volume a party claims each round and (b)
-// whether to reject the peer's claim against the party's local records —
-// the cross-check that enforces Theorem 2's charging bound.
+// A strategy chooses the volume a party claims each round. The round rule
+// around that choice is the same for every strategy and is written once
+// here: the claim is kept inside the bounds both sides announced
+// (Algorithm 1, line 3), and the peer's claim is rejected when it leaves
+// those bounds or fails the party role's cross-check against its local
+// records (line 5) — the check that enforces Theorem 2's charging bound.
 #pragma once
 
 #include <memory>
-#include <string_view>
 
 #include "common/rng.hpp"
 #include "tlc/types.hpp"
@@ -30,23 +32,46 @@ struct CrossCheckTolerance {
 
 class Strategy {
  public:
+  Strategy(PartyRole role, CrossCheckTolerance tol) : role_(role), tol_(tol) {}
+  Strategy(const Strategy&) = delete;
+  Strategy& operator=(const Strategy&) = delete;
   virtual ~Strategy() = default;
 
-  /// The claim for this round, before the engine clamps it to `bounds`.
+  /// The claim this strategy chooses for the round, before the round rule
+  /// keeps it inside `bounds`.
   [[nodiscard]] virtual Bytes claim(const LocalView& view,
                                     const ClaimBounds& bounds, int round,
                                     Rng& rng) const = 0;
 
-  /// Cross-check of the peer's claim against local records; returning true
-  /// rejects this round (Algorithm 1, line 5).
+  /// The role's cross-check of the peer's claim against local records
+  /// (Algorithm 1, line 5): the operator rejects an edge claim below what
+  /// it knows was received (x_e < x̂_o), the edge rejects an operator claim
+  /// above what it knows was sent (x_o > x̂_e), each with `tol`'s slack.
+  /// Virtual only so that the stubborn strategy can accept every claim.
   [[nodiscard]] virtual bool reject_peer(Bytes peer_claim,
-                                         const LocalView& view) const = 0;
+                                         const LocalView& view) const;
 
   /// Whether claims outside the negotiated bounds should be honoured
   /// (only deliberately misbehaving strategies override the clamp).
   [[nodiscard]] virtual bool obeys_bounds() const { return true; }
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
+  /// The claim sent for the round: claim(), clamped to `bounds` unless the
+  /// strategy does not obey them.
+  [[nodiscard]] Bytes bounded_claim(const LocalView& view,
+                                    const ClaimBounds& bounds, int round,
+                                    Rng& rng) const;
+
+  /// Whether this party rejects the peer's claim: outside the announced
+  /// bounds, or refused by reject_peer.
+  [[nodiscard]] bool rejects(Bytes peer_claim, const LocalView& view,
+                             const ClaimBounds& bounds) const;
+
+ protected:
+  [[nodiscard]] PartyRole role() const { return role_; }
+
+ private:
+  PartyRole role_;
+  CrossCheckTolerance tol_;
 };
 
 using StrategyPtr = std::unique_ptr<Strategy>;
@@ -87,7 +112,7 @@ using StrategyPtr = std::unique_ptr<Strategy>;
 /// Adversarial: ping-pongs between the extremes of the current claim
 /// window each round, never converging on its own — probes Algorithm 1's
 /// bound-tightening termination (the window must still contract, and the
-/// exchange must end within max_rounds with no PoC rather than hang).
+/// exchange must end within kMaxRounds with no PoC rather than hang).
 [[nodiscard]] StrategyPtr make_oscillating(PartyRole role,
                                            CrossCheckTolerance tol = {});
 

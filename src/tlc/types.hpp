@@ -1,6 +1,7 @@
 // Core vocabulary of the TLC negotiation (Table 1 of the paper).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -48,6 +49,12 @@ struct ClaimBounds {
     if (v < lower) return lower;
     if (v > upper) return upper;
     return v;
+  }
+  /// After a rejected round, the window narrows to that round's two
+  /// claims (line 12), whichever side claimed more.
+  void tighten(Bytes a, Bytes b) {
+    lower = std::min(a, b);
+    upper = std::max(a, b);
   }
 };
 

@@ -39,7 +39,6 @@ struct Fixture : ::testing::Test {
   EdgeDevice device{plan_300s(), sim::NodeClock{}};
   std::vector<net::Packet> ul_out;
   std::vector<CounterCheckReport> reports;
-  std::vector<bool> session_events;
 
   std::unique_ptr<BaseStation> make_bs(BaseStationConfig cfg) {
     auto bs = std::make_unique<BaseStation>(sched, cfg, Rng{1}, device,
@@ -49,9 +48,6 @@ struct Fixture : ::testing::Test {
     });
     bs->set_counter_check_sink(
         [this](const CounterCheckReport& r) { reports.push_back(r); });
-    bs->set_session_callback([this](bool attached, TimePoint) {
-      session_events.push_back(attached);
-    });
     bs->set_observability(obs, "cell0");
     bs->start();
     return bs;
@@ -84,7 +80,7 @@ TEST_F(Fixture, StaysAttachedWithGoodRadio) {
   sched.run_until(kTimeZero + seconds{30});
   EXPECT_TRUE(bs->attached());
   EXPECT_EQ(counter("epc.cell0.detaches"), 0u);
-  EXPECT_TRUE(session_events.empty());
+  EXPECT_EQ(counter("epc.cell0.attaches"), 0u);
 }
 
 TEST_F(Fixture, DetachesAfterFiveSecondsOfDisconnect) {
@@ -97,8 +93,7 @@ TEST_F(Fixture, DetachesAfterFiveSecondsOfDisconnect) {
   sched.run_until(kTimeZero + seconds{6});
   EXPECT_FALSE(bs->attached());
   EXPECT_EQ(counter("epc.cell0.detaches"), 1u);
-  ASSERT_EQ(session_events.size(), 1u);
-  EXPECT_FALSE(session_events[0]);
+  EXPECT_EQ(counter("epc.cell0.attaches"), 0u);
 }
 
 TEST_F(Fixture, DetachFlushesAndBlocksDownlink) {

@@ -13,6 +13,11 @@ namespace {
 
 using std::chrono::seconds;
 
+// The serving cell's attachment, which the caller passes with each
+// downlink packet.
+constexpr bool kAttached = true;
+constexpr bool kDetached = false;
+
 charging::DataPlan plan_300s() {
   charging::DataPlan plan;
   plan.cycle_length = seconds{300};
@@ -39,7 +44,7 @@ struct Fixture : ::testing::Test {
 };
 
 TEST_F(Fixture, DownlinkChargedBeforeRadio) {
-  gw.forward_downlink(packet(1000));
+  gw.forward_downlink(packet(1000), kAttached);
   EXPECT_EQ(gw.usage(0).downlink, Bytes{1000});
   EXPECT_EQ(to_enb.size(), 1u);
 }
@@ -53,8 +58,7 @@ TEST_F(Fixture, UplinkChargedAfterRadio) {
 TEST_F(Fixture, SessionDownDropsDownlinkUncharged) {
   obs::Obs obs;
   gw.set_observability(obs);
-  gw.set_session_up(false);
-  gw.forward_downlink(packet(1000));
+  gw.forward_downlink(packet(1000), kDetached);
   EXPECT_EQ(gw.usage(0).downlink, Bytes{0});  // NOT charged
   EXPECT_EQ(to_enb.size(), 0u);
   const obs::MetricsSnapshot snap = obs.metrics.snapshot();
@@ -63,30 +67,28 @@ TEST_F(Fixture, SessionDownDropsDownlinkUncharged) {
 }
 
 TEST_F(Fixture, SessionRestoredChargesAgain) {
-  gw.set_session_up(false);
-  gw.forward_downlink(packet(500));
-  gw.set_session_up(true);
-  gw.forward_downlink(packet(500));
+  gw.forward_downlink(packet(500), kDetached);
+  gw.forward_downlink(packet(500), kAttached);
   EXPECT_EQ(gw.usage(0).downlink, Bytes{500});
 }
 
 TEST_F(Fixture, ChargesPerCycle) {
-  gw.forward_downlink(packet(100));
+  gw.forward_downlink(packet(100), kAttached);
   sched.schedule_at(kTimeZero + seconds{301},
-                    [this] { gw.forward_downlink(packet(200)); });
+                    [this] { gw.forward_downlink(packet(200), kAttached); });
   sched.run();
   EXPECT_EQ(gw.usage(0).downlink, Bytes{100});
   EXPECT_EQ(gw.usage(1).downlink, Bytes{200});
 }
 
 TEST_F(Fixture, HonestClaimEqualsUsage) {
-  gw.forward_downlink(packet(1234));
+  gw.forward_downlink(packet(1234), kAttached);
   EXPECT_EQ(gw.claimed_usage(0), gw.usage(0));
 }
 
 TEST_F(Fixture, SelfishOperatorInflatesClaims) {
   // §3.3: "The operator can modify its CDRs for over-billing."
-  gw.forward_downlink(packet(1000));
+  gw.forward_downlink(packet(1000), kAttached);
   gw.set_cdr_tamper_factor(1.5);
   EXPECT_EQ(gw.claimed_usage(0).downlink, Bytes{1500});
   EXPECT_EQ(gw.usage(0).downlink, Bytes{1000});  // real record unchanged
@@ -97,7 +99,7 @@ TEST_F(Fixture, TamperFactorMustBeFiniteAndNonNegative) {
   for (const double bad : {-5.0, -1e-300, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     EXPECT_THROW(gw.set_cdr_tamper_factor(bad), std::invalid_argument) << bad;
   }
-  gw.forward_downlink(packet(1000));
+  gw.forward_downlink(packet(1000), kAttached);
   EXPECT_EQ(gw.claimed_usage(0).downlink, Bytes{2000});  // factor kept
   gw.set_cdr_tamper_factor(0.0);
   EXPECT_EQ(gw.claimed_usage(0).downlink, Bytes{0});
@@ -106,7 +108,7 @@ TEST_F(Fixture, TamperFactorMustBeFiniteAndNonNegative) {
 TEST_F(Fixture, HugeTamperFactorSaturatesTheClaim) {
   // 1000 B × 1e300 has no u64 value: the claim saturates at 2^64 − 1
   // instead of wrapping, and so does a product just past 2^64.
-  gw.forward_downlink(packet(1000));
+  gw.forward_downlink(packet(1000), kAttached);
   gw.set_cdr_tamper_factor(1e300);
   EXPECT_EQ(gw.claimed_usage(0).downlink,
             Bytes{std::numeric_limits<std::uint64_t>::max()});
@@ -121,7 +123,7 @@ TEST_F(Fixture, HugeTamperFactorSaturatesTheClaim) {
 
 TEST_F(Fixture, LegacyCdrReflectsClaims) {
   gw.on_uplink_from_enb(packet(274'841), sched.now());
-  gw.forward_downlink(packet(33'604'032));
+  gw.forward_downlink(packet(33'604'032), kAttached);
   const wire::LegacyCdr cdr = gw.legacy_cdr(0);
   EXPECT_EQ(cdr.uplink_volume, Bytes{274'841});
   EXPECT_EQ(cdr.downlink_volume, Bytes{33'604'032});
@@ -129,7 +131,7 @@ TEST_F(Fixture, LegacyCdrReflectsClaims) {
 }
 
 TEST_F(Fixture, LegacyCdrEncodesTo34Bytes) {
-  gw.forward_downlink(packet(1000));
+  gw.forward_downlink(packet(1000), kAttached);
   EXPECT_EQ(wire::encode_legacy_cdr(gw.legacy_cdr(0)).size(), 34u);
 }
 
@@ -143,8 +145,9 @@ TEST_F(Fixture, OperatorClockShiftsChargingCycle) {
   SpGateway gw2{s2, plan_300s(), sim::NodeClock{seconds{10}, 0.0},
                 Imsi::from_number(1)};
   gw2.set_downlink_forward([](net::Packet) {});
-  s2.schedule_at(kTimeZero + seconds{295},
-                 [&gw2] { gw2.forward_downlink(net::Packet{.size = Bytes{50}}); });
+  s2.schedule_at(kTimeZero + seconds{295}, [&gw2] {
+    gw2.forward_downlink(net::Packet{.size = Bytes{50}}, kAttached);
+  });
   s2.run();
   EXPECT_EQ(gw2.usage(0).downlink, Bytes{0});
   EXPECT_EQ(gw2.usage(1).downlink, Bytes{50});

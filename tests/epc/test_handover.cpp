@@ -141,16 +141,18 @@ TEST_F(Fixture, PeriodicHandoversRun) {
 }
 
 TEST_F(Fixture, HandoverDoesNotCloseGatewaySession) {
-  // The charging-relevant distinction from a detach: the gateway keeps
-  // charging across handovers (no session callback fires).
-  bool session_changed = false;
-  cell_a->set_session_callback(
-      [&session_changed](bool, TimePoint) { session_changed = true; });
+  // The charging-relevant distinction from a detach: a handover suspends
+  // the source cell but detaches neither, so the gateway, which charges
+  // while the serving cell has the device attached, keeps charging.
   HandoverController ho{sched, HandoverController::Config{},
                         {cell_a.get(), cell_b.get()}};
   ho.execute_handover();
   sched.run_until(kTimeZero + seconds{1});
-  EXPECT_FALSE(session_changed);
+  EXPECT_TRUE(cell_a->attached());
+  EXPECT_TRUE(cell_b->attached());
+  const obs::MetricsSnapshot snap = obs.metrics.snapshot();
+  EXPECT_EQ(snap.counter_or_zero("epc.cell0.detaches"), 0u);
+  EXPECT_EQ(snap.counter_or_zero("epc.cell1.detaches"), 0u);
 }
 
 TEST_F(Fixture, MobilityCreatesChargingGap) {

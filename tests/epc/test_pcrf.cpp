@@ -63,8 +63,8 @@ TEST(Pcrf, GatewayAppliesRulesOnForward) {
   std::vector<net::Packet> forwarded;
   gw.set_downlink_forward(
       [&forwarded](net::Packet p) { forwarded.push_back(std::move(p)); });
-  gw.forward_downlink(packet(20));
-  gw.forward_downlink(packet(21));
+  gw.forward_downlink(packet(20), true);
+  gw.forward_downlink(packet(21), true);
   ASSERT_EQ(forwarded.size(), 2u);
   EXPECT_EQ(forwarded[0].qci, net::Qci::kQci7);
   EXPECT_EQ(forwarded[1].qci, net::Qci::kQci9);
@@ -82,9 +82,9 @@ TEST(Pcrf, MidStreamRuleInstallUpgradesFlow) {
   std::vector<net::Qci> seen;
   gw.set_downlink_forward(
       [&seen](net::Packet p) { seen.push_back(p.qci); });
-  gw.forward_downlink(packet(20));
+  gw.forward_downlink(packet(20), true);
   pcrf.install_rule({20, net::Qci::kQci7});
-  gw.forward_downlink(packet(20));
+  gw.forward_downlink(packet(20), true);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], net::Qci::kQci9);
   EXPECT_EQ(seen[1], net::Qci::kQci7);

@@ -252,6 +252,66 @@ TEST(Testbed, DisconnectRatioFollowsTheServingCell) {
   }
 }
 
+TEST(Testbed, GatewayChargesWhileTheServingCellIsAttached) {
+  // Under mobility each cell's radio fails on its own, so a handover can
+  // land on a cell that detached the device while it was suspended, or
+  // leave one that had. The gateway charges a downlink packet exactly
+  // when the cell then serving the device has it attached.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    TestbedConfig cfg = clean_config();
+    cfg.plan.cycle_length = seconds{60};
+    cfg.bs.radio.dip_rate_per_s = 0.08;
+    cfg.bs.radio.dip_depth_db = 50.0;
+    cfg.handover_period = seconds{7};
+    cfg.seed = seed;
+    Testbed bed{cfg};
+    const obs::Counter& charged =
+        bed.obs().metrics.counter("epc.gw.charged_dl_packets");
+    std::uint64_t sent_detached = 0;
+    std::uint64_t misjudged = 0;
+    // A 100-B probe every 0.5 s, off the cells' 100-ms poll grid: each
+    // passes the gateway long before the next is sent.
+    for (std::uint64_t i = 0; i < 1199; ++i) {
+      bed.scheduler().schedule_at(
+          kTimeZero + std::chrono::milliseconds{i * 500 + 250}, [&, i] {
+            const bool attached = bed.serving_cell().attached();
+            if (!attached) ++sent_detached;
+            const std::uint64_t before = charged.value();
+            bed.app_send_downlink(packet(i, 100));
+            bed.scheduler().schedule_after(
+                std::chrono::milliseconds{100}, [&, attached, before] {
+                  if ((charged.value() - before == 1) != attached) {
+                    ++misjudged;
+                  }
+                });
+          });
+    }
+    bed.run_until(kTimeZero + seconds{600});
+    EXPECT_GT(sent_detached, 0u) << "seed " << seed;
+    EXPECT_EQ(misjudged, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Testbed, SuspendedCellRunsNoIdleCounterCheck) {
+  // The first handover would come at 1,000 s, so cell 1 stays suspended
+  // for the whole run. It cannot reach the device, so it never releases
+  // an idle connection nor queries the modem's counters; the serving
+  // cell does once the stream stops.
+  TestbedConfig cfg = clean_config();
+  cfg.handover_period = seconds{1000};
+  Testbed bed{cfg};
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    bed.scheduler().schedule_at(
+        kTimeZero + std::chrono::milliseconds{i * 1000 + 500},
+        [&bed, i] { bed.app_send_downlink(packet(i)); });
+  }
+  bed.run_until(kTimeZero + seconds{200});
+  ASSERT_TRUE(bed.cells()[1].suspended());
+  const obs::MetricsSnapshot snap = bed.obs().metrics.snapshot();
+  EXPECT_EQ(snap.counter_or_zero("epc.cell0.counter_checks"), 1u);
+  EXPECT_EQ(snap.counter_or_zero("epc.cell1.counter_checks"), 0u);
+}
+
 TEST(Testbed, MobilityRecordsStayConsistentForNegotiation) {
   // The TLC pipeline end-to-end over a mobile device: views still track
   // truth and the optimal negotiation still nails x̂.

@@ -205,7 +205,7 @@ TEST(Invariants, GreedyOperatorNeverBeatsRationalEdgeBound) {
         core::make_greedy(core::PartyRole::kCellularOperator, factor);
     Rng rng{17};
     const core::NegotiationOutcome outcome = core::negotiate(
-        *edge, kEdgeView, *op, kOpView, core::NegotiationConfig{}, rng);
+        *edge, kEdgeView, *op, kOpView, 0.5, rng);
     if (outcome.converged) {
       EXPECT_LE(outcome.charged.count(),
                 (kEdgeView.sent_estimate + slack).count())
@@ -219,10 +219,9 @@ TEST(Invariants, OscillatingPeerTerminatesWithinRoundBudget) {
   const auto op =
       core::make_oscillating(core::PartyRole::kCellularOperator);
   Rng rng{19};
-  const core::NegotiationConfig cfg{0.5, 64};
   const core::NegotiationOutcome outcome =
-      core::negotiate(*edge, kEdgeView, *op, kOpView, cfg, rng);
-  EXPECT_LE(outcome.rounds, cfg.max_rounds);
+      core::negotiate(*edge, kEdgeView, *op, kOpView, 0.5, rng);
+  EXPECT_LE(outcome.rounds, core::kMaxRounds);
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ struct Fixture : ::testing::Test {
     // Server sent 2000; gateway charged 2000; device received 1800.
     server.note_sent(packet(2000), kTimeZero + seconds{10});
     gateway.set_downlink_forward([](net::Packet) {});
-    gateway.forward_downlink(packet(2000));
+    gateway.forward_downlink(packet(2000), true);
     device.on_downlink_delivered(packet(1800), kTimeZero + seconds{10});
     rrc.on_counter_check({device.modem_rx_bytes(), 0,
                           kTimeZero + seconds{20}});

@@ -252,8 +252,7 @@ TEST_F(FuzzTest, NegotiationFuzzAlwaysTerminatesWithinBounds) {
     }
 
     Rng nrng = rng.fork();
-    const auto out =
-        negotiate(*edge, view, *op, view, NegotiationConfig{c, 64}, nrng);
+    const auto out = negotiate(*edge, view, *op, view, c, nrng);
     ASSERT_TRUE(out.converged) << "trial " << trial;
     const double slack = static_cast<double>(sent) * 0.035 + 5'000;
     EXPECT_GE(out.charged.as_double(), static_cast<double>(received) - slack)

@@ -16,8 +16,6 @@ struct Truth {
   [[nodiscard]] LocalView view() const { return {sent, received}; }
 };
 
-NegotiationConfig config_c(double c) { return NegotiationConfig{c, 64}; }
-
 // -------------------------------------------------------------- Theorem 4
 
 TEST(Theorem4, HonestPartiesConvergeInOneRound) {
@@ -25,8 +23,7 @@ TEST(Theorem4, HonestPartiesConvergeInOneRound) {
   Rng rng{1};
   const auto edge = make_honest_edge();
   const auto op = make_honest_operator();
-  const auto out = negotiate(*edge, t.view(), *op, t.view(), config_c(0.5),
-                             rng);
+  const auto out = negotiate(*edge, t.view(), *op, t.view(), 0.5, rng);
   EXPECT_TRUE(out.converged);
   EXPECT_EQ(out.rounds, 1);
 }
@@ -36,8 +33,7 @@ TEST(Theorem4, RationalPartiesConvergeInOneRound) {
   Rng rng{1};
   const auto edge = make_optimal_edge();
   const auto op = make_optimal_operator();
-  const auto out = negotiate(*edge, t.view(), *op, t.view(), config_c(0.5),
-                             rng);
+  const auto out = negotiate(*edge, t.view(), *op, t.view(), 0.5, rng);
   EXPECT_TRUE(out.converged);
   EXPECT_EQ(out.rounds, 1);
 }
@@ -57,7 +53,7 @@ TEST_P(CorrectnessSweep, RationalPlayYieldsCorrectCharge) {
   const auto edge = make_optimal_edge();
   const auto op = make_optimal_operator();
   const auto out =
-      negotiate(*edge, t.view(), *op, t.view(), config_c(c), rng);
+      negotiate(*edge, t.view(), *op, t.view(), c, rng);
   ASSERT_TRUE(out.converged);
   const Bytes expected =
       charging::charged_volume(t.sent, t.received, c);  // x̂
@@ -73,7 +69,7 @@ TEST_P(CorrectnessSweep, HonestPlayAlsoYieldsCorrectCharge) {
   const auto edge = make_honest_edge();
   const auto op = make_honest_operator();
   const auto out =
-      negotiate(*edge, t.view(), *op, t.view(), config_c(c), rng);
+      negotiate(*edge, t.view(), *op, t.view(), c, rng);
   ASSERT_TRUE(out.converged);
   EXPECT_EQ(out.charged, charging::charged_volume(t.sent, t.received, c));
 }
@@ -124,7 +120,7 @@ TEST_P(BoundSweep, ChargeBoundedBySentAndReceived) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng{seed};
     const auto out =
-        negotiate(*edge, t.view(), *op, t.view(), config_c(c), rng);
+        negotiate(*edge, t.view(), *op, t.view(), c, rng);
     ASSERT_TRUE(out.converged) << pair.name << " seed " << seed;
     // Theorem 2, with the cross-check tolerance (3% + floor) as slack:
     const Bytes slack{16'000'000};
@@ -148,7 +144,7 @@ TEST(Misbehaviour, StubbornOverclaimNeverProfits) {
   const auto edge = make_optimal_edge();
   const auto op = make_stubborn(Bytes{10'000'000});
   const auto out =
-      negotiate(*edge, t.view(), *op, t.view(), config_c(0.5), rng);
+      negotiate(*edge, t.view(), *op, t.view(), 0.5, rng);
   EXPECT_FALSE(out.converged);
   EXPECT_EQ(out.rounds, 64);
 }
@@ -159,7 +155,7 @@ TEST(Misbehaviour, StubbornUnderclaimAlsoFails) {
   const auto edge = make_stubborn(Bytes{10});
   const auto op = make_optimal_operator();
   const auto out =
-      negotiate(*edge, t.view(), *op, t.view(), config_c(0.5), rng);
+      negotiate(*edge, t.view(), *op, t.view(), 0.5, rng);
   EXPECT_FALSE(out.converged);
 }
 
@@ -171,7 +167,7 @@ TEST(Misbehaviour, StubbornWithinBoundsIsAccepted) {
   const auto edge = make_stubborn(Bytes{950'000});
   const auto op = make_optimal_operator();
   const auto out =
-      negotiate(*edge, t.view(), *op, t.view(), config_c(0.5), rng);
+      negotiate(*edge, t.view(), *op, t.view(), 0.5, rng);
   EXPECT_TRUE(out.converged);
   EXPECT_GE(out.charged, t.received);
   EXPECT_LE(out.charged, t.sent);
@@ -187,7 +183,7 @@ TEST(RandomScheme, ConvergesWithinAFewRounds) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng{seed};
     const auto out =
-        negotiate(*edge, t.view(), *op, t.view(), config_c(0.5), rng);
+        negotiate(*edge, t.view(), *op, t.view(), 0.5, rng);
     ASSERT_TRUE(out.converged);
     rounds.add(out.rounds);
   }
@@ -209,9 +205,9 @@ TEST(RandomScheme, GapWorseThanOptimalButBounded) {
     Rng r1{seed};
     Rng r2{seed};
     const auto random_out =
-        negotiate(*edge_r, t.view(), *op_r, t.view(), config_c(0.5), r1);
+        negotiate(*edge_r, t.view(), *op_r, t.view(), 0.5, r1);
     const auto optimal_out =
-        negotiate(*edge_o, t.view(), *op_o, t.view(), config_c(0.5), r2);
+        negotiate(*edge_o, t.view(), *op_o, t.view(), 0.5, r2);
     total_random_gap +=
         charging::gap_metrics(random_out.charged, correct).absolute_bytes;
     total_optimal_gap +=
@@ -227,11 +223,7 @@ TEST(Negotiate, RejectsInvalidConfig) {
   Rng rng{1};
   const auto edge = make_honest_edge();
   const auto op = make_honest_operator();
-  EXPECT_THROW((void)negotiate(*edge, t.view(), *op, t.view(),
-                               NegotiationConfig{1.5, 64}, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)negotiate(*edge, t.view(), *op, t.view(),
-                               NegotiationConfig{0.5, 0}, rng),
+  EXPECT_THROW((void)negotiate(*edge, t.view(), *op, t.view(), 1.5, rng),
                std::invalid_argument);
 }
 
@@ -241,7 +233,7 @@ TEST(Negotiate, ZeroTrafficCycleConverges) {
   const auto edge = make_optimal_edge();
   const auto op = make_optimal_operator();
   const auto out =
-      negotiate(*edge, t.view(), *op, t.view(), config_c(0.5), rng);
+      negotiate(*edge, t.view(), *op, t.view(), 0.5, rng);
   EXPECT_TRUE(out.converged);
   EXPECT_EQ(out.charged, Bytes{0});
 }
@@ -254,7 +246,7 @@ TEST(Negotiate, LossyViewsWithNoiseStillConverge) {
   const auto edge = make_optimal_edge();
   const auto op = make_optimal_operator();
   const auto out =
-      negotiate(*edge, edge_view, *op, op_view, config_c(0.5), rng);
+      negotiate(*edge, edge_view, *op, op_view, 0.5, rng);
   EXPECT_TRUE(out.converged);
   EXPECT_LE(out.rounds, 2);
 }

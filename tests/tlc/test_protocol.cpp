@@ -106,18 +106,83 @@ TEST_F(ProtocolTest, RandomPartiesConvergeWithReclaims) {
 TEST_F(ProtocolTest, StubbornPeerExhaustsRounds) {
   const auto es = make_optimal_edge();
   const auto os = make_stubborn(Bytes{50'000'000});  // absurd over-claim
-  auto cfg_e = edge_config(kTruth);
-  auto cfg_o = operator_config(kTruth);
-  cfg_e.max_rounds = 8;
-  cfg_o.max_rounds = 8;
-  ProtocolParty edge{cfg_e, *es, edge_keys(),
+  ProtocolParty edge{edge_config(kTruth), *es, edge_keys(),
                      operator_keys().public_key(), Rng{1}};
-  ProtocolParty op{cfg_o, *os, operator_keys(),
+  ProtocolParty op{operator_config(kTruth), *os, operator_keys(),
                    edge_keys().public_key(), Rng{2}};
   run_exchange(op, edge);
   EXPECT_NE(op.state(), ProtocolState::kDone);
   EXPECT_FALSE(edge.poc().has_value());
   EXPECT_FALSE(op.poc().has_value());
+}
+
+TEST_F(ProtocolTest, AdversarialStrategiesOverTheSignedProtocol) {
+  // The fault harness's adversaries against an optimal peer, in each role
+  // and with each side initiating: a greedy party that under- or
+  // over-claims by 40%, and one that oscillates across the window. An
+  // exchange ends with a PoC on both sides or on neither; a finished one
+  // keeps the rational party's Theorem 2 bound within the cross-check
+  // slack and passes public verification.
+  const CrossCheckTolerance tol;
+  const struct {
+    LocalView edge;
+    LocalView op;
+  } views[] = {
+      {kTruth, kTruth},
+      {{Bytes{1'000'000}, Bytes{935'000}}, {Bytes{985'000}, Bytes{920'000}}},
+      {{Bytes{980'000}, Bytes{900'000}}, {Bytes{1'020'000}, Bytes{940'000}}},
+  };
+  int finished = 0;
+  int exhausted = 0;
+  for (const PartyRole role :
+       {PartyRole::kEdgeVendor, PartyRole::kCellularOperator}) {
+    const bool edge_adversary = role == PartyRole::kEdgeVendor;
+    const StrategyPtr rational =
+        edge_adversary ? make_optimal_operator() : make_optimal_edge();
+    const StrategyPtr adversaries[] = {make_greedy(role, 0.6),
+                                       make_greedy(role, 1.4),
+                                       make_oscillating(role)};
+    for (std::size_t a = 0; a < std::size(adversaries); ++a) {
+      const Strategy& es = edge_adversary ? *adversaries[a] : *rational;
+      const Strategy& os = edge_adversary ? *rational : *adversaries[a];
+      for (std::size_t v = 0; v < std::size(views); ++v) {
+        for (const bool edge_starts : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "role " << to_string(role) << ", adversary " << a
+                       << ", views " << v << ", edge starts " << edge_starts);
+          ProtocolParty edge{edge_config(views[v].edge), es, edge_keys(),
+                             operator_keys().public_key(), Rng{1}};
+          ProtocolParty op{operator_config(views[v].op), os, operator_keys(),
+                           edge_keys().public_key(), Rng{2}};
+          (void)(edge_starts ? run_exchange(edge, op) : run_exchange(op, edge));
+          ASSERT_EQ(edge.poc().has_value(), op.poc().has_value());
+          if (!op.poc().has_value()) {
+            ++exhausted;
+            EXPECT_TRUE(edge.error() == ProtocolError::kExceededMaxRounds ||
+                        op.error() == ProtocolError::kExceededMaxRounds);
+            continue;
+          }
+          ++finished;
+          EXPECT_EQ(edge.charged(), op.charged());
+          if (edge_adversary) {
+            const Bytes received = views[v].op.received_estimate;
+            EXPECT_GE(op.charged() + tol.slack_for(received), received);
+          } else {
+            const Bytes sent = views[v].edge.sent_estimate;
+            EXPECT_LE(edge.charged(), sent + tol.slack_for(sent));
+          }
+          PublicVerifier verifier{edge_keys().public_key(),
+                                  operator_keys().public_key(), plan()};
+          VerifiedCharge audited;
+          EXPECT_EQ(verifier.verify(op.poc()->encode(), &audited),
+                    VerifyResult::kOk);
+          EXPECT_EQ(audited.charged, op.charged());
+        }
+      }
+    }
+  }
+  EXPECT_GT(finished, 0);
+  EXPECT_GT(exhausted, 0);
 }
 
 TEST_F(ProtocolTest, WrongPeerKeyFailsSignatureCheck) {

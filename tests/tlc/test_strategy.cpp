@@ -114,16 +114,6 @@ TEST(Stubborn, IgnoresEverything) {
   EXPECT_FALSE(s->reject_peer(Bytes{999'999'999}, kView));
 }
 
-TEST(Strategies, HaveDistinctNames) {
-  EXPECT_EQ(make_honest_edge()->name(), "honest-edge");
-  EXPECT_EQ(make_honest_operator()->name(), "honest-operator");
-  EXPECT_EQ(make_optimal_edge()->name(), "optimal-edge");
-  EXPECT_EQ(make_optimal_operator()->name(), "optimal-operator");
-  EXPECT_EQ(make_random_edge()->name(), "random-edge");
-  EXPECT_EQ(make_random_operator()->name(), "random-operator");
-  EXPECT_EQ(make_stubborn(Bytes{1})->name(), "stubborn");
-}
-
 TEST(ClaimBounds, ContainsAndClamp) {
   ClaimBounds b{Bytes{10}, Bytes{20}};
   EXPECT_TRUE(b.contains(Bytes{10}));

@@ -96,14 +96,10 @@ TEST_F(TimedExchangeTest, MultiRoundExchangesTakeLonger) {
 TEST_F(TimedExchangeTest, FailedExchangeReportsIncomplete) {
   const auto es = make_optimal_edge();
   const auto os = make_stubborn(Bytes{50'000'000});
-  auto cfg_o = operator_config(kView);
-  cfg_o.max_rounds = 6;
-  auto cfg_e = edge_config(kView);
-  cfg_e.max_rounds = 6;
-  ProtocolParty op{cfg_o, *os, operator_keys(), edge_keys().public_key(),
-                   Rng{2}};
-  ProtocolParty edge{cfg_e, *es, edge_keys(), operator_keys().public_key(),
-                     Rng{3}};
+  ProtocolParty op{operator_config(kView), *os, operator_keys(),
+                   edge_keys().public_key(), Rng{2}};
+  ProtocolParty edge{edge_config(kView), *es, edge_keys(),
+                     operator_keys().public_key(), Rng{3}};
   const auto result = run_timed_exchange(op, edge, {});
   EXPECT_FALSE(result.completed);
   EXPECT_GT(result.messages, 3);
